@@ -5,7 +5,8 @@ discretization, cross-checked by a phase-plane shooting oracle.
 """
 
 from .bifurcation import (BifurcationEvent, BracketError, det_sign,
-                          locate_bifurcation, null_vector, switch_branch)
+                          locate_bifurcation, null_vector,
+                          sign_change_brackets, switch_branch)
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, initial_tangent,
                            make_point, update_tangent)
@@ -14,7 +15,8 @@ from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         newton_fixed_lambda, solve_tridiag)
 from .diagram import (BranchRecord, DiagramBundle, RunConfig, deep_census,
                       emit_svg, onset_amplitude, run_diagram,
-                      run_epsilon_sweep, trace_to_fold, write_bundle)
+                      run_epsilon_sweep, trace_main_branch, trace_to_fold,
+                      write_bundle)
 from .discretize import (BandedJacobian, MeshMismatchError, discrete_l2_norm,
                          jacobian, node_weights, principal_eigenvalue,
                          residual, stencil_coefficients, toeplitz_eigenvalue)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .continuation import Branch
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        newton_augmented, newton_fixed_lambda, solve_tridiag)
+                        _lu, _lu_solve, newton_augmented, newton_fixed_lambda)
 from .discretize import BandedJacobian, jacobian
 from .mesh import Mesh
 from .weight import Weight
@@ -21,13 +21,11 @@ __all__ = [
     "BifurcationEvent",
     "BracketError",
     "det_sign",
+    "sign_change_brackets",
     "null_vector",
     "locate_bifurcation",
     "switch_branch",
 ]
-
-_ZERO_DET_TOL = 1e-10
-
 
 class BracketError(ValueError):
     """Bisection bracket endpoints carry the same determinant sign."""
@@ -42,40 +40,38 @@ class BifurcationEvent:
 
 
 def det_sign(J: BandedJacobian) -> tuple[int, float]:
-    """Sign and log-magnitude of det(J) via the tridiagonal recurrence.
+    """Sign and log-magnitude of det(J) from its pivoted LU factors.
 
-    The three-term recurrence is rescaled every step to avoid overflow; a
-    final normalized value below 1e-10 is reported as sign 0.
+    det(J) is the product of the pivots of U times (-1) per row swap; the
+    sign is 0 (log-magnitude -inf) only when a pivot is exactly zero.
     """
-    d, sub, sup = J.diag, J.sub, J.sup
-    prev, cur = 1.0, d[0]
-    logmag = 0.0
-    for i in range(1, J.n):
-        nxt = d[i] * cur - sub[i - 1] * sup[i - 1] * prev
-        prev, cur = cur, nxt
-        scale = max(abs(cur), abs(prev))
-        if scale > 0.0:
-            cur /= scale
-            prev /= scale
-            logmag += np.log(scale)
-    if abs(cur) < _ZERO_DET_TOL:
-        return 0, -np.inf if cur == 0.0 else logmag + np.log(abs(cur))
-    return (1 if cur > 0 else -1), logmag + np.log(abs(cur))
+    try:
+        _, u_diag, _, _, ipiv = _lu(J)
+    except SingularSystemError:
+        return 0, -np.inf
+    swaps = np.count_nonzero(ipiv != np.arange(1, J.n + 1))
+    negatives = np.count_nonzero(u_diag < 0.0)
+    sign = -1 if (swaps + negatives) % 2 else 1
+    return sign, float(np.sum(np.log(np.abs(u_diag))))
+
+
+def sign_change_brackets(w: Weight, m: Mesh,
+                         branch: Branch) -> list[tuple[int, int]]:
+    """Index pairs (i, i+1) of adjacent points with nonzero, opposite det signs."""
+    signs = [det_sign(jacobian(w, m, p.lam, p.u))[0] for p in branch.points]
+    return [(i, i + 1) for i in range(len(signs) - 1)
+            if signs[i] * signs[i + 1] < 0]
 
 
 def null_vector(J: BandedJacobian, iters: int = 12) -> np.ndarray:
     """Unit approximate null vector of a (near-)singular J by inverse iteration."""
     shift = 1e-12 * float(np.abs(J.diag).max() + 1.0)
-    Js = BandedJacobian(J.sub, J.diag + shift, J.sup)
+    lu = _lu(BandedJacobian(J.sub, J.diag + shift, J.sup))
     v = np.ones(J.n)
     v[::2] += 0.5  # break accidental orthogonality to the target mode
     v /= np.linalg.norm(v)
     for _ in range(iters):
-        try:
-            v = solve_tridiag(Js, v)
-        except SingularSystemError:
-            Js = BandedJacobian(J.sub, Js.diag + 10 * shift, J.sup)
-            continue
+        v = _lu_solve(lu, v)
         v /= np.linalg.norm(v)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v

@@ -15,11 +15,12 @@ import sys
 
 import numpy as np
 
-from .continuation import continue_branch, initial_tangent, make_point
-from .corrector import AugmentedState, newton_fixed_lambda
+from .bifurcation import locate_bifurcation, sign_change_brackets
+from .continuation import make_point
+from .corrector import newton_fixed_lambda
 from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
-                      run_epsilon_sweep, write_bundle)
-from .discretize import principal_eigenvalue, toeplitz_eigenvalue
+                      run_epsilon_sweep, trace_main_branch, write_bundle)
+from .discretize import toeplitz_eigenvalue
 from .seeding import PeakMask, peak_pattern_seed, sine_seed, well_bump_seed
 from .shooting import shoot_count
 
@@ -144,33 +145,19 @@ def _cmd_sweep_eps(args) -> int:
 def _cmd_sweep_h(args) -> int:
     # For each h, follow the main branch and report the first located
     # bifurcation value lambda_b (see bifurcation.locate_bifurcation).
-    from .bifurcation import locate_bifurcation
-    from .diagram import _det_signs
-
     h_values = [float(s) for s in args.h_values.split(",")]
     out = []
     for h in h_values:
         cfg = RunConfig(kappa=1, h=h, mesh_n=args.n,
                         lambda_min=args.lambda_min)
         w, m = cfg.build()
-        lam1 = principal_eigenvalue(m)
-        amp_lam = lam1 - 0.1
-        from .diagram import onset_amplitude
-        u0 = newton_fixed_lambda(w, m, amp_lam,
-                                 sine_seed(m, onset_amplitude(w, m, amp_lam,
-                                                               lam1)))
-        start = make_point(w, m, amp_lam, u0, tag="branch_start")
-        t0 = initial_tangent(w, m, AugmentedState(amp_lam, u0),
-                             direction_hint=-1.0)
-        branch = continue_branch(w, m, start, t0, cfg.continuation())
-        signs = _det_signs(w, m, branch)
+        branch = trace_main_branch(w, m, cfg.continuation())
         lam_b = None
-        for i in range(len(signs) - 1):
-            if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-                ev = locate_bifurcation(w, m, branch, (i, i + 1))
-                if ev.kind == "pitchfork":
-                    lam_b = ev.lambda_b
-                    break
+        for bracket in sign_change_brackets(w, m, branch):
+            ev = locate_bifurcation(w, m, branch, bracket)
+            if ev.kind == "pitchfork":
+                lam_b = ev.lambda_b
+                break
         out.append({"h": h, "lambda_b": lam_b})
         print(f"h = {h:g}  lambda_b = "
               f"{'not found' if lam_b is None else _fmt(lam_b)}")

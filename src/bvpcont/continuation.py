@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, bordered_solve, newton_augmented,
-                        solve_tridiag)
+                        Tangent, bordered_solve, newton_augmented)
 from .discretize import discrete_l2_norm, jacobian, residual
 from .mesh import Mesh
 from .weight import Weight
@@ -92,19 +91,12 @@ def initial_tangent(w: Weight, m: Mesh, y: AugmentedState,
                     direction_hint: float = -1.0) -> Tangent:
     """Unit null vector of the N x (N+1) Jacobian [J | dF/dlam] at y.
 
-    At a regular point du solves J du = u (dF/dlam = -u); near a fold the
-    tridiagonal solve degenerates and the tangent is recovered from the
-    bordered system instead.
+    Solves the system bordered by the probe row (0, 1), i.e. J du = u
+    (dF/dlam = -u) with dlam = 1, and normalizes.  Near a fold du grows
+    along the null vector of J, so the result tends to the fold tangent;
+    only an exactly zero pivot of J raises SingularSystemError.
     """
     J = jacobian(w, m, y.lam, y.u)
-    try:
-        du = solve_tridiag(J, y.u)
-        t = Tangent(du, 1.0).normalized()
-        if np.all(np.isfinite(t.du)):
-            return _fix_sign(t, direction_hint)
-    except SingularSystemError:
-        pass
-    # Fold-adjacent fallback: border with a lam-direction probe row.
     probe = Tangent(np.zeros_like(y.u), 1.0)
     rhs = np.zeros(len(y.u) + 1)
     rhs[-1] = 1.0

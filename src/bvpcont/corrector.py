@@ -1,4 +1,4 @@
-"""Newton correctors: fixed-parameter solves and the arclength-augmented system.
+"""Newton correctors and the tridiagonal linear algebra behind them.
 
 The augmented unknown is y = (u, lam).  During continuation the corrector
 solves
@@ -6,15 +6,22 @@ solves
     F(lam, u) = 0,
     t_du . (u - u_prev) + t_dlam * (lam - lam_prev) - ds = 0,
 
-whose (N+1)x(N+1) Jacobian is the tridiagonal Jacobian of F bordered by the
-column dF/dlam = -u and the tangent row.  Folds in lam are regular points of
-this system, provided the linear solver tolerates a singular tridiagonal block.
+whose (N+1)x(N+1) Jacobian is the tridiagonal Jacobian J of F bordered by the
+column dF/dlam = -u and the tangent row.
+
+Every linear solve goes through one LU factorization of J with partial
+pivoting (LAPACK dgttrf/dgttrs), which also yields the sign of det(J) and
+drives inverse iteration for null vectors.  The bordered system is solved by
+mixed block elimination (BEMW: Govaerts & Pryce, IMA J. Numer. Anal. 13
+(1993) 161-180), which stays stable when J is singular to rounding, so folds
+in lam are regular points of the corrector.  Only an exactly zero pivot is
+reported as singular.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .discretize import BandedJacobian, jacobian, residual
 from .mesh import Mesh
@@ -42,7 +49,7 @@ class NewtonError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """Linear system singular beyond what bordering can regularize."""
+    """Exactly zero pivot in a tridiagonal LU, or a singular bordered matrix."""
 
 
 @dataclass
@@ -74,23 +81,25 @@ class Tangent:
         return float(np.dot(self.du, other.du) + self.dlam * other.dlam)
 
 
-def _banded(J: BandedJacobian) -> np.ndarray:
-    ab = np.zeros((3, J.n))
-    ab[0, 1:] = J.sup
-    ab[1, :] = J.diag
-    ab[2, :-1] = J.sub
-    return ab
+def _lu(J: BandedJacobian):
+    """Pivoted LU factors of J (dgttrf); raises on an exactly zero pivot."""
+    dl, d, du, du2, ipiv, info = dgttrf(J.sub, J.diag, J.sup)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot in row {info} of the tridiagonal LU")
+    return dl, d, du, du2, ipiv
 
 
-def solve_tridiag(J: BandedJacobian, b: np.ndarray) -> np.ndarray:
-    """Solve J x = b by banded LU with partial pivoting."""
-    try:
-        x = scipy.linalg.solve_banded((1, 1), _banded(J), b)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError("singular tridiagonal system") from exc
+def _lu_solve(lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve J x = b (trans "N") or J^T x = b (trans "T"); b may hold columns."""
+    x, _ = dgttrs(*lu, b, trans=trans)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("tridiagonal solve produced non-finite values")
     return x
+
+
+def solve_tridiag(J: BandedJacobian, b: np.ndarray) -> np.ndarray:
+    """Solve J x = b by tridiagonal LU with partial pivoting."""
+    return _lu_solve(_lu(J), b)
 
 
 def newton_fixed_lambda(w: Weight, m: Mesh, lam: float, u0: np.ndarray,
@@ -134,51 +143,30 @@ def augmented_residual(w: Weight, m: Mesh, y: AugmentedState,
 
 def bordered_solve(J: BandedJacobian, b_col: np.ndarray, t: Tangent,
                    rhs: np.ndarray) -> np.ndarray:
-    """Solve [[J, b_col], [t.du, t.dlam]] x = rhs.
+    """Solve [[J, b_col], [t.du, t.dlam]] x = rhs by mixed block elimination.
 
-    Block elimination with two tridiagonal solves and a scalar Schur
-    complement; falls back to a dense factorization of the assembled system
-    when J is (near-)singular, which happens exactly at fold points.
+    One LU of J serves a transpose solve for the left vector and one
+    two-column solve; the scalar unknown is split into a part fixed by the
+    left vector and a correction from the right one, which keeps the result
+    accurate when J is singular to rounding (BEMW, Govaerts & Pryce 1993).
     """
     n = J.n
     if len(b_col) != n or len(rhs) != n + 1 or len(t.du) != n:
         raise ValueError("dimension mismatch in bordered solve")
-    r, rho = rhs[:n], rhs[n]
-    try:
-        z = solve_tridiag(J, r)
-        wcol = solve_tridiag(J, b_col)
-        schur = t.dlam - np.dot(t.du, wcol)
-        if abs(schur) < 1e-12 * (abs(t.dlam) + np.linalg.norm(t.du) + 1.0):
-            raise SingularSystemError("degenerate Schur complement")
-        xi = (rho - np.dot(t.du, z)) / schur
-        x = z - xi * wcol
-        sol = np.concatenate([x, [xi]])
-        # Residual check: block elimination is unreliable when J has a
-        # near-zero pivot even if the bordered matrix is well conditioned.
-        res = np.concatenate([
-            J.matvec(x) + b_col * xi - r,
-            [np.dot(t.du, x) + t.dlam * xi - rho],
-        ])
-        scale = np.linalg.norm(rhs) + np.linalg.norm(sol) * (
-            np.abs(J.diag).max() + 1.0
-        )
-        if np.linalg.norm(res) <= 1e-10 * scale:
-            return sol
-    except SingularSystemError:
-        pass
-
-    full = np.zeros((n + 1, n + 1))
-    full[:n, :n] = J.dense()
-    full[:n, n] = b_col
-    full[n, :n] = t.du
-    full[n, n] = t.dlam
-    try:
-        sol = scipy.linalg.solve(full, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError("singular bordered matrix") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystemError("bordered solve produced non-finite values")
-    return sol
+    f, g = rhs[:n], rhs[n]
+    lu = _lu(J)
+    v = _lu_solve(lu, t.du, trans="T")
+    delta_left = t.dlam - np.dot(b_col, v)
+    if delta_left == 0.0:
+        raise SingularSystemError("singular bordered matrix")
+    xi1 = (g - np.dot(v, f)) / delta_left
+    wz = _lu_solve(lu, np.column_stack([b_col, f - b_col * xi1]))
+    w, z = wz[:, 0], wz[:, 1]
+    delta_right = t.dlam - np.dot(t.du, w)
+    if delta_right == 0.0:
+        raise SingularSystemError("singular bordered matrix")
+    xi2 = (g - t.dlam * xi1 - np.dot(t.du, z)) / delta_right
+    return np.concatenate([z - w * xi2, [xi1 + xi2]])
 
 
 def newton_augmented(w: Weight, m: Mesh, y0: AugmentedState,

@@ -9,13 +9,13 @@ sweep order, stable sort keys before emission.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import (BracketError, det_sign, locate_bifurcation,
-                          switch_branch)
+from .bifurcation import (BracketError, locate_bifurcation,
+                          sign_change_brackets, switch_branch)
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, initial_tangent,
                            make_point)
@@ -24,8 +24,9 @@ from .corrector import (AugmentedState, NewtonError, SingularSystemError,
 from .discretize import principal_eigenvalue, residual
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
 from .seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
-                      find_new_solution, peak_pattern, peak_pattern_seed,
-                      sine_seed, well_bump_seed, well_edge_seed)
+                      find_new_solution, peak_indices, peak_pattern,
+                      peak_pattern_seed, sine_seed, well_bump_seed,
+                      well_edge_seed)
 from .weight import Weight, build_weight, eval_weight
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "run_epsilon_sweep",
     "deep_census",
     "onset_amplitude",
+    "trace_main_branch",
     "trace_to_fold",
     "emit_svg",
     "write_bundle",
@@ -159,6 +161,22 @@ def onset_amplitude(w: Weight, m: Mesh, lam: float, lam1: float) -> float:
     return float(np.sqrt((lam1 - lam) * s2 / s4))
 
 
+def trace_main_branch(w: Weight, m: Mesh, cfg: ContinuationConfig) -> Branch:
+    """Main branch from the near-onset sine seed at lam1 - 0.1, downward in lam.
+
+    The seed amplitude is the Galerkin onset estimate; the start point is
+    corrected by fixed-lam Newton before the continuation begins.
+    """
+    lam1 = principal_eigenvalue(m)
+    lam = lam1 - 0.1
+    u0 = newton_fixed_lambda(w, m, lam,
+                             sine_seed(m, onset_amplitude(w, m, lam, lam1)),
+                             tol=cfg.newton_tol, max_iters=cfg.max_newton_iters)
+    start = make_point(w, m, lam, u0, tag="branch_start")
+    t0 = initial_tangent(w, m, AugmentedState(lam, u0), direction_hint=-1.0)
+    return continue_branch(w, m, start, t0, cfg)
+
+
 def _trace_both(w: Weight, m: Mesh, start: SolutionPoint,
                 cfg: ContinuationConfig) -> Branch:
     """Continue from start toward both increasing and decreasing lam, merged.
@@ -191,12 +209,7 @@ def trace_to_fold(w: Weight, m: Mesh, start: SolutionPoint,
     drops overshoot below the start again, so only the neighborhood of the
     turning point is traced.
     """
-    local = ContinuationConfig(
-        ds=cfg.ds, ds_min=cfg.ds_min,
-        lambda_min=start.lam - overshoot, norm_max=cfg.norm_max,
-        max_steps=cfg.max_steps, newton_tol=cfg.newton_tol,
-        max_newton_iters=cfg.max_newton_iters,
-    )
+    local = replace(cfg, lambda_min=start.lam - overshoot)
     y = AugmentedState(start.lam, start.u.copy())
     t0 = initial_tangent(w, m, y, direction_hint=+1.0)
     b = continue_branch(w, m, start, t0, local)
@@ -205,11 +218,6 @@ def trace_to_fold(w: Weight, m: Mesh, start: SolutionPoint,
         return b, None
     lam_t = max(lam for _, lam in folds)
     return b, lam_t
-
-
-def _det_signs(w: Weight, m: Mesh, b: Branch) -> list[int]:
-    from .discretize import jacobian
-    return [det_sign(jacobian(w, m, p.lam, p.u))[0] for p in b.points]
 
 
 def _event_dict(branch_id: str, index: int, kind: str, lam: float,
@@ -249,19 +257,11 @@ def run_diagram(config) -> DiagramBundle:
     records = bundle.branches
 
     lam1 = principal_eigenvalue(m)
-    lam_start = lam1 - 0.1
 
     # Stage 1-2: main branch from the near-onset sine seed, downward.
     main = None
     try:
-        amp = onset_amplitude(w, m, lam_start, lam1)
-        u0 = newton_fixed_lambda(w, m, lam_start, sine_seed(m, amp),
-                                 tol=cfg.newton_tol,
-                                 max_iters=cfg.max_newton_iters)
-        start = make_point(w, m, lam_start, u0, tag="branch_start")
-        t0 = initial_tangent(w, m, AugmentedState(lam_start, u0),
-                             direction_hint=-1.0)
-        main = continue_branch(w, m, start, t0, cont)
+        main = trace_main_branch(w, m, cont)
         main.symmetry = _classify_symmetry(main.points[-1].u)
         records.append(BranchRecord("main", "main", main))
     except (NewtonError, SingularSystemError, ValueError) as exc:
@@ -270,12 +270,9 @@ def run_diagram(config) -> DiagramBundle:
     # Stage 3: locate det-sign changes on the main branch, switch at pitchforks.
     n_switched = 0
     if main is not None:
-        signs = _det_signs(w, m, main)
-        for i in range(len(signs) - 1):
-            if signs[i] == 0 or signs[i + 1] == 0 or signs[i] == signs[i + 1]:
-                continue
+        for i, j in sign_change_brackets(w, m, main):
             try:
-                ev = locate_bifurcation(w, m, main, (i, i + 1),
+                ev = locate_bifurcation(w, m, main, (i, j),
                                         newton_tol=cfg.newton_tol)
             except (BracketError, NewtonError, SingularSystemError) as exc:
                 failures.append(f"locate at index {i}: {exc}")
@@ -426,7 +423,6 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
 
 
 def _count_peaks(u: np.ndarray) -> int:
-    from .seeding import peak_indices
     return len(peak_indices(u))
 
 

@@ -13,21 +13,20 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from bvpcont.bifurcation import det_sign, locate_bifurcation
+from bvpcont.bifurcation import (det_sign, locate_bifurcation,
+                                 sign_change_brackets)
 from bvpcont.continuation import (AugmentedState, ContinuationConfig,
                                   Tangent, continue_branch, initial_tangent,
                                   make_point)
 from bvpcont.corrector import bordered_solve, newton_fixed_lambda
-from bvpcont.diagram import (RunConfig, _det_signs, deep_census,
-                             onset_amplitude, run_diagram, trace_to_fold,
-                             write_bundle)
+from bvpcont.diagram import (RunConfig, deep_census, run_diagram,
+                             trace_main_branch, trace_to_fold, write_bundle)
 from bvpcont.discretize import (BandedJacobian, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
 from bvpcont.seeding import (PeakMask, deepen_solution, peak_pattern,
-                             sine_seed, solve_mask, well_bump_seed,
-                             well_edge_seed)
+                             solve_mask, well_bump_seed, well_edge_seed)
 from bvpcont.shooting import (check_decay_identity, integrate_ivp,
                               shoot_count, time_map)
 from bvpcont.weight import build_weight
@@ -73,19 +72,12 @@ def census_k2():
     return deep_census(RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500))
 
 
-def _main_branch_lambda_b(w, m, lam1):
-    lam = lam1 - 0.1
-    u = newton_fixed_lambda(w, m, lam,
-                            sine_seed(m, onset_amplitude(w, m, lam, lam1)))
-    start = make_point(w, m, lam, u, tag="branch_start")
-    t0 = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
-    b = continue_branch(w, m, start, t0, ContinuationConfig(lambda_min=-20.0))
-    signs = _det_signs(w, m, b)
-    for i in range(len(signs) - 1):
-        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            ev = locate_bifurcation(w, m, b, (i, i + 1))
-            if ev.kind == "pitchfork":
-                return ev.lambda_b, b
+def _main_branch_lambda_b(w, m):
+    b = trace_main_branch(w, m, ContinuationConfig(lambda_min=-20.0))
+    for bracket in sign_change_brackets(w, m, b):
+        ev = locate_bifurcation(w, m, b, bracket)
+        if ev.kind == "pitchfork":
+            return ev.lambda_b, b
     return None, b
 
 
@@ -139,11 +131,10 @@ def test_criterion_1_eigenvalue_table():
 
 def test_criterion_2_secondary_bifurcation_values():
     m = build_uniform_mesh(500)
-    lam1 = principal_eigenvalue(m)
     results = {}
     for h, ref in TABLE_LAMBDA_B.items():
         w = build_weight(1, h, 0.0)
-        lam_b, _ = _main_branch_lambda_b(w, m, lam1)
+        lam_b, _ = _main_branch_lambda_b(w, m)
         results[h] = lam_b
     errs = {h: abs(results[h] - TABLE_LAMBDA_B[h]) for h in results}
     tols = {h: max(5e-2, 0.01 * abs(TABLE_LAMBDA_B[h])) for h in results}

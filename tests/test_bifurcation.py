@@ -2,37 +2,22 @@ import numpy as np
 import pytest
 
 from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
-                                 null_vector, switch_branch)
-from bvpcont.continuation import (ContinuationConfig, continue_branch,
-                                  initial_tangent, make_point)
-from bvpcont.corrector import AugmentedState, NewtonError, newton_fixed_lambda
-from bvpcont.discretize import (discrete_l2_norm, jacobian,
-                                principal_eigenvalue, toeplitz_eigenvalue)
+                                 null_vector, sign_change_brackets,
+                                 switch_branch)
+from bvpcont.continuation import ContinuationConfig
+from bvpcont.corrector import AugmentedState, NewtonError
+from bvpcont.diagram import trace_main_branch
+from bvpcont.discretize import (BandedJacobian, discrete_l2_norm, jacobian,
+                                toeplitz_eigenvalue)
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import sine_seed
 from bvpcont.weight import build_weight
 
 
 def main_branch(h, n=500, lambda_min=-20.0):
-    from bvpcont.diagram import onset_amplitude
     w = build_weight(1, h, 0.0)
     m = build_uniform_mesh(n)
-    lam1 = principal_eigenvalue(m)
-    lam = lam1 - 0.1
-    u = newton_fixed_lambda(w, m, lam,
-                            sine_seed(m, onset_amplitude(w, m, lam, lam1)))
-    start = make_point(w, m, lam, u, tag="branch_start")
-    t0 = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
-    b = continue_branch(w, m, start, t0,
-                        ContinuationConfig(lambda_min=lambda_min))
+    b = trace_main_branch(w, m, ContinuationConfig(lambda_min=lambda_min))
     return w, m, b
-
-
-def det_sign_changes(w, m, b):
-    signs = [det_sign(jacobian(w, m, p.lam, p.u))[0] for p in b.points]
-    return [(i, i + 1) for i in range(len(signs) - 1)
-            if signs[i] != 0 and signs[i + 1] != 0
-            and signs[i] != signs[i + 1]]
 
 
 def test_det_sign_positive_definite():
@@ -41,6 +26,21 @@ def test_det_sign_positive_definite():
     sign, logmag = det_sign(jacobian(w, m, 0.0, np.zeros(10)))
     assert sign == 1
     assert np.isfinite(logmag)
+
+
+def test_det_sign_matches_slogdet():
+    # small diagonals force row swaps in the pivoted LU
+    rng = np.random.default_rng(7)
+    mats = [BandedJacobian(rng.normal(size=n - 1), 0.01 * rng.normal(size=n),
+                           rng.normal(size=n - 1))
+            for n in (5, 40, 200) for _ in range(4)]
+    w, m, b = main_branch(0.05, lambda_min=-100.0)
+    mats += [jacobian(w, m, p.lam, p.u) for p in b.points]
+    for J in mats:
+        sign, logmag = det_sign(J)
+        ref_sign, ref_logmag = np.linalg.slogdet(J.dense())
+        assert sign == ref_sign
+        assert abs(logmag - ref_logmag) <= 1e-10 * max(abs(ref_logmag), 1.0)
 
 
 def test_det_sign_flips_at_discrete_eigenvalues():
@@ -75,7 +75,7 @@ def test_bracket_error_on_same_sign():
 
 def test_locate_pitchfork_h005():
     w, m, b = main_branch(0.05)
-    brackets = det_sign_changes(w, m, b)
+    brackets = sign_change_brackets(w, m, b)
     assert len(brackets) == 1
     lo, hi = brackets[0]
     assert b.points[hi].lam < -12.40637 < b.points[lo].lam
@@ -89,7 +89,7 @@ def test_locate_pitchfork_h005():
 
 def test_locate_pitchfork_h08_positive():
     w, m, b = main_branch(0.8, lambda_min=0.0)
-    brackets = det_sign_changes(w, m, b)
+    brackets = sign_change_brackets(w, m, b)
     assert len(brackets) >= 1
     ev = locate_bifurcation(w, m, b, brackets[0])
     assert abs(ev.lambda_b - 8.21472) < 5e-2
@@ -97,7 +97,7 @@ def test_locate_pitchfork_h08_positive():
 
 def test_switch_branch_produces_reflection_pair():
     w, m, b = main_branch(0.05)
-    ev = locate_bifurcation(w, m, b, det_sign_changes(w, m, b)[0])
+    ev = locate_bifurcation(w, m, b, sign_change_brackets(w, m, b)[0])
     host = b.points[ev.branch_index]
     ya, yb = switch_branch(w, m, ev, AugmentedState(host.lam, host.u))
     assert ya.lam == yb.lam < ev.lambda_b
@@ -112,7 +112,7 @@ def test_switch_branch_produces_reflection_pair():
 
 def test_switch_branch_zero_amplitude_collapses():
     w, m, b = main_branch(0.05)
-    ev = locate_bifurcation(w, m, b, det_sign_changes(w, m, b)[0])
+    ev = locate_bifurcation(w, m, b, sign_change_brackets(w, m, b)[0])
     host = b.points[ev.branch_index]
     with pytest.raises(NewtonError):
         switch_branch(w, m, ev, AugmentedState(host.lam, host.u),
@@ -124,7 +124,7 @@ def test_lambda_b_increasing_in_h():
     vals = []
     for h in (0.1, 0.3, 0.5):
         w, m, b = main_branch(h, lambda_min=-10.0)
-        ev = locate_bifurcation(w, m, b, det_sign_changes(w, m, b)[0])
+        ev = locate_bifurcation(w, m, b, sign_change_brackets(w, m, b)[0])
         vals.append(ev.lambda_b)
     assert vals[0] < vals[1] < vals[2]
     assert vals[0] < 0 < vals[1]  # the h0 sign transition

@@ -6,6 +6,8 @@ from bvpcont.corrector import (AugmentedState, NewtonError,
                                augmented_residual, bordered_solve,
                                newton_augmented, newton_fixed_lambda,
                                solve_tridiag)
+from bvpcont.continuation import initial_tangent
+from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import BandedJacobian, jacobian, residual
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import deepen_solution, sine_seed, well_bump_seed
@@ -177,6 +179,48 @@ def test_bordered_solve_regularizes_singular_block():
     res = np.concatenate([J.matvec(x[:-1]) + mode * x[-1],
                           [t.du @ x[:-1] + t.dlam * x[-1]]]) - rhs
     assert np.linalg.norm(res) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
+
+
+def test_bordered_solve_and_tangent_at_isola_fold():
+    # stored kappa2 h0.25 isola point nearest its fold at lam ~ -41.546
+    cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
+    w, m = cfg.build()
+    isolas = run_diagram(cfg).branch_by_role("isola")
+    b, i = min(((r.branch, i) for r in isolas
+                for i in range(len(r.branch.points))),
+               key=lambda bi: abs(bi[0].points[bi[1]].lam + 41.546))
+    p, t = b.points[i], b.tangents[i]
+    assert abs(p.lam + 41.546) < 0.05
+    J = jacobian(w, m, p.lam, p.u)
+    n = J.n
+    rng = np.random.default_rng(3)
+    rhs = rng.normal(size=n + 1)
+    # J as stored, and J shifted by its eigenvalue nearest zero, which makes
+    # it singular to rounding (J is symmetric on a uniform mesh)
+    mu = min(np.linalg.eigvalsh(J.dense()), key=abs)
+    for Jk in (J, BandedJacobian(J.sub, J.diag - mu, J.sup)):
+        full = np.zeros((n + 1, n + 1))
+        full[:n, :n] = Jk.dense()
+        full[:n, n] = -p.u
+        full[n, :n] = t.du
+        full[n, n] = t.dlam
+        ref = np.linalg.solve(full, rhs)
+        x = bordered_solve(Jk, -p.u, t, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    tan = initial_tangent(w, m, AugmentedState(p.lam, p.u))
+    _, _, vt = np.linalg.svd(np.column_stack([J.dense(), -p.u]))
+    assert abs(abs(vt[-1] @ np.append(tan.du, tan.dlam)) - 1.0) < 1e-10
+
+
+def test_bordered_solve_zero_pivot_raises():
+    # the bordered matrix is regular, but J has an exactly zero pivot
+    n = 6
+    J = BandedJacobian(sub=np.zeros(n - 1), diag=np.r_[0.0, np.ones(n - 1)],
+                       sup=np.zeros(n - 1))
+    e0 = np.eye(n)[0]
+    with pytest.raises(SingularSystemError):
+        bordered_solve(J, e0, Tangent(e0, 0.0), np.ones(n + 1))
 
 
 def test_solve_tridiag_singular_raises():
