@@ -17,9 +17,9 @@ from .diagram import (BranchRecord, DiagramBundle, RunConfig, deep_census,
                       emit_svg, onset_amplitude, run_diagram,
                       run_epsilon_sweep, trace_main_branch, trace_to_fold,
                       write_bundle)
-from .discretize import (BandedJacobian, MeshMismatchError, discrete_l2_norm,
-                         jacobian, node_weights, principal_eigenvalue,
-                         residual, stencil_coefficients, toeplitz_eigenvalue)
+from .discretize import (BandedJacobian, Discretization, MeshMismatchError,
+                         discrete_l2_norm, jacobian, principal_eigenvalue,
+                         residual, toeplitz_eigenvalue)
 from .mesh import (Mesh, MeshError, build_refined_mesh, build_uniform_mesh,
                    mesh_spacings)
 from .seeding import (PeakMask, deepen_solution, enumerate_peak_masks,

@@ -13,9 +13,7 @@ import numpy as np
 from .continuation import Branch
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         _lu, _lu_solve, newton_augmented, newton_fixed_lambda)
-from .discretize import BandedJacobian, jacobian
-from .mesh import Mesh
-from .weight import Weight
+from .discretize import BandedJacobian, Discretization, jacobian
 
 __all__ = [
     "BifurcationEvent",
@@ -55,10 +53,10 @@ def det_sign(J: BandedJacobian) -> tuple[int, float]:
     return sign, float(np.sum(np.log(np.abs(u_diag))))
 
 
-def sign_change_brackets(w: Weight, m: Mesh,
+def sign_change_brackets(d: Discretization,
                          branch: Branch) -> list[tuple[int, int]]:
     """Index pairs (i, i+1) of adjacent points with nonzero, opposite det signs."""
-    signs = [det_sign(jacobian(w, m, p.lam, p.u))[0] for p in branch.points]
+    signs = [det_sign(jacobian(d, p.lam, p.u))[0] for p in branch.points]
     return [(i, i + 1) for i in range(len(signs) - 1)
             if signs[i] * signs[i + 1] < 0]
 
@@ -78,7 +76,8 @@ def null_vector(J: BandedJacobian, iters: int = 12) -> np.ndarray:
     return v
 
 
-def _corrected_state(w, m, branch: Branch, idx: int, s: float, tol: float):
+def _corrected_state(d: Discretization, branch: Branch, idx: int, s: float,
+                     tol: float):
     """Point on the branch at arclength offset s from stored point idx."""
     base = branch.points[idx]
     t = branch.tangents[idx]
@@ -86,18 +85,18 @@ def _corrected_state(w, m, branch: Branch, idx: int, s: float, tol: float):
     if s == 0.0:
         return y_prev
     y_pred = AugmentedState(base.lam + s * t.dlam, base.u + s * t.du)
-    return newton_augmented(w, m, y_pred, y_prev, t, s, tol=tol)
+    return newton_augmented(d, y_pred, y_prev, t, s, tol=tol)
 
 
-def locate_bifurcation(w: Weight, m: Mesh, branch: Branch,
+def locate_bifurcation(d: Discretization, branch: Branch,
                        bracket: tuple[int, int], tol: float = 1e-4,
                        newton_tol: float = 1e-4) -> BifurcationEvent:
     """Bisect in arclength between two branch indices with opposite det signs."""
     ia, ib = bracket
     pa, pb = branch.points[ia], branch.points[ib]
-    sign_a, _ = det_sign(jacobian(w, m, pa.lam, pa.u))
-    sign_b, _ = det_sign(jacobian(w, m, pb.lam, pb.u))
-    if sign_a == sign_b or sign_a == 0 and sign_b == 0:
+    sign_a, _ = det_sign(jacobian(d, pa.lam, pa.u))
+    sign_b, _ = det_sign(jacobian(d, pb.lam, pb.u))
+    if sign_a == sign_b:
         raise BracketError(f"no sign change between indices {ia} and {ib}")
 
     s_hi = float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
@@ -106,16 +105,16 @@ def locate_bifurcation(w: Weight, m: Mesh, branch: Branch,
     y_mid = AugmentedState(pa.lam, pa.u.copy())
     while abs(lam_hi - lam_lo) > tol:
         s_mid = 0.5 * (lo + hi)
-        y_mid = _corrected_state(w, m, branch, ia, s_mid, newton_tol)
-        sign_mid, _ = det_sign(jacobian(w, m, y_mid.lam, y_mid.u))
+        y_mid = _corrected_state(d, branch, ia, s_mid, newton_tol)
+        sign_mid, _ = det_sign(jacobian(d, y_mid.lam, y_mid.u))
         if sign_mid == sign_a:
             lo, lam_lo = s_mid, y_mid.lam
         else:
             hi, lam_hi = s_mid, y_mid.lam
 
     lam_b = 0.5 * (lam_lo + lam_hi)
-    y_mid = _corrected_state(w, m, branch, ia, 0.5 * (lo + hi), newton_tol)
-    v = null_vector(jacobian(w, m, y_mid.lam, y_mid.u))
+    y_mid = _corrected_state(d, branch, ia, 0.5 * (lo + hi), newton_tol)
+    v = null_vector(jacobian(d, y_mid.lam, y_mid.u))
 
     antisym = np.linalg.norm(v[::-1] + v) < 1e-6 * np.linalg.norm(v) * len(v)
     if (pa.lam - lam_b) * (pb.lam - lam_b) > 0:
@@ -128,40 +127,33 @@ def locate_bifurcation(w: Weight, m: Mesh, branch: Branch,
                             branch_index=ia)
 
 
-def switch_branch(w: Weight, m: Mesh, ev: BifurcationEvent, host,
+def switch_branch(d: Discretization, ev: BifurcationEvent, host,
                   amplitude: float | None = None, newton_tol: float = 1e-4,
                   max_retries: int = 3):
     """Two corrected states off the host branch at lam just below lambda_b.
 
     Predictors are host.u +/- amplitude * null_vector at
     lam = lambda_b - amplitude/10, each corrected by fixed-lam Newton.  If
-    both predictors collapse back onto the host branch the amplitude is
-    doubled, up to three times.
+    either predictor fails to converge or collapses back onto the host
+    branch, the amplitude is doubled, up to max_retries times.
     """
     if amplitude is None:
         amplitude = 0.01 * (1.0 + np.linalg.norm(host.u))
     for _ in range(max_retries + 1):
         delta = amplitude / 10.0
         lam = ev.lambda_b - delta
-        u_host = newton_fixed_lambda(w, m, lam, host.u, tol=newton_tol)
+        u_host = newton_fixed_lambda(d, lam, host.u, tol=newton_tol)
         states = []
-        fell_back = 0
         for sgn in (+1.0, -1.0):
             u_pred = host.u + sgn * amplitude * ev.null_vector
             try:
-                u_corr = newton_fixed_lambda(w, m, lam, u_pred, tol=newton_tol)
+                u_corr = newton_fixed_lambda(d, lam, u_pred, tol=newton_tol)
             except (NewtonError, SingularSystemError):
-                u_corr = None
-            if u_corr is None:
-                fell_back += 1
-                states.append(None)
                 continue
             if np.max(np.abs(u_corr - u_host)) < 1e-6 * (1.0 + np.abs(u_host).max()):
-                fell_back += 1
-                states.append(None)
-            else:
-                states.append(AugmentedState(lam, u_corr))
-        if fell_back < 2 and all(s is not None for s in states):
+                continue  # collapsed onto the host branch
+            states.append(AugmentedState(lam, u_corr))
+        if len(states) == 2:
             return states[0], states[1]
         amplitude *= 2.0
     raise NewtonError("branch switching failed: predictors collapse onto host")

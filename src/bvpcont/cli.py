@@ -20,7 +20,7 @@ from .continuation import make_point
 from .corrector import newton_fixed_lambda
 from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
                       run_epsilon_sweep, trace_main_branch, write_bundle)
-from .discretize import toeplitz_eigenvalue
+from .discretize import Discretization, toeplitz_eigenvalue
 from .seeding import PeakMask, peak_pattern_seed, sine_seed, well_bump_seed
 from .shooting import shoot_count
 
@@ -97,19 +97,19 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = RunConfig(kappa=args.kappa, h=args.h, eps=args.eps, mesh_n=args.n)
-    w, m = cfg.build()
+    d = Discretization(*cfg.build())
     if args.seed == "sine":
-        u0 = sine_seed(m, args.amplitude)
+        u0 = sine_seed(d.m, args.amplitude)
     elif args.seed == "wells":
-        u0 = well_bump_seed(w, m, args.lam)
+        u0 = well_bump_seed(d, args.lam)
     else:
         bits = tuple(c == "1" for c in args.seed)
-        u0 = peak_pattern_seed(w, m, PeakMask(bits), args.lam)
-    u = newton_fixed_lambda(w, m, args.lam, u0)
-    p = make_point(w, m, args.lam, u)
+        u0 = peak_pattern_seed(d, PeakMask(bits), args.lam)
+    u = newton_fixed_lambda(d, args.lam, u0)
+    p = make_point(d, args.lam, u)
     print(f"# lambda = {_fmt(p.lam)}  l2_norm = {_fmt(p.l2norm)}")
     u_full = np.concatenate([[0.0], u, [0.0]])
-    for x, v in zip(m.nodes, u_full):
+    for x, v in zip(d.m.nodes, u_full):
         print(f"{_fmt(x)} {_fmt(v)}")
     return 0
 
@@ -150,11 +150,11 @@ def _cmd_sweep_h(args) -> int:
     for h in h_values:
         cfg = RunConfig(kappa=1, h=h, mesh_n=args.n,
                         lambda_min=args.lambda_min)
-        w, m = cfg.build()
-        branch = trace_main_branch(w, m, cfg.continuation())
+        d = Discretization(*cfg.build())
+        branch = trace_main_branch(d, cfg.continuation())
         lam_b = None
-        for bracket in sign_change_brackets(w, m, branch):
-            ev = locate_bifurcation(w, m, branch, bracket)
+        for bracket in sign_change_brackets(d, branch):
+            ev = locate_bifurcation(d, branch, bracket)
             if ev.kind == "pitchfork":
                 lam_b = ev.lambda_b
                 break

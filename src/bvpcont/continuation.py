@@ -13,9 +13,7 @@ import numpy as np
 
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, bordered_solve, newton_augmented)
-from .discretize import discrete_l2_norm, jacobian, residual
-from .mesh import Mesh
-from .weight import Weight
+from .discretize import Discretization, discrete_l2_norm, jacobian
 
 __all__ = [
     "SolutionPoint",
@@ -70,10 +68,10 @@ class ContinuationConfig:
             raise ValueError("ds_min must not exceed ds")
 
 
-def make_point(w: Weight, m: Mesh, lam: float, u: np.ndarray,
+def make_point(d: Discretization, lam: float, u: np.ndarray,
                tag: str = "regular") -> SolutionPoint:
     return SolutionPoint(lam=float(lam), u=np.asarray(u, dtype=float),
-                         l2norm=discrete_l2_norm(m, u), tag=tag)
+                         l2norm=discrete_l2_norm(d, u), tag=tag)
 
 
 def _fix_sign(t: Tangent, direction_hint: float) -> Tangent:
@@ -87,7 +85,7 @@ def _fix_sign(t: Tangent, direction_hint: float) -> Tangent:
     return t
 
 
-def initial_tangent(w: Weight, m: Mesh, y: AugmentedState,
+def initial_tangent(d: Discretization, y: AugmentedState,
                     direction_hint: float = -1.0) -> Tangent:
     """Unit null vector of the N x (N+1) Jacobian [J | dF/dlam] at y.
 
@@ -96,7 +94,7 @@ def initial_tangent(w: Weight, m: Mesh, y: AugmentedState,
     along the null vector of J, so the result tends to the fold tangent;
     only an exactly zero pivot of J raises SingularSystemError.
     """
-    J = jacobian(w, m, y.lam, y.u)
+    J = jacobian(d, y.lam, y.u)
     probe = Tangent(np.zeros_like(y.u), 1.0)
     rhs = np.zeros(len(y.u) + 1)
     rhs[-1] = 1.0
@@ -105,9 +103,9 @@ def initial_tangent(w: Weight, m: Mesh, y: AugmentedState,
     return _fix_sign(t, direction_hint)
 
 
-def update_tangent(w: Weight, m: Mesh, y: AugmentedState, t_old: Tangent) -> Tangent:
+def update_tangent(d: Discretization, y: AugmentedState, t_old: Tangent) -> Tangent:
     """New unit tangent at y oriented along t_old (positive inner product)."""
-    J = jacobian(w, m, y.lam, y.u)
+    J = jacobian(d, y.lam, y.u)
     rhs = np.zeros(len(y.u) + 1)
     rhs[-1] = 1.0
     sol = bordered_solve(J, -y.u, t_old, rhs)
@@ -117,7 +115,7 @@ def update_tangent(w: Weight, m: Mesh, y: AugmentedState, t_old: Tangent) -> Tan
     return t
 
 
-def continue_branch(w: Weight, m: Mesh, start: SolutionPoint, t0: Tangent,
+def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
                     cfg: ContinuationConfig) -> Branch:
     """Follow a branch from a converged start point along tangent t0."""
     branch = Branch(points=[start], tangents=[t0.normalized()])
@@ -128,7 +126,7 @@ def continue_branch(w: Weight, m: Mesh, start: SolutionPoint, t0: Tangent,
     while len(branch.points) < cfg.max_steps:
         y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
         try:
-            y_new = newton_augmented(w, m, y_pred, y, t, ds,
+            y_new = newton_augmented(d, y_pred, y, t, ds,
                                      tol=cfg.newton_tol,
                                      max_iters=cfg.max_newton_iters)
         except (NewtonError, SingularSystemError):
@@ -147,9 +145,9 @@ def continue_branch(w: Weight, m: Mesh, start: SolutionPoint, t0: Tangent,
             )
             return branch
 
-        point = make_point(w, m, y_new.lam, y_new.u)
+        point = make_point(d, y_new.lam, y_new.u)
         try:
-            t_new = update_tangent(w, m, y_new, t)
+            t_new = update_tangent(d, y_new, t)
         except SingularSystemError:
             branch.diagnostics.append(
                 f"singular bordered matrix at lam = {y_new.lam:.6g}"

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .discretize import BandedJacobian, jacobian, residual
-from .mesh import Mesh
-from .weight import Weight
+from .discretize import BandedJacobian, Discretization, jacobian, residual
 
 __all__ = [
     "AugmentedState",
@@ -102,7 +100,7 @@ def solve_tridiag(J: BandedJacobian, b: np.ndarray) -> np.ndarray:
     return _lu_solve(_lu(J), b)
 
 
-def newton_fixed_lambda(w: Weight, m: Mesh, lam: float, u0: np.ndarray,
+def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
                         tol: float = DEFAULT_TOL,
                         max_iters: int = DEFAULT_MAX_ITERS) -> np.ndarray:
     """Newton's method on F(lam, .) = 0 at fixed lam.
@@ -113,7 +111,7 @@ def newton_fixed_lambda(w: Weight, m: Mesh, lam: float, u0: np.ndarray,
     if tol <= 0:
         raise ValueError("tol must be positive")
     u = np.asarray(u0, dtype=float).copy()
-    r = residual(w, m, lam, u)
+    r = residual(d, lam, u)
     rnorm0 = max(np.linalg.norm(r), 1e-300)
     for _ in range(max_iters):
         rnorm = np.linalg.norm(r)
@@ -121,9 +119,9 @@ def newton_fixed_lambda(w: Weight, m: Mesh, lam: float, u0: np.ndarray,
             return u
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
             raise NewtonError(f"residual diverged to {rnorm:.3e}")
-        J = jacobian(w, m, lam, u)
+        J = jacobian(d, lam, u)
         u -= solve_tridiag(J, r)
-        r = residual(w, m, lam, u)
+        r = residual(d, lam, u)
     if np.linalg.norm(r) < tol:
         return u
     raise NewtonError(
@@ -131,12 +129,12 @@ def newton_fixed_lambda(w: Weight, m: Mesh, lam: float, u0: np.ndarray,
     )
 
 
-def augmented_residual(w: Weight, m: Mesh, y: AugmentedState,
+def augmented_residual(d: Discretization, y: AugmentedState,
                        y_prev: AugmentedState, t: Tangent, ds: float) -> np.ndarray:
     """[F(lam, u); t . (y - y_prev) - ds], length N+1."""
     if y.u.shape != y_prev.u.shape or y.u.shape != t.du.shape:
         raise ValueError("dimension mismatch in augmented residual")
-    f = residual(w, m, y.lam, y.u)
+    f = residual(d, y.lam, y.u)
     g = np.dot(t.du, y.u - y_prev.u) + t.dlam * (y.lam - y_prev.lam) - ds
     return np.concatenate([f, [g]])
 
@@ -169,13 +167,13 @@ def bordered_solve(J: BandedJacobian, b_col: np.ndarray, t: Tangent,
     return np.concatenate([z - w * xi2, [xi1 + xi2]])
 
 
-def newton_augmented(w: Weight, m: Mesh, y0: AugmentedState,
+def newton_augmented(d: Discretization, y0: AugmentedState,
                      y_prev: AugmentedState, t: Tangent, ds: float,
                      tol: float = DEFAULT_TOL,
                      max_iters: int = DEFAULT_MAX_ITERS) -> AugmentedState:
     """Newton's method on the arclength-augmented system, starting at y0."""
     y = y0.copy()
-    r = augmented_residual(w, m, y, y_prev, t, ds)
+    r = augmented_residual(d, y, y_prev, t, ds)
     rnorm0 = max(np.linalg.norm(r), 1e-300)
     for _ in range(max_iters):
         rnorm = np.linalg.norm(r)
@@ -183,11 +181,11 @@ def newton_augmented(w: Weight, m: Mesh, y0: AugmentedState,
             return y
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
             raise NewtonError(f"augmented residual diverged to {rnorm:.3e}")
-        J = jacobian(w, m, y.lam, y.u)
+        J = jacobian(d, y.lam, y.u)
         delta = bordered_solve(J, -y.u, t, r)
         y.u -= delta[:-1]
         y.lam -= delta[-1]
-        r = augmented_residual(w, m, y, y_prev, t, ds)
+        r = augmented_residual(d, y, y_prev, t, ds)
     if np.linalg.norm(r) < tol:
         return y
     raise NewtonError(

@@ -9,7 +9,8 @@ sweep order, stable sort keys before emission.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,13 @@ from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            make_point)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, newton_fixed_lambda)
-from .discretize import principal_eigenvalue, residual
+from .discretize import Discretization, principal_eigenvalue, residual
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
 from .seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
                       find_new_solution, peak_indices, peak_pattern,
                       peak_pattern_seed, sine_seed, well_bump_seed,
                       well_edge_seed)
-from .weight import Weight, build_weight, eval_weight
+from .weight import Weight, build_weight
 
 __all__ = [
     "RunConfig",
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 _ISOLA_GRID = (-50.0, -100.0, -200.0, -500.0, -1000.0, -2000.0, -3000.0)
+_MESH_KEYS = {"kind": "mesh_kind", "n": "mesh_n", "coarse_dx": "coarse_dx",
+              "fine_dx": "fine_dx", "pad": "pad"}
+_CONTINUATION_KEYS = tuple(f.name for f in fields(ContinuationConfig))
 
 
 @dataclass
@@ -81,15 +85,16 @@ class RunConfig:
                 raise ValueError(f"unknown config key: {k}")
             kw[k] = v
         if mesh is not None:
-            kw["mesh_kind"] = mesh.get("kind", "uniform")
-            for k in ("n", "coarse_dx", "fine_dx", "pad"):
-                if k in mesh:
-                    kw["mesh_n" if k == "n" else k] = mesh[k]
+            kw["mesh_kind"] = "uniform"
+            for k, v in mesh.items():
+                if k not in _MESH_KEYS:
+                    raise ValueError(f"unknown config key: mesh.{k}")
+                kw[_MESH_KEYS[k]] = v
         if cont is not None:
-            for k in ("ds", "ds_min", "lambda_min", "norm_max", "max_steps",
-                      "newton_tol", "max_newton_iters"):
-                if k in cont:
-                    kw[k] = cont[k]
+            for k, v in cont.items():
+                if k not in _CONTINUATION_KEYS:
+                    raise ValueError(f"unknown config key: continuation.{k}")
+                kw[k] = v
         cfg = cls(**kw)
         if cfg.centers is not None:
             cfg.centers = tuple(float(c) for c in cfg.centers)
@@ -104,10 +109,7 @@ class RunConfig:
 
     def continuation(self) -> ContinuationConfig:
         return ContinuationConfig(
-            ds=self.ds, ds_min=self.ds_min, lambda_min=self.lambda_min,
-            norm_max=self.norm_max, max_steps=self.max_steps,
-            newton_tol=self.newton_tol, max_newton_iters=self.max_newton_iters,
-        )
+            **{k: getattr(self, k) for k in _CONTINUATION_KEYS})
 
     def build(self) -> tuple[Weight, Mesh]:
         w = build_weight(self.kappa, self.h, self.eps, centers=self.centers)
@@ -148,36 +150,33 @@ def _classify_symmetry(u: np.ndarray) -> str:
     return "asymmetric_left" if left > right else "asymmetric_right"
 
 
-def onset_amplitude(w: Weight, m: Mesh, lam: float, lam1: float) -> float:
+def onset_amplitude(d: Discretization, lam: float, lam1: float) -> float:
     """Galerkin balance of the sine mode: (lam1 - lam)*<phi^2> = A^2*<a*phi^4>."""
-    x = m.interior
-    dx = np.diff(m.nodes)[:-1]
-    phi = np.sin(np.pi * x)
-    a = eval_weight(w, x)
-    s2 = float(np.sum(dx * phi**2))
-    s4 = float(np.sum(dx * a * phi**4))
+    phi = np.sin(np.pi * d.m.interior)
+    s2 = float(np.sum(d.h_left * phi**2))
+    s4 = float(np.sum(d.h_left * d.a * phi**4))
     if s4 <= 0 or lam1 <= lam:
         return 0.05
     return float(np.sqrt((lam1 - lam) * s2 / s4))
 
 
-def trace_main_branch(w: Weight, m: Mesh, cfg: ContinuationConfig) -> Branch:
+def trace_main_branch(d: Discretization, cfg: ContinuationConfig) -> Branch:
     """Main branch from the near-onset sine seed at lam1 - 0.1, downward in lam.
 
     The seed amplitude is the Galerkin onset estimate; the start point is
     corrected by fixed-lam Newton before the continuation begins.
     """
-    lam1 = principal_eigenvalue(m)
+    lam1 = principal_eigenvalue(d.m)
     lam = lam1 - 0.1
-    u0 = newton_fixed_lambda(w, m, lam,
-                             sine_seed(m, onset_amplitude(w, m, lam, lam1)),
+    u0 = newton_fixed_lambda(d, lam,
+                             sine_seed(d.m, onset_amplitude(d, lam, lam1)),
                              tol=cfg.newton_tol, max_iters=cfg.max_newton_iters)
-    start = make_point(w, m, lam, u0, tag="branch_start")
-    t0 = initial_tangent(w, m, AugmentedState(lam, u0), direction_hint=-1.0)
-    return continue_branch(w, m, start, t0, cfg)
+    start = make_point(d, lam, u0, tag="branch_start")
+    t0 = initial_tangent(d, AugmentedState(lam, u0), direction_hint=-1.0)
+    return continue_branch(d, start, t0, cfg)
 
 
-def _trace_both(w: Weight, m: Mesh, start: SolutionPoint,
+def _trace_both(d: Discretization, start: SolutionPoint,
                 cfg: ContinuationConfig) -> Branch:
     """Continue from start toward both increasing and decreasing lam, merged.
 
@@ -186,12 +185,12 @@ def _trace_both(w: Weight, m: Mesh, start: SolutionPoint,
     the seed and any folds, to the deep end of the other.
     """
     y = AugmentedState(start.lam, start.u.copy())
-    t_up = initial_tangent(w, m, y, direction_hint=+1.0)
-    b_up = continue_branch(w, m, start, t_up, cfg)
-    t_dn = Tangent(-t_up.du, -t_up.dlam)
-    b_dn = continue_branch(w, m, start, t_dn, cfg)
+    t_up = initial_tangent(d, y, direction_hint=+1.0)
+    b_up = continue_branch(d, start, t_up, cfg)
     if "closed loop" in b_up.diagnostics:
         return b_up
+    t_dn = Tangent(-t_up.du, -t_up.dlam)
+    b_dn = continue_branch(d, start, t_dn, cfg)
     merged = Branch(symmetry="unknown")
     merged.points = b_dn.points[:0:-1] + b_up.points
     merged.tangents = [Tangent(-t.du, -t.dlam) for t in b_dn.tangents[:0:-1]]
@@ -201,7 +200,7 @@ def _trace_both(w: Weight, m: Mesh, start: SolutionPoint,
     return merged
 
 
-def trace_to_fold(w: Weight, m: Mesh, start: SolutionPoint,
+def trace_to_fold(d: Discretization, start: SolutionPoint,
                   cfg: ContinuationConfig, overshoot: float = 50.0):
     """Follow a branch toward increasing lam until it rounds its fold.
 
@@ -211,8 +210,8 @@ def trace_to_fold(w: Weight, m: Mesh, start: SolutionPoint,
     """
     local = replace(cfg, lambda_min=start.lam - overshoot)
     y = AugmentedState(start.lam, start.u.copy())
-    t0 = initial_tangent(w, m, y, direction_hint=+1.0)
-    b = continue_branch(w, m, start, t0, local)
+    t0 = initial_tangent(d, y, direction_hint=+1.0)
+    b = continue_branch(d, start, t0, local)
     folds = fold_points(b)
     if not folds:
         return b, None
@@ -226,7 +225,7 @@ def _event_dict(branch_id: str, index: int, kind: str, lam: float,
             "lambda": float(lam), "norm": float(norm)}
 
 
-def _represented_masks(w: Weight, m: Mesh,
+def _represented_masks(d: Discretization,
                        records: list[BranchRecord]) -> set[tuple[bool, ...]]:
     out = set()
     for rec in records:
@@ -236,7 +235,7 @@ def _represented_masks(w: Weight, m: Mesh,
         # Both ends of a merged isola trace are deep sheets with possibly
         # different peak patterns; register them all.
         for p in (pts[0], pts[-1], min(pts, key=lambda q: q.lam)):
-            bits = peak_pattern(w, m, p.u)
+            bits = peak_pattern(d, p.u)
             if any(bits):
                 out.add(bits)
     return out
@@ -250,18 +249,18 @@ def run_diagram(config) -> DiagramBundle:
     """
     cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(config)
     t_wall = time.perf_counter()
-    w, m = cfg.build()
+    d = Discretization(*cfg.build())
     cont = cfg.continuation()
     bundle = DiagramBundle(config=cfg.resolved())
     failures: list[str] = []
     records = bundle.branches
 
-    lam1 = principal_eigenvalue(m)
+    lam1 = principal_eigenvalue(d.m)
 
     # Stage 1-2: main branch from the near-onset sine seed, downward.
     main = None
     try:
-        main = trace_main_branch(w, m, cont)
+        main = trace_main_branch(d, cont)
         main.symmetry = _classify_symmetry(main.points[-1].u)
         records.append(BranchRecord("main", "main", main))
     except (NewtonError, SingularSystemError, ValueError) as exc:
@@ -270,9 +269,9 @@ def run_diagram(config) -> DiagramBundle:
     # Stage 3: locate det-sign changes on the main branch, switch at pitchforks.
     n_switched = 0
     if main is not None:
-        for i, j in sign_change_brackets(w, m, main):
+        for i, j in sign_change_brackets(d, main):
             try:
-                ev = locate_bifurcation(w, m, main, (i, j),
+                ev = locate_bifurcation(d, main, (i, j),
                                         newton_tol=cfg.newton_tol)
             except (BracketError, NewtonError, SingularSystemError) as exc:
                 failures.append(f"locate at index {i}: {exc}")
@@ -284,16 +283,16 @@ def run_diagram(config) -> DiagramBundle:
             if ev.kind != "pitchfork":
                 continue
             try:
-                pair = switch_branch(w, m, ev, AugmentedState(host.lam, host.u),
+                pair = switch_branch(d, ev, AugmentedState(host.lam, host.u),
                                      newton_tol=cfg.newton_tol)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
                 continue
             for y in pair:
-                child_start = make_point(w, m, y.lam, y.u, tag="branch_start")
+                child_start = make_point(d, y.lam, y.u, tag="branch_start")
                 try:
-                    tc = initial_tangent(w, m, y, direction_hint=-1.0)
-                    child = continue_branch(w, m, child_start, tc, cont)
+                    tc = initial_tangent(d, y, direction_hint=-1.0)
+                    child = continue_branch(d, child_start, tc, cont)
                 except (NewtonError, SingularSystemError) as exc:
                     failures.append(f"child at lam={y.lam:.6g}: {exc}")
                     continue
@@ -307,8 +306,7 @@ def run_diagram(config) -> DiagramBundle:
     masks = enumerate_peak_masks(cfg.kappa)
     well_patterns = []
     if cfg.eps > 0:
-        from itertools import product as _product
-        for bits in _product((False, True), repeat=cfg.kappa):
+        for bits in product((False, True), repeat=cfg.kappa):
             if any(bits):
                 well_patterns.append(bits)
 
@@ -322,12 +320,12 @@ def run_diagram(config) -> DiagramBundle:
                 seed = seed_fn(lam_try)
             except ValueError:
                 continue
-            pt = find_new_solution(w, m, lam_try, seed, known,
+            pt = find_new_solution(d, lam_try, seed, known,
                                    newton_tol=cfg.newton_tol)
             if pt is None:
                 continue
             try:
-                iso = _trace_both(w, m, pt, cont)
+                iso = _trace_both(d, pt, cont)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"isola trace {label}: {exc}")
                 return
@@ -337,15 +335,15 @@ def run_diagram(config) -> DiagramBundle:
             return
 
     for mask in masks:
-        if mask.bits in _represented_masks(w, m, records):
+        if mask.bits in _represented_masks(d, records):
             continue
-        attempt(lambda lam, mk=mask: peak_pattern_seed(w, m, mk, lam),
+        attempt(lambda lam, mk=mask: peak_pattern_seed(d, mk, lam),
                 f"mask {mask}")
     for wells in well_patterns:
-        attempt(lambda lam, ws=wells: well_bump_seed(w, m, lam, wells=ws),
+        attempt(lambda lam, ws=wells: well_bump_seed(d, lam, wells=ws),
                 f"wells {wells}")
     for wells in well_patterns:
-        attempt(lambda lam, ws=wells: well_edge_seed(w, m, lam, wells=ws),
+        attempt(lambda lam, ws=wells: well_edge_seed(d, lam, wells=ws),
                 f"well edges {wells}")
 
     # Fold events from every branch.
@@ -355,12 +353,12 @@ def run_diagram(config) -> DiagramBundle:
                                              rec.branch.points[idx].l2norm))
 
     # Post hoc validation with a freshly built discretization.
-    w2, m2 = cfg.build()
+    d2 = Discretization(*cfg.build())
     res_max = 0.0
     for rec in records:
         for p in rec.branch.points:
             res_max = max(res_max,
-                          float(np.linalg.norm(residual(w2, m2, p.lam, p.u))))
+                          float(np.linalg.norm(residual(d2, p.lam, p.u))))
             if p.lam >= lam1:
                 failures.append(
                     f"{rec.branch_id}: stored point at lam={p.lam:.6g} >= "
@@ -370,9 +368,9 @@ def run_diagram(config) -> DiagramBundle:
 
     bundle.events.sort(key=lambda e: (e["branch_id"], e["index"], e["kind"]))
     bundle.provenance = {
-        "mesh": {"kind": cfg.mesh_kind, "n_interior": m.n_interior,
-                 "min_dx": float(np.diff(m.nodes).min()),
-                 "max_dx": float(np.diff(m.nodes).max())},
+        "mesh": {"kind": cfg.mesh_kind, "n_interior": d.m.n_interior,
+                 "min_dx": float(np.diff(d.m.nodes).min()),
+                 "max_dx": float(np.diff(d.m.nodes).max())},
         "tolerances": {"newton_tol": cfg.newton_tol, "ds": cfg.ds,
                        "ds_min": cfg.ds_min},
         "first_eigenvalue": float(lam1),
@@ -396,7 +394,7 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
     keyed by the 0/1 string of occupied vanishing intervals.
     """
     cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(config)
-    w, m = cfg.build()
+    d = Discretization(*cfg.build())
     bundle = run_diagram(cfg)
     floor = cfg.lambda_min
     out: dict[str, tuple[float, np.ndarray, str]] = {}
@@ -409,14 +407,14 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
             lam, u = p.lam, p.u
             if floor * 0.997 < lam <= floor / 3.0:
                 try:
-                    u = deepen_solution(w, m, u, lam, floor,
+                    u = deepen_solution(d, u, lam, floor,
                                         newton_tol=cfg.newton_tol)
                     lam = floor
                 except (NewtonError, SingularSystemError):
                     continue
             if lam >= floor * 0.997:
                 continue
-            pat = "".join("1" if b else "0" for b in peak_pattern(w, m, u))
+            pat = "".join("1" if b else "0" for b in peak_pattern(d, u))
             if "1" in pat and pat not in out:
                 out[pat] = (float(lam), u, rec.branch_id)
     return out
@@ -632,9 +630,7 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
 
     pdir = out / "profiles"
     pdir.mkdir(exist_ok=True)
-    cfg = RunConfig.from_dict(
-        {k: v for k, v in bundle.config.items()})
-    _, m = cfg.build()
+    _, m = RunConfig.from_dict(bundle.config).build()
     for rec in bundle.branches:
         n = len(rec.branch.points)
         for i, p in enumerate(rec.branch.points):

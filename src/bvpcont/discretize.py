@@ -1,4 +1,4 @@
-"""Finite-difference residual and Jacobian on (possibly non-uniform) meshes.
+"""The finite-difference operator of one run, built once from a weight and a mesh.
 
 The boundary value problem is
 
@@ -11,9 +11,14 @@ discretized with the 3-point second-difference stencil
 
 which is the standard centered choice, second order on smooth meshes.  The
 residual component i is  -L[u]_i - lam*u_i - a(x_i)*u_i^3  with u_0 = u_{N+1} = 0.
+
+A ``Discretization`` samples a(x) at the interior nodes and stores the stencil
+of -L once; ``residual``, ``jacobian`` and ``discrete_l2_norm`` only read those
+arrays.  The arrays are read-only, and every Jacobian shares its constant
+off-diagonals with the discretization.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -23,11 +28,10 @@ from .weight import Weight, eval_weight
 
 __all__ = [
     "BandedJacobian",
+    "Discretization",
     "MeshMismatchError",
     "residual",
     "jacobian",
-    "stencil_coefficients",
-    "node_weights",
     "discrete_l2_norm",
     "toeplitz_eigenvalue",
     "principal_eigenvalue",
@@ -63,61 +67,64 @@ class BandedJacobian:
         return a
 
 
-def _check(m: Mesh, u: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """Weight and mesh of a run with the node arrays derived from them.
+
+    -L is tridiag(sub, center, sup): the constant part of every Jacobian.
+    a holds a(x_i) and h_left the left cell widths x_i - x_{i-1} at the
+    interior nodes.
+    """
+
+    w: Weight
+    m: Mesh
+    a: np.ndarray = field(init=False, repr=False)
+    center: np.ndarray = field(init=False, repr=False)
+    sub: np.ndarray = field(init=False, repr=False)
+    sup: np.ndarray = field(init=False, repr=False)
+    h_left: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        h = mesh_spacings(self.m)
+        hl, hr = h[:-1], h[1:]
+        arrays = {
+            "a": np.asarray(eval_weight(self.w, self.m.interior), dtype=float),
+            "center": 2.0 / (hl * hr),
+            "sub": -(2.0 / (hl * (hl + hr)))[1:],
+            "sup": -(2.0 / (hr * (hl + hr)))[:-1],
+            "h_left": hl,
+        }
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def _check(d: Discretization, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape != (m.n_interior,):
+    if u.shape != d.a.shape:
         raise MeshMismatchError(
-            f"profile length {u.shape} does not match {m.n_interior} interior nodes"
+            f"profile length {u.shape} does not match {len(d.a)} interior nodes"
         )
     return u
 
 
-def stencil_coefficients(m: Mesh):
-    """(c_minus, c_center, c_plus) of the second-difference operator L.
-
-    L[u]_i = c_minus_i*u_{i-1} - c_center_i*u_i + c_plus_i*u_{i+1}.
-    """
-    h = mesh_spacings(m)
-    hl, hr = h[:-1], h[1:]
-    c_minus = 2.0 / (hl * (hl + hr))
-    c_plus = 2.0 / (hr * (hl + hr))
-    c_center = 2.0 / (hl * hr)
-    return c_minus, c_center, c_plus
-
-
-def node_weights(w: Weight, m: Mesh) -> np.ndarray:
-    """Coefficient a(x_i) at the interior nodes."""
-    return np.asarray(eval_weight(w, m.interior), dtype=float)
-
-
-def _apply_l(m: Mesh, u: np.ndarray) -> np.ndarray:
-    c_minus, c_center, c_plus = stencil_coefficients(m)
-    out = -c_center * u
-    out[1:] += c_minus[1:] * u[:-1]
-    out[:-1] += c_plus[:-1] * u[1:]
-    return out
-
-
-def residual(w: Weight, m: Mesh, lam: float, u: np.ndarray) -> np.ndarray:
+def residual(d: Discretization, lam: float, u: np.ndarray) -> np.ndarray:
     """-L[u] - lam*u - a(x)*u^3 at the interior nodes."""
-    u = _check(m, u)
-    a = node_weights(w, m)
-    return -_apply_l(m, u) - lam * u - a * u**3
+    u = _check(d, u)
+    lu = -d.center * u
+    lu[1:] -= d.sub * u[:-1]
+    lu[:-1] -= d.sup * u[1:]
+    return -lu - lam * u - d.a * u**3
 
 
-def jacobian(w: Weight, m: Mesh, lam: float, u: np.ndarray) -> BandedJacobian:
+def jacobian(d: Discretization, lam: float, u: np.ndarray) -> BandedJacobian:
     """Exact derivative of residual with respect to u."""
-    u = _check(m, u)
-    a = node_weights(w, m)
-    c_minus, c_center, c_plus = stencil_coefficients(m)
-    return BandedJacobian(
-        sub=-c_minus[1:],
-        diag=c_center - lam - 3.0 * a * u**2,
-        sup=-c_plus[:-1],
-    )
+    u = _check(d, u)
+    return BandedJacobian(sub=d.sub, diag=d.center - lam - 3.0 * d.a * u**2,
+                          sup=d.sup)
 
 
-def discrete_l2_norm(m: Mesh, u: np.ndarray) -> float:
+def discrete_l2_norm(d: Discretization, u: np.ndarray) -> float:
     """( sum_{i=1}^{N} (x_i - x_{i-1}) u_i^2 )^{1/2}.
 
     The sum runs over the interior nodes with left-cell widths, so the last
@@ -125,9 +132,8 @@ def discrete_l2_norm(m: Mesh, u: np.ndarray) -> float:
     formula is exactly reflection-invariant for symmetric u on a symmetric
     mesh because the spacings are palindromic.
     """
-    u = _check(m, u)
-    h = mesh_spacings(m)[:-1]
-    return float(np.sqrt(np.sum(h * u**2)))
+    u = _check(d, u)
+    return float(np.sqrt(np.sum(d.h_left * u**2)))
 
 
 def toeplitz_eigenvalue(n: int, k: int) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .continuation import Branch, SolutionPoint, make_point
 from .corrector import NewtonError, SingularSystemError, newton_fixed_lambda
+from .discretize import Discretization
 from .mesh import Mesh
 from .weight import Weight
 
@@ -81,16 +82,16 @@ def _bump(x: np.ndarray, center: float, lam: float, amplitude: float) -> np.ndar
     return amplitude / np.cosh(np.sqrt(-lam) * (x - center))
 
 
-def peak_pattern_seed(w: Weight, m: Mesh, mask: PeakMask, lam: float) -> np.ndarray:
+def peak_pattern_seed(d: Discretization, mask: PeakMask, lam: float) -> np.ndarray:
     """Sum of homoclinic-shaped bumps on the masked support intervals."""
     if lam >= 0:
         raise ValueError("peak seeds require lam < 0")
-    intervals = support_intervals(w)
+    intervals = support_intervals(d.w)
     if len(mask.bits) != len(intervals):
         raise ValueError(
             f"mask has {len(mask.bits)} bits for {len(intervals)} support intervals"
         )
-    x = m.interior
+    x = d.m.interior
     u = np.zeros_like(x)
     amp = np.sqrt(-2.0 * lam)
     for bit, (lo, hi) in zip(mask.bits, intervals):
@@ -99,7 +100,7 @@ def peak_pattern_seed(w: Weight, m: Mesh, mask: PeakMask, lam: float) -> np.ndar
     return u
 
 
-def well_bump_seed(w: Weight, m: Mesh, lam: float,
+def well_bump_seed(d: Discretization, lam: float,
                    wells: tuple[bool, ...] | None = None) -> np.ndarray:
     """Bumps centered in the depressed intervals, scaled for coefficient eps.
 
@@ -108,13 +109,14 @@ def well_bump_seed(w: Weight, m: Mesh, lam: float,
     """
     if lam >= 0:
         raise ValueError("peak seeds require lam < 0")
+    w = d.w
     if w.eps <= 0:
         raise ValueError("well bumps require eps > 0")
     if wells is None:
         wells = (True,) * w.kappa
     if len(wells) != w.kappa:
         raise ValueError(f"expected {w.kappa} well flags, got {len(wells)}")
-    x = m.interior
+    x = d.m.interior
     u = np.zeros_like(x)
     amp = np.sqrt(-2.0 * lam / w.eps)
     for bit, (a, b) in zip(wells, w.intervals):
@@ -123,7 +125,7 @@ def well_bump_seed(w: Weight, m: Mesh, lam: float,
     return u
 
 
-def well_edge_seed(w: Weight, m: Mesh, lam: float,
+def well_edge_seed(d: Discretization, lam: float,
                    wells: tuple[bool, ...] | None = None) -> np.ndarray:
     """A pair of bumps straddling each depressed interval, at its endpoints.
 
@@ -133,13 +135,14 @@ def well_edge_seed(w: Weight, m: Mesh, lam: float,
     """
     if lam >= 0:
         raise ValueError("peak seeds require lam < 0")
+    w = d.w
     if w.eps <= 0:
         raise ValueError("well edge bumps target eps > 0 isolas")
     if wells is None:
         wells = (True,) * w.kappa
     if len(wells) != w.kappa:
         raise ValueError(f"expected {w.kappa} well flags, got {len(wells)}")
-    x = m.interior
+    x = d.m.interior
     u = np.zeros_like(x)
     amp = np.sqrt(-2.0 * lam)
     for bit, (a, b) in zip(wells, w.intervals):
@@ -148,7 +151,7 @@ def well_edge_seed(w: Weight, m: Mesh, lam: float,
     return u
 
 
-def matches_branch(w: Weight, m: Mesh, lam: float, u: np.ndarray,
+def matches_branch(d: Discretization, lam: float, u: np.ndarray,
                    branch: Branch, newton_tol: float = 1e-4,
                    lam_window: float = 10.0) -> bool:
     """Whether (lam, u) lies on an already-computed branch.
@@ -170,7 +173,7 @@ def matches_branch(w: Weight, m: Mesh, lam: float, u: np.ndarray,
     scale = 1.0 + float(np.abs(u).max())
     for i in order:
         try:
-            u_ref = newton_fixed_lambda(w, m, lam, branch.points[i].u,
+            u_ref = newton_fixed_lambda(d, lam, branch.points[i].u,
                                         tol=newton_tol)
         except (NewtonError, SingularSystemError):
             continue
@@ -179,32 +182,32 @@ def matches_branch(w: Weight, m: Mesh, lam: float, u: np.ndarray,
     return False
 
 
-def find_new_solution(w: Weight, m: Mesh, lam: float, seed: np.ndarray,
+def find_new_solution(d: Discretization, lam: float, seed: np.ndarray,
                       known: list[Branch], newton_tol: float = 1e-4):
     """Newton from a seed; returns a branch_start point or None on failure/duplicate."""
     try:
-        u = newton_fixed_lambda(w, m, lam, seed, tol=newton_tol)
+        u = newton_fixed_lambda(d, lam, seed, tol=newton_tol)
     except (NewtonError, SingularSystemError):
         return None
     if u.min() < -1e-8 or np.abs(u).max() < 1e-6:
         return None
     for branch in known:
-        if matches_branch(w, m, lam, u, branch, newton_tol=newton_tol):
+        if matches_branch(d, lam, u, branch, newton_tol=newton_tol):
             return None
-    return make_point(w, m, lam, u, tag="branch_start")
+    return make_point(d, lam, u, tag="branch_start")
 
 
-def find_isola(w: Weight, m: Mesh, lam: float, mask: PeakMask,
+def find_isola(d: Discretization, lam: float, mask: PeakMask,
                cfg=None, known: list[Branch] = ()):
     """Seed with a peak mask and return a first off-branch solution point, if any."""
     if lam >= 0:
         raise ValueError("isola search requires lam < 0")
-    seed = peak_pattern_seed(w, m, mask, lam)
+    seed = peak_pattern_seed(d, mask, lam)
     tol = cfg.newton_tol if cfg is not None else 1e-4
-    return find_new_solution(w, m, lam, seed, list(known), newton_tol=tol)
+    return find_new_solution(d, lam, seed, list(known), newton_tol=tol)
 
 
-def deepen_solution(w: Weight, m: Mesh, u: np.ndarray, lam_from: float,
+def deepen_solution(d: Discretization, u: np.ndarray, lam_from: float,
                     lam_to: float, ratio: float = 1.3,
                     newton_tol: float = 1e-4) -> np.ndarray:
     """Carry a solution from lam_from down to lam_to by natural stepping.
@@ -222,7 +225,7 @@ def deepen_solution(w: Weight, m: Mesh, u: np.ndarray, lam_from: float,
         for _ in range(8):
             try:
                 u_next = newton_fixed_lambda(
-                    w, m, lam_next, u * np.sqrt(lam_next / lam),
+                    d, lam_next, u * np.sqrt(lam_next / lam),
                     tol=newton_tol)
                 break
             except (NewtonError, SingularSystemError):
@@ -235,7 +238,7 @@ def deepen_solution(w: Weight, m: Mesh, u: np.ndarray, lam_from: float,
     return u
 
 
-def solve_mask(w: Weight, m: Mesh, mask: PeakMask, lam: float,
+def solve_mask(d: Discretization, mask: PeakMask, lam: float,
                lam_first: float = -50.0,
                newton_tol: float = 1e-4) -> np.ndarray:
     """Converged positive solution realizing a peak mask at a deep lam.
@@ -247,26 +250,26 @@ def solve_mask(w: Weight, m: Mesh, mask: PeakMask, lam: float,
     from a multi-bump seed.
     """
     if lam > lam_first:
-        u0 = peak_pattern_seed(w, m, mask, lam)
-        return newton_fixed_lambda(w, m, lam, u0, tol=newton_tol)
+        u0 = peak_pattern_seed(d, mask, lam)
+        return newton_fixed_lambda(d, lam, u0, tol=newton_tol)
     if sum(mask.bits) == 1:
-        u = newton_fixed_lambda(w, m, lam_first,
-                                peak_pattern_seed(w, m, mask, lam_first),
+        u = newton_fixed_lambda(d, lam_first,
+                                peak_pattern_seed(d, mask, lam_first),
                                 tol=newton_tol)
-        return deepen_solution(w, m, u, lam_first, lam, newton_tol=newton_tol)
-    seed = np.zeros(m.n_interior)
+        return deepen_solution(d, u, lam_first, lam, newton_tol=newton_tol)
+    seed = np.zeros(d.m.n_interior)
     for i, bit in enumerate(mask.bits):
         if bit:
             single = PeakMask(tuple(j == i for j in range(len(mask.bits))))
-            seed += solve_mask(w, m, single, lam, lam_first=lam_first,
+            seed += solve_mask(d, single, lam, lam_first=lam_first,
                                newton_tol=newton_tol)
-    u = newton_fixed_lambda(w, m, lam, seed, tol=newton_tol)
+    u = newton_fixed_lambda(d, lam, seed, tol=newton_tol)
     if u.min() < -1e-8:
         raise NewtonError("superposition polish left the positive cone")
     return u
 
 
-def mask_census(w: Weight, m: Mesh, lam: float,
+def mask_census(d: Discretization, lam: float,
                 newton_tol: float = 1e-4) -> list[tuple[PeakMask, np.ndarray]]:
     """All distinct mask-realizing solutions at lam, in fixed mask order.
 
@@ -274,9 +277,9 @@ def mask_census(w: Weight, m: Mesh, lam: float,
     1e-4 * scale) are dropped.
     """
     out: list[tuple[PeakMask, np.ndarray]] = []
-    for mask in enumerate_peak_masks(w.kappa):
+    for mask in enumerate_peak_masks(d.w.kappa):
         try:
-            u = solve_mask(w, m, mask, lam, newton_tol=newton_tol)
+            u = solve_mask(d, mask, lam, newton_tol=newton_tol)
         except (NewtonError, SingularSystemError):
             continue
         if any(np.max(np.abs(u - v)) < 1e-4 * (1.0 + np.abs(u).max())
@@ -309,11 +312,11 @@ def peak_indices(u: np.ndarray, rel_threshold: float = 0.1) -> list[int]:
     return out
 
 
-def peak_pattern(w: Weight, m: Mesh, u: np.ndarray) -> tuple[bool, ...]:
+def peak_pattern(d: Discretization, u: np.ndarray) -> tuple[bool, ...]:
     """Support-interval occupancy of the peaks of u (wells ignored)."""
-    intervals = support_intervals(w)
+    intervals = support_intervals(d.w)
     bits = [False] * len(intervals)
-    x = m.interior
+    x = d.m.interior
     for i in peak_indices(u):
         for j, (lo, hi) in enumerate(intervals):
             if lo <= x[i] <= hi:

@@ -21,7 +21,7 @@ from bvpcont.continuation import (AugmentedState, ContinuationConfig,
 from bvpcont.corrector import bordered_solve, newton_fixed_lambda
 from bvpcont.diagram import (RunConfig, deep_census, run_diagram,
                              trace_main_branch, trace_to_fold, write_bundle)
-from bvpcont.discretize import (BandedJacobian, jacobian,
+from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
@@ -72,10 +72,10 @@ def census_k2():
     return deep_census(RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500))
 
 
-def _main_branch_lambda_b(w, m):
-    b = trace_main_branch(w, m, ContinuationConfig(lambda_min=-20.0))
-    for bracket in sign_change_brackets(w, m, b):
-        ev = locate_bifurcation(w, m, b, bracket)
+def _main_branch_lambda_b(d):
+    b = trace_main_branch(d, ContinuationConfig(lambda_min=-20.0))
+    for bracket in sign_change_brackets(d, b):
+        ev = locate_bifurcation(d, b, bracket)
         if ev.kind == "pitchfork":
             return ev.lambda_b, b
     return None, b
@@ -134,7 +134,7 @@ def test_criterion_2_secondary_bifurcation_values():
     results = {}
     for h, ref in TABLE_LAMBDA_B.items():
         w = build_weight(1, h, 0.0)
-        lam_b, _ = _main_branch_lambda_b(w, m)
+        lam_b, _ = _main_branch_lambda_b(Discretization(w, m))
         results[h] = lam_b
     errs = {h: abs(results[h] - TABLE_LAMBDA_B[h]) for h in results}
     tols = {h: max(5e-2, 0.01 * abs(TABLE_LAMBDA_B[h])) for h in results}
@@ -166,18 +166,19 @@ def test_criterion_4_isola_turning_points_table():
     found = {}
     for eps, ref in TABLE_LAMBDA_T.items():
         w = build_weight(1, 0.1, eps)
+        d = Discretization(w, m)
         lam_t = None
         for lam0 in (-300.0, -600.0, -1300.0, -2400.0, -2900.0):
             if lam0 >= ref:
                 continue
             for seed_fn in (well_bump_seed, well_edge_seed):
                 try:
-                    u = newton_fixed_lambda(w, m, lam0, seed_fn(w, m, lam0))
+                    u = newton_fixed_lambda(d, lam0, seed_fn(d, lam0))
                 except Exception:
                     continue
-                start = make_point(w, m, lam0, u, tag="branch_start")
+                start = make_point(d, lam0, u, tag="branch_start")
                 try:
-                    _, lt = trace_to_fold(w, m, start, cont)
+                    _, lt = trace_to_fold(d, start, cont)
                 except Exception:
                     continue
                 if lt is not None:
@@ -207,10 +208,11 @@ def test_criterion_5_multiplicity_census(census_k1, census_k2):
     assert ok
 
 
-def _well_ratio(w, m, u, lam):
+def _well_ratio(d, u, lam):
     """Largest |u| on the vanishing set, in units of sqrt(-2*lam)."""
-    return max(np.abs(u[(m.interior > a) & (m.interior < b)]).max()
-               for a, b in w.intervals) / np.sqrt(-2.0 * lam)
+    x = d.m.interior
+    return max(np.abs(u[(x > a) & (x < b)]).max()
+               for a, b in d.w.intervals) / np.sqrt(-2.0 * lam)
 
 
 def test_criterion_6_decay_and_identity(census_k2):
@@ -226,6 +228,7 @@ def test_criterion_6_decay_and_identity(census_k2):
     # pattern; its worst ratio must fall strictly and be within 0.05 at the
     # deepest level.  The identity half is checked at the census depth.
     w, m = RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500).build()
+    d = Discretization(w, m)
     levels = (-3000.0, *DECAY_DEPTHS)
     ratios = [0.0] * len(levels)
     worst_ident = 0.0
@@ -234,13 +237,13 @@ def test_criterion_6_decay_and_identity(census_k2):
         for i in range(len(w.intervals)):
             worst_ident = max(worst_ident,
                               check_decay_identity(w, m, u, lam, i))
-        ratios[0] = max(ratios[0], _well_ratio(w, m, u, lam))
+        ratios[0] = max(ratios[0], _well_ratio(d, u, lam))
         for k, lam_to in enumerate(DECAY_DEPTHS, 1):
-            u = deepen_solution(w, m, u, lam, lam_to)
+            u = deepen_solution(d, u, lam, lam_to)
             lam = lam_to
-            bits = "".join("1" if b else "0" for b in peak_pattern(w, m, u))
+            bits = "".join("1" if b else "0" for b in peak_pattern(d, u))
             kept &= bits == pattern
-            ratios[k] = max(ratios[k], _well_ratio(w, m, u, lam))
+            ratios[k] = max(ratios[k], _well_ratio(d, u, lam))
     falling = all(a > b for a, b in zip(ratios, ratios[1:]))
     decay_ok = kept and falling and ratios[-1] <= 0.05
     ident_ok = worst_ident <= 2e-2
@@ -260,21 +263,22 @@ def test_criterion_7_property_suite(tmp_path):
     # Jacobian vs central finite differences on 100 random samples
     w = build_weight(2, 0.15, 0.3)
     m = build_refined_mesh(w, coarse_dx=0.01, fine_dx=0.002)
+    d = Discretization(w, m)
     n = m.n_interior
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
         u = rng.uniform(-1.0, 2.0, size=n)
         lam = rng.uniform(-50.0, 9.0)
-        J = jacobian(w, m, lam, u).dense()
+        J = jacobian(d, lam, u).dense()
         step = 1e-6
         cols = np.zeros_like(J)
         for j in range(n):
             up, um = u.copy(), u.copy()
             up[j] += step
             um[j] -= step
-            cols[:, j] = (residual(w, m, lam, up)
-                          - residual(w, m, lam, um)) / (2 * step)
+            cols[:, j] = (residual(d, lam, up)
+                          - residual(d, lam, um)) / (2 * step)
         worst = max(worst, np.abs(J - cols).max() / np.abs(J).max())
     checks["jacobian_fd"] = worst <= 1e-6
 
@@ -283,26 +287,25 @@ def test_criterion_7_property_suite(tmp_path):
     checks["energy"] = max(traj.piece_energy_drift) <= 1e-9
 
     # reflection equivariance of the residual
-    w1 = build_weight(1, 0.1, 0.3)
-    m1 = build_uniform_mesh(200)
+    d1 = Discretization(build_weight(1, 0.1, 0.3), build_uniform_mesh(200))
     u = rng.uniform(0.0, 2.0, size=200)
-    r = residual(w1, m1, -30.0, u)
-    r_ref = residual(w1, m1, -30.0, u[::-1])
+    r = residual(d1, -30.0, u)
+    r_ref = residual(d1, -30.0, u[::-1])
     checks["residual_reflection"] = (
         np.abs(r[::-1] - r_ref).max() <= 1e-9 * (1 + np.abs(r).max()))
 
     # reflection equivariance of mask seeding and of continuation
-    u10 = solve_mask(w1, m1, PeakMask((True, False)), -100.0)
-    u01 = solve_mask(w1, m1, PeakMask((False, True)), -100.0)
+    u10 = solve_mask(d1, PeakMask((True, False)), -100.0)
+    u01 = solve_mask(d1, PeakMask((False, True)), -100.0)
     checks["seed_reflection"] = (
         np.abs(u10[::-1] - u01).max() <= 1e-6 * (1 + np.abs(u10).max()))
     cfg30 = ContinuationConfig(lambda_min=-140.0, max_steps=30)
-    s1 = make_point(w1, m1, -100.0, u10, tag="branch_start")
-    t1 = initial_tangent(w1, m1, AugmentedState(-100.0, u10),
+    s1 = make_point(d1, -100.0, u10, tag="branch_start")
+    t1 = initial_tangent(d1, AugmentedState(-100.0, u10),
                          direction_hint=-1.0)
-    b1 = continue_branch(w1, m1, s1, t1, cfg30)
-    s2 = make_point(w1, m1, -100.0, u01, tag="branch_start")
-    b2 = continue_branch(w1, m1, s2, Tangent(t1.du[::-1], t1.dlam), cfg30)
+    b1 = continue_branch(d1, s1, t1, cfg30)
+    s2 = make_point(d1, -100.0, u01, tag="branch_start")
+    b2 = continue_branch(d1, s2, Tangent(t1.du[::-1], t1.dlam), cfg30)
     checks["branch_reflection"] = (
         len(b1.points) == len(b2.points)
         and all(np.abs(p.u[::-1] - q.u).max() <= 1e-9 * (1 + np.abs(p.u).max())
@@ -321,12 +324,11 @@ def test_criterion_7_property_suite(tmp_path):
 
     # det_sign crossings at the discrete eigenvalues, k <= 5
     nn = 100
-    mu = build_uniform_mesh(nn)
-    wu = build_weight(1, 0.1, 1.0)
+    du = Discretization(build_weight(1, 0.1, 1.0), build_uniform_mesh(nn))
     z = np.zeros(nn)
     checks["det_sign"] = all(
-        det_sign(jacobian(wu, mu, toeplitz_eigenvalue(nn, k) - 0.5, z))[0]
-        != det_sign(jacobian(wu, mu, toeplitz_eigenvalue(nn, k) + 0.5, z))[0]
+        det_sign(jacobian(du, toeplitz_eigenvalue(nn, k) - 0.5, z))[0]
+        != det_sign(jacobian(du, toeplitz_eigenvalue(nn, k) + 0.5, z))[0]
         for k in range(1, 6))
 
     # bordered solve vs dense solve

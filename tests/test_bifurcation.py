@@ -7,7 +7,8 @@ from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
 from bvpcont.continuation import ContinuationConfig
 from bvpcont.corrector import AugmentedState, NewtonError
 from bvpcont.diagram import trace_main_branch
-from bvpcont.discretize import (BandedJacobian, discrete_l2_norm, jacobian,
+from bvpcont.discretize import (BandedJacobian, Discretization,
+                                discrete_l2_norm, jacobian,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.weight import build_weight
@@ -16,14 +17,16 @@ from bvpcont.weight import build_weight
 def main_branch(h, n=500, lambda_min=-20.0):
     w = build_weight(1, h, 0.0)
     m = build_uniform_mesh(n)
-    b = trace_main_branch(w, m, ContinuationConfig(lambda_min=lambda_min))
-    return w, m, b
+    d = Discretization(w, m)
+    b = trace_main_branch(d, ContinuationConfig(lambda_min=lambda_min))
+    return d, b
 
 
 def test_det_sign_positive_definite():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(10)
-    sign, logmag = det_sign(jacobian(w, m, 0.0, np.zeros(10)))
+    d = Discretization(w, m)
+    sign, logmag = det_sign(jacobian(d, 0.0, np.zeros(10)))
     assert sign == 1
     assert np.isfinite(logmag)
 
@@ -34,8 +37,8 @@ def test_det_sign_matches_slogdet():
     mats = [BandedJacobian(rng.normal(size=n - 1), 0.01 * rng.normal(size=n),
                            rng.normal(size=n - 1))
             for n in (5, 40, 200) for _ in range(4)]
-    w, m, b = main_branch(0.05, lambda_min=-100.0)
-    mats += [jacobian(w, m, p.lam, p.u) for p in b.points]
+    d, b = main_branch(0.05, lambda_min=-100.0)
+    mats += [jacobian(d, p.lam, p.u) for p in b.points]
     for J in mats:
         sign, logmag = det_sign(J)
         ref_sign, ref_logmag = np.linalg.slogdet(J.dense())
@@ -47,11 +50,12 @@ def test_det_sign_flips_at_discrete_eigenvalues():
     w = build_weight(1, 0.1, 1.0)
     n = 100
     m = build_uniform_mesh(n)
+    d = Discretization(w, m)
     u = np.zeros(n)
     for k in range(1, 6):
         lam_k = toeplitz_eigenvalue(n, k)
-        below, _ = det_sign(jacobian(w, m, lam_k - 0.5, u))
-        above, _ = det_sign(jacobian(w, m, lam_k + 0.5, u))
+        below, _ = det_sign(jacobian(d, lam_k - 0.5, u))
+        above, _ = det_sign(jacobian(d, lam_k + 0.5, u))
         assert below != above
         assert below != 0 and above != 0
 
@@ -60,7 +64,8 @@ def test_null_vector_of_singular_laplacian():
     w = build_weight(1, 0.1, 1.0)
     n = 80
     m = build_uniform_mesh(n)
-    J = jacobian(w, m, toeplitz_eigenvalue(n, 2), np.zeros(n))
+    d = Discretization(w, m)
+    J = jacobian(d, toeplitz_eigenvalue(n, 2), np.zeros(n))
     v = null_vector(J)
     mode = np.sin(2 * np.pi * m.interior)
     mode /= np.linalg.norm(mode)
@@ -68,18 +73,18 @@ def test_null_vector_of_singular_laplacian():
 
 
 def test_bracket_error_on_same_sign():
-    w, m, b = main_branch(0.5, n=200, lambda_min=-5.0)
+    d, b = main_branch(0.5, n=200, lambda_min=-5.0)
     with pytest.raises(BracketError):
-        locate_bifurcation(w, m, b, (0, 1))
+        locate_bifurcation(d, b, (0, 1))
 
 
 def test_locate_pitchfork_h005():
-    w, m, b = main_branch(0.05)
-    brackets = sign_change_brackets(w, m, b)
+    d, b = main_branch(0.05)
+    brackets = sign_change_brackets(d, b)
     assert len(brackets) == 1
     lo, hi = brackets[0]
     assert b.points[hi].lam < -12.40637 < b.points[lo].lam
-    ev = locate_bifurcation(w, m, b, brackets[0])
+    ev = locate_bifurcation(d, b, brackets[0])
     assert ev.kind == "pitchfork"
     assert abs(ev.lambda_b - (-12.40637)) < 5e-2
     # pitchfork on the symmetric branch: antisymmetric null vector
@@ -88,34 +93,34 @@ def test_locate_pitchfork_h005():
 
 
 def test_locate_pitchfork_h08_positive():
-    w, m, b = main_branch(0.8, lambda_min=0.0)
-    brackets = sign_change_brackets(w, m, b)
+    d, b = main_branch(0.8, lambda_min=0.0)
+    brackets = sign_change_brackets(d, b)
     assert len(brackets) >= 1
-    ev = locate_bifurcation(w, m, b, brackets[0])
+    ev = locate_bifurcation(d, b, brackets[0])
     assert abs(ev.lambda_b - 8.21472) < 5e-2
 
 
 def test_switch_branch_produces_reflection_pair():
-    w, m, b = main_branch(0.05)
-    ev = locate_bifurcation(w, m, b, sign_change_brackets(w, m, b)[0])
+    d, b = main_branch(0.05)
+    ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
     host = b.points[ev.branch_index]
-    ya, yb = switch_branch(w, m, ev, AugmentedState(host.lam, host.u))
+    ya, yb = switch_branch(d, ev, AugmentedState(host.lam, host.u))
     assert ya.lam == yb.lam < ev.lambda_b
     # mutual reflections with equal discrete norm
     scale = 1.0 + np.abs(ya.u).max()
     assert np.max(np.abs(ya.u[::-1] - yb.u)) < 1e-6 * scale
-    assert discrete_l2_norm(m, ya.u) == pytest.approx(
-        discrete_l2_norm(m, yb.u), rel=1e-9)
+    assert discrete_l2_norm(d, ya.u) == pytest.approx(
+        discrete_l2_norm(d, yb.u), rel=1e-9)
     # genuinely off the host branch and asymmetric
     assert np.max(np.abs(ya.u - ya.u[::-1])) > 1e-4 * scale
 
 
 def test_switch_branch_zero_amplitude_collapses():
-    w, m, b = main_branch(0.05)
-    ev = locate_bifurcation(w, m, b, sign_change_brackets(w, m, b)[0])
+    d, b = main_branch(0.05)
+    ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
     host = b.points[ev.branch_index]
     with pytest.raises(NewtonError):
-        switch_branch(w, m, ev, AugmentedState(host.lam, host.u),
+        switch_branch(d, ev, AugmentedState(host.lam, host.u),
                       amplitude=0.0)
 
 
@@ -123,8 +128,8 @@ def test_lambda_b_increasing_in_h():
     # recompute a sub-grid of the tabulated h values; lambda_b is increasing
     vals = []
     for h in (0.1, 0.3, 0.5):
-        w, m, b = main_branch(h, lambda_min=-10.0)
-        ev = locate_bifurcation(w, m, b, sign_change_brackets(w, m, b)[0])
+        d, b = main_branch(h, lambda_min=-10.0)
+        ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
         vals.append(ev.lambda_b)
     assert vals[0] < vals[1] < vals[2]
     assert vals[0] < 0 < vals[1]  # the h0 sign transition

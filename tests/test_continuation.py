@@ -7,18 +7,19 @@ from bvpcont.continuation import (ContinuationConfig, continue_branch,
                                   fold_points, initial_tangent, make_point,
                                   update_tangent)
 from bvpcont.corrector import AugmentedState, Tangent, newton_fixed_lambda
-from bvpcont.discretize import principal_eigenvalue, residual
+from bvpcont.discretize import (Discretization, principal_eigenvalue,
+                                residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import sine_seed, well_bump_seed
 from bvpcont.weight import build_weight
 
 
-def onset_solution(w, m, offset=0.1):
+def onset_solution(d, offset=0.1):
     from bvpcont.diagram import onset_amplitude
-    lam1 = principal_eigenvalue(m)
+    lam1 = principal_eigenvalue(d.m)
     lam = lam1 - offset
-    u = newton_fixed_lambda(w, m, lam,
-                            sine_seed(m, onset_amplitude(w, m, lam, lam1)))
+    u = newton_fixed_lambda(d, lam,
+                            sine_seed(d.m, onset_amplitude(d, lam, lam1)))
     return lam, u
 
 
@@ -30,8 +31,9 @@ def test_config_validation():
 def test_initial_tangent_subcritical_onset():
     w = build_weight(1, 0.1, 1.0)  # a == 1
     m = build_uniform_mesh(200)
-    lam, u = onset_solution(w, m)
-    t = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
+    d = Discretization(w, m)
+    lam, u = onset_solution(d)
+    t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
     assert t.dlam < 0
     assert abs(t.norm() - 1.0) < 1e-12
     mode = np.sin(np.pi * m.interior)
@@ -44,9 +46,10 @@ def test_tangent_is_nullvector_of_extended_jacobian():
     from bvpcont.discretize import jacobian
     w = build_weight(1, 0.3, 0.0)
     m = build_uniform_mesh(150)
-    lam, u = onset_solution(w, m)
-    t = initial_tangent(w, m, AugmentedState(lam, u))
-    J = jacobian(w, m, lam, u)
+    d = Discretization(w, m)
+    lam, u = onset_solution(d)
+    t = initial_tangent(d, AugmentedState(lam, u))
+    J = jacobian(d, lam, u)
     image = J.matvec(t.du) + (-u) * t.dlam
     assert np.linalg.norm(image) < 1e-8 * (1 + np.abs(J.diag).max())
 
@@ -55,12 +58,13 @@ def test_main_branch_square_root_onset():
     # autonomous case: norm ~ C * sqrt(pi^2 - lam); fit exponent 0.5 +- 0.05
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(300)
+    d = Discretization(w, m)
     lam1 = principal_eigenvalue(m)
-    lam, u = onset_solution(w, m)
-    start = make_point(w, m, lam, u, tag="branch_start")
-    t0 = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
+    lam, u = onset_solution(d)
+    start = make_point(d, lam, u, tag="branch_start")
+    t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
     cfg = ContinuationConfig(lambda_min=-100.0)
-    b = continue_branch(w, m, start, t0, cfg)
+    b = continue_branch(d, start, t0, cfg)
     assert "reached lambda_min" in b.diagnostics
     lams, norms = b.lambdas(), b.norms()
     sel = (lams >= -20.0) & (lams <= lam1)
@@ -80,12 +84,13 @@ def test_main_branch_square_root_onset():
 def test_every_point_revalidates_and_tangents_cohere():
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(200)
-    lam, u = onset_solution(w, m)
-    start = make_point(w, m, lam, u, tag="branch_start")
-    t0 = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
-    b = continue_branch(w, m, start, t0, ContinuationConfig(lambda_min=-40.0))
+    d = Discretization(w, m)
+    lam, u = onset_solution(d)
+    start = make_point(d, lam, u, tag="branch_start")
+    t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
+    b = continue_branch(d, start, t0, ContinuationConfig(lambda_min=-40.0))
     for p in b.points:
-        assert np.linalg.norm(residual(w, m, p.lam, p.u)) < 1e-4
+        assert np.linalg.norm(residual(d, p.lam, p.u)) < 1e-4
     for ta, tb in zip(b.tangents, b.tangents[1:]):
         assert ta.dot(tb) > 0
 
@@ -93,11 +98,12 @@ def test_every_point_revalidates_and_tangents_cohere():
 def test_runtime_h_half_to_minus_100():
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(500)
-    lam, u = onset_solution(w, m)
-    start = make_point(w, m, lam, u, tag="branch_start")
-    t0 = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
+    d = Discretization(w, m)
+    lam, u = onset_solution(d)
+    start = make_point(d, lam, u, tag="branch_start")
+    t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
     t_wall = time.perf_counter()
-    b = continue_branch(w, m, start, t0, ContinuationConfig(lambda_min=-100.0))
+    b = continue_branch(d, start, t0, ContinuationConfig(lambda_min=-100.0))
     assert time.perf_counter() - t_wall < 60.0
     assert b.points[-1].lam < -100.0
 
@@ -108,10 +114,11 @@ def test_isola_top_fold_matches():
     from bvpcont.diagram import trace_to_fold
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(500)
+    d = Discretization(w, m)
     lam0 = -1200.0
-    u = newton_fixed_lambda(w, m, lam0, well_bump_seed(w, m, lam0))
-    start = make_point(w, m, lam0, u, tag="branch_start")
-    b, lam_t = trace_to_fold(w, m, start, ContinuationConfig())
+    u = newton_fixed_lambda(d, lam0, well_bump_seed(d, lam0))
+    start = make_point(d, lam0, u, tag="branch_start")
+    b, lam_t = trace_to_fold(d, start, ContinuationConfig())
     assert lam_t is not None
     assert abs(lam_t - (-1111.65254)) / 1111.65254 < 0.01
     # the component is detached: every point stays well below the onset
@@ -125,16 +132,17 @@ def test_reflection_equivariance_of_continuation():
     from bvpcont.seeding import PeakMask, peak_pattern_seed
     w = build_weight(1, 0.1, 0.0)
     m = build_uniform_mesh(200)
+    d = Discretization(w, m)
     lam0 = -50.0
-    seed = peak_pattern_seed(w, m, PeakMask((True, False)), lam0)
-    u = newton_fixed_lambda(w, m, lam0, seed)
+    seed = peak_pattern_seed(d, PeakMask((True, False)), lam0)
+    u = newton_fixed_lambda(d, lam0, seed)
     cfg = ContinuationConfig(lambda_min=-110.0, max_steps=30)
-    s1 = make_point(w, m, lam0, u, tag="branch_start")
-    t1 = initial_tangent(w, m, AugmentedState(lam0, u), direction_hint=-1.0)
-    b1 = continue_branch(w, m, s1, t1, cfg)
-    s2 = make_point(w, m, lam0, u[::-1], tag="branch_start")
+    s1 = make_point(d, lam0, u, tag="branch_start")
+    t1 = initial_tangent(d, AugmentedState(lam0, u), direction_hint=-1.0)
+    b1 = continue_branch(d, s1, t1, cfg)
+    s2 = make_point(d, lam0, u[::-1], tag="branch_start")
     t2 = Tangent(t1.du[::-1], t1.dlam)
-    b2 = continue_branch(w, m, s2, t2, cfg)
+    b2 = continue_branch(d, s2, t2, cfg)
     assert len(b1.points) == len(b2.points)
     for p, q in zip(b1.points, b2.points):
         assert abs(p.lam - q.lam) < 1e-9 * (1 + abs(p.lam))
@@ -144,9 +152,10 @@ def test_reflection_equivariance_of_continuation():
 def test_update_tangent_orientation():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(100)
-    lam, u = onset_solution(w, m)
-    t = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
-    t2 = update_tangent(w, m, AugmentedState(lam, u), t)
+    d = Discretization(w, m)
+    lam, u = onset_solution(d)
+    t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
+    t2 = update_tangent(d, AugmentedState(lam, u), t)
     assert t2.dot(t) > 0
     assert abs(t2.norm() - 1.0) < 1e-12
 

@@ -8,7 +8,8 @@ from bvpcont.corrector import (AugmentedState, NewtonError,
                                solve_tridiag)
 from bvpcont.continuation import initial_tangent
 from bvpcont.diagram import RunConfig, run_diagram
-from bvpcont.discretize import BandedJacobian, jacobian, residual
+from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
+                                residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import deepen_solution, sine_seed, well_bump_seed
 from bvpcont.weight import build_weight
@@ -17,29 +18,32 @@ from bvpcont.weight import build_weight
 def test_trivial_root_in_one_step():
     w = build_weight(1, 0.1, 0.0)
     m = build_uniform_mesh(50)
-    u = newton_fixed_lambda(w, m, 5.0, np.zeros(50))
+    d = Discretization(w, m)
+    u = newton_fixed_lambda(d, 5.0, np.zeros(50))
     assert np.array_equal(u, np.zeros(50))
 
 
 def test_converges_from_sine_seed():
     w = build_weight(1, 0.1, 1.0)  # a == 1
     m = build_uniform_mesh(500)
-    u = newton_fixed_lambda(w, m, 9.0, 0.5 * np.sin(np.pi * m.interior))
+    d = Discretization(w, m)
+    u = newton_fixed_lambda(d, 9.0, 0.5 * np.sin(np.pi * m.interior))
     assert u.min() > 0
-    assert np.linalg.norm(residual(w, m, 9.0, u)) < 1e-4
+    assert np.linalg.norm(residual(d, 9.0, u)) < 1e-4
 
 
 def test_quadratic_convergence_of_increments():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(300)
+    d = Discretization(w, m)
     lam = -20.0
-    u = newton_fixed_lambda(w, m, lam, sine_seed(m, 6.0), tol=1e-8)
+    u = newton_fixed_lambda(d, lam, sine_seed(m, 6.0), tol=1e-8)
     # restart from a perturbed iterate and track the Newton increments
     rng = np.random.default_rng(1)
     v = u * (1.0 + 0.05 * rng.uniform(-1, 1, size=len(u)))
     steps = []
     for _ in range(8):
-        delta = solve_tridiag(jacobian(w, m, lam, v), residual(w, m, lam, v))
+        delta = solve_tridiag(jacobian(d, lam, v), residual(d, lam, v))
         v -= delta
         steps.append(np.linalg.norm(delta))
         if steps[-1] < 1e-7:  # below this the rounding floor takes over
@@ -54,15 +58,17 @@ def test_quadratic_convergence_of_increments():
 def test_symmetry_preserved_by_iteration():
     w = build_weight(2, 0.15, 0.0)
     m = build_uniform_mesh(301)
-    u = newton_fixed_lambda(w, m, 8.0, sine_seed(m, 0.8), tol=1e-8)
+    d = Discretization(w, m)
+    u = newton_fixed_lambda(d, 8.0, sine_seed(m, 0.8), tol=1e-8)
     assert np.max(np.abs(u - u[::-1])) < 1e-10 * (1 + np.abs(u).max())
 
 
 def test_divergence_and_exhaustion_raise():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(100)
+    d = Discretization(w, m)
     with pytest.raises(NewtonError):
-        newton_fixed_lambda(w, m, -500.0, 1e6 * np.ones(100), max_iters=3)
+        newton_fixed_lambda(d, -500.0, 1e6 * np.ones(100), max_iters=3)
 
 
 def test_isola_solution_at_minus_1200():
@@ -71,36 +77,39 @@ def test_isola_solution_at_minus_1200():
     # solution carries down to -1300 by natural stepping
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(500)
-    u = newton_fixed_lambda(w, m, -1200.0, well_bump_seed(w, m, -1200.0))
+    d = Discretization(w, m)
+    u = newton_fixed_lambda(d, -1200.0, well_bump_seed(d, -1200.0))
     assert u.min() > -1e-8
     assert np.abs(u).max() > 1.0
-    assert np.linalg.norm(residual(w, m, -1200.0, u)) < 1e-4
-    u = deepen_solution(w, m, u, -1200.0, -1300.0)
-    assert np.linalg.norm(residual(w, m, -1300.0, u)) < 1e-4
+    assert np.linalg.norm(residual(d, -1200.0, u)) < 1e-4
+    u = deepen_solution(d, u, -1200.0, -1300.0)
+    assert np.linalg.norm(residual(d, -1300.0, u)) < 1e-4
 
 
 def test_augmented_residual_trivial_cases():
     w = build_weight(1, 0.1, 0.0)
     m = build_uniform_mesh(40)
+    d = Discretization(w, m)
     n = 40
     rng = np.random.default_rng(5)
     u = rng.normal(size=n)
     y = AugmentedState(-3.0, u.copy())
     du = rng.normal(size=n)
     t = Tangent(du, 0.7).normalized()
-    r = augmented_residual(w, m, y, AugmentedState(-3.0, u.copy()), t, 0.0)
+    r = augmented_residual(d, y, AugmentedState(-3.0, u.copy()), t, 0.0)
     assert r[-1] == 0.0
-    assert np.array_equal(r[:-1], residual(w, m, -3.0, u))
+    assert np.array_equal(r[:-1], residual(d, -3.0, u))
     # Euler predictor satisfies the linearized constraint exactly
     ds = 2.5
     y2 = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
-    r2 = augmented_residual(w, m, y2, y, t, ds)
+    r2 = augmented_residual(d, y2, y, t, ds)
     assert abs(r2[-1]) < 1e-12
 
 
 def test_augmented_jacobian_matches_finite_differences():
     w = build_weight(1, 0.2, 0.0)
     m = build_uniform_mesh(25)
+    d = Discretization(w, m)
     n = 25
     rng = np.random.default_rng(11)
     u = rng.uniform(0.2, 1.0, size=n)
@@ -109,7 +118,7 @@ def test_augmented_jacobian_matches_finite_differences():
     t = Tangent(rng.normal(size=n), 0.3).normalized()
     ds = 1.0
 
-    J = jacobian(w, m, lam, u)
+    J = jacobian(d, lam, u)
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = J.dense()
     bordered[:n, n] = -u
@@ -127,8 +136,8 @@ def test_augmented_jacobian_matches_finite_differences():
         else:
             yp.lam += step
             ym.lam -= step
-        fd[:, j] = (augmented_residual(w, m, yp, y_prev, t, ds)
-                    - augmented_residual(w, m, ym, y_prev, t, ds)) / (2 * step)
+        fd[:, j] = (augmented_residual(d, yp, y_prev, t, ds)
+                    - augmented_residual(d, ym, y_prev, t, ds)) / (2 * step)
     scale = np.abs(bordered).max()
     assert np.max(np.abs(fd - bordered)) <= 1e-6 * scale
 
@@ -185,13 +194,14 @@ def test_bordered_solve_and_tangent_at_isola_fold():
     # stored kappa2 h0.25 isola point nearest its fold at lam ~ -41.546
     cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
     w, m = cfg.build()
+    d = Discretization(w, m)
     isolas = run_diagram(cfg).branch_by_role("isola")
     b, i = min(((r.branch, i) for r in isolas
                 for i in range(len(r.branch.points))),
                key=lambda bi: abs(bi[0].points[bi[1]].lam + 41.546))
     p, t = b.points[i], b.tangents[i]
     assert abs(p.lam + 41.546) < 0.05
-    J = jacobian(w, m, p.lam, p.u)
+    J = jacobian(d, p.lam, p.u)
     n = J.n
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=n + 1)
@@ -208,7 +218,7 @@ def test_bordered_solve_and_tangent_at_isola_fold():
         x = bordered_solve(Jk, -p.u, t, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    tan = initial_tangent(w, m, AugmentedState(p.lam, p.u))
+    tan = initial_tangent(d, AugmentedState(p.lam, p.u))
     _, _, vt = np.linalg.svd(np.column_stack([J.dense(), -p.u]))
     assert abs(abs(vt[-1] @ np.append(tan.du, tan.dlam)) - 1.0) < 1e-10
 
@@ -234,17 +244,18 @@ def test_solve_tridiag_singular_raises():
 def test_newton_augmented_follows_constraint():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(200)
+    d = Discretization(w, m)
     lam = 5.0
-    u = newton_fixed_lambda(w, m, lam, sine_seed(m, 2.0), tol=1e-8)
+    u = newton_fixed_lambda(d, lam, sine_seed(m, 2.0), tol=1e-8)
     y_prev = AugmentedState(lam, u)
-    J = jacobian(w, m, lam, u)
+    J = jacobian(d, lam, u)
     du = solve_tridiag(J, u)
     t = Tangent(du, 1.0).normalized()
     if t.dlam > 0:
         t = Tangent(-t.du, -t.dlam)
     ds = 1.0
     y_pred = AugmentedState(lam + ds * t.dlam, u + ds * t.du)
-    y = newton_augmented(w, m, y_pred, y_prev, t, ds)
-    r = augmented_residual(w, m, y, y_prev, t, ds)
+    y = newton_augmented(d, y_pred, y_prev, t, ds)
+    r = augmented_residual(d, y, y_prev, t, ds)
     assert np.linalg.norm(r) < 1e-4
     assert y.lam < lam

@@ -1,11 +1,16 @@
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from bvpcont.cli import main
+from bvpcont.continuation import ContinuationConfig
 from bvpcont.diagram import (DiagramBundle, RunConfig, emit_svg, run_diagram,
                              run_epsilon_sweep, write_bundle)
+from bvpcont.mesh import mesh_spacings
+from bvpcont.weight import eval_weight
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +29,52 @@ def test_run_config_from_dict_nested():
     assert cfg.ds == 2.0 and cfg.lambda_min == -500.0
     with pytest.raises(ValueError):
         RunConfig.from_dict({"kappa": 1, "bogus": 3})
+
+
+def test_run_config_rejects_unknown_nested_keys():
+    for bad in ({"mesh": {"nn": 99}}, {"continuation": {"dss": 0.5}},
+                {"continuation": {"dss": 0.5}, "mesh": {"nn": 99}}):
+        with pytest.raises(ValueError):
+            RunConfig.from_dict(bad)
+
+
+def test_continuation_section_round_trips_every_field():
+    defaults = ContinuationConfig()
+    values = {}
+    for f in dataclasses.fields(ContinuationConfig):
+        v = getattr(defaults, f.name)
+        values[f.name] = v + 1 if isinstance(v, int) else v / 2.0
+        assert values[f.name] != v
+    cfg = RunConfig.from_dict({"continuation": values})
+    assert cfg.continuation() == ContinuationConfig(**values)
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls of fn through every bvpcont module that holds it by name."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "bvpcont" or name.startswith("bvpcont."):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_run_builds_the_operator_once(monkeypatch):
+    # weight sampling and cell widths belong to the discretization of a run,
+    # not to each residual or Jacobian
+    weight_calls = _count_calls(monkeypatch, eval_weight)
+    spacing_calls = _count_calls(monkeypatch, mesh_spacings)
+    bundle = run_diagram(RunConfig(kappa=1, h=0.05, eps=0.0, mesh_n=500,
+                                   lambda_min=-100.0))
+    assert sum(len(r.branch.points) for r in bundle.branches) > 100
+    assert 1 <= weight_calls[0] <= 10
+    assert 1 <= spacing_calls[0] <= 10
 
 
 def test_run_diagram_pitchfork_pipeline(pitchfork_bundle):

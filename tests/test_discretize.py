@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bvpcont.discretize import (BandedJacobian, MeshMismatchError,
-                                discrete_l2_norm, jacobian, node_weights,
+from bvpcont.discretize import (BandedJacobian, Discretization,
+                                MeshMismatchError, discrete_l2_norm, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
@@ -15,31 +15,27 @@ def a_one():
 
 
 def test_residual_zero_profile():
-    w = a_one()
-    m = build_uniform_mesh(10)
-    assert np.array_equal(residual(w, m, 3.7, np.zeros(10)), np.zeros(10))
+    d = Discretization(a_one(), build_uniform_mesh(10))
+    assert np.array_equal(residual(d, 3.7, np.zeros(10)), np.zeros(10))
 
 
 def test_residual_hand_value_n3():
     # uniform N=3, lam=0, a == 1, u = (1,1,1): dx = 1/4, 1/dx^2 = 16
-    w = a_one()
-    m = build_uniform_mesh(3)
-    r = residual(w, m, 0.0, np.ones(3))
+    d = Discretization(a_one(), build_uniform_mesh(3))
+    r = residual(d, 0.0, np.ones(3))
     assert np.allclose(r, [15.0, -1.0, 15.0], rtol=0, atol=1e-12)
 
 
 def test_residual_mesh_mismatch():
-    w = a_one()
-    m = build_uniform_mesh(10)
+    d = Discretization(a_one(), build_uniform_mesh(10))
     with pytest.raises(MeshMismatchError):
-        residual(w, m, 0.0, np.zeros(11))
+        residual(d, 0.0, np.zeros(11))
 
 
 def test_jacobian_linear_toeplitz():
-    w = a_one()
     n = 20
-    m = build_uniform_mesh(n)
-    J = jacobian(w, m, 0.0, np.zeros(n))
+    d = Discretization(a_one(), build_uniform_mesh(n))
+    J = jacobian(d, 0.0, np.zeros(n))
     assert np.allclose(J.diag, 2.0 * (n + 1) ** 2, rtol=1e-13)
     assert np.allclose(J.sub, -((n + 1) ** 2), rtol=1e-13)
     assert np.allclose(J.sup, -((n + 1) ** 2), rtol=1e-13)
@@ -49,6 +45,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
     w = build_weight(2, 0.15, 0.3)
     m = build_refined_mesh(w, 0.02, 0.005)
+    d = Discretization(w, m)
     n = m.n_interior
     worst = 0.0
     for _ in range(100):
@@ -57,57 +54,91 @@ def test_jacobian_matches_finite_differences():
         v /= np.linalg.norm(v)
         lam = rng.uniform(-200.0, 9.0)
         step = 1e-6 * (1.0 + np.abs(u).max())
-        fd = (residual(w, m, lam, u + step * v)
-              - residual(w, m, lam, u - step * v)) / (2.0 * step)
-        jv = jacobian(w, m, lam, u).matvec(v)
+        fd = (residual(d, lam, u + step * v)
+              - residual(d, lam, u - step * v)) / (2.0 * step)
+        jv = jacobian(d, lam, u).matvec(v)
         err = np.linalg.norm(fd - jv) / max(np.linalg.norm(jv), 1.0)
         worst = max(worst, err)
     assert worst <= 1e-6
 
 
+def test_operator_matches_written_out_stencil_exactly():
+    # the stored arrays give the three-point formula bit for bit
+    rng = np.random.default_rng(9)
+    w = build_weight(2, 0.15, 0.3)
+    m = build_refined_mesh(w, 0.02, 0.005)
+    d = Discretization(w, m)
+    h = np.diff(m.nodes)
+    hl, hr = h[:-1], h[1:]
+    c_minus, c_center, c_plus = (2.0 / (hl * (hl + hr)), 2.0 / (hl * hr),
+                                 2.0 / (hr * (hl + hr)))
+    x = m.interior
+    a = np.where(np.any([(x > lo) & (x < hi) for lo, hi in w.intervals],
+                        axis=0), 0.3, 1.0)
+    for _ in range(5):
+        u = rng.normal(size=m.n_interior) * rng.uniform(0.1, 3.0)
+        lam = rng.uniform(-200.0, 9.0)
+        lu = -c_center * u
+        lu[1:] += c_minus[1:] * u[:-1]
+        lu[:-1] += c_plus[:-1] * u[1:]
+        assert np.array_equal(residual(d, lam, u), -lu - lam * u - a * u**3)
+        J = jacobian(d, lam, u)
+        assert np.array_equal(J.diag, c_center - lam - 3.0 * a * u**2)
+        assert np.array_equal(J.sub, -c_minus[1:])
+        assert np.array_equal(J.sup, -c_plus[:-1])
+        assert discrete_l2_norm(d, u) == float(np.sqrt(np.sum(hl * u**2)))
+
+
 def test_residual_reflection_equivariance():
     rng = np.random.default_rng(3)
-    w = build_weight(1, 0.1, 0.0)
-    m = build_uniform_mesh(200)
+    d = Discretization(build_weight(1, 0.1, 0.0), build_uniform_mesh(200))
     u = rng.normal(size=200)
-    r1 = residual(w, m, -42.0, u[::-1])
-    r2 = residual(w, m, -42.0, u)[::-1]
+    r1 = residual(d, -42.0, u[::-1])
+    r2 = residual(d, -42.0, u)[::-1]
     assert np.allclose(r1, r2, rtol=0, atol=1e-9 * (1 + np.abs(r2).max()))
 
 
 def test_node_weights_sampling():
-    w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(99)  # node at exactly 0.5
-    a = node_weights(w, m)
+    a = Discretization(build_weight(1, 0.1, 0.3), m).a
     assert a[m.n_interior // 2] == 0.3
     assert a[0] == 1.0 and a[-1] == 1.0
 
 
+def test_discretization_arrays_are_read_only():
+    w = build_weight(2, 0.15, 0.3)
+    d = Discretization(w, build_refined_mesh(w, 0.02, 0.005))
+    J = jacobian(d, -5.0, np.ones(d.m.n_interior))
+    for arr in (d.a, d.center, d.sub, d.sup, d.h_left, J.sub, J.sup):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
 def test_norm_zero_and_constant():
-    w = a_one()
-    del w
     for n in (3, 10, 500):
-        m = build_uniform_mesh(n)
-        assert discrete_l2_norm(m, np.zeros(n)) == 0.0
+        d = Discretization(a_one(), build_uniform_mesh(n))
+        assert discrete_l2_norm(d, np.zeros(n)) == 0.0
         # left-cell weights omit the last cell: sum is N/(N+1)
-        assert discrete_l2_norm(m, np.ones(n)) == pytest.approx(
+        assert discrete_l2_norm(d, np.ones(n)) == pytest.approx(
             np.sqrt(n / (n + 1.0)), rel=1e-14)
 
 
 def test_norm_sine_converges():
-    m = build_uniform_mesh(500)
-    u = np.sin(np.pi * m.interior)
-    assert abs(discrete_l2_norm(m, u) - 1.0 / np.sqrt(2.0)) < 2e-3
+    d = Discretization(a_one(), build_uniform_mesh(500))
+    u = np.sin(np.pi * d.m.interior)
+    assert abs(discrete_l2_norm(d, u) - 1.0 / np.sqrt(2.0)) < 2e-3
 
 
 def test_norm_reflection_invariance_symmetric_profile():
     w = build_weight(2, 0.15, 0.0)
-    m = build_refined_mesh(w, 0.01, 0.002)
-    x = m.interior
+    d = Discretization(w, build_refined_mesh(w, 0.01, 0.002))
+    x = d.m.interior
     u = np.exp(-30.0 * (x - 0.5) ** 2) + 0.2 * np.sin(np.pi * x)
     u = 0.5 * (u + u[::-1])
-    assert discrete_l2_norm(m, u) == pytest.approx(
-        discrete_l2_norm(m, u[::-1]), rel=1e-14)
+    assert discrete_l2_norm(d, u) == pytest.approx(
+        discrete_l2_norm(d, u[::-1]), rel=1e-14)
 
 
 def test_toeplitz_eigenvalue_formula():

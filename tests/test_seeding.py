@@ -6,7 +6,8 @@ from bvpcont.continuation import (AugmentedState, ContinuationConfig,
                                   make_point)
 from bvpcont.corrector import NewtonError, newton_fixed_lambda
 from bvpcont.diagram import onset_amplitude
-from bvpcont.discretize import principal_eigenvalue, residual
+from bvpcont.discretize import (Discretization, principal_eigenvalue,
+                                residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
                              find_isola, mask_census, peak_pattern,
@@ -52,30 +53,33 @@ def test_support_intervals():
 def test_pattern_seed_rejects_bad_input():
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(100)
+    d = Discretization(w, m)
     with pytest.raises(ValueError):
-        peak_pattern_seed(w, m, PeakMask((True, False, True)), -50.0)
+        peak_pattern_seed(d, PeakMask((True, False, True)), -50.0)
     with pytest.raises(ValueError):
-        peak_pattern_seed(w, m, PeakMask((True, False)), 5.0)
+        peak_pattern_seed(d, PeakMask((True, False)), 5.0)
 
 
 def test_reflected_masks_give_reflected_solutions():
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
-    u10 = solve_mask(w, m, PeakMask((True, False)), -100.0)
-    u01 = solve_mask(w, m, PeakMask((False, True)), -100.0)
+    d = Discretization(w, m)
+    u10 = solve_mask(d, PeakMask((True, False)), -100.0)
+    u01 = solve_mask(d, PeakMask((False, True)), -100.0)
     scale = 1.0 + np.abs(u10).max()
     assert np.max(np.abs(u10[::-1] - u01)) < 1e-6 * scale
-    assert peak_pattern(w, m, u10) == (True, False)
-    assert peak_pattern(w, m, u01) == (False, True)
+    assert peak_pattern(d, u10) == (True, False)
+    assert peak_pattern(d, u01) == (False, True)
 
 
 def test_newton_near_onset_small_symmetric():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(300)
+    d = Discretization(w, m)
     lam1 = principal_eigenvalue(m)
     lam = lam1 - 0.1
-    u = newton_fixed_lambda(w, m, lam,
-                            sine_seed(m, onset_amplitude(w, m, lam, lam1)))
+    u = newton_fixed_lambda(d, lam,
+                            sine_seed(m, onset_amplitude(d, lam, lam1)))
     assert 0 < np.abs(u).max() < 1.0
     assert np.max(np.abs(u - u[::-1])) < 1e-8
 
@@ -84,10 +88,11 @@ def test_amplitude_bound():
     # sup u <= sqrt(-2*lam + c) with c = 2*(pi / min interval length)^2
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
+    d = Discretization(w, m)
     min_len = min(b - a for a, b in support_intervals(w))
     c = 2.0 * (np.pi / min_len) ** 2
     for lam in (-100.0, -300.0):
-        for _, u in mask_census(w, m, lam):
+        for _, u in mask_census(d, lam):
             assert np.abs(u).max() <= np.sqrt(-2.0 * lam + c)
 
 
@@ -95,14 +100,15 @@ def test_off_peak_interval_decay():
     # on an a = 1 interval without a peak the solution decays as lam drops
     w = build_weight(1, 0.1, 0.0)
     m = build_uniform_mesh(200)
-    u = solve_mask(w, m, PeakMask((True, False)), -100.0)
+    d = Discretization(w, m)
+    u = solve_mask(d, PeakMask((True, False)), -100.0)
     right = m.interior > 0.55
     lam = -100.0
     vals = []
     for target in (-300.0, -1000.0, -3000.0):
-        u = deepen_solution(w, m, u, lam, target)
+        u = deepen_solution(d, u, lam, target)
         lam = target
-        assert np.linalg.norm(residual(w, m, lam, u)) < 1e-4
+        assert np.linalg.norm(residual(d, lam, u)) < 1e-4
         vals.append(np.abs(u[right]).max())
     assert vals[0] > vals[1] > vals[2]
     assert vals[-1] <= 0.05 * np.sqrt(-2.0 * lam)
@@ -111,13 +117,14 @@ def test_off_peak_interval_decay():
 def test_mask_census_shallow():
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
-    found = mask_census(w, m, -100.0)
+    d = Discretization(w, m)
+    found = mask_census(d, -100.0)
     patterns = {str(mk) for mk, _ in found}
     assert patterns == {"01", "10"}
     for mk, u in found:
         assert u.min() > -1e-8
-        assert peak_pattern(w, m, u) == mk.bits
-        assert np.linalg.norm(residual(w, m, -100.0, u)) < 1e-4
+        assert peak_pattern(d, u) == mk.bits
+        assert np.linalg.norm(residual(d, -100.0, u)) < 1e-4
 
 
 def test_find_isola_deduplicates_against_known():
@@ -125,21 +132,23 @@ def test_find_isola_deduplicates_against_known():
     # main branch known there is no new component to report
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
+    d = Discretization(w, m)
     lam1 = principal_eigenvalue(m)
     lam = lam1 - 0.1
-    u = newton_fixed_lambda(w, m, lam,
-                            sine_seed(m, onset_amplitude(w, m, lam, lam1)))
-    start = make_point(w, m, lam, u, tag="branch_start")
-    t = initial_tangent(w, m, AugmentedState(lam, u), direction_hint=-1.0)
-    main = continue_branch(w, m, start, t,
+    u = newton_fixed_lambda(d, lam,
+                            sine_seed(m, onset_amplitude(d, lam, lam1)))
+    start = make_point(d, lam, u, tag="branch_start")
+    t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
+    main = continue_branch(d, start, t,
                            ContinuationConfig(lambda_min=-150.0))
-    assert find_isola(w, m, -100.0, PeakMask((True, True)),
+    assert find_isola(d, -100.0, PeakMask((True, True)),
                       known=[main]) is None
 
 
 def test_deepen_requires_downward_target():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(100)
-    u = newton_fixed_lambda(w, m, -20.0, sine_seed(m, 6.0))
+    d = Discretization(w, m)
+    u = newton_fixed_lambda(d, -20.0, sine_seed(m, 6.0))
     with pytest.raises(ValueError):
-        deepen_solution(w, m, u, -20.0, -10.0)
+        deepen_solution(d, u, -20.0, -10.0)

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bvpcont.corrector import newton_fixed_lambda
+from bvpcont.discretize import Discretization
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import PeakMask, deepen_solution, solve_mask
 from bvpcont.shooting import (check_decay_identity, integrate_ivp,
@@ -103,14 +104,16 @@ def test_decay_identity_zero_solution():
 def test_decay_identity_on_solution():
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(400)
-    u = solve_mask(w, m, PeakMask((True, False)), -100.0)
+    d = Discretization(w, m)
+    u = solve_mask(d, PeakMask((True, False)), -100.0)
     assert check_decay_identity(w, m, u, -100.0, 0) <= 2e-2
 
 
 def test_decay_integral_decreasing_in_depth():
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(400)
-    u = solve_mask(w, m, PeakMask((True, False)), -100.0)
+    d = Discretization(w, m)
+    u = solve_mask(d, PeakMask((True, False)), -100.0)
     alpha, beta = w.intervals[0]
     x = m.interior
     sel = (x > alpha) & (x < beta)
@@ -118,7 +121,7 @@ def test_decay_integral_decreasing_in_depth():
     lam = -100.0
     vals = [abs(np.trapezoid(u[sel] * phi, x[sel]))]
     for target in (-300.0, -1000.0):
-        u = deepen_solution(w, m, u, lam, target)
+        u = deepen_solution(d, u, lam, target)
         lam = target
         assert check_decay_identity(w, m, u, lam, 0) <= 2e-2
         vals.append(abs(np.trapezoid(u[sel] * phi, x[sel])))
