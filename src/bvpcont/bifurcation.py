@@ -35,6 +35,7 @@ class BifurcationEvent:
     kind: str  # pitchfork | fold | unclassified
     null_vector: np.ndarray
     branch_index: int
+    state: AugmentedState  # corrected branch point at lambda_b
 
 
 def det_sign(J: BandedJacobian) -> tuple[int, float]:
@@ -85,13 +86,18 @@ def _corrected_state(d: Discretization, branch: Branch, idx: int, s: float,
     if s == 0.0:
         return y_prev
     y_pred = AugmentedState(base.lam + s * t.dlam, base.u + s * t.du)
-    return newton_augmented(d, y_pred, y_prev, t, s, tol=tol)
+    return newton_augmented(d, y_pred, y_prev, t, s, tol=tol)[0]
 
 
 def locate_bifurcation(d: Discretization, branch: Branch,
                        bracket: tuple[int, int], tol: float = 1e-4,
                        newton_tol: float = 1e-4) -> BifurcationEvent:
-    """Bisect in arclength between two branch indices with opposite det signs."""
+    """Bisect in arclength between two branch indices with opposite det signs.
+
+    Raises BracketError when the endpoints share a det sign, or when the
+    arclength interval can no longer be halved while the corrected lam still
+    differs by more than tol across it.
+    """
     ia, ib = bracket
     pa, pb = branch.points[ia], branch.points[ib]
     sign_a, _ = det_sign(jacobian(d, pa.lam, pa.u))
@@ -102,9 +108,12 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     s_hi = float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
     lo, hi = 0.0, s_hi
     lam_lo, lam_hi = pa.lam, pb.lam
-    y_mid = AugmentedState(pa.lam, pa.u.copy())
     while abs(lam_hi - lam_lo) > tol:
         s_mid = 0.5 * (lo + hi)
+        if not lo < s_mid < hi:
+            raise BracketError(
+                f"bisection between indices {ia} and {ib} stalled at "
+                f"s = {s_mid!r}, lam {lam_lo:.6g} .. {lam_hi:.6g}")
         y_mid = _corrected_state(d, branch, ia, s_mid, newton_tol)
         sign_mid, _ = det_sign(jacobian(d, y_mid.lam, y_mid.u))
         if sign_mid == sign_a:
@@ -124,7 +133,7 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     else:
         kind = "unclassified"
     return BifurcationEvent(lambda_b=float(lam_b), kind=kind, null_vector=v,
-                            branch_index=ia)
+                            branch_index=ia, state=y_mid)
 
 
 def switch_branch(d: Discretization, ev: BifurcationEvent, host,
@@ -132,10 +141,11 @@ def switch_branch(d: Discretization, ev: BifurcationEvent, host,
                   max_retries: int = 3):
     """Two corrected states off the host branch at lam just below lambda_b.
 
-    Predictors are host.u +/- amplitude * null_vector at
-    lam = lambda_b - amplitude/10, each corrected by fixed-lam Newton.  If
-    either predictor fails to converge or collapses back onto the host
-    branch, the amplitude is doubled, up to max_retries times.
+    host is the branch state to switch from, normally ev.state.  Predictors
+    are host.u +/- amplitude * null_vector at lam = lambda_b - amplitude/10,
+    each corrected by fixed-lam Newton.  If either predictor fails to
+    converge or collapses back onto the host branch, the amplitude is
+    doubled, up to max_retries times.
     """
     if amplitude is None:
         amplitude = 0.01 * (1.0 + np.linalg.norm(host.u))

@@ -20,7 +20,8 @@ from .continuation import make_point
 from .corrector import newton_fixed_lambda
 from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
                       run_epsilon_sweep, trace_main_branch, write_bundle)
-from .discretize import Discretization, toeplitz_eigenvalue
+from .discretize import (Discretization, principal_eigenvalue,
+                         toeplitz_eigenvalue)
 from .seeding import PeakMask, peak_pattern_seed, sine_seed, well_bump_seed
 from .shooting import shoot_count
 
@@ -151,7 +152,8 @@ def _cmd_sweep_h(args) -> int:
         cfg = RunConfig(kappa=1, h=h, mesh_n=args.n,
                         lambda_min=args.lambda_min)
         d = Discretization(*cfg.build())
-        branch = trace_main_branch(d, cfg.continuation())
+        branch = trace_main_branch(d, principal_eigenvalue(d.m),
+                                   cfg.continuation())
         lam_b = None
         for bracket in sign_change_brackets(d, branch):
             ev = locate_bifurcation(d, branch, bracket)

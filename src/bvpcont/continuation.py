@@ -1,10 +1,16 @@
 """Pseudo-arclength path following: tangents, predictor-corrector, branches.
 
-Branches are followed with an Euler predictor of fixed step ds (default 3)
-and the bordered Newton corrector; the step is halved on corrector failure
-and restored after a run of successes.  A branch terminates on a parameter
-or norm bound, step-count or step-underflow, departure from the positive
-cone, or on closing back onto its own start.
+Branches are followed with an Euler predictor and the bordered Newton
+corrector under step-length control (Allgower & Georg, Introduction to
+Numerical Continuation Methods, SIAM 2003, sec. 6).  The first step is ds
+(default 3).  After an accepted step whose corrector took k updates the step
+is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4) and capped
+at ds_max (default 30).  A step is rejected and ds halved when the corrector
+fails or the unit tangent turns by more than 0.2 rad.  A symmetric start
+point on a reflection-symmetric operator is continued in the symmetric
+subspace, so every point it adds is exactly symmetric.  A branch terminates
+on a parameter or norm bound, step-count or step-underflow, departure from
+the positive cone, or on closing back onto its own start.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, bordered_solve, newton_augmented)
-from .discretize import Discretization, discrete_l2_norm, jacobian
+                        Tangent, _symmetrize, bordered_solve,
+                        newton_augmented)
+from .discretize import Discretization, discrete_l2_norm, jacobian, mirrors
 
 __all__ = [
     "SolutionPoint",
@@ -53,10 +60,17 @@ class Branch:
         return np.array([p.l2norm for p in self.points])
 
 
+# Cosine of the largest turn of the unit tangent accepted in one step
+# (0.2 rad).  Without this bound long steps cut across folds: the kappa=2,
+# h=0.25 isola fold at -26.0214 reads -26.088 instead of -26.0205.
+_COS_MAX_TURN = float(np.cos(0.2))
+
+
 @dataclass
 class ContinuationConfig:
-    ds: float = 3.0
+    ds: float = 3.0  # first step
     ds_min: float = 0.01
+    ds_max: float = 30.0
     lambda_min: float = -3000.0
     norm_max: float = 1e4
     max_steps: int = 20000
@@ -64,8 +78,8 @@ class ContinuationConfig:
     max_newton_iters: int = 25
 
     def __post_init__(self):
-        if self.ds_min > self.ds:
-            raise ValueError("ds_min must not exceed ds")
+        if not self.ds_min <= self.ds <= self.ds_max:
+            raise ValueError("need ds_min <= ds <= ds_max")
 
 
 def make_point(d: Discretization, lam: float, u: np.ndarray,
@@ -115,22 +129,54 @@ def update_tangent(d: Discretization, y: AugmentedState, t_old: Tangent) -> Tang
     return t
 
 
+def _growth(iters: int) -> float:
+    """Step-length factor after a step whose corrector took iters updates."""
+    if iters <= 1:
+        return 2.0
+    if iters == 2:
+        return 1.25
+    if iters == 3:
+        return 1.0
+    return 0.5
+
+
+def _symmetrized(t: Tangent) -> Tangent:
+    return Tangent(_symmetrize(t.du), t.dlam).normalized()
+
+
 def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
                     cfg: ContinuationConfig) -> Branch:
-    """Follow a branch from a converged start point along tangent t0."""
-    branch = Branch(points=[start], tangents=[t0.normalized()])
+    """Follow a branch from a converged start point along tangent t0.
+
+    On a reflection-symmetric operator a symmetric start point is continued
+    in the symmetric subspace: the tangents and every corrector iterate are
+    projected onto it.
+    """
+    symmetric = d.symmetric and mirrors(start.u, start.u)
+    t = _symmetrized(t0) if symmetric else t0.normalized()
+    branch = Branch(points=[start], tangents=[t])
     y = AugmentedState(start.lam, start.u.copy())
-    t = branch.tangents[0]
     ds = cfg.ds
-    successes = 0
     while len(branch.points) < cfg.max_steps:
         y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
         try:
-            y_new = newton_augmented(d, y_pred, y, t, ds,
-                                     tol=cfg.newton_tol,
-                                     max_iters=cfg.max_newton_iters)
+            y_new, iters = newton_augmented(d, y_pred, y, t, ds,
+                                            tol=cfg.newton_tol,
+                                            max_iters=cfg.max_newton_iters,
+                                            symmetric=symmetric)
         except (NewtonError, SingularSystemError):
-            successes = 0
+            y_new = None
+        if y_new is not None:
+            try:
+                t_new = update_tangent(d, y_new, t)
+            except SingularSystemError:
+                branch.diagnostics.append(
+                    f"singular bordered matrix at lam = {y_new.lam:.6g}"
+                )
+                return branch
+            if symmetric:
+                t_new = _symmetrized(t_new)
+        if y_new is None or t_new.dot(t) < _COS_MAX_TURN:
             ds *= 0.5
             if ds < cfg.ds_min:
                 branch.diagnostics.append(
@@ -146,13 +192,6 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
             return branch
 
         point = make_point(d, y_new.lam, y_new.u)
-        try:
-            t_new = update_tangent(d, y_new, t)
-        except SingularSystemError:
-            branch.diagnostics.append(
-                f"singular bordered matrix at lam = {y_new.lam:.6g}"
-            )
-            return branch
         branch.points.append(point)
         branch.tangents.append(t_new)
         y, t = y_new, t_new
@@ -172,10 +211,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
                 branch.diagnostics.append("closed loop")
                 return branch
 
-        successes += 1
-        if successes >= 5 and ds < cfg.ds:
-            ds = min(2.0 * ds, cfg.ds)
-            successes = 0
+        ds = min(ds * _growth(iters), cfg.ds_max)
     branch.diagnostics.append("reached max_steps")
     return branch
 

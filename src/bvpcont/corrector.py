@@ -79,6 +79,11 @@ class Tangent:
         return float(np.dot(self.du, other.du) + self.dlam * other.dlam)
 
 
+def _symmetrize(u: np.ndarray) -> np.ndarray:
+    """(u + u reversed)/2: the projection onto profiles with u(x) = u(1-x)."""
+    return 0.5 * (u + u[::-1])
+
+
 def _lu(J: BandedJacobian):
     """Pivoted LU factors of J (dgttrf); raises on an exactly zero pivot."""
     dl, d, du, du2, ipiv, info = dgttrf(J.sub, J.diag, J.sup)
@@ -170,24 +175,35 @@ def bordered_solve(J: BandedJacobian, b_col: np.ndarray, t: Tangent,
 def newton_augmented(d: Discretization, y0: AugmentedState,
                      y_prev: AugmentedState, t: Tangent, ds: float,
                      tol: float = DEFAULT_TOL,
-                     max_iters: int = DEFAULT_MAX_ITERS) -> AugmentedState:
-    """Newton's method on the arclength-augmented system, starting at y0."""
+                     max_iters: int = DEFAULT_MAX_ITERS,
+                     symmetric: bool = False) -> tuple[AugmentedState, int]:
+    """Newton's method on the arclength-augmented system, starting at y0.
+
+    Returns the converged state and the number of Newton updates taken.
+    With symmetric set, the start and every iterate are replaced by their
+    reflection mean (u + u reversed)/2 before the convergence test, so the
+    iteration stays in the reflection-symmetric subspace.
+    """
     y = y0.copy()
+    if symmetric:
+        y.u = _symmetrize(y.u)
     r = augmented_residual(d, y, y_prev, t, ds)
     rnorm0 = max(np.linalg.norm(r), 1e-300)
-    for _ in range(max_iters):
+    for it in range(max_iters):
         rnorm = np.linalg.norm(r)
         if rnorm < tol:
-            return y
+            return y, it
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
             raise NewtonError(f"augmented residual diverged to {rnorm:.3e}")
         J = jacobian(d, y.lam, y.u)
         delta = bordered_solve(J, -y.u, t, r)
         y.u -= delta[:-1]
         y.lam -= delta[-1]
+        if symmetric:
+            y.u = _symmetrize(y.u)
         r = augmented_residual(d, y, y_prev, t, ds)
     if np.linalg.norm(r) < tol:
-        return y
+        return y, max_iters
     raise NewtonError(
         f"augmented Newton: no convergence after {max_iters} iterations"
     )

@@ -22,7 +22,8 @@ from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            make_point)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, newton_fixed_lambda)
-from .discretize import Discretization, principal_eigenvalue, residual
+from .discretize import (Discretization, discrete_l2_norm,
+                         principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
 from .seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
                       find_new_solution, peak_indices, peak_pattern,
@@ -65,6 +66,7 @@ class RunConfig:
     pad: float | None = None
     ds: float = 3.0
     ds_min: float = 0.01
+    ds_max: float = 30.0
     lambda_min: float = -3000.0
     norm_max: float = 1e4
     max_steps: int = 20000
@@ -85,7 +87,6 @@ class RunConfig:
                 raise ValueError(f"unknown config key: {k}")
             kw[k] = v
         if mesh is not None:
-            kw["mesh_kind"] = "uniform"
             for k, v in mesh.items():
                 if k not in _MESH_KEYS:
                     raise ValueError(f"unknown config key: mesh.{k}")
@@ -135,6 +136,8 @@ class DiagramBundle:
     branches: list[BranchRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
+    # The operator the run built; not written out.
+    operator: Discretization | None = field(default=None, repr=False)
 
     def branch_by_role(self, role: str) -> list[BranchRecord]:
         return [r for r in self.branches if r.role == role]
@@ -160,13 +163,14 @@ def onset_amplitude(d: Discretization, lam: float, lam1: float) -> float:
     return float(np.sqrt((lam1 - lam) * s2 / s4))
 
 
-def trace_main_branch(d: Discretization, cfg: ContinuationConfig) -> Branch:
+def trace_main_branch(d: Discretization, lam1: float,
+                      cfg: ContinuationConfig) -> Branch:
     """Main branch from the near-onset sine seed at lam1 - 0.1, downward in lam.
 
-    The seed amplitude is the Galerkin onset estimate; the start point is
+    lam1 is the first discrete eigenvalue, principal_eigenvalue(d.m).  The
+    seed amplitude is the Galerkin onset estimate; the start point is
     corrected by fixed-lam Newton before the continuation begins.
     """
-    lam1 = principal_eigenvalue(d.m)
     lam = lam1 - 0.1
     u0 = newton_fixed_lambda(d, lam,
                              sine_seed(d.m, onset_amplitude(d, lam, lam1)),
@@ -251,7 +255,7 @@ def run_diagram(config) -> DiagramBundle:
     t_wall = time.perf_counter()
     d = Discretization(*cfg.build())
     cont = cfg.continuation()
-    bundle = DiagramBundle(config=cfg.resolved())
+    bundle = DiagramBundle(config=cfg.resolved(), operator=d)
     failures: list[str] = []
     records = bundle.branches
 
@@ -260,7 +264,7 @@ def run_diagram(config) -> DiagramBundle:
     # Stage 1-2: main branch from the near-onset sine seed, downward.
     main = None
     try:
-        main = trace_main_branch(d, cont)
+        main = trace_main_branch(d, lam1, cont)
         main.symmetry = _classify_symmetry(main.points[-1].u)
         records.append(BranchRecord("main", "main", main))
     except (NewtonError, SingularSystemError, ValueError) as exc:
@@ -276,14 +280,14 @@ def run_diagram(config) -> DiagramBundle:
             except (BracketError, NewtonError, SingularSystemError) as exc:
                 failures.append(f"locate at index {i}: {exc}")
                 continue
-            host = main.points[i]
-            bundle.events.append(_event_dict("main", i, ev.kind, ev.lambda_b,
-                                             host.l2norm))
+            bundle.events.append(_event_dict(
+                "main", i, ev.kind, ev.lambda_b,
+                discrete_l2_norm(d, ev.state.u)))
             main.events.append((i, ev))
             if ev.kind != "pitchfork":
                 continue
             try:
-                pair = switch_branch(d, ev, AugmentedState(host.lam, host.u),
+                pair = switch_branch(d, ev, ev.state,
                                      newton_tol=cfg.newton_tol)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
@@ -372,7 +376,7 @@ def run_diagram(config) -> DiagramBundle:
                  "min_dx": float(np.diff(d.m.nodes).min()),
                  "max_dx": float(np.diff(d.m.nodes).max())},
         "tolerances": {"newton_tol": cfg.newton_tol, "ds": cfg.ds,
-                       "ds_min": cfg.ds_min},
+                       "ds_min": cfg.ds_min, "ds_max": cfg.ds_max},
         "first_eigenvalue": float(lam1),
         "wall_time_s": time.perf_counter() - t_wall,
         "step_counts": {r.branch_id: len(r.branch.points) for r in records},
@@ -394,8 +398,8 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
     keyed by the 0/1 string of occupied vanishing intervals.
     """
     cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(config)
-    d = Discretization(*cfg.build())
     bundle = run_diagram(cfg)
+    d = bundle.operator
     floor = cfg.lambda_min
     out: dict[str, tuple[float, np.ndarray, str]] = {}
     for rec in bundle.branches:

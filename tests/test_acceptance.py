@@ -73,7 +73,8 @@ def census_k2():
 
 
 def _main_branch_lambda_b(d):
-    b = trace_main_branch(d, ContinuationConfig(lambda_min=-20.0))
+    b = trace_main_branch(d, principal_eigenvalue(d.m),
+                          ContinuationConfig(lambda_min=-20.0))
     for bracket in sign_change_brackets(d, b):
         ev = locate_bifurcation(d, b, bracket)
         if ev.kind == "pitchfork":
@@ -158,6 +159,15 @@ def test_criterion_3_isola_folds_k2(isola_bundle):
     report(3, ok, f"folds {near[0]:.4f}, {near[1]:.4f}; "
            f"{n_components} components")
     assert ok
+
+
+def test_isola_folds_k2_within_1e3(isola_bundle):
+    # the adaptive step must not cut across the isola folds: both stay within
+    # 1e-3 relative of the references, ten times tighter than criterion 3
+    fold_lams = [e["lambda"] for e in isola_bundle.events
+                 if e["kind"] == "fold"]
+    for ref in (-41.5460, -26.0214):
+        assert min(abs(v - ref) for v in fold_lams) <= 1e-3 * abs(ref)
 
 
 def test_criterion_4_isola_turning_points_table():

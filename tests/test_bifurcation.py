@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bvpcont import bifurcation
 from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
                                  null_vector, sign_change_brackets,
                                  switch_branch)
@@ -9,6 +10,7 @@ from bvpcont.corrector import AugmentedState, NewtonError
 from bvpcont.diagram import trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
+                                principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.weight import build_weight
@@ -18,7 +20,8 @@ def main_branch(h, n=500, lambda_min=-20.0):
     w = build_weight(1, h, 0.0)
     m = build_uniform_mesh(n)
     d = Discretization(w, m)
-    b = trace_main_branch(d, ContinuationConfig(lambda_min=lambda_min))
+    b = trace_main_branch(d, principal_eigenvalue(m),
+                          ContinuationConfig(lambda_min=lambda_min))
     return d, b
 
 
@@ -76,6 +79,32 @@ def test_bracket_error_on_same_sign():
     d, b = main_branch(0.5, n=200, lambda_min=-5.0)
     with pytest.raises(BracketError):
         locate_bifurcation(d, b, (0, 1))
+
+
+def test_locate_raises_when_bisection_cannot_narrow(monkeypatch):
+    # a corrector that always returns the left end keeps lam_lo and lam_hi
+    # apart while the arclength interval shrinks to adjacent floats
+    d, b = main_branch(0.05)
+    calls = [0]
+
+    def frozen(d, branch, idx, s, tol):
+        calls[0] += 1
+        if calls[0] > 10000:
+            raise RuntimeError("bisection does not terminate")
+        p = branch.points[idx]
+        return AugmentedState(p.lam, p.u.copy())
+
+    monkeypatch.setattr(bifurcation, "_corrected_state", frozen)
+    with pytest.raises(BracketError, match="stalled"):
+        locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
+    assert calls[0] < 100
+
+
+def test_locate_returns_the_state_at_lambda_b():
+    d, b = main_branch(0.05)
+    ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
+    assert abs(ev.state.lam - ev.lambda_b) < 1e-4
+    assert np.linalg.norm(residual(d, ev.state.lam, ev.state.u)) < 1e-4
 
 
 def test_locate_pitchfork_h005():

@@ -255,7 +255,8 @@ def test_newton_augmented_follows_constraint():
         t = Tangent(-t.du, -t.dlam)
     ds = 1.0
     y_pred = AugmentedState(lam + ds * t.dlam, u + ds * t.du)
-    y = newton_augmented(d, y_pred, y_prev, t, ds)
+    y, iters = newton_augmented(d, y_pred, y_prev, t, ds)
+    assert 1 <= iters <= 25
     r = augmented_residual(d, y, y_prev, t, ds)
     assert np.linalg.norm(r) < 1e-4
     assert y.lam < lam

@@ -9,6 +9,7 @@ from bvpcont.cli import main
 from bvpcont.continuation import ContinuationConfig
 from bvpcont.diagram import (DiagramBundle, RunConfig, emit_svg, run_diagram,
                              run_epsilon_sweep, write_bundle)
+from bvpcont.discretize import residual
 from bvpcont.mesh import mesh_spacings
 from bvpcont.weight import eval_weight
 
@@ -29,6 +30,16 @@ def test_run_config_from_dict_nested():
     assert cfg.ds == 2.0 and cfg.lambda_min == -500.0
     with pytest.raises(ValueError):
         RunConfig.from_dict({"kappa": 1, "bogus": 3})
+
+
+def test_run_config_mesh_section_keeps_top_level_kind():
+    cfg = RunConfig.from_dict({"kappa": 2, "h": 0.25, "mesh_kind": "refined",
+                               "mesh": {"fine_dx": 0.001}})
+    assert cfg.mesh_kind == "refined" and cfg.fine_dx == 0.001
+    assert RunConfig.from_dict({"mesh": {"n": 99}}).mesh_kind == "uniform"
+    cfg = RunConfig.from_dict({"mesh_kind": "refined",
+                               "mesh": {"kind": "uniform"}})
+    assert cfg.mesh_kind == "uniform"
 
 
 def test_run_config_rejects_unknown_nested_keys():
@@ -67,14 +78,31 @@ def _count_calls(monkeypatch, fn):
 
 def test_run_builds_the_operator_once(monkeypatch):
     # weight sampling and cell widths belong to the discretization of a run,
-    # not to each residual or Jacobian
+    # not to each residual or Jacobian; the residual count shows the run did
+    # enough work for a per-call rebuild to show
     weight_calls = _count_calls(monkeypatch, eval_weight)
     spacing_calls = _count_calls(monkeypatch, mesh_spacings)
-    bundle = run_diagram(RunConfig(kappa=1, h=0.05, eps=0.0, mesh_n=500,
-                                   lambda_min=-100.0))
-    assert sum(len(r.branch.points) for r in bundle.branches) > 100
+    residual_calls = _count_calls(monkeypatch, residual)
+    run_diagram(RunConfig(kappa=1, h=0.05, eps=0.0, mesh_n=500,
+                          lambda_min=-100.0))
+    assert residual_calls[0] >= 100
     assert 1 <= weight_calls[0] <= 10
     assert 1 <= spacing_calls[0] <= 10
+
+
+def test_deep_main_branch_stays_symmetric():
+    # kappa=2, h=0.15 to lambda=-3000: the symmetric main branch is corrected
+    # in the symmetric subspace, so the antisymmetric mode that softens with
+    # depth cannot pull it onto a neighbouring sheet
+    bundle = run_diagram(RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500,
+                                   lambda_min=-3000.0))
+    assert bundle.provenance["failures"] == []
+    assert not [e for e in bundle.events if e["kind"] == "unclassified"]
+    (main,) = bundle.branch_by_role("main")
+    assert main.branch.symmetry == "symmetric"
+    assert main.branch.diagnostics == ["reached lambda_min"]
+    for p in main.branch.points:
+        assert np.abs(p.u - p.u[::-1]).max() <= 1e-12 * p.u.max()
 
 
 def test_run_diagram_pitchfork_pipeline(pitchfork_bundle):
