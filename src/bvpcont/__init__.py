@@ -18,8 +18,8 @@ from .diagram import (BranchRecord, DiagramBundle, RunConfig, deep_census,
                       run_epsilon_sweep, trace_main_branch, trace_to_fold,
                       write_bundle)
 from .discretize import (BandedJacobian, Discretization, MeshMismatchError,
-                         discrete_l2_norm, jacobian, mirrors,
-                         principal_eigenvalue, residual, toeplitz_eigenvalue)
+                         discrete_l2_norm, jacobian, principal_eigenvalue,
+                         residual, toeplitz_eigenvalue)
 from .mesh import (Mesh, MeshError, build_refined_mesh, build_uniform_mesh,
                    mesh_spacings)
 from .seeding import (PeakMask, deepen_solution, enumerate_peak_masks,

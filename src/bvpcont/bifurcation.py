@@ -54,24 +54,58 @@ def det_sign(J: BandedJacobian) -> tuple[int, float]:
     return sign, float(np.sum(np.log(np.abs(u_diag))))
 
 
+def _inverse_iteration(lu, n: int, iters: int) -> tuple[np.ndarray, float]:
+    """Unit vector after iters inverse-iteration steps on the LU factors lu.
+
+    Also returns 1/||J^-1 v|| of the last step, an estimate from above of
+    the smallest |eigenvalue| of J.
+    """
+    v = np.ones(n)
+    v[::2] += 0.5  # break accidental orthogonality to the target mode
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        x = _lu_solve(lu, v)
+        growth = float(np.linalg.norm(x))
+        v = x / growth
+    return v, 1.0 / growth
+
+
+def _sign_resolved(J: BandedJacobian) -> bool:
+    """Whether rounding in the LU cannot flip the sign of det(J).
+
+    The LU is exact for a matrix within about n*eps*max|diag J| of J, so the
+    sign is noise when an eigenvalue of J is smaller than that.  Deep on the
+    kappa=2, h=0.15 main branch the soft mode sits near 1e-10 against a
+    diagonal of 5e5; at genuine brackets the estimate exceeds the bound by
+    1e5 or more.
+    """
+    bound = J.n * np.finfo(float).eps * float(np.abs(J.diag).max())
+    try:
+        _, smallest = _inverse_iteration(_lu(J), J.n, iters=4)
+    except SingularSystemError:
+        return False
+    return smallest > bound
+
+
 def sign_change_brackets(d: Discretization,
                          branch: Branch) -> list[tuple[int, int]]:
-    """Index pairs (i, i+1) of adjacent points with nonzero, opposite det signs."""
-    signs = [det_sign(jacobian(d, p.lam, p.u))[0] for p in branch.points]
+    """Index pairs (i, i+1) of adjacent points with opposite det signs.
+
+    A pair is dropped when the sign at either end is not resolved: a zero
+    pivot, or an eigenvalue of J at rounding level (see _sign_resolved).
+    """
+    jacs = [jacobian(d, p.lam, p.u) for p in branch.points]
+    signs = [det_sign(J)[0] for J in jacs]
     return [(i, i + 1) for i in range(len(signs) - 1)
-            if signs[i] * signs[i + 1] < 0]
+            if signs[i] * signs[i + 1] < 0
+            and _sign_resolved(jacs[i]) and _sign_resolved(jacs[i + 1])]
 
 
 def null_vector(J: BandedJacobian, iters: int = 12) -> np.ndarray:
     """Unit approximate null vector of a (near-)singular J by inverse iteration."""
     shift = 1e-12 * float(np.abs(J.diag).max() + 1.0)
     lu = _lu(BandedJacobian(J.sub, J.diag + shift, J.sup))
-    v = np.ones(J.n)
-    v[::2] += 0.5  # break accidental orthogonality to the target mode
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        v = _lu_solve(lu, v)
-        v /= np.linalg.norm(v)
+    v, _ = _inverse_iteration(lu, J.n, iters)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return v

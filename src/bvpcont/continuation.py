@@ -5,12 +5,12 @@ corrector under step-length control (Allgower & Georg, Introduction to
 Numerical Continuation Methods, SIAM 2003, sec. 6).  The first step is ds
 (default 3).  After an accepted step whose corrector took k updates the step
 is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4) and capped
-at ds_max (default 30).  A step is rejected and ds halved when the corrector
-fails or the unit tangent turns by more than 0.2 rad.  A symmetric start
-point on a reflection-symmetric operator is continued in the symmetric
-subspace, so every point it adds is exactly symmetric.  A branch terminates
-on a parameter or norm bound, step-count or step-underflow, departure from
-the positive cone, or on closing back onto its own start.
+at 30.  A step is rejected and ds halved when the corrector fails or the
+unit tangent turns by more than 0.2 rad.  A symmetric start point on a
+reflection-symmetric operator is continued in the symmetric subspace, so
+every point it adds is exactly symmetric.  A branch terminates on a
+parameter or norm bound, step-count or step-underflow, departure from the
+positive cone, or on closing back onto its own start.
 """
 
 from dataclasses import dataclass, field
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, _symmetrize, bordered_solve,
-                        newton_augmented)
-from .discretize import Discretization, discrete_l2_norm, jacobian, mirrors
+                        Tangent, bordered_solve, newton_augmented)
+from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
+                         jacobian, mirrors)
 
 __all__ = [
     "SolutionPoint",
@@ -64,13 +64,14 @@ class Branch:
 # (0.2 rad).  Without this bound long steps cut across folds: the kappa=2,
 # h=0.25 isola fold at -26.0214 reads -26.088 instead of -26.0205.
 _COS_MAX_TURN = float(np.cos(0.2))
+# Largest step length.
+_DS_MAX = 30.0
 
 
 @dataclass
 class ContinuationConfig:
     ds: float = 3.0  # first step
     ds_min: float = 0.01
-    ds_max: float = 30.0
     lambda_min: float = -3000.0
     norm_max: float = 1e4
     max_steps: int = 20000
@@ -78,8 +79,8 @@ class ContinuationConfig:
     max_newton_iters: int = 25
 
     def __post_init__(self):
-        if not self.ds_min <= self.ds <= self.ds_max:
-            raise ValueError("need ds_min <= ds <= ds_max")
+        if self.ds_min > self.ds:
+            raise ValueError("ds_min must not exceed ds")
 
 
 def make_point(d: Discretization, lam: float, u: np.ndarray,
@@ -211,7 +212,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
                 branch.diagnostics.append("closed loop")
                 return branch
 
-        ds = min(ds * _growth(iters), cfg.ds_max)
+        ds = min(ds * _growth(iters), _DS_MAX)
     branch.diagnostics.append("reached max_steps")
     return branch
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .discretize import BandedJacobian, Discretization, jacobian, residual
+from .discretize import (BandedJacobian, Discretization, _symmetrize,
+                         jacobian, residual)
 
 __all__ = [
     "AugmentedState",
@@ -77,11 +78,6 @@ class Tangent:
 
     def dot(self, other: "Tangent") -> float:
         return float(np.dot(self.du, other.du) + self.dlam * other.dlam)
-
-
-def _symmetrize(u: np.ndarray) -> np.ndarray:
-    """(u + u reversed)/2: the projection onto profiles with u(x) = u(1-x)."""
-    return 0.5 * (u + u[::-1])
 
 
 def _lu(J: BandedJacobian):

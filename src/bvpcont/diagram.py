@@ -66,7 +66,6 @@ class RunConfig:
     pad: float | None = None
     ds: float = 3.0
     ds_min: float = 0.01
-    ds_max: float = 30.0
     lambda_min: float = -3000.0
     norm_max: float = 1e4
     max_steps: int = 20000
@@ -376,7 +375,7 @@ def run_diagram(config) -> DiagramBundle:
                  "min_dx": float(np.diff(d.m.nodes).min()),
                  "max_dx": float(np.diff(d.m.nodes).max())},
         "tolerances": {"newton_tol": cfg.newton_tol, "ds": cfg.ds,
-                       "ds_min": cfg.ds_min, "ds_max": cfg.ds_max},
+                       "ds_min": cfg.ds_min},
         "first_eigenvalue": float(lam1),
         "wall_time_s": time.perf_counter() - t_wall,
         "step_counts": {r.branch_id: len(r.branch.points) for r in records},
@@ -396,9 +395,17 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
     exponentially soft), so the direct stepping fallback is what guarantees
     each sheet is sampled at depth.  Returns {pattern: (lam, u, branch_id)}
     keyed by the 0/1 string of occupied vanishing intervals.
+
+    config is a RunConfig or its dict form, or a DiagramBundle that
+    run_diagram returned, whose branches are then used without a new run.
     """
-    cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(config)
-    bundle = run_diagram(cfg)
+    if isinstance(config, DiagramBundle):
+        bundle = config
+        cfg = RunConfig.from_dict(bundle.config)
+    else:
+        cfg = (config if isinstance(config, RunConfig)
+               else RunConfig.from_dict(config))
+        bundle = run_diagram(cfg)
     d = bundle.operator
     floor = cfg.lambda_min
     out: dict[str, tuple[float, np.ndarray, str]] = {}

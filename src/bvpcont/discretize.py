@@ -30,7 +30,6 @@ __all__ = [
     "BandedJacobian",
     "Discretization",
     "MeshMismatchError",
-    "mirrors",
     "residual",
     "jacobian",
     "discrete_l2_norm",
@@ -49,6 +48,11 @@ SYMMETRY_RTOL = 1e-10
 def mirrors(x: np.ndarray, y: np.ndarray) -> bool:
     """Whether y reversed equals x to SYMMETRY_RTOL relative to max|x|."""
     return bool(np.abs(x - y[::-1]).max() <= SYMMETRY_RTOL * np.abs(x).max())
+
+
+def _symmetrize(u: np.ndarray) -> np.ndarray:
+    """(u + u reversed)/2: the projection onto profiles with u(x) = u(1-x)."""
+    return 0.5 * (u + u[::-1])
 
 
 class MeshMismatchError(ValueError):

@@ -68,8 +68,13 @@ def census_k1():
 
 
 @pytest.fixture(scope="module")
-def census_k2():
-    return deep_census(RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500))
+def diagram_k2():
+    return run_diagram(RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500))
+
+
+@pytest.fixture(scope="module")
+def census_k2(diagram_k2):
+    return deep_census(diagram_k2)
 
 
 def _main_branch_lambda_b(d):
@@ -216,6 +221,24 @@ def test_criterion_5_multiplicity_census(census_k1, census_k2):
     report(5, ok, f"census {count1}/{count2} (need 3/7); "
            f"oracle count at -100: {oracle_count} (need 3)")
     assert ok
+
+
+def test_deep_main_branch_stays_symmetric(diagram_k2):
+    # kappa=2, h=0.15 to lambda=-3000: the symmetric main branch is corrected
+    # in the symmetric subspace, so the antisymmetric mode that softens with
+    # depth cannot pull it onto a neighbouring sheet.  Below lambda~-2680 that
+    # mode's eigenvalue is at rounding level; its det-sign flips are no
+    # bifurcations, so the only events are the three isola folds.
+    bundle = diagram_k2
+    assert bundle.provenance["failures"] == []
+    assert [(e["branch_id"], e["kind"]) for e in bundle.events] == [
+        ("isola_0", "fold"), ("isola_1", "fold"), ("isola_2", "fold")]
+    assert [r.role for r in bundle.branches] == ["main"] + ["isola"] * 3
+    (main,) = bundle.branch_by_role("main")
+    assert main.branch.symmetry == "symmetric"
+    assert main.branch.diagnostics == ["reached lambda_min"]
+    for p in main.branch.points:
+        assert np.abs(p.u - p.u[::-1]).max() <= 1e-12 * p.u.max()
 
 
 def _well_ratio(d, u, lam):

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from bvpcont import continuation
 from bvpcont.continuation import (ContinuationConfig, continue_branch,
                                   fold_points, initial_tangent, make_point,
                                   update_tangent)
@@ -26,20 +27,19 @@ def onset_solution(d, offset=0.1):
 def test_config_validation():
     with pytest.raises(ValueError):
         ContinuationConfig(ds=1.0, ds_min=2.0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(ds=5.0, ds_max=4.0)
 
 
-def test_step_control_grows_to_cap_and_bounds_turn():
+def test_step_control_grows_to_cap_and_bounds_turn(monkeypatch):
     # the step starts at ds, grows while Newton converges fast, never exceeds
-    # ds_max, and no accepted step turns the unit tangent by more than 0.2 rad
+    # the cap, and no accepted step turns the unit tangent by more than 0.2 rad
+    monkeypatch.setattr(continuation, "_DS_MAX", 6.0)
     w = build_weight(1, 0.05, 0.0)
     m = build_uniform_mesh(300)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
     start = make_point(d, lam, u, tag="branch_start")
     t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
-    cfg = ContinuationConfig(ds=1.0, ds_max=6.0, lambda_min=-200.0)
+    cfg = ContinuationConfig(ds=1.0, lambda_min=-200.0)
     b = continue_branch(d, start, t0, cfg)
     assert "reached lambda_min" in b.diagnostics
     # step k is the arclength constraint t_k . (y_{k+1} - y_k), which the
@@ -47,7 +47,7 @@ def test_step_control_grows_to_cap_and_bounds_turn():
     steps = [np.dot(t.du, q.u - p.u) + t.dlam * (q.lam - p.lam)
              for t, p, q in zip(b.tangents, b.points, b.points[1:])]
     assert steps[0] == pytest.approx(cfg.ds, abs=cfg.newton_tol)
-    assert max(steps) == pytest.approx(cfg.ds_max, abs=cfg.newton_tol)
+    assert max(steps) == pytest.approx(6.0, abs=cfg.newton_tol)
     assert min(steps) >= cfg.ds_min
     assert all(ta.dot(tb) >= np.cos(0.2)
                for ta, tb in zip(b.tangents, b.tangents[1:]))

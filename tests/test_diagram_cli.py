@@ -90,21 +90,6 @@ def test_run_builds_the_operator_once(monkeypatch):
     assert 1 <= spacing_calls[0] <= 10
 
 
-def test_deep_main_branch_stays_symmetric():
-    # kappa=2, h=0.15 to lambda=-3000: the symmetric main branch is corrected
-    # in the symmetric subspace, so the antisymmetric mode that softens with
-    # depth cannot pull it onto a neighbouring sheet
-    bundle = run_diagram(RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500,
-                                   lambda_min=-3000.0))
-    assert bundle.provenance["failures"] == []
-    assert not [e for e in bundle.events if e["kind"] == "unclassified"]
-    (main,) = bundle.branch_by_role("main")
-    assert main.branch.symmetry == "symmetric"
-    assert main.branch.diagnostics == ["reached lambda_min"]
-    for p in main.branch.points:
-        assert np.abs(p.u - p.u[::-1]).max() <= 1e-12 * p.u.max()
-
-
 def test_run_diagram_pitchfork_pipeline(pitchfork_bundle):
     _, bundle = pitchfork_bundle
     assert bundle.provenance["failures"] == []
