@@ -118,7 +118,11 @@ def _cmd_solve(args) -> int:
 def _cmd_shoot(args) -> int:
     cfg = RunConfig(kappa=args.kappa, h=args.h, eps=args.eps)
     w, _ = cfg.build()
-    count, roots = shoot_count(w, args.lam, grid_size=args.grid_size)
+    try:
+        count, roots = shoot_count(w, args.lam, grid_size=args.grid_size)
+    except ValueError as exc:  # outside the oracle's domain: refuse, no count
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"count: {count}")
     for r in roots:
         print(f"v0 = {_fmt(r)}")

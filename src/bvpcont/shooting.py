@@ -7,6 +7,16 @@ accepted only when the shot stayed positive on (0, 1).  On every subinterval
 where a is constant the flow is Hamiltonian with energy
 v^2/2 + lam*u^2/2 + a*u^4/4, which gives a per-piece conservation check on
 the integrator.
+
+``shoot_count`` integrates its whole slope scan as one batch: a vectorized
+Dormand-Prince 5(4) sweep with one adaptive step per slope and scipy RK45's
+step rules, restarted on each constant-a piece so that no step straddles a
+weight jump.  Only the sign of the miss is kept (negative once u leaves the
+positive cone).  All sign-change brackets are then narrowed together by
+multisection, one batch per round, and each root is accepted by one scalar
+``solve_ivp`` shot.  Single shooting amplifies error by about
+exp(sqrt(-lam)), so counts are refused below lam = -(ln(1/eps_mach))^2,
+about -1299, where that factor exceeds 1/eps_mach.
 """
 
 from dataclasses import dataclass
@@ -28,6 +38,28 @@ __all__ = [
 ]
 
 _BLOWUP = 1e8
+# Single shooting amplifies error by about exp(sqrt(-lam)); below this floor
+# that exceeds 1/eps_mach (about -1299.1).
+_LAM_FLOOR = -np.log(1.0 / np.finfo(float).eps) ** 2
+# Multisection: each refinement round splits every bracket into this many
+# equal sections, i.e. evaluates _SECTIONS - 1 interior slopes.
+_SECTIONS = 16
+
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6 (1980) 19-26), the pair of
+# scipy's RK45, with its step-size factors.  The flow on a constant-a piece
+# is autonomous, so the nodes c_i are not needed.
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+))
+_DP_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                  11 / 84))
+_DP_E = np.array((-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 class BlowUpError(RuntimeError):
@@ -67,8 +99,7 @@ def _pieces(w: Weight) -> list[tuple[float, float, float]]:
             for lo, hi in zip(edges, edges[1:])]
 
 
-def _shoot(w: Weight, lam: float, v0: float, step_tol: float,
-           stop_on_crossing: bool) -> Trajectory:
+def _shoot(w: Weight, lam: float, v0: float, step_tol: float) -> Trajectory:
     xs = [np.array([0.0])]
     us = [np.array([0.0])]
     vs = [np.array([v0])]
@@ -81,7 +112,7 @@ def _shoot(w: Weight, lam: float, v0: float, step_tol: float,
 
         def cross_zero(x, y):
             return y[0] + 1e-14
-        cross_zero.terminal = stop_on_crossing
+        cross_zero.terminal = True
         cross_zero.direction = -1.0
 
         def blow_up(x, y):
@@ -107,7 +138,7 @@ def _shoot(w: Weight, lam: float, v0: float, step_tol: float,
             raise BlowUpError(
                 f"|u| exceeded {_BLOWUP:g} at x = {sol.t_events[1][0]:.6g}"
             )
-        if sol.status == 1 and stop_on_crossing and first_zero is not None:
+        if sol.status == 1 and first_zero is not None:
             break
     return Trajectory(x=np.concatenate(xs), u=np.concatenate(us),
                       v=np.concatenate(vs), v0=float(v0), lam=float(lam),
@@ -126,25 +157,106 @@ def integrate_ivp(w: Weight, lam: float, v0: float,
         raise ValueError("positive solutions leave the origin with v0 > 0")
     if step_tol <= 0:
         raise ValueError("step_tol must be positive")
-    return _shoot(w, lam, v0, step_tol, stop_on_crossing=True)
+    return _shoot(w, lam, v0, step_tol)
 
 
-def _miss(w: Weight, lam: float, v0: float, step_tol: float):
-    """Signed boundary miss, cheap to evaluate.
+def _rms(z: np.ndarray) -> np.ndarray:
+    """Per-lane RMS norm over the two state components."""
+    return np.sqrt(0.5 * (z[0] ** 2 + z[1] ** 2))
 
-    Returns first_zero - 1 < 0 when the shot leaves the positive cone before
-    x = 1 (integration stops at the crossing), u(1) >= 0 otherwise.  The two
-    pieces join continuously through zero exactly at slopes v0 whose shot
-    satisfies u(1) = 0 with u > 0 inside, which are the positive solutions.
-    Blow-up before a crossing means u escaped upward, a large positive miss.
+
+def _combine(coef: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_i coef[i]*k[i] over the leading stage derivatives k[i] (2, n)."""
+    return (coef @ k[:coef.size].reshape(coef.size, -1)).reshape(k.shape[1:])
+
+
+def _first_step(f, y, fy, length, rtol, atol):
+    """scipy's initial step rule (Hairer, Norsett & Wanner I, II.4), per lane."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, length)
+        d2 = _rms((f(y + h0 * fy) - fy) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** 0.2)
+    return np.minimum(np.minimum(100.0 * h0, h1), length)
+
+
+def _batch_miss(w: Weight, lam: float, v0: np.ndarray,
+                step_tol: float) -> np.ndarray:
+    """Sign of the boundary miss for every initial slope in v0, as one batch.
+
+    Each lane is an RK45 shot with its own adaptive step and the step rules
+    of scipy's RK45 (``rtol=step_tol``, ``atol=step_tol*1e-2``, RMS error
+    norm), restarted on every constant-a piece as ``_shoot`` does.  A lane
+    retires at the end of the step where u + 1e-14 turns negative (-1: it
+    left the positive cone), where |u| exceeds the blow-up guard (+1), or at
+    x = 1 (the sign of u(1)).
     """
-    try:
-        traj = _shoot(w, lam, v0, step_tol, stop_on_crossing=True)
-    except BlowUpError:
-        return _BLOWUP
-    if traj.first_zero is not None and traj.first_zero < 1.0:
-        return traj.first_zero - 1.0
-    return float(traj.u[-1])
+    rtol, atol = step_tol, step_tol * 1e-2
+    v0 = np.asarray(v0, dtype=float)
+    miss = np.zeros(v0.size)
+    state = np.stack([np.zeros_like(v0), v0])
+    live = np.arange(v0.size)
+    for lo, hi, a in _pieces(w):
+        def f(y, a=a):
+            u = y[0]
+            return np.array([y[1], -(lam + a * u * u) * u])
+
+        lane, y = live, state[:, live]
+        fy = f(y)
+        x = np.full(lane.size, lo)
+        h = _first_step(f, y, fy, hi - lo, rtol, atol)
+        retried = np.zeros(lane.size, dtype=bool)
+        survivors = []
+        while lane.size:
+            min_step = 10.0 * np.abs(np.nextafter(x, np.inf) - x)
+            h = np.where(retried, h, np.maximum(h, min_step))
+            if np.any(h < min_step):
+                raise RuntimeError(f"step size underflow at lam = {lam:g}")
+            x_new = np.minimum(x + h, hi)
+            h = x_new - x
+            k = np.empty((7,) + y.shape)
+            k[0] = fy
+            for s, row in enumerate(_DP_A, start=1):
+                k[s] = f(y + h * _combine(row, k))
+            y_new = y + h * _combine(_DP_B, k)
+            k[6] = f_new = f(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err_norm = _rms(h * _combine(_DP_E, k) / scale)
+            ok = err_norm < 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                factor = _SAFETY * err_norm ** -0.2
+            grow = np.minimum(np.where(retried, 1.0, _MAX_FACTOR), factor)
+            h = h * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
+            retried = ~ok
+            y = np.where(ok, y_new, y)
+            fy = np.where(ok, f_new, fy)
+            x = np.where(ok, x_new, x)
+
+            u = y[0]
+            # a live lane has u + 1e-14 >= 0, so this is a downward crossing
+            crossed = ok & (u + 1e-14 < 0.0)
+            blown = ok & (np.abs(u) > _BLOWUP)
+            ended = ok & (x == hi)
+            done = crossed | blown | ended
+            if not done.any():
+                continue
+            ended &= ~(crossed | blown)
+            miss[lane[ended]] = np.sign(u[ended])
+            miss[lane[blown]] = 1.0
+            miss[lane[crossed]] = -1.0
+            if hi < 1.0:
+                state[:, lane[ended]] = y[:, ended]
+                survivors.append(lane[ended])
+            keep = ~done
+            lane, y, fy, x, h, retried = (
+                lane[keep], y[:, keep], fy[:, keep], x[keep], h[keep],
+                retried[keep])
+        live = np.sort(np.concatenate(survivors)) if survivors else live[:0]
+    return miss
 
 
 def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
@@ -152,38 +264,58 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
                 refine_tol: float = 1e-10):
     """Count positive solutions by scanning the initial slope.
 
-    Scans v0 over a log-spaced grid in (0, v0_max], brackets sign changes of
-    the boundary miss u(1; v0), refines each bracket by bisection, and keeps
-    the roots whose shot stayed positive on (0, 1).  Returns
-    (count, sorted v0 roots).
+    Scans v0 over a log-spaced grid in (0, v0_max] in one batch, brackets
+    sign changes of the boundary miss, and narrows all brackets together by
+    multisection until hi - lo <= refine_tol*max(1, hi).  A root is kept when
+    a scalar RK45 shot from it stays positive up to x = 1 - 1e-4; roots
+    closer than 1e-8 relative are merged.  Returns (count, sorted v0 roots).
+
+    Raises ValueError below the validity floor lam < -(ln(1/eps_mach))^2,
+    where the exp(sqrt(-lam)) error growth of single shooting exceeds
+    1/eps_mach and the count means nothing.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
+    if step_tol <= 0:
+        raise ValueError("step_tol must be positive")
+    if refine_tol <= 0:
+        raise ValueError("refine_tol must be positive")
+    if v0_max is not None and v0_max <= 0:
+        raise ValueError("v0_max must be positive")
+    if lam < _LAM_FLOOR:
+        raise ValueError(
+            f"lam = {lam:g} is below the shooting oracle's validity floor "
+            f"{_LAM_FLOOR:.1f}: single shooting amplifies rounding error by "
+            f"about exp(sqrt(-lam)), which exceeds 1/eps_mach there")
     if v0_max is None:
         # Homoclinic slope scale is (-2*lam)^(3/2); factor 2 covers the
         # exterior trajectories that boundary shots ride on.
         v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, grid_size)
-    vals = [_miss(w, lam, v, step_tol) for v in grid]
+    signs = _batch_miss(w, lam, grid, step_tol)
 
-    roots = []
-    for va, fa, vb, fb in zip(grid, vals, grid[1:], vals[1:]):
-        if fa * fb >= 0.0:
-            continue
-        lo, hi, flo = va, vb, fa
-        while hi - lo > refine_tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            fm = _miss(w, lam, mid, step_tol)
-            if fm == 0.0 or flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
-        traj = _shoot(w, lam, root, step_tol, stop_on_crossing=True)
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    lo, hi, s_lo = grid[cells], grid[cells + 1], signs[cells]
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
+    open_ = hi - lo > refine_tol * np.maximum(1.0, hi)
+    while open_.any():
+        i = np.flatnonzero(open_)
+        pts = lo[i, None] + (hi[i] - lo[i])[:, None] * frac
+        signs = _batch_miss(w, lam, pts.ravel(), step_tol).reshape(pts.shape)
+        flip = signs * s_lo[i, None] <= 0.0
+        # first interior point whose sign leaves s_lo, else the last section
+        k = np.where(flip.any(axis=1), flip.argmax(axis=1), _SECTIONS - 1)
+        ends = np.column_stack([lo[i], pts, hi[i]])
+        rows = np.arange(i.size)
+        lo[i], hi[i] = ends[rows, k], ends[rows, k + 1]
+        open_[i] = hi[i] - lo[i] > refine_tol * np.maximum(1.0, hi[i])
+
+    roots = []  # ascending: each bracket stays inside its grid cell
+    for root in 0.5 * (lo + hi):
+        traj = _shoot(w, lam, root, step_tol)
         if traj.first_zero is None or traj.first_zero > 1.0 - 1e-4:
-            roots.append(root)
+            roots.append(float(root))
 
-    roots = sorted(roots)
     merged = []
     for r in roots:
         if merged and abs(r - merged[-1]) < 1e-8 * max(1.0, r):

@@ -181,6 +181,17 @@ def test_cli_shoot_no_solutions(capsys):
     assert "count: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "-100", "--grid-size", "50"],
+    ["--lambda", "-3000"],
+])
+def test_cli_shoot_refuses_with_one_line_error(capsys, argv):
+    assert main(["shoot", "--kappa", "1", "--h", "0.1", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_cli_solve_profile(capsys):
     assert main(["solve", "--kappa", "1", "--h", "0.1", "--eps", "1.0",
                  "--lambda", "9.0", "--n", "200", "--amplitude", "0.5"]) == 0

@@ -6,8 +6,9 @@ from bvpcont.corrector import newton_fixed_lambda
 from bvpcont.discretize import Discretization
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import PeakMask, deepen_solution, solve_mask
-from bvpcont.shooting import (check_decay_identity, integrate_ivp,
-                              potential_energy, shoot_count, time_map)
+from bvpcont.shooting import (_batch_miss, check_decay_identity,
+                              integrate_ivp, potential_energy, shoot_count,
+                              time_map)
 from bvpcont.weight import build_weight
 
 
@@ -54,6 +55,93 @@ def test_shoot_count_three_solutions():
     count, roots = shoot_count(w, -100.0)
     assert count == 3
     assert len(roots) == len(set(np.round(roots, 8))) == 3
+
+
+def test_shoot_count_validity_envelope():
+    # single shooting loses all digits below lam = -(ln(1/eps_mach))^2
+    w = build_weight(1, 0.1, 0.0)
+    with pytest.raises(ValueError, match="validity floor"):
+        shoot_count(w, -3000.0)
+    count, _ = shoot_count(w, -100.0)
+    assert count == 3
+
+
+@pytest.mark.parametrize("bad", [{"step_tol": 0.0}, {"refine_tol": 0.0},
+                                 {"v0_max": 0.0}, {"v0_max": -5.0}])
+def test_shoot_count_argument_checks(bad):
+    with pytest.raises(ValueError):
+        shoot_count(build_weight(1, 0.1, 0.0), -100.0, **bad)
+
+
+def _pieces_of(w):
+    """(lo, hi, a) per constant piece, read off the weight's intervals."""
+    edges = [0.0, *w.edges, 1.0]
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        yield lo, hi, (w.eps if any(al < mid < be for al, be in w.intervals)
+                       else 1.0)
+
+
+def _reference_miss_sign(w, lam, v0):
+    """Miss sign of one per-slope RK45 shot: -1 once u + 1e-14 turns
+    negative, +1 once |u| > 1e8, else the sign of u(1)."""
+    y = [0.0, v0]
+    for lo, hi, a in _pieces_of(w):
+        def rhs(x, y):
+            return [y[1], -lam * y[0] - a * y[0] ** 3]
+
+        def down(x, y):
+            return y[0] + 1e-14
+
+        def big(x, y):
+            return abs(y[0]) - 1e8
+
+        down.terminal, down.direction, big.terminal = True, -1, True
+        sol = solve_ivp(rhs, (lo, hi), y, rtol=1e-8, atol=1e-10,
+                        events=[down, big])
+        if sol.t_events[0].size:
+            return -1.0
+        if sol.t_events[1].size:
+            return 1.0
+        y = sol.y[:, -1]
+    return float(np.sign(y[0]))
+
+
+@pytest.mark.parametrize("kappa,h,lam", [
+    (2, 0.25, -100.0),
+    (1, 0.5, -1000.0),  # large slopes trip the blow-up guard here
+])
+def test_batched_miss_signs_match_single_shots(kappa, h, lam):
+    # on shoot_count's default slope grid
+    w = build_weight(kappa, h, 0.0)
+    v0_max = 2.0 * (-2.0 * lam) ** 1.5
+    grid = np.geomspace(v0_max * 1e-6, v0_max, 200)
+    signs = _batch_miss(w, lam, grid, 1e-8)
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    assert cells.size >= 2
+    picks = sorted(set(range(0, 200, 5)) | set(cells) | set(cells + 1))
+    ref = [_reference_miss_sign(w, lam, grid[i]) for i in picks]
+    assert list(signs[picks]) == ref
+
+
+@pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
+def test_roots_solve_the_bvp_under_a_tight_reshoot(kappa, h):
+    # every root, re-shot with DOP853 at rtol 1e-12, hits u(1) = 0 and
+    # stays positive inside (0, 1)
+    w, lam = build_weight(kappa, h, 0.0), -100.0
+    count, roots = shoot_count(w, lam)
+    assert count == len(roots) == 3
+    for v0 in roots:
+        y, us = [0.0, v0], []
+        for lo, hi, a in _pieces_of(w):
+            sol = solve_ivp(
+                lambda x, y, a=a: [y[1], -lam * y[0] - a * y[0] ** 3],
+                (lo, hi), y, method="DOP853", rtol=1e-12, atol=1e-14)
+            us.append(sol.y[0][1:])
+            y = sol.y[:, -1]
+        u = np.concatenate(us)
+        assert abs(u[-1]) <= 1e-5 * u.max()
+        assert u[:-1].min() > 0.0
 
 
 def test_time_map_bound_on_grid():
