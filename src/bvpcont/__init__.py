@@ -23,7 +23,7 @@ from .discretize import (BandedJacobian, Discretization, MeshMismatchError,
 from .mesh import (Mesh, MeshError, build_refined_mesh, build_uniform_mesh,
                    mesh_spacings)
 from .seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
-                      find_isola, find_new_solution, mask_census,
+                      find_new_solution, mask_census,
                       matches_branch, peak_indices, peak_pattern,
                       peak_pattern_seed, sine_seed, solve_mask,
                       support_intervals, well_bump_seed, well_edge_seed)

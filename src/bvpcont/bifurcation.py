@@ -172,32 +172,27 @@ def locate_bifurcation(d: Discretization, branch: Branch,
 
 def switch_branch(d: Discretization, ev: BifurcationEvent, host,
                   amplitude: float | None = None, newton_tol: float = 1e-4,
-                  max_retries: int = 3):
-    """Two corrected states off the host branch at lam just below lambda_b.
+                  max_retries: int = 3) -> AugmentedState:
+    """A corrected state off the host branch at lam just below lambda_b.
 
-    host is the branch state to switch from, normally ev.state.  Predictors
-    are host.u +/- amplitude * null_vector at lam = lambda_b - amplitude/10,
-    each corrected by fixed-lam Newton.  If either predictor fails to
-    converge or collapses back onto the host branch, the amplitude is
-    doubled, up to max_retries times.
+    host is the branch state to switch from, normally ev.state.  The
+    predictor host.u + amplitude * null_vector at lam = lambda_b -
+    amplitude/10 is corrected by fixed-lam Newton.  If it fails to converge
+    or collapses back onto the host branch, the amplitude is doubled, up to
+    max_retries times.  At a pitchfork of a symmetric branch the other
+    branch through the point is the mirror image of this one.
     """
     if amplitude is None:
         amplitude = 0.01 * (1.0 + np.linalg.norm(host.u))
     for _ in range(max_retries + 1):
-        delta = amplitude / 10.0
-        lam = ev.lambda_b - delta
+        lam = ev.lambda_b - amplitude / 10.0
         u_host = newton_fixed_lambda(d, lam, host.u, tol=newton_tol)
-        states = []
-        for sgn in (+1.0, -1.0):
-            u_pred = host.u + sgn * amplitude * ev.null_vector
-            try:
-                u_corr = newton_fixed_lambda(d, lam, u_pred, tol=newton_tol)
-            except (NewtonError, SingularSystemError):
-                continue
-            if np.max(np.abs(u_corr - u_host)) < 1e-6 * (1.0 + np.abs(u_host).max()):
-                continue  # collapsed onto the host branch
-            states.append(AugmentedState(lam, u_corr))
-        if len(states) == 2:
-            return states[0], states[1]
+        try:
+            u = newton_fixed_lambda(d, lam, host.u + amplitude * ev.null_vector,
+                                    tol=newton_tol)
+        except (NewtonError, SingularSystemError):
+            u = u_host  # retry with a larger amplitude
+        if np.max(np.abs(u - u_host)) >= 1e-6 * (1.0 + np.abs(u_host).max()):
+            return AugmentedState(lam, u)
         amplitude *= 2.0
-    raise NewtonError("branch switching failed: predictors collapse onto host")
+    raise NewtonError("branch switching failed: predictor collapses onto host")

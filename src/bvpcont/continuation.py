@@ -6,11 +6,11 @@ Numerical Continuation Methods, SIAM 2003, sec. 6).  The first step is ds
 (default 3).  After an accepted step whose corrector took k updates the step
 is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4) and capped
 at 30.  A step is rejected and ds halved when the corrector fails or the
-unit tangent turns by more than 0.2 rad.  A symmetric start point on a
-reflection-symmetric operator is continued in the symmetric subspace, so
-every point it adds is exactly symmetric.  A branch terminates on a
-parameter or norm bound, step-count or step-underflow, departure from the
-positive cone, or on closing back onto its own start.
+unit tangent turns by more than 0.2 rad.  A symmetric start point is
+continued in the symmetric subspace, so every point it adds is exactly
+symmetric.  A branch terminates on a parameter or norm bound, step-count or
+step-underflow, departure from the positive cone, or on closing back onto
+its own start.
 """
 
 from dataclasses import dataclass, field
@@ -149,11 +149,10 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
                     cfg: ContinuationConfig) -> Branch:
     """Follow a branch from a converged start point along tangent t0.
 
-    On a reflection-symmetric operator a symmetric start point is continued
-    in the symmetric subspace: the tangents and every corrector iterate are
-    projected onto it.
+    A symmetric start point is continued in the symmetric subspace: the
+    tangents and every corrector iterate are projected onto it.
     """
-    symmetric = d.symmetric and mirrors(start.u, start.u)
+    symmetric = mirrors(start.u, start.u)
     t = _symmetrized(t0) if symmetric else t0.normalized()
     branch = Branch(points=[start], tangents=[t])
     y = AugmentedState(start.lam, start.u.copy())

@@ -3,8 +3,9 @@
 A run builds the weight and mesh, follows the main branch from just below the
 first discrete eigenvalue, switches at detected bifurcations, sweeps peak
 masks for isolas, and packages everything as a DiagramBundle that can be
-written out as JSON/CSV/SVG.  Everything is deterministic: fixed seeds, fixed
-sweep order, stable sort keys before emission.
+written out as JSON/CSV/SVG.  Of each mirror pair of branches one is traced
+and the other is its reflection.  Everything is deterministic: fixed seeds,
+fixed sweep order, stable sort keys before emission.
 """
 
 import json
@@ -22,10 +23,10 @@ from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            make_point)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, newton_fixed_lambda)
-from .discretize import (Discretization, discrete_l2_norm,
+from .discretize import (Discretization, discrete_l2_norm, mirrors,
                          principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
-from .seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
+from .seeding import (deepen_solution, enumerate_peak_masks,
                       find_new_solution, peak_indices, peak_pattern,
                       peak_pattern_seed, sine_seed, well_bump_seed,
                       well_edge_seed)
@@ -71,7 +72,6 @@ class RunConfig:
     max_steps: int = 20000
     newton_tol: float = 1e-4
     max_newton_iters: int = 25
-    isola_grid: tuple[float, ...] = _ISOLA_GRID
     probe_lambda: float = -700.0
     profile_stride: int = 0  # 0: only tagged points and branch endpoints
 
@@ -98,13 +98,11 @@ class RunConfig:
         cfg = cls(**kw)
         if cfg.centers is not None:
             cfg.centers = tuple(float(c) for c in cfg.centers)
-        cfg.isola_grid = tuple(float(v) for v in cfg.isola_grid)
         return cfg
 
     def resolved(self) -> dict:
         d = asdict(self)
         d["centers"] = None if self.centers is None else list(self.centers)
-        d["isola_grid"] = list(self.isola_grid)
         return d
 
     def continuation(self) -> ContinuationConfig:
@@ -143,13 +141,25 @@ class DiagramBundle:
 
 
 def _classify_symmetry(u: np.ndarray) -> str:
-    scale = 1.0 + float(np.abs(u).max())
-    if np.max(np.abs(u - u[::-1])) < 1e-6 * scale:
+    if mirrors(u, u):
         return "symmetric"
     n = len(u)
     left = float(u[: n // 2].sum())
     right = float(u[-(n // 2):].sum())
     return "asymmetric_left" if left > right else "asymmetric_right"
+
+
+_MIRRORED_SYMMETRY = {"asymmetric_left": "asymmetric_right",
+                      "asymmetric_right": "asymmetric_left"}
+
+
+def _mirrored(d: Discretization, b: Branch) -> Branch:
+    """The reflection x -> 1-x of an asymmetric branch, itself a branch."""
+    return Branch(
+        points=[make_point(d, p.lam, p.u[::-1], p.tag) for p in b.points],
+        symmetry=_MIRRORED_SYMMETRY[b.symmetry],
+        tangents=[Tangent(t.du[::-1], t.dlam) for t in b.tangents],
+        diagnostics=list(b.diagnostics))
 
 
 def onset_amplitude(d: Discretization, lam: float, lam1: float) -> float:
@@ -269,8 +279,14 @@ def run_diagram(config) -> DiagramBundle:
     except (NewtonError, SingularSystemError, ValueError) as exc:
         failures.append(f"main branch: {exc}")
 
-    # Stage 3: locate det-sign changes on the main branch, switch at pitchforks.
-    n_switched = 0
+    n_added = {"switched": 0, "isola": 0}
+
+    def add(role, branch):
+        records.append(BranchRecord(f"{role}_{n_added[role]}", role, branch))
+        n_added[role] += 1
+
+    # Stage 3: locate det-sign changes on the main branch, switch at pitchforks;
+    # the mirror image of the switched branch is the other one.
     if main is not None:
         for i, j in sign_change_brackets(d, main):
             try:
@@ -286,26 +302,23 @@ def run_diagram(config) -> DiagramBundle:
             if ev.kind != "pitchfork":
                 continue
             try:
-                pair = switch_branch(d, ev, ev.state,
-                                     newton_tol=cfg.newton_tol)
+                y = switch_branch(d, ev, ev.state, newton_tol=cfg.newton_tol)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
                 continue
-            for y in pair:
-                child_start = make_point(d, y.lam, y.u, tag="branch_start")
-                try:
-                    tc = initial_tangent(d, y, direction_hint=-1.0)
-                    child = continue_branch(d, child_start, tc, cont)
-                except (NewtonError, SingularSystemError) as exc:
-                    failures.append(f"child at lam={y.lam:.6g}: {exc}")
-                    continue
-                child.symmetry = _classify_symmetry(child.points[-1].u)
-                records.append(
-                    BranchRecord(f"switched_{n_switched}", "switched", child))
-                n_switched += 1
+            child_start = make_point(d, y.lam, y.u, tag="branch_start")
+            try:
+                tc = initial_tangent(d, y, direction_hint=-1.0)
+                child = continue_branch(d, child_start, tc, cont)
+            except (NewtonError, SingularSystemError) as exc:
+                failures.append(f"child at lam={y.lam:.6g}: {exc}")
+                continue
+            child.symmetry = _classify_symmetry(child.points[-1].u)
+            add("switched", child)
+            add("switched", _mirrored(d, child))
 
-    # Stage 4: isola sweep over unrepresented masks, fixed order.
-    n_isola = 0
+    # Stage 4: isola sweep over unrepresented masks, fixed order.  An
+    # asymmetric isola is followed by its mirror image unless it contains it.
     masks = enumerate_peak_masks(cfg.kappa)
     well_patterns = []
     if cfg.eps > 0:
@@ -314,9 +327,8 @@ def run_diagram(config) -> DiagramBundle:
                 well_patterns.append(bits)
 
     def attempt(seed_fn, label):
-        nonlocal n_isola
         known = [r.branch for r in records]
-        for lam_try in cfg.isola_grid:
+        for lam_try in _ISOLA_GRID:
             if lam_try < cfg.lambda_min:
                 continue
             try:
@@ -333,8 +345,11 @@ def run_diagram(config) -> DiagramBundle:
                 failures.append(f"isola trace {label}: {exc}")
                 return
             iso.symmetry = _classify_symmetry(pt.u)
-            records.append(BranchRecord(f"isola_{n_isola}", "isola", iso))
-            n_isola += 1
+            add("isola", iso)
+            if iso.symmetry != "symmetric" and find_new_solution(
+                    d, pt.lam, pt.u[::-1], known + [iso],
+                    newton_tol=cfg.newton_tol) is not None:
+                add("isola", _mirrored(d, iso))
             return
 
     for mask in masks:
@@ -431,10 +446,6 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
     return out
 
 
-def _count_peaks(u: np.ndarray) -> int:
-    return len(peak_indices(u))
-
-
 def _nearest_point(b: Branch, lam: float) -> SolutionPoint | None:
     if not b.points:
         return None
@@ -470,13 +481,13 @@ def run_epsilon_sweep(base_config, eps_values):
         if mains:
             p = _nearest_point(mains[0].branch, cfg.probe_lambda)
             if p is not None:
-                entry["main_peaks"] = _count_peaks(p.u)
+                entry["main_peaks"] = len(peak_indices(p.u))
         isolas = [r for r in bundle.branch_by_role("isola")
                   if r.branch.symmetry == "symmetric"] or bundle.branch_by_role("isola")
         if isolas:
             p = _nearest_point(isolas[0].branch, cfg.probe_lambda)
             if p is not None:
-                entry["isola_peaks"] = _count_peaks(p.u)
+                entry["isola_peaks"] = len(peak_indices(p.u))
         report.append(entry)
     return bundles, report
 

@@ -15,7 +15,8 @@ residual component i is  -L[u]_i - lam*u_i - a(x_i)*u_i^3  with u_0 = u_{N+1} = 
 A ``Discretization`` samples a(x) at the interior nodes and stores the stencil
 of -L once; ``residual``, ``jacobian`` and ``discrete_l2_norm`` only read those
 arrays.  The arrays are read-only, and every Jacobian shares its constant
-off-diagonals with the discretization.
+off-diagonals with the discretization.  It is invariant under x -> 1-x, so
+the mirror image of a solution is again a solution.
 """
 
 from dataclasses import dataclass, field
@@ -38,10 +39,10 @@ __all__ = [
 ]
 
 
-# Relative tolerance for reflection symmetry.  The stencil of a symmetric mesh
-# is not bit-exactly symmetric: its mirrored coefficients differ by 5.6e-14
-# (uniform) to 2.2e-13 (refined) relative, from rounding in the node
-# positions.
+# Relative tolerance for reflection symmetry.  Weights and meshes are mirrored
+# bit-exactly, so an operator deviates by 0.  A symmetric solution converged
+# from a seed that is symmetric only to rounding deviates by up to ~1e-11;
+# asymmetric solutions on the benchmark diagrams deviate by 7.6e-2 or more.
 SYMMETRY_RTOL = 1e-10
 
 
@@ -90,8 +91,9 @@ class Discretization:
 
     -L is tridiag(sub, center, sup): the constant part of every Jacobian.
     a holds a(x_i) and h_left the left cell widths x_i - x_{i-1} at the
-    interior nodes.  symmetric tells whether a and the stencil are invariant
-    under the reflection x -> 1-x (see ``mirrors``).
+    interior nodes.  a and the stencil are invariant under the reflection
+    x -> 1-x (see ``mirrors``); an asymmetric weight or mesh raises
+    ValueError.
     """
 
     w: Weight
@@ -101,7 +103,6 @@ class Discretization:
     sub: np.ndarray = field(init=False, repr=False)
     sup: np.ndarray = field(init=False, repr=False)
     h_left: np.ndarray = field(init=False, repr=False)
-    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         h = mesh_spacings(self.m)
@@ -116,10 +117,9 @@ class Discretization:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "symmetric",
-                           mirrors(self.a, self.a)
-                           and mirrors(self.center, self.center)
-                           and mirrors(self.sub, self.sup))
+        if not (mirrors(self.a, self.a) and mirrors(self.center, self.center)
+                and mirrors(self.sub, self.sup)):
+            raise ValueError("weight and mesh are not symmetric about x = 0.5")
 
 
 def _check(d: Discretization, u: np.ndarray) -> np.ndarray:

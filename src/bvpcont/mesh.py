@@ -1,9 +1,10 @@
 """Symmetric node sets on [0,1], uniform or locally refined.
 
 Meshes are always symmetric about 0.5.  Symmetry is obtained by building the
-left half-grid and mirroring it (x -> 1 - x), never by rounding both halves
-independently: an asymmetric discrete operator turns the symmetric problem
-into a non-symmetric one and changes the diagram topology.
+left half-grid, snapping it to 1 - (1 - x) like the weight's interval edges,
+and mirroring it (x -> 1 - x), never by rounding both halves independently:
+an asymmetric discrete operator turns the symmetric problem into a
+non-symmetric one and changes the diagram topology.
 """
 
 from dataclasses import dataclass
@@ -50,8 +51,11 @@ class Mesh:
 
 
 def _mirror(left: np.ndarray) -> Mesh:
-    """Full node set from left-half nodes in (0, 0.5]; bit-exact symmetry."""
-    left = np.asarray(left, dtype=float)
+    """Full node set from left-half nodes in (0, 0.5]; bit-exact symmetry.
+
+    After the snap a node and its mirror lie on the same side of every edge.
+    """
+    left = 1.0 - (1.0 - np.asarray(left, dtype=float))
     right = 1.0 - left[::-1]
     if left[-1] == 0.5:
         right = right[1:]

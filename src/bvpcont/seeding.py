@@ -30,7 +30,6 @@ __all__ = [
     "deepen_solution",
     "solve_mask",
     "mask_census",
-    "find_isola",
     "find_new_solution",
     "matches_branch",
     "peak_indices",
@@ -195,16 +194,6 @@ def find_new_solution(d: Discretization, lam: float, seed: np.ndarray,
         if matches_branch(d, lam, u, branch, newton_tol=newton_tol):
             return None
     return make_point(d, lam, u, tag="branch_start")
-
-
-def find_isola(d: Discretization, lam: float, mask: PeakMask,
-               cfg=None, known: list[Branch] = ()):
-    """Seed with a peak mask and return a first off-branch solution point, if any."""
-    if lam >= 0:
-        raise ValueError("isola search requires lam < 0")
-    seed = peak_pattern_seed(d, mask, lam)
-    tol = cfg.newton_tol if cfg is not None else 1e-4
-    return find_new_solution(d, lam, seed, list(known), newton_tol=tol)
 
 
 def deepen_solution(d: Discretization, u: np.ndarray, lam_from: float,

@@ -82,10 +82,6 @@ class Trajectory:
         """Interpolated u at query abscissae."""
         return np.interp(xq, self.x, self.u)
 
-    @property
-    def stayed_positive(self) -> bool:
-        return self.first_zero is None or self.first_zero >= 1.0 - 1e-9
-
 
 def potential_energy(lam: float, a_val: float, u: float) -> float:
     """lam*u^2/2 + a_val*u^4/4."""
@@ -272,7 +268,8 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
 
     Raises ValueError below the validity floor lam < -(ln(1/eps_mach))^2,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
-    1/eps_mach and the count means nothing.
+    1/eps_mach and the count means nothing, and when the acceptance shot of
+    a root blows up, which leaves that root undecided.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
@@ -312,7 +309,14 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
 
     roots = []  # ascending: each bracket stays inside its grid cell
     for root in 0.5 * (lo + hi):
-        traj = _shoot(w, lam, root, step_tol)
+        try:
+            traj = _shoot(w, lam, root, step_tol)
+        except BlowUpError as exc:
+            # the bracket may pair a zero crossing with a blow-up
+            raise ValueError(
+                f"single shooting cannot resolve the root near v0 = {root:.6g}"
+                f" at lam = {lam:g}: the acceptance shot blew up ({exc})"
+            ) from exc
         if traj.first_zero is None or traj.first_zero > 1.0 - 1e-4:
             roots.append(float(root))
 

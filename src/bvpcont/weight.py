@@ -41,13 +41,12 @@ def default_centers(kappa: int) -> list[float]:
     return [(2 * i - 1) / (2 * kappa) for i in range(1, kappa + 1)]
 
 
-def build_weight(kappa, h, eps, centers=None, enforce_symmetry=True):
+def build_weight(kappa, h, eps, centers=None):
     """Build a Weight with intervals (c_i - h/2, c_i + h/2).
 
     If ``centers`` is omitted the standard symmetric midpoints are used.
     Raises WeightError on overlapping intervals, intervals leaving (0,1),
-    or (unless ``enforce_symmetry`` is disabled) centers that are not
-    symmetric about 0.5.
+    or centers that are not symmetric about 0.5.
     """
     if kappa < 1 or int(kappa) != kappa:
         raise WeightError(f"kappa must be a positive integer, got {kappa!r}")
@@ -63,28 +62,26 @@ def build_weight(kappa, h, eps, centers=None, enforce_symmetry=True):
     if len(centers) != kappa:
         raise WeightError(f"expected {kappa} centers, got {len(centers)}")
 
-    if enforce_symmetry:
-        for ci, cj in zip(centers, reversed(centers)):
-            if abs(ci + cj - 1.0) > 1e-12:
-                raise WeightError(
-                    f"centers not symmetric about 0.5: {ci} vs {cj}"
-                )
+    for ci, cj in zip(centers, reversed(centers)):
+        if abs(ci + cj - 1.0) > 1e-12:
+            raise WeightError(
+                f"centers not symmetric about 0.5: {ci} vs {cj}"
+            )
 
     intervals = [(c - h / 2.0, c + h / 2.0) for c in centers]
-    if enforce_symmetry:
-        # Make the interval set reflection-invariant in floating point, not
-        # just to rounding error: snap each left edge e so that 1 - e is
-        # exactly representable (x -> 1 - x is then an exact two-cycle on
-        # edge pairs), and mirror the right half bit-exactly.
-        for i in range(kappa // 2):
-            a, b = intervals[i]
-            a, b = 1.0 - (1.0 - a), 1.0 - (1.0 - b)
-            intervals[i] = (a, b)
-            intervals[kappa - 1 - i] = (1.0 - b, 1.0 - a)
-        if kappa % 2 == 1:
-            a, _ = intervals[kappa // 2]
-            a = 1.0 - (1.0 - a)
-            intervals[kappa // 2] = (a, 1.0 - a)
+    # Make the interval set reflection-invariant in floating point, not
+    # just to rounding error: snap each left edge e so that 1 - e is
+    # exactly representable (x -> 1 - x is then an exact two-cycle on
+    # edge pairs), and mirror the right half bit-exactly.
+    for i in range(kappa // 2):
+        a, b = intervals[i]
+        a, b = 1.0 - (1.0 - a), 1.0 - (1.0 - b)
+        intervals[i] = (a, b)
+        intervals[kappa - 1 - i] = (1.0 - b, 1.0 - a)
+    if kappa % 2 == 1:
+        a, _ = intervals[kappa // 2]
+        a = 1.0 - (1.0 - a)
+        intervals[kappa // 2] = (a, 1.0 - a)
     intervals = tuple(intervals)
     for a, b in intervals:
         if a <= 0.0 or b >= 1.0:

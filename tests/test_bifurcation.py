@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,10 +132,13 @@ def test_locate_pitchfork_h08_positive():
 
 
 def test_switch_branch_produces_reflection_pair():
+    # switching along -null_vector lands on the mirror image
     d, b = main_branch(0.05)
     ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
-    host = b.points[ev.branch_index]
-    ya, yb = switch_branch(d, ev, AugmentedState(host.lam, host.u))
+    p = b.points[ev.branch_index]
+    host = AugmentedState(p.lam, p.u)
+    ya = switch_branch(d, ev, host)
+    yb = switch_branch(d, replace(ev, null_vector=-ev.null_vector), host)
     assert ya.lam == yb.lam < ev.lambda_b
     # mutual reflections with equal discrete norm
     scale = 1.0 + np.abs(ya.u).max()

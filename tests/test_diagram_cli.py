@@ -9,7 +9,7 @@ from bvpcont.cli import main
 from bvpcont.continuation import ContinuationConfig
 from bvpcont.diagram import (DiagramBundle, RunConfig, emit_svg, run_diagram,
                              run_epsilon_sweep, write_bundle)
-from bvpcont.discretize import residual
+from bvpcont.discretize import Discretization, residual
 from bvpcont.mesh import mesh_spacings
 from bvpcont.weight import eval_weight
 
@@ -17,6 +17,12 @@ from bvpcont.weight import eval_weight
 @pytest.fixture(scope="module")
 def pitchfork_bundle():
     cfg = RunConfig(kappa=1, h=0.05, eps=0.0, mesh_n=500, lambda_min=-100.0)
+    return cfg, run_diagram(cfg)
+
+
+@pytest.fixture(scope="module")
+def isola_bundle():
+    cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
     return cfg, run_diagram(cfg)
 
 
@@ -107,6 +113,39 @@ def test_run_diagram_pitchfork_pipeline(pitchfork_bundle):
     assert sides == ["asymmetric_left", "asymmetric_right"]
 
 
+def test_pitchfork_diagram_on_a_mesh_with_a_node_near_the_jump():
+    # N = 499 puts nodes at 0.45 and 0.55, one rounding away from the
+    # interval edges of kappa=1, h=0.1; both must get the same weight
+    bundle = run_diagram(RunConfig(kappa=1, h=0.1, mesh_n=499,
+                                   lambda_min=-100.0))
+    assert bundle.provenance["failures"] == []
+    (main,) = bundle.branch_by_role("main")
+    assert main.branch.symmetry == "symmetric"
+    assert [e["kind"] for e in bundle.events
+            if e["kind"] != "fold"] == ["pitchfork"]
+    assert len(bundle.branch_by_role("switched")) == 2
+    assert bundle.branch_by_role("isola") == []
+
+
+@pytest.mark.parametrize("which", ["pitchfork_bundle", "isola_bundle"])
+def test_asymmetric_branches_come_in_exact_mirror_pairs(request, which):
+    cfg, bundle = request.getfixturevalue(which)
+    asym = [r.branch for r in bundle.branches
+            if r.branch.symmetry != "symmetric"]
+    assert asym
+    for b in asym:
+        partners = [c for c in asym if len(c.points) == len(b.points)
+                    and all(p.lam == q.lam and np.array_equal(p.u[::-1], q.u)
+                            for p, q in zip(b.points, c.points))]
+        assert len(partners) == 1 and partners[0] is not b
+    # the reflected points solve a freshly built discretization
+    d = Discretization(*cfg.build())
+    for b in asym:
+        for p in b.points:
+            assert (np.linalg.norm(residual(d, p.lam, p.u[::-1]))
+                    < cfg.newton_tol)
+
+
 def test_bundle_artifacts(tmp_path, pitchfork_bundle):
     _, bundle = pitchfork_bundle
     out = tmp_path / "run"
@@ -156,8 +195,7 @@ def test_emit_svg_empty_and_deterministic(pitchfork_bundle):
 
 
 def test_epsilon_sweep_structure():
-    base = RunConfig(kappa=1, h=0.1, mesh_n=200, lambda_min=-30.0,
-                     isola_grid=())
+    base = RunConfig(kappa=1, h=0.1, mesh_n=200, lambda_min=-30.0)
     bundles, report = run_epsilon_sweep(base, [0.0, 0.5])
     assert len(bundles) == 2
     assert [entry["eps"] for entry in report] == [0.0, 0.5]
@@ -182,11 +220,12 @@ def test_cli_shoot_no_solutions(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--lambda", "-100", "--grid-size", "50"],
-    ["--lambda", "-3000"],
+    ["--h", "0.1", "--lambda", "-100", "--grid-size", "50"],
+    ["--h", "0.1", "--lambda", "-3000"],
+    ["--h", "0.5", "--eps", "0", "--lambda", "-1000"],  # acceptance blow-up
 ])
 def test_cli_shoot_refuses_with_one_line_error(capsys, argv):
-    assert main(["shoot", "--kappa", "1", "--h", "0.1", *argv]) == 2
+    assert main(["shoot", "--kappa", "1", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -5,7 +5,7 @@ from bvpcont.discretize import (BandedJacobian, Discretization,
                                 MeshMismatchError, discrete_l2_norm, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
-from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
+from bvpcont.mesh import Mesh, build_refined_mesh, build_uniform_mesh
 from bvpcont.weight import build_weight
 
 
@@ -96,6 +96,27 @@ def test_residual_reflection_equivariance():
     r1 = residual(d, -42.0, u[::-1])
     r2 = residual(d, -42.0, u)[::-1]
     assert np.allclose(r1, r2, rtol=0, atol=1e-9 * (1 + np.abs(r2).max()))
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3])
+def test_operators_are_mirror_symmetric_bit_exactly(kappa, h):
+    w = build_weight(kappa, h, 0.3)
+    meshes = [build_uniform_mesh(n) for n in (99, 199, 499, 999)]
+    meshes += [build_refined_mesh(w, 0.01, 0.002),
+               build_refined_mesh(w, 0.002, 0.0005)]
+    for m in meshes:
+        d = Discretization(w, m)
+        assert np.array_equal(d.a, d.a[::-1])
+        assert np.array_equal(d.center, d.center[::-1])
+        assert np.array_equal(d.sub, d.sup[::-1])
+
+
+def test_asymmetric_mesh_rejected():
+    nodes = build_uniform_mesh(99).nodes.copy()
+    nodes[10] += 1e-3
+    with pytest.raises(ValueError, match="not symmetric"):
+        Discretization(build_weight(1, 0.1, 0.0), Mesh(nodes))
 
 
 def test_node_weights_sampling():

@@ -97,8 +97,8 @@ def test_spacings_palindromic_and_sum():
     dx = mesh_spacings(m)
     assert len(dx) == m.n_interior + 1
     assert np.all(dx > 0)
-    # nodes are mirrored bit-exactly; spacings then agree to one rounding
-    assert np.allclose(dx, dx[::-1], rtol=0.0, atol=5e-16)
+    # nodes are snapped and mirrored bit-exactly, so the spacings are too
+    assert np.array_equal(dx, dx[::-1])
     assert abs(dx.sum() - 1.0) <= 1e-15
 
 

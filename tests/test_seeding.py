@@ -10,7 +10,7 @@ from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
-                             find_isola, mask_census, peak_pattern,
+                             find_new_solution, mask_census, peak_pattern,
                              peak_pattern_seed, sine_seed, solve_mask,
                              support_intervals)
 from bvpcont.weight import build_weight
@@ -127,7 +127,7 @@ def test_mask_census_shallow():
         assert np.linalg.norm(residual(d, -100.0, u)) < 1e-4
 
 
-def test_find_isola_deduplicates_against_known():
+def test_find_new_solution_deduplicates_against_known():
     # at lam = -100 the all-peaks pattern lives on the main branch; with the
     # main branch known there is no new component to report
     w = build_weight(1, 0.1, 0.3)
@@ -141,8 +141,9 @@ def test_find_isola_deduplicates_against_known():
     t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
     main = continue_branch(d, start, t,
                            ContinuationConfig(lambda_min=-150.0))
-    assert find_isola(d, -100.0, PeakMask((True, True)),
-                      known=[main]) is None
+    mask = PeakMask((True, True))
+    assert find_new_solution(d, -100.0, peak_pattern_seed(d, mask, -100.0),
+                             [main]) is None
 
 
 def test_deepen_requires_downward_target():

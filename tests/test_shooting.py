@@ -66,6 +66,15 @@ def test_shoot_count_validity_envelope():
     assert count == 3
 
 
+@pytest.mark.parametrize("lam", [-1000.0, -1290.0])
+def test_shoot_count_refuses_an_undecided_root(lam):
+    # in the a = 0 interval (0.25, 0.75) shots grow like exp(sqrt(-lam)*x);
+    # a bracket pairs a zero crossing with a blow-up, and the acceptance shot
+    # at its midpoint blows up: refuse instead of counting or dropping it
+    with pytest.raises(ValueError, match="cannot resolve"):
+        shoot_count(build_weight(1, 0.5, 0.0), lam)
+
+
 @pytest.mark.parametrize("bad", [{"step_tol": 0.0}, {"refine_tol": 0.0},
                                  {"v0_max": 0.0}, {"v0_max": -5.0}])
 def test_shoot_count_argument_checks(bad):

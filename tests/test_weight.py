@@ -37,11 +37,6 @@ def test_asymmetric_centers_rejected():
         build_weight(2, 0.1, 0.0, centers=(0.2, 0.6))
 
 
-def test_asymmetric_centers_allowed_with_flag():
-    w = build_weight(2, 0.1, 0.0, centers=(0.2, 0.6), enforce_symmetry=False)
-    assert len(w.intervals) == 2
-
-
 def test_eps_out_of_range():
     with pytest.raises(WeightError):
         build_weight(1, 0.1, 1.5)
