@@ -12,7 +12,8 @@ import numpy as np
 
 from .continuation import Branch
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        _lu, _lu_solve, newton_augmented, newton_fixed_lambda)
+                        _inverse_iteration, _lu, newton_augmented,
+                        newton_fixed_lambda)
 from .discretize import BandedJacobian, Discretization, jacobian
 
 __all__ = [
@@ -52,22 +53,6 @@ def det_sign(J: BandedJacobian) -> tuple[int, float]:
     negatives = np.count_nonzero(u_diag < 0.0)
     sign = -1 if (swaps + negatives) % 2 else 1
     return sign, float(np.sum(np.log(np.abs(u_diag))))
-
-
-def _inverse_iteration(lu, n: int, iters: int) -> tuple[np.ndarray, float]:
-    """Unit vector after iters inverse-iteration steps on the LU factors lu.
-
-    Also returns 1/||J^-1 v|| of the last step, an estimate from above of
-    the smallest |eigenvalue| of J.
-    """
-    v = np.ones(n)
-    v[::2] += 0.5  # break accidental orthogonality to the target mode
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        x = _lu_solve(lu, v)
-        growth = float(np.linalg.norm(x))
-        v = x / growth
-    return v, 1.0 / growth
 
 
 def _sign_resolved(J: BandedJacobian) -> bool:

@@ -8,9 +8,11 @@ is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4) and capped
 at 30.  A step is rejected and ds halved when the corrector fails or the
 unit tangent turns by more than 0.2 rad.  A symmetric start point is
 continued in the symmetric subspace, so every point it adds is exactly
-symmetric.  A branch terminates on a parameter or norm bound, step-count or
-step-underflow, departure from the positive cone, or on closing back onto
-its own start.
+symmetric.  On other branches the corrector updates leave out a mode that
+the Newton tolerance leaves free, such as the translation of a lone peak
+deep in lam (``corrector.drop_free_mode``).  A branch terminates on a
+parameter or norm bound, step-count or step-underflow, departure from the
+positive cone, or on closing back onto its own start.
 """
 
 from dataclasses import dataclass, field
@@ -150,7 +152,8 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
     """Follow a branch from a converged start point along tangent t0.
 
     A symmetric start point is continued in the symmetric subspace: the
-    tangents and every corrector iterate are projected onto it.
+    tangents and every corrector iterate are projected onto it.  Otherwise
+    the corrector updates leave out a free mode of J.
     """
     symmetric = mirrors(start.u, start.u)
     t = _symmetrized(t0) if symmetric else t0.normalized()
@@ -163,7 +166,8 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
             y_new, iters = newton_augmented(d, y_pred, y, t, ds,
                                             tol=cfg.newton_tol,
                                             max_iters=cfg.max_newton_iters,
-                                            symmetric=symmetric)
+                                            symmetric=symmetric,
+                                            free_modes=not symmetric)
         except (NewtonError, SingularSystemError):
             y_new = None
         if y_new is not None:

@@ -16,6 +16,10 @@ mixed block elimination (BEMW: Govaerts & Pryce, IMA J. Numer. Anal. 13
 (1993) 161-180), which stays stable when J is singular to rounding, so folds
 in lam are regular points of the corrector.  Only an exactly zero pivot is
 reported as singular.
+
+A mode of J whose eigenvalue is so small that the residual tolerance cannot
+pin it down is free: an update along it amplifies residual noise by
+1/|eigenvalue|.  On request the corrector leaves it out (``drop_free_mode``).
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ __all__ = [
     "augmented_residual",
     "bordered_solve",
     "newton_augmented",
+    "drop_free_mode",
 ]
 
 DEFAULT_TOL = 1e-4
@@ -101,6 +106,46 @@ def solve_tridiag(J: BandedJacobian, b: np.ndarray) -> np.ndarray:
     return _lu_solve(_lu(J), b)
 
 
+def _inverse_iteration(lu, n: int, iters: int,
+                       trans: str = "N") -> tuple[np.ndarray, float]:
+    """Unit vector after iters inverse-iteration steps on the LU factors lu.
+
+    trans "T" iterates with J^T, which yields the left vector.  Also returns
+    1/||J^-1 v|| of the last step, an estimate from above of the smallest
+    |eigenvalue| of J.
+    """
+    v = np.ones(n)
+    v[::2] += 0.5  # break accidental orthogonality to the target mode
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        x = _lu_solve(lu, v, trans=trans)
+        growth = float(np.linalg.norm(x))
+        v = x / growth
+    return v, 1.0 / growth
+
+
+# With a tenth of |u| the switched branches of kappa=1 (h 0.05 to 0.3, N 300,
+# 500, 999) all reach lam=-3000 without a fold; 8 of these 15 diagrams stall
+# without it.  At N=500, Newton first needs 6 or more iterations where
+# |mu|*|u|/tol is 24 (h=0.05) and 1.5 (h=0.1).
+_FREE_FRACTION = 0.1
+
+
+def drop_free_mode(lu, u: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """x without its component along the softest mode of J if tol leaves it free.
+
+    lu holds the LU factors of J at u; the mode with eigenvalue mu is free
+    when |mu| * _FREE_FRACTION * ||u|| <= tol.  Deep on a single-peak branch
+    it is the translation of the peak (kappa=1, h=0.1, N=500: mu = 2e-7 at
+    lam=-1950 against a diagonal of 5e5).
+    """
+    right, mu = _inverse_iteration(lu, len(u), iters=2)
+    if mu * _FREE_FRACTION * np.linalg.norm(u) > tol:
+        return x
+    left, _ = _inverse_iteration(lu, len(u), iters=2, trans="T")
+    return x - right * (np.dot(left, x) / np.dot(left, right))
+
+
 def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
                         tol: float = DEFAULT_TOL,
                         max_iters: int = DEFAULT_MAX_ITERS) -> np.ndarray:
@@ -141,19 +186,21 @@ def augmented_residual(d: Discretization, y: AugmentedState,
 
 
 def bordered_solve(J: BandedJacobian, b_col: np.ndarray, t: Tangent,
-                   rhs: np.ndarray) -> np.ndarray:
+                   rhs: np.ndarray, lu=None) -> np.ndarray:
     """Solve [[J, b_col], [t.du, t.dlam]] x = rhs by mixed block elimination.
 
     One LU of J serves a transpose solve for the left vector and one
     two-column solve; the scalar unknown is split into a part fixed by the
     left vector and a correction from the right one, which keeps the result
     accurate when J is singular to rounding (BEMW, Govaerts & Pryce 1993).
+    lu may pass factors of J that the caller already holds.
     """
     n = J.n
     if len(b_col) != n or len(rhs) != n + 1 or len(t.du) != n:
         raise ValueError("dimension mismatch in bordered solve")
     f, g = rhs[:n], rhs[n]
-    lu = _lu(J)
+    if lu is None:
+        lu = _lu(J)
     v = _lu_solve(lu, t.du, trans="T")
     delta_left = t.dlam - np.dot(b_col, v)
     if delta_left == 0.0:
@@ -172,13 +219,15 @@ def newton_augmented(d: Discretization, y0: AugmentedState,
                      y_prev: AugmentedState, t: Tangent, ds: float,
                      tol: float = DEFAULT_TOL,
                      max_iters: int = DEFAULT_MAX_ITERS,
-                     symmetric: bool = False) -> tuple[AugmentedState, int]:
+                     symmetric: bool = False,
+                     free_modes: bool = False) -> tuple[AugmentedState, int]:
     """Newton's method on the arclength-augmented system, starting at y0.
 
     Returns the converged state and the number of Newton updates taken.
     With symmetric set, the start and every iterate are replaced by their
     reflection mean (u + u reversed)/2 before the convergence test, so the
-    iteration stays in the reflection-symmetric subspace.
+    iteration stays in the reflection-symmetric subspace.  With free_modes
+    set, each update leaves out a free mode of J (see drop_free_mode).
     """
     y = y0.copy()
     if symmetric:
@@ -192,8 +241,10 @@ def newton_augmented(d: Discretization, y0: AugmentedState,
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
             raise NewtonError(f"augmented residual diverged to {rnorm:.3e}")
         J = jacobian(d, y.lam, y.u)
-        delta = bordered_solve(J, -y.u, t, r)
-        y.u -= delta[:-1]
+        lu = _lu(J)
+        delta = bordered_solve(J, -y.u, t, r, lu=lu)
+        y.u -= (drop_free_mode(lu, y.u, delta[:-1], tol) if free_modes
+                else delta[:-1])
         y.lam -= delta[-1]
         if symmetric:
             y.u = _symmetrize(y.u)

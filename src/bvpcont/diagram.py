@@ -26,10 +26,9 @@ from .corrector import (AugmentedState, NewtonError, SingularSystemError,
 from .discretize import (Discretization, discrete_l2_norm, mirrors,
                          principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
-from .seeding import (deepen_solution, enumerate_peak_masks,
-                      find_new_solution, peak_indices, peak_pattern,
-                      peak_pattern_seed, sine_seed, well_bump_seed,
-                      well_edge_seed)
+from .seeding import (enumerate_peak_masks, find_new_solution, peak_indices,
+                      peak_pattern, peak_pattern_seed, sine_seed,
+                      well_bump_seed, well_edge_seed)
 from .weight import Weight, build_weight
 
 __all__ = [
@@ -403,13 +402,9 @@ def run_diagram(config) -> DiagramBundle:
 def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
     """Distinct peak patterns realized at the lambda floor of a diagram run.
 
-    Runs the full diagram, takes the endpoint and deepest profile of every
-    branch, and carries profiles that stalled short of lambda_min the rest of
-    the way by natural lambda stepping.  Continuation near the floor can stall
-    on folds created by the discrete lattice (peak-translation modes become
-    exponentially soft), so the direct stepping fallback is what guarantees
-    each sheet is sampled at depth.  Returns {pattern: (lam, u, branch_id)}
-    keyed by the 0/1 string of occupied vanishing intervals.
+    Reads the ends of every branch that continued below 0.997*lambda_min.
+    Returns {pattern: (lam, u, branch_id)} keyed by the 0/1 string of
+    occupied vanishing intervals.
 
     config is a RunConfig or its dict form, or a DiagramBundle that
     run_diagram returned, whose branches are then used without a new run.
@@ -422,27 +417,15 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
                else RunConfig.from_dict(config))
         bundle = run_diagram(cfg)
     d = bundle.operator
-    floor = cfg.lambda_min
     out: dict[str, tuple[float, np.ndarray, str]] = {}
     for rec in bundle.branches:
         pts = rec.branch.points
-        if not pts:
-            continue
-        deepest = min(pts, key=lambda p: p.lam)
-        for p in {id(q): q for q in (pts[0], pts[-1], deepest)}.values():
-            lam, u = p.lam, p.u
-            if floor * 0.997 < lam <= floor / 3.0:
-                try:
-                    u = deepen_solution(d, u, lam, floor,
-                                        newton_tol=cfg.newton_tol)
-                    lam = floor
-                except (NewtonError, SingularSystemError):
-                    continue
-            if lam >= floor * 0.997:
+        for p in pts[:1] + pts[-1:]:
+            if p.lam >= cfg.lambda_min * 0.997:
                 continue
-            pat = "".join("1" if b else "0" for b in peak_pattern(d, u))
+            pat = "".join("1" if b else "0" for b in peak_pattern(d, p.u))
             if "1" in pat and pat not in out:
-                out[pat] = (float(lam), u, rec.branch_id)
+                out[pat] = (p.lam, p.u, rec.branch_id)
     return out
 
 

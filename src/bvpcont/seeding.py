@@ -99,6 +99,20 @@ def peak_pattern_seed(d: Discretization, mask: PeakMask, lam: float) -> np.ndarr
     return u
 
 
+def _well_intervals(d: Discretization, lam: float,
+                    wells: tuple[bool, ...] | None) -> list[tuple[float, float]]:
+    """The depressed intervals flagged in wells (default: all), for eps > 0."""
+    if lam >= 0:
+        raise ValueError("peak seeds require lam < 0")
+    if d.w.eps <= 0:
+        raise ValueError("well seeds require eps > 0")
+    if wells is None:
+        wells = (True,) * d.w.kappa
+    if len(wells) != d.w.kappa:
+        raise ValueError(f"expected {d.w.kappa} well flags, got {len(wells)}")
+    return [iv for bit, iv in zip(wells, d.w.intervals) if bit]
+
+
 def well_bump_seed(d: Discretization, lam: float,
                    wells: tuple[bool, ...] | None = None) -> np.ndarray:
     """Bumps centered in the depressed intervals, scaled for coefficient eps.
@@ -106,21 +120,12 @@ def well_bump_seed(d: Discretization, lam: float,
     Only meaningful for eps > 0, where the local cubic coefficient is eps and
     the corresponding homoclinic amplitude is sqrt(-2*lam/eps).
     """
-    if lam >= 0:
-        raise ValueError("peak seeds require lam < 0")
-    w = d.w
-    if w.eps <= 0:
-        raise ValueError("well bumps require eps > 0")
-    if wells is None:
-        wells = (True,) * w.kappa
-    if len(wells) != w.kappa:
-        raise ValueError(f"expected {w.kappa} well flags, got {len(wells)}")
+    intervals = _well_intervals(d, lam, wells)
     x = d.m.interior
     u = np.zeros_like(x)
-    amp = np.sqrt(-2.0 * lam / w.eps)
-    for bit, (a, b) in zip(wells, w.intervals):
-        if bit:
-            u += _bump(x, 0.5 * (a + b), lam, amp)
+    amp = np.sqrt(-2.0 * lam / d.w.eps)
+    for a, b in intervals:
+        u += _bump(x, 0.5 * (a + b), lam, amp)
     return u
 
 
@@ -132,21 +137,12 @@ def well_edge_seed(d: Discretization, lam: float,
     points alpha_i and beta_i of the coefficient, not at the support interval
     midpoints, so a dedicated seed family is needed to reach them.
     """
-    if lam >= 0:
-        raise ValueError("peak seeds require lam < 0")
-    w = d.w
-    if w.eps <= 0:
-        raise ValueError("well edge bumps target eps > 0 isolas")
-    if wells is None:
-        wells = (True,) * w.kappa
-    if len(wells) != w.kappa:
-        raise ValueError(f"expected {w.kappa} well flags, got {len(wells)}")
+    intervals = _well_intervals(d, lam, wells)
     x = d.m.interior
     u = np.zeros_like(x)
     amp = np.sqrt(-2.0 * lam)
-    for bit, (a, b) in zip(wells, w.intervals):
-        if bit:
-            u += _bump(x, a, lam, amp) + _bump(x, b, lam, amp)
+    for a, b in intervals:
+        u += _bump(x, a, lam, amp) + _bump(x, b, lam, amp)
     return u
 
 

@@ -78,10 +78,6 @@ class Trajectory:
     first_zero: float | None  # x of the first descending zero crossing of u
     piece_energy_drift: list[float]  # relative drift per constant-a piece
 
-    def at(self, xq) -> np.ndarray:
-        """Interpolated u at query abscissae."""
-        return np.interp(xq, self.x, self.u)
-
 
 def potential_energy(lam: float, a_val: float, u: float) -> float:
     """lam*u^2/2 + a_val*u^4/4."""

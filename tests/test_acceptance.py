@@ -56,15 +56,13 @@ def report(n, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def isola_bundle():
-    # kappa=2, h=0.25, eps=0: main component plus three isolas
-    cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
-    return run_diagram(cfg)
+def diagram_k1():
+    return run_diagram(RunConfig(kappa=1, h=0.1, eps=0.0, mesh_n=500))
 
 
 @pytest.fixture(scope="module")
-def census_k1():
-    return deep_census(RunConfig(kappa=1, h=0.1, eps=0.0, mesh_n=500))
+def census_k1(diagram_k1):
+    return deep_census(diagram_k1)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +219,32 @@ def test_criterion_5_multiplicity_census(census_k1, census_k2):
     report(5, ok, f"census {count1}/{count2} (need 3/7); "
            f"oracle count at -100: {oracle_count} (need 3)")
     assert ok
+
+
+@pytest.mark.parametrize("diagram", ["diagram_k1", "diagram_k2"])
+def test_census_branches_reach_the_floor(request, diagram):
+    # deep_census reads only the branch ends, so every branch of a census
+    # diagram must be continued below lambda_min
+    bundle = request.getfixturevalue(diagram)
+    for rec in bundle.branches:
+        assert rec.branch.diagnostics
+        assert all(x.endswith("reached lambda_min")
+                   for x in rec.branch.diagnostics), rec.branch_id
+
+
+def test_k1_switched_branches_keep_one_peak_to_the_floor(diagram_k1):
+    # kappa=1, h=0.1 to lambda=-3000: the lone peak of each switched branch
+    # has a translation mode that the Newton tolerance leaves free below
+    # lambda~-1800.  The corrector leaves it out, so the peak neither hops
+    # between nodes nor turns the branch back (no fold events).
+    bundle = diagram_k1
+    assert bundle.provenance["failures"] == []
+    assert [e["kind"] for e in bundle.events] == ["pitchfork"]
+    assert [r.role for r in bundle.branches] == ["main"] + ["switched"] * 2
+    for rec in bundle.branch_by_role("switched"):
+        lams = rec.branch.lambdas()
+        assert np.all(np.diff(lams) < 0)
+        assert lams[-1] < -3000.0
 
 
 def test_deep_main_branch_stays_symmetric(diagram_k2):

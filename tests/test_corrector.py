@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bvpcont.corrector import (AugmentedState, NewtonError,
-                               SingularSystemError, Tangent,
+                               SingularSystemError, Tangent, _lu,
                                augmented_residual, bordered_solve,
-                               newton_augmented, newton_fixed_lambda,
-                               solve_tridiag)
+                               drop_free_mode, newton_augmented,
+                               newton_fixed_lambda, solve_tridiag)
 from bvpcont.continuation import initial_tangent
 from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
@@ -260,3 +260,41 @@ def test_newton_augmented_follows_constraint():
     r = augmented_residual(d, y, y_prev, t, ds)
     assert np.linalg.norm(r) < 1e-4
     assert y.lam < lam
+
+
+def test_free_mode_dropped():
+    # nonsymmetric tridiagonal J with one eigenvalue of 1e-9 and the rest
+    # near 2: the dropped vector loses exactly that mode
+    n = 40
+    J = BandedJacobian(np.full(n - 1, -0.3), np.full(n, 2.0),
+                       np.full(n - 1, -0.6))
+    evals, vecs = np.linalg.eig(J.dense())
+    k = np.argmin(np.abs(evals))
+    J = BandedJacobian(J.sub, J.diag - evals[k].real + 1e-9, J.sup)
+    right = vecs[:, k].real / np.linalg.norm(vecs[:, k].real)
+    u = np.ones(n)
+    x = np.linspace(1.0, 2.0, n)
+    y = drop_free_mode(_lu(J), u, x, tol=1e-4)
+    removed = x - y
+    assert np.linalg.norm(removed) > 0.1
+    assert abs(abs(np.dot(right, removed)) - np.linalg.norm(removed)) \
+        < 1e-10 * np.linalg.norm(removed)
+    assert np.linalg.norm(solve_tridiag(J, y)) < 1e3 * np.linalg.norm(y)
+    # a mode of 1e-2 is pinned down by the tolerance: nothing is dropped
+    J2 = BandedJacobian(J.sub, J.diag + 1e-2, J.sup)
+    assert drop_free_mode(_lu(J2), u, x, tol=1e-4) is x
+
+
+def test_newton_augmented_free_modes_idle_without_soft_mode():
+    # far from any soft mode the option changes no bit of the result
+    w = build_weight(1, 0.1, 0.0)
+    m = build_uniform_mesh(200)
+    d = Discretization(w, m)
+    lam = -20.0
+    u = newton_fixed_lambda(d, lam, sine_seed(m, 6.0), tol=1e-8)
+    y_prev = AugmentedState(lam, u)
+    t = initial_tangent(d, y_prev, direction_hint=-1.0)
+    y_pred = AugmentedState(lam + 2.0 * t.dlam, u + 2.0 * t.du)
+    a, ia = newton_augmented(d, y_pred, y_prev, t, 2.0)
+    b, ib = newton_augmented(d, y_pred, y_prev, t, 2.0, free_modes=True)
+    assert ia == ib and a.lam == b.lam and np.array_equal(a.u, b.u)

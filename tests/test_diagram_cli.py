@@ -20,12 +20,6 @@ def pitchfork_bundle():
     return cfg, run_diagram(cfg)
 
 
-@pytest.fixture(scope="module")
-def isola_bundle():
-    cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
-    return cfg, run_diagram(cfg)
-
-
 def test_run_config_from_dict_nested():
     cfg = RunConfig.from_dict({
         "kappa": 2, "h": 0.15, "eps": 0.3,
@@ -129,7 +123,10 @@ def test_pitchfork_diagram_on_a_mesh_with_a_node_near_the_jump():
 
 @pytest.mark.parametrize("which", ["pitchfork_bundle", "isola_bundle"])
 def test_asymmetric_branches_come_in_exact_mirror_pairs(request, which):
-    cfg, bundle = request.getfixturevalue(which)
+    bundle = request.getfixturevalue(which)
+    if which == "pitchfork_bundle":
+        _, bundle = bundle
+    cfg = RunConfig.from_dict(bundle.config)
     asym = [r.branch for r in bundle.branches
             if r.branch.symmetry != "symmetric"]
     assert asym
