@@ -256,8 +256,9 @@ def _represented_masks(d: Discretization,
 def run_diagram(config) -> DiagramBundle:
     """Full pipeline: main branch, bifurcations, isola sweep, bundle assembly.
 
-    Stage failures are recorded in provenance and do not abort the run; the
-    bundle always contains whatever was computed.
+    Stage failures and unclassified det-sign changes are recorded in
+    provenance and do not abort the run; the bundle always contains whatever
+    was computed.
     """
     cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(config)
     t_wall = time.perf_counter()
@@ -298,6 +299,9 @@ def run_diagram(config) -> DiagramBundle:
                 "main", i, ev.kind, ev.lambda_b,
                 discrete_l2_norm(d, ev.state.u)))
             main.events.append((i, ev))
+            if ev.kind == "unclassified":
+                failures.append(f"unclassified det-sign change at index {i}, "
+                                f"lam={ev.lambda_b:.6g}")
             if ev.kind != "pitchfork":
                 continue
             try:

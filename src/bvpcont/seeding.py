@@ -1,11 +1,16 @@
-"""Initial Newton iterates: near-onset sine seeds and multi-peak bump seeds.
+"""Seeds, discovery of new solutions and peak patterns.
 
+Initial Newton iterates are near-onset sine seeds and multi-peak bump seeds.
 For strongly negative lam the mass of every positive solution concentrates in
 the maximal intervals where the coefficient equals 1, so candidate solutions
 are enumerated by boolean peak masks over those kappa+1 intervals (2^(kappa+1)-1
 nonzero patterns).  Each set bit contributes a sech-shaped bump whose amplitude
 sqrt(-2*lam) and width 1/sqrt(-lam) match the homoclinic orbit of the
 autonomous equation -u'' = lam*u + u^3, the true far-field shape of a peak.
+``find_new_solution`` converges a seed at fixed lam and keeps it only if it
+lies on none of the known branches; ``peak_pattern`` reads which support
+intervals a solution occupies.  Moving a solution to another lam is the job
+of ``continuation.continue_branch``.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .continuation import Branch, SolutionPoint, make_point
+from .continuation import Branch, make_point
 from .corrector import NewtonError, SingularSystemError, newton_fixed_lambda
 from .discretize import Discretization
 from .mesh import Mesh
@@ -27,9 +32,6 @@ __all__ = [
     "peak_pattern_seed",
     "well_bump_seed",
     "well_edge_seed",
-    "deepen_solution",
-    "solve_mask",
-    "mask_census",
     "find_new_solution",
     "matches_branch",
     "peak_indices",
@@ -46,10 +48,6 @@ class PeakMask:
     def __post_init__(self):
         if not any(self.bits):
             raise ValueError("the all-zero mask is the trivial solution")
-
-    @property
-    def reflected(self) -> "PeakMask":
-        return PeakMask(self.bits[::-1])
 
     def __str__(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
@@ -190,88 +188,6 @@ def find_new_solution(d: Discretization, lam: float, seed: np.ndarray,
         if matches_branch(d, lam, u, branch, newton_tol=newton_tol):
             return None
     return make_point(d, lam, u, tag="branch_start")
-
-
-def deepen_solution(d: Discretization, u: np.ndarray, lam_from: float,
-                    lam_to: float, ratio: float = 1.3,
-                    newton_tol: float = 1e-4) -> np.ndarray:
-    """Carry a solution from lam_from down to lam_to by natural stepping.
-
-    lam steps geometrically (factor ratio in -lam); each step re-converges
-    by Newton from the amplitude-rescaled previous profile.  Failed steps
-    are bisected (geometric mean) a few times before giving up.
-    """
-    if lam_from >= 0 or lam_to >= 0 or lam_to > lam_from:
-        raise ValueError("stepping requires lam_to <= lam_from < 0")
-    lam = lam_from
-    u = np.asarray(u, dtype=float).copy()
-    while lam > lam_to:
-        lam_next = max(lam * ratio, lam_to)
-        for _ in range(8):
-            try:
-                u_next = newton_fixed_lambda(
-                    d, lam_next, u * np.sqrt(lam_next / lam),
-                    tol=newton_tol)
-                break
-            except (NewtonError, SingularSystemError):
-                lam_next = -np.sqrt(lam * lam_next)
-        else:
-            raise NewtonError(f"stepping stalled near lam = {lam:.6g}")
-        if u_next.min() < -1e-8:
-            raise NewtonError(f"left positive cone at lam = {lam_next:.6g}")
-        lam, u = lam_next, u_next
-    return u
-
-
-def solve_mask(d: Discretization, mask: PeakMask, lam: float,
-               lam_first: float = -50.0,
-               newton_tol: float = 1e-4) -> np.ndarray:
-    """Converged positive solution realizing a peak mask at a deep lam.
-
-    Single-peak masks are reached by stepping a shallow sech-seeded solution
-    down in lam.  Multi-peak masks are assembled by superposing the
-    single-peak solutions (their overlap decays like exp(-sqrt(-lam)*d)) and
-    polishing with Newton, which is far more reliable than Newton directly
-    from a multi-bump seed.
-    """
-    if lam > lam_first:
-        u0 = peak_pattern_seed(d, mask, lam)
-        return newton_fixed_lambda(d, lam, u0, tol=newton_tol)
-    if sum(mask.bits) == 1:
-        u = newton_fixed_lambda(d, lam_first,
-                                peak_pattern_seed(d, mask, lam_first),
-                                tol=newton_tol)
-        return deepen_solution(d, u, lam_first, lam, newton_tol=newton_tol)
-    seed = np.zeros(d.m.n_interior)
-    for i, bit in enumerate(mask.bits):
-        if bit:
-            single = PeakMask(tuple(j == i for j in range(len(mask.bits))))
-            seed += solve_mask(d, single, lam, lam_first=lam_first,
-                               newton_tol=newton_tol)
-    u = newton_fixed_lambda(d, lam, seed, tol=newton_tol)
-    if u.min() < -1e-8:
-        raise NewtonError("superposition polish left the positive cone")
-    return u
-
-
-def mask_census(d: Discretization, lam: float,
-                newton_tol: float = 1e-4) -> list[tuple[PeakMask, np.ndarray]]:
-    """All distinct mask-realizing solutions at lam, in fixed mask order.
-
-    Failures are skipped; duplicates (max profile difference below
-    1e-4 * scale) are dropped.
-    """
-    out: list[tuple[PeakMask, np.ndarray]] = []
-    for mask in enumerate_peak_masks(d.w.kappa):
-        try:
-            u = solve_mask(d, mask, lam, newton_tol=newton_tol)
-        except (NewtonError, SingularSystemError):
-            continue
-        if any(np.max(np.abs(u - v)) < 1e-4 * (1.0 + np.abs(u).max())
-               for _, v in out):
-            continue
-        out.append((mask, u))
-    return out
 
 
 def peak_indices(u: np.ndarray, rel_threshold: float = 0.1) -> list[int]:

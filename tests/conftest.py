@@ -1,5 +1,9 @@
 import pytest
 
+from bvpcont.continuation import (AugmentedState, ContinuationConfig,
+                                  continue_branch, initial_tangent,
+                                  make_point)
+from bvpcont.corrector import newton_fixed_lambda
 from bvpcont.diagram import RunConfig, run_diagram
 
 
@@ -8,3 +12,26 @@ def isola_bundle():
     # kappa=2, h=0.25, eps=0: main component plus three isolas
     cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
     return run_diagram(cfg)
+
+
+@pytest.fixture(scope="session")
+def descend():
+    """descend(d, lam, u, levels): the solution at each of levels, in order.
+
+    The branch through the solution (lam, u) is continued downward in lam to
+    below min(levels); it must get past every level, or the test fails.  At
+    each level Newton at exactly that lam starts from the first stored point
+    at or below it.
+    """
+    def run(d, lam, u, levels):
+        start = make_point(d, lam, u, tag="branch_start")
+        t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
+        b = continue_branch(d, start, t,
+                            ContinuationConfig(lambda_min=min(levels)))
+        assert b.points[-1].lam < min(levels), (
+            f"descent from lam={lam:.6g} ended at "
+            f"lam={b.points[-1].lam:.6g}: {b.diagnostics}")
+        return [newton_fixed_lambda(
+                    d, level, next(p.u for p in b.points if p.lam <= level))
+                for level in levels]
+    return run

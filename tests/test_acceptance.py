@@ -25,8 +25,8 @@ from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
-from bvpcont.seeding import (PeakMask, deepen_solution, peak_pattern,
-                             solve_mask, well_bump_seed, well_edge_seed)
+from bvpcont.seeding import (PeakMask, peak_pattern, peak_pattern_seed,
+                             well_bump_seed, well_edge_seed)
 from bvpcont.shooting import (check_decay_identity, integrate_ivp,
                               shoot_count, time_map)
 from bvpcont.weight import build_weight
@@ -272,7 +272,7 @@ def _well_ratio(d, u, lam):
                for a, b in d.w.intervals) / np.sqrt(-2.0 * lam)
 
 
-def test_criterion_6_decay_and_identity(census_k2):
+def test_criterion_6_decay_and_identity(census_k2, descend):
     # Decay is asymptotic in lam -> -inf, so it is checked along the descent.
     # A peak next to a well settles about L/3 = 0.058 from it (L = 0.175 is
     # the outer region where a = 1), where the tail terms of the first
@@ -281,7 +281,7 @@ def test_criterion_6_decay_and_identity(census_k2):
     # at -4000 and 0.03 at -5000.  A separate uniform-mesh Newton solver
     # with N+1 = 4000 gives the same peak distance and ratios 0.081 and 0.049,
     # so the ratio is a property of the solution, not of the mesh.  Each
-    # census solution is carried from -3000 to DECAY_DEPTHS keeping its
+    # census solution is continued from -3000 to DECAY_DEPTHS keeping its
     # pattern; its worst ratio must fall strictly and be within 0.05 at the
     # deepest level.  The identity half is checked at the census depth.
     w, m = RunConfig(kappa=2, h=0.15, eps=0.0, mesh_n=500).build()
@@ -295,12 +295,11 @@ def test_criterion_6_decay_and_identity(census_k2):
             worst_ident = max(worst_ident,
                               check_decay_identity(w, m, u, lam, i))
         ratios[0] = max(ratios[0], _well_ratio(d, u, lam))
-        for k, lam_to in enumerate(DECAY_DEPTHS, 1):
-            u = deepen_solution(d, u, lam, lam_to)
-            lam = lam_to
-            bits = "".join("1" if b else "0" for b in peak_pattern(d, u))
+        deeper = descend(d, lam, u, DECAY_DEPTHS)
+        for k, (lam_to, u_to) in enumerate(zip(DECAY_DEPTHS, deeper), 1):
+            bits = "".join("1" if b else "0" for b in peak_pattern(d, u_to))
             kept &= bits == pattern
-            ratios[k] = max(ratios[k], _well_ratio(d, u, lam))
+            ratios[k] = max(ratios[k], _well_ratio(d, u_to, lam_to))
     falling = all(a > b for a, b in zip(ratios, ratios[1:]))
     decay_ok = kept and falling and ratios[-1] <= 0.05
     ident_ok = worst_ident <= 2e-2
@@ -314,7 +313,7 @@ def test_criterion_6_decay_and_identity(census_k2):
     assert decay_ok
 
 
-def test_criterion_7_property_suite(tmp_path):
+def test_criterion_7_property_suite(tmp_path, descend):
     checks = {}
 
     # Jacobian vs central finite differences on 100 random samples
@@ -351,9 +350,14 @@ def test_criterion_7_property_suite(tmp_path):
     checks["residual_reflection"] = (
         np.abs(r[::-1] - r_ref).max() <= 1e-9 * (1 + np.abs(r).max()))
 
-    # reflection equivariance of mask seeding and of continuation
-    u10 = solve_mask(d1, PeakMask((True, False)), -100.0)
-    u01 = solve_mask(d1, PeakMask((False, True)), -100.0)
+    # reflection equivariance of mask seeding and of continuation; Newton
+    # from the bump seed diverges at -100 here, so the solutions are
+    # converged at -50 and continued down
+    sols = []
+    for mk in (PeakMask((True, False)), PeakMask((False, True))):
+        u = newton_fixed_lambda(d1, -50.0, peak_pattern_seed(d1, mk, -50.0))
+        sols += descend(d1, -50.0, u, (-100.0,))
+    u10, u01 = sols
     checks["seed_reflection"] = (
         np.abs(u10[::-1] - u01).max() <= 1e-6 * (1 + np.abs(u10).max()))
     cfg30 = ContinuationConfig(lambda_min=-140.0, max_steps=30)

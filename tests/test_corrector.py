@@ -11,7 +11,7 @@ from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import deepen_solution, sine_seed, well_bump_seed
+from bvpcont.seeding import sine_seed, well_bump_seed
 from bvpcont.weight import build_weight
 
 
@@ -71,10 +71,10 @@ def test_divergence_and_exhaustion_raise():
         newton_fixed_lambda(d, -500.0, 1e6 * np.ones(100), max_iters=3)
 
 
-def test_isola_solution_at_minus_1200():
+def test_isola_solution_at_minus_1200(descend):
     # the eps = 0.30 isola exists only below its top fold near -1111.65; a
     # well-centered bump seed at -1200 lands in its Newton basin, and the
-    # solution carries down to -1300 by natural stepping
+    # solution continues down to -1300
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(500)
     d = Discretization(w, m)
@@ -82,7 +82,8 @@ def test_isola_solution_at_minus_1200():
     assert u.min() > -1e-8
     assert np.abs(u).max() > 1.0
     assert np.linalg.norm(residual(d, -1200.0, u)) < 1e-4
-    u = deepen_solution(d, u, -1200.0, -1300.0)
+    (u,) = descend(d, -1200.0, u, (-1300.0,))
+    assert u.min() > -1e-8
     assert np.linalg.norm(residual(d, -1300.0, u)) < 1e-4
 
 

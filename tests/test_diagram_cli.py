@@ -121,6 +121,18 @@ def test_pitchfork_diagram_on_a_mesh_with_a_node_near_the_jump():
     assert bundle.branch_by_role("isola") == []
 
 
+@pytest.mark.xfail(strict=True, reason="the main branch jumps to another "
+                   "symmetric sheet near lam=-215 (ROADMAP item 5)")
+def test_main_branch_keeps_its_sheet_k3_eps05():
+    # kappa=3, h=0.15, eps=0.5: steps of up to 30 carry the main branch from
+    # its sheet onto a neighbouring symmetric one between lam=-200 and -221;
+    # with steps capped at 1 it stays put.  The only trace is a det-sign
+    # change that is neither a pitchfork nor a fold, reported as a failure.
+    bundle = run_diagram(RunConfig(kappa=3, h=0.15, eps=0.5,
+                                   lambda_min=-300.0))
+    assert bundle.provenance["failures"] == []
+
+
 @pytest.mark.parametrize("which", ["pitchfork_bundle", "isola_bundle"])
 def test_asymmetric_branches_come_in_exact_mirror_pairs(request, which):
     bundle = request.getfixturevalue(which)

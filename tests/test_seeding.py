@@ -9,10 +9,9 @@ from bvpcont.diagram import onset_amplitude
 from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import (PeakMask, deepen_solution, enumerate_peak_masks,
-                             find_new_solution, mask_census, peak_pattern,
-                             peak_pattern_seed, sine_seed, solve_mask,
-                             support_intervals)
+from bvpcont.seeding import (PeakMask, enumerate_peak_masks,
+                             find_new_solution, peak_pattern,
+                             peak_pattern_seed, sine_seed, support_intervals)
 from bvpcont.weight import build_weight
 
 
@@ -26,9 +25,14 @@ def test_mask_enumeration_counts():
 
 
 def test_mask_reflection():
+    # reversing a mask's bits mirrors its seed about x = 1/2
     mk = PeakMask((True, False, False))
-    assert mk.reflected.bits == (False, False, True)
     assert str(mk) == "100"
+    d = Discretization(build_weight(2, 0.25, 0.3), build_uniform_mesh(200))
+    seed = peak_pattern_seed(d, mk, -50.0)
+    mirrored = peak_pattern_seed(d, PeakMask(mk.bits[::-1]), -50.0)
+    assert np.max(np.abs(mirrored - seed[::-1])) <= 1e-12 * seed.max()
+    assert peak_pattern(d, seed) == mk.bits
 
 
 def test_sine_seed_small_mesh():
@@ -60,16 +64,31 @@ def test_pattern_seed_rejects_bad_input():
         peak_pattern_seed(d, PeakMask((True, False)), 5.0)
 
 
-def test_reflected_masks_give_reflected_solutions():
+def _single_peaks(d, levels, descend):
+    """{mask: solutions at levels} for the one-peak masks of a kappa=1 weight.
+
+    Newton from the bump seed diverges at lam = -100 on these weights, so
+    each solution is converged at -50 and continued down.
+    """
+    out = {}
+    for mask in (PeakMask((True, False)), PeakMask((False, True))):
+        u = newton_fixed_lambda(d, -50.0, peak_pattern_seed(d, mask, -50.0))
+        out[mask] = descend(d, -50.0, u, levels)
+    return out
+
+
+def test_reflected_masks_give_reflected_solutions(descend):
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
-    u10 = solve_mask(d, PeakMask((True, False)), -100.0)
-    u01 = solve_mask(d, PeakMask((False, True)), -100.0)
+    found = _single_peaks(d, (-100.0,), descend)
+    (u10,), (u01,) = found.values()
     scale = 1.0 + np.abs(u10).max()
     assert np.max(np.abs(u10[::-1] - u01)) < 1e-6 * scale
-    assert peak_pattern(d, u10) == (True, False)
-    assert peak_pattern(d, u01) == (False, True)
+    for mk, (u,) in found.items():
+        assert u.min() > -1e-8
+        assert peak_pattern(d, u) == mk.bits
+        assert np.linalg.norm(residual(d, -100.0, u)) < 1e-4
 
 
 def test_newton_near_onset_small_symmetric():
@@ -84,47 +103,39 @@ def test_newton_near_onset_small_symmetric():
     assert np.max(np.abs(u - u[::-1])) < 1e-8
 
 
-def test_amplitude_bound():
+def test_amplitude_bound(descend):
     # sup u <= sqrt(-2*lam + c) with c = 2*(pi / min interval length)^2
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
     min_len = min(b - a for a, b in support_intervals(w))
     c = 2.0 * (np.pi / min_len) ** 2
-    for lam in (-100.0, -300.0):
-        for _, u in mask_census(d, lam):
+    levels = (-100.0, -300.0)
+    found = _single_peaks(d, levels, descend)
+    for k, lam in enumerate(levels):
+        sols = [us[k] for us in found.values()]
+        assert {peak_pattern(d, u) for u in sols} == {(True, False),
+                                                      (False, True)}
+        for u in sols:
+            assert np.linalg.norm(residual(d, lam, u)) < 1e-4
             assert np.abs(u).max() <= np.sqrt(-2.0 * lam + c)
 
 
-def test_off_peak_interval_decay():
+def test_off_peak_interval_decay(descend):
     # on an a = 1 interval without a peak the solution decays as lam drops
     w = build_weight(1, 0.1, 0.0)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
-    u = solve_mask(d, PeakMask((True, False)), -100.0)
+    levels = (-300.0, -1000.0, -3000.0)
+    sols = _single_peaks(d, levels, descend)[PeakMask((True, False))]
     right = m.interior > 0.55
-    lam = -100.0
     vals = []
-    for target in (-300.0, -1000.0, -3000.0):
-        u = deepen_solution(d, u, lam, target)
-        lam = target
+    for lam, u in zip(levels, sols):
         assert np.linalg.norm(residual(d, lam, u)) < 1e-4
+        assert peak_pattern(d, u) == (True, False)
         vals.append(np.abs(u[right]).max())
     assert vals[0] > vals[1] > vals[2]
-    assert vals[-1] <= 0.05 * np.sqrt(-2.0 * lam)
-
-
-def test_mask_census_shallow():
-    w = build_weight(1, 0.1, 0.3)
-    m = build_uniform_mesh(200)
-    d = Discretization(w, m)
-    found = mask_census(d, -100.0)
-    patterns = {str(mk) for mk, _ in found}
-    assert patterns == {"01", "10"}
-    for mk, u in found:
-        assert u.min() > -1e-8
-        assert peak_pattern(d, u) == mk.bits
-        assert np.linalg.norm(residual(d, -100.0, u)) < 1e-4
+    assert vals[-1] <= 0.05 * np.sqrt(-2.0 * levels[-1])
 
 
 def test_find_new_solution_deduplicates_against_known():
@@ -145,11 +156,3 @@ def test_find_new_solution_deduplicates_against_known():
     assert find_new_solution(d, -100.0, peak_pattern_seed(d, mask, -100.0),
                              [main]) is None
 
-
-def test_deepen_requires_downward_target():
-    w = build_weight(1, 0.1, 1.0)
-    m = build_uniform_mesh(100)
-    d = Discretization(w, m)
-    u = newton_fixed_lambda(d, -20.0, sine_seed(m, 6.0))
-    with pytest.raises(ValueError):
-        deepen_solution(d, u, -20.0, -10.0)

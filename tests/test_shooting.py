@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from bvpcont.corrector import newton_fixed_lambda
 from bvpcont.discretize import Discretization
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import PeakMask, deepen_solution, solve_mask
+from bvpcont.seeding import PeakMask, peak_pattern, peak_pattern_seed
 from bvpcont.shooting import (_batch_miss, check_decay_identity,
                               integrate_ivp, potential_energy, shoot_count,
                               time_map)
@@ -198,28 +198,34 @@ def test_decay_identity_zero_solution():
     assert check_decay_identity(w, m, np.zeros(400), -100.0, 0) == 0.0
 
 
+def _left_peak(d):
+    """The solution with one peak on the left support interval at lam=-100."""
+    mask = PeakMask((True, False))
+    u = newton_fixed_lambda(d, -100.0, peak_pattern_seed(d, mask, -100.0))
+    assert peak_pattern(d, u) == mask.bits
+    return u
+
+
 def test_decay_identity_on_solution():
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(400)
     d = Discretization(w, m)
-    u = solve_mask(d, PeakMask((True, False)), -100.0)
+    u = _left_peak(d)
     assert check_decay_identity(w, m, u, -100.0, 0) <= 2e-2
 
 
-def test_decay_integral_decreasing_in_depth():
+def test_decay_integral_decreasing_in_depth(descend):
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(400)
     d = Discretization(w, m)
-    u = solve_mask(d, PeakMask((True, False)), -100.0)
+    u = _left_peak(d)
     alpha, beta = w.intervals[0]
     x = m.interior
     sel = (x > alpha) & (x < beta)
     phi = np.sin(np.pi * (x[sel] - alpha) / (beta - alpha))
-    lam = -100.0
     vals = [abs(np.trapezoid(u[sel] * phi, x[sel]))]
-    for target in (-300.0, -1000.0):
-        u = deepen_solution(d, u, lam, target)
-        lam = target
+    levels = (-300.0, -1000.0)
+    for lam, u in zip(levels, descend(d, -100.0, u, levels)):
         assert check_decay_identity(w, m, u, lam, 0) <= 2e-2
         vals.append(abs(np.trapezoid(u[sel] * phi, x[sel])))
     assert vals[0] > vals[1] > vals[2]
