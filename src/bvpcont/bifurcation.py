@@ -2,8 +2,9 @@
 
 Simple branch points on a followed path are flagged by a sign change of the
 determinant of the fixed-parameter tridiagonal Jacobian, localized by
-bisection in arclength (each trial point corrected on the branch), and passed
-through by perturbing the host solution along the computed null vector.
+bisection in arclength (each trial point corrected on the branch, a symmetric
+one in the symmetric subspace), and passed through by one arclength step
+along the null vector (Allgower & Georg, SIAM 2003, ch. 8).
 """
 
 from dataclasses import dataclass
@@ -11,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import Branch
-from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        _inverse_iteration, _lu, newton_augmented,
-                        newton_fixed_lambda)
-from .discretize import BandedJacobian, Discretization, jacobian
+from .corrector import (AugmentedState, SingularSystemError, Tangent,
+                        _inverse_iteration, _lu, newton_augmented)
+from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
 __all__ = [
     "BifurcationEvent",
@@ -105,7 +105,8 @@ def _corrected_state(d: Discretization, branch: Branch, idx: int, s: float,
     if s == 0.0:
         return y_prev
     y_pred = AugmentedState(base.lam + s * t.dlam, base.u + s * t.du)
-    return newton_augmented(d, y_pred, y_prev, t, s, tol=tol)[0]
+    return newton_augmented(d, y_pred, y_prev, t, s, tol=tol,
+                            symmetric=mirrors(base.u, base.u))[0]
 
 
 def locate_bifurcation(d: Discretization, branch: Branch,
@@ -113,9 +114,11 @@ def locate_bifurcation(d: Discretization, branch: Branch,
                        newton_tol: float = 1e-4) -> BifurcationEvent:
     """Bisect in arclength between two branch indices with opposite det signs.
 
-    Raises BracketError when the endpoints share a det sign, or when the
-    arclength interval can no longer be halved while the corrected lam still
-    differs by more than tol across it.
+    A fold when lam does not cross lambda_b monotonically, else a pitchfork
+    when the null vector v is mostly odd (v . Rv < 0, R: x -> 1-x), else
+    unclassified.  Raises BracketError when the endpoints share a det sign,
+    or when the arclength interval can no longer be halved while the
+    corrected lam still differs by more than tol across it.
     """
     ia, ib = bracket
     pa, pb = branch.points[ia], branch.points[ib]
@@ -144,10 +147,9 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     y_mid = _corrected_state(d, branch, ia, 0.5 * (lo + hi), newton_tol)
     v = null_vector(jacobian(d, y_mid.lam, y_mid.u))
 
-    antisym = np.linalg.norm(v[::-1] + v) < 1e-6 * np.linalg.norm(v) * len(v)
     if (pa.lam - lam_b) * (pb.lam - lam_b) > 0:
         kind = "fold"  # lam does not cross lam_b monotonically
-    elif antisym:
+    elif np.dot(v, v[::-1]) < 0:
         kind = "pitchfork"
     else:
         kind = "unclassified"
@@ -155,29 +157,18 @@ def locate_bifurcation(d: Discretization, branch: Branch,
                             branch_index=ia, state=y_mid)
 
 
-def switch_branch(d: Discretization, ev: BifurcationEvent, host,
-                  amplitude: float | None = None, newton_tol: float = 1e-4,
-                  max_retries: int = 3) -> AugmentedState:
-    """A corrected state off the host branch at lam just below lambda_b.
+def switch_branch(d: Discretization, ev: BifurcationEvent,
+                  newton_tol: float = 1e-4) -> AugmentedState:
+    """A corrected state on the other branch through the pitchfork ev.
 
-    host is the branch state to switch from, normally ev.state.  The
-    predictor host.u + amplitude * null_vector at lam = lambda_b -
-    amplitude/10 is corrected by fixed-lam Newton.  If it fails to converge
-    or collapses back onto the host branch, the amplitude is doubled, up to
-    max_retries times.  At a pitchfork of a symmetric branch the other
-    branch through the point is the mirror image of this one.
+    One arclength step of length amp = 0.01 * (1 + ||u_b||) along the null
+    vector v from the located state (lambda_b, u_b): Newton on F = 0 and
+    v . (u - u_b) = amp from u_b + amp * v, with lam free.  v is
+    antisymmetric and the host symmetric, so v . (u - u_b) is 0 all along
+    the host and the constraint cuts only the other branch.  Switching
+    along -v gives the mirror image.
     """
-    if amplitude is None:
-        amplitude = 0.01 * (1.0 + np.linalg.norm(host.u))
-    for _ in range(max_retries + 1):
-        lam = ev.lambda_b - amplitude / 10.0
-        u_host = newton_fixed_lambda(d, lam, host.u, tol=newton_tol)
-        try:
-            u = newton_fixed_lambda(d, lam, host.u + amplitude * ev.null_vector,
-                                    tol=newton_tol)
-        except (NewtonError, SingularSystemError):
-            u = u_host  # retry with a larger amplitude
-        if np.max(np.abs(u - u_host)) >= 1e-6 * (1.0 + np.abs(u_host).max()):
-            return AugmentedState(lam, u)
-        amplitude *= 2.0
-    raise NewtonError("branch switching failed: predictor collapses onto host")
+    y_b, v = ev.state, ev.null_vector
+    amp = 0.01 * (1.0 + np.linalg.norm(y_b.u))
+    return newton_augmented(d, AugmentedState(y_b.lam, y_b.u + amp * v), y_b,
+                            Tangent(v, 0.0), amp, tol=newton_tol)[0]

@@ -42,7 +42,7 @@ class SolutionPoint:
     lam: float
     u: np.ndarray
     l2norm: float
-    tag: str = "regular"  # regular | fold | bifurcation | branch_start
+    tag: str = "regular"  # regular | branch_start
 
 
 @dataclass
@@ -50,7 +50,6 @@ class Branch:
     """Ordered solution points along one continuation path."""
 
     points: list[SolutionPoint] = field(default_factory=list)
-    events: list = field(default_factory=list)
     symmetry: str = "unknown"  # symmetric | asymmetric_left | asymmetric_right | unknown
     tangents: list[Tangent] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
@@ -91,45 +90,27 @@ def make_point(d: Discretization, lam: float, u: np.ndarray,
                          l2norm=discrete_l2_norm(d, u), tag=tag)
 
 
-def _fix_sign(t: Tangent, direction_hint: float) -> Tangent:
-    if abs(t.dlam) > 1e-10 and direction_hint != 0:
-        if t.dlam * direction_hint < 0:
-            return Tangent(-t.du, -t.dlam)
-        return t
-    nz = np.nonzero(t.du)[0]
-    if len(nz) and t.du[nz[0]] < 0:
-        return Tangent(-t.du, -t.dlam)
-    return t
+def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent) -> Tangent:
+    """Unit tangent at y with ref . t > 0 by construction.
+
+    Solves [J | -u] t = 0 (-u = dF/dlam) bordered by the row ref . t = 1 and
+    normalizes; only an exactly zero pivot of J raises SingularSystemError.
+    """
+    J = jacobian(d, y.lam, y.u)
+    rhs = np.zeros(len(y.u) + 1)
+    rhs[-1] = 1.0
+    sol = bordered_solve(J, -y.u, ref, rhs)
+    return Tangent(sol[:-1], sol[-1]).normalized()
 
 
 def initial_tangent(d: Discretization, y: AugmentedState,
                     direction_hint: float = -1.0) -> Tangent:
-    """Unit null vector of the N x (N+1) Jacobian [J | dF/dlam] at y.
+    """Unit tangent at y whose dlam has the sign of direction_hint.
 
-    Solves the system bordered by the probe row (0, 1), i.e. J du = u
-    (dF/dlam = -u) with dlam = 1, and normalizes.  Near a fold du grows
-    along the null vector of J, so the result tends to the fold tangent;
-    only an exactly zero pivot of J raises SingularSystemError.
+    update_tangent with ref = (0, direction_hint).  Near a fold du grows
+    along the null vector of J, so the result tends to the fold tangent.
     """
-    J = jacobian(d, y.lam, y.u)
-    probe = Tangent(np.zeros_like(y.u), 1.0)
-    rhs = np.zeros(len(y.u) + 1)
-    rhs[-1] = 1.0
-    sol = bordered_solve(J, -y.u, probe, rhs)
-    t = Tangent(sol[:-1], sol[-1]).normalized()
-    return _fix_sign(t, direction_hint)
-
-
-def update_tangent(d: Discretization, y: AugmentedState, t_old: Tangent) -> Tangent:
-    """New unit tangent at y oriented along t_old (positive inner product)."""
-    J = jacobian(d, y.lam, y.u)
-    rhs = np.zeros(len(y.u) + 1)
-    rhs[-1] = 1.0
-    sol = bordered_solve(J, -y.u, t_old, rhs)
-    t = Tangent(sol[:-1], sol[-1]).normalized()
-    if t.dot(t_old) < 0:
-        t = Tangent(-t.du, -t.dlam)
-    return t
+    return update_tangent(d, y, Tangent(np.zeros_like(y.u), direction_hint))
 
 
 def _growth(iters: int) -> float:

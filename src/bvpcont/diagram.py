@@ -20,7 +20,7 @@ from .bifurcation import (BracketError, locate_bifurcation,
                           sign_change_brackets, switch_branch)
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, initial_tangent,
-                           make_point)
+                           make_point, update_tangent)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, newton_fixed_lambda)
 from .discretize import (Discretization, discrete_l2_norm, mirrors,
@@ -298,20 +298,20 @@ def run_diagram(config) -> DiagramBundle:
             bundle.events.append(_event_dict(
                 "main", i, ev.kind, ev.lambda_b,
                 discrete_l2_norm(d, ev.state.u)))
-            main.events.append((i, ev))
             if ev.kind == "unclassified":
                 failures.append(f"unclassified det-sign change at index {i}, "
                                 f"lam={ev.lambda_b:.6g}")
             if ev.kind != "pitchfork":
                 continue
             try:
-                y = switch_branch(d, ev, ev.state, newton_tol=cfg.newton_tol)
+                y = switch_branch(d, ev, newton_tol=cfg.newton_tol)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
                 continue
             child_start = make_point(d, y.lam, y.u, tag="branch_start")
             try:
-                tc = initial_tangent(d, y, direction_hint=-1.0)
+                # away from the host, on either side of lambda_b
+                tc = update_tangent(d, y, Tangent(ev.null_vector, 0.0))
                 child = continue_branch(d, child_start, tc, cont)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"child at lam={y.lam:.6g}: {exc}")

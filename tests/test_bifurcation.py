@@ -8,7 +8,7 @@ from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
                                  null_vector, sign_change_brackets,
                                  switch_branch)
 from bvpcont.continuation import ContinuationConfig
-from bvpcont.corrector import AugmentedState, NewtonError
+from bvpcont.corrector import AugmentedState
 from bvpcont.diagram import trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
@@ -132,30 +132,38 @@ def test_locate_pitchfork_h08_positive():
 
 
 def test_switch_branch_produces_reflection_pair():
-    # switching along -null_vector lands on the mirror image
+    # one arclength step along +v and along -v lands on mirror images
     d, b = main_branch(0.05)
     ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
-    p = b.points[ev.branch_index]
-    host = AugmentedState(p.lam, p.u)
-    ya = switch_branch(d, ev, host)
-    yb = switch_branch(d, replace(ev, null_vector=-ev.null_vector), host)
-    assert ya.lam == yb.lam < ev.lambda_b
-    # mutual reflections with equal discrete norm
+    ya = switch_branch(d, ev)
+    yb = switch_branch(d, replace(ev, null_vector=-ev.null_vector))
     scale = 1.0 + np.abs(ya.u).max()
+    assert abs(ya.lam - yb.lam) < 1e-9 * (1.0 + abs(ya.lam))
+    assert abs(ya.lam - ev.lambda_b) < 0.1
+    # mutual reflections with equal discrete norm
     assert np.max(np.abs(ya.u[::-1] - yb.u)) < 1e-6 * scale
     assert discrete_l2_norm(d, ya.u) == pytest.approx(
         discrete_l2_norm(d, yb.u), rel=1e-9)
-    # genuinely off the host branch and asymmetric
-    assert np.max(np.abs(ya.u - ya.u[::-1])) > 1e-4 * scale
+    for y in (ya, yb):
+        assert np.linalg.norm(residual(d, y.lam, y.u)) < 1e-4
+        # genuinely off the symmetric host branch
+        assert np.max(np.abs(y.u - y.u[::-1])) > 1e-2 * scale
 
 
-def test_switch_branch_zero_amplitude_collapses():
-    d, b = main_branch(0.05)
-    ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
-    host = b.points[ev.branch_index]
-    with pytest.raises(NewtonError):
-        switch_branch(d, ev, AugmentedState(host.lam, host.u),
-                      amplitude=0.0)
+def test_locate_keeps_a_symmetric_host_exactly_symmetric():
+    # kappa=1, h=0.6, eps=0.2 has pitchforks near -11.15 and -100.54; the
+    # located states are exactly symmetric and both null vectors odd
+    w = build_weight(1, 0.6, 0.2)
+    m = build_uniform_mesh(500)
+    d = Discretization(w, m)
+    b = trace_main_branch(d, principal_eigenvalue(m),
+                          ContinuationConfig(lambda_min=-300.0))
+    events = [locate_bifurcation(d, b, br)
+              for br in sign_change_brackets(d, b)]
+    assert len(events) == 2
+    for ev in events:
+        assert np.array_equal(ev.state.u, ev.state.u[::-1])
+        assert ev.kind == "pitchfork"
 
 
 def test_lambda_b_increasing_in_h():

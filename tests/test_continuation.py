@@ -183,6 +183,11 @@ def test_update_tangent_orientation():
     t2 = update_tangent(d, AugmentedState(lam, u), t)
     assert t2.dot(t) > 0
     assert abs(t2.norm() - 1.0) < 1e-12
+    # the reference row alone sets the orientation
+    t3 = update_tangent(d, AugmentedState(lam, u), Tangent(-t.du, -t.dlam))
+    assert t3.dot(t) < 0
+    up = initial_tangent(d, AugmentedState(lam, u), direction_hint=+1.0)
+    assert up.dlam > 0
 
 
 def test_fold_points_requires_three_points():

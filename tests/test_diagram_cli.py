@@ -133,6 +133,30 @@ def test_main_branch_keeps_its_sheet_k3_eps05():
     assert bundle.provenance["failures"] == []
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(kappa=1, h=0.5, eps=0.5, lambda_min=-600.0),  # subcritical
+    RunConfig(kappa=1, h=0.6, eps=0.2, lambda_min=-300.0),  # two pitchforks
+], ids=["k1_h05_eps05", "k1_h06_eps02"])
+def test_switched_pair_at_every_pitchfork(config):
+    bundle = run_diagram(config)
+    assert bundle.provenance["failures"] == []
+    lam_b = [e["lambda"] for e in bundle.events
+             if e["branch_id"] == "main" and e["kind"] == "pitchfork"]
+    switched = [rec.branch for rec in bundle.branch_by_role("switched")]
+    assert lam_b and len(switched) == 2 * len(lam_b)
+    # a mirror pair of asymmetric branches starts next to each pitchfork
+    for lb, b, c in zip(sorted(lam_b, reverse=True), switched[::2],
+                        switched[1::2]):
+        p, q = b.points[0], c.points[0]
+        assert abs(p.lam - lb) < 0.1 and p.lam == q.lam
+        assert np.array_equal(p.u[::-1], q.u)
+        assert b.symmetry != "symmetric" and len(b.points) > 10
+    # no isola stands in for a switched branch through a pitchfork
+    for e in bundle.events:
+        if e["branch_id"].startswith("isola") and e["kind"] == "fold":
+            assert min(abs(e["lambda"] - lb) for lb in lam_b) > 1e-3
+
+
 @pytest.mark.parametrize("which", ["pitchfork_bundle", "isola_bundle"])
 def test_asymmetric_branches_come_in_exact_mirror_pairs(request, which):
     bundle = request.getfixturevalue(which)

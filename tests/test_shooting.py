@@ -75,6 +75,16 @@ def test_shoot_count_refuses_an_undecided_root(lam):
         shoot_count(build_weight(1, 0.5, 0.0), lam)
 
 
+@pytest.mark.xfail(strict=True, reason="one slope lies below the scan floor "
+                   "and the other two share a grid cell, so the oracle counts "
+                   "0 without an error (ROADMAP item 2)")
+def test_shoot_count_sees_the_three_k1_h05_solutions():
+    # the diagram of kappa=1, h=0.5, eps=0 holds the symmetric main branch
+    # and one mirror pair of switched branches at both levels
+    w = build_weight(1, 0.5, 0.0)
+    assert [shoot_count(w, lam)[0] for lam in (-300.0, -600.0)] == [3, 3]
+
+
 @pytest.mark.parametrize("bad", [{"step_tol": 0.0}, {"refine_tol": 0.0},
                                  {"v0_max": 0.0}, {"v0_max": -5.0}])
 def test_shoot_count_argument_checks(bad):
