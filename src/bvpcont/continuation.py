@@ -211,8 +211,8 @@ def _arclengths(points: list[SolutionPoint]) -> np.ndarray:
 def fold_points(b: Branch) -> list[tuple[int, float]]:
     """Indices and refined lam values where dlam changes sign along the branch.
 
-    Each detected fold is refined by a local quadratic fit of lam against
-    arclength through the three surrounding points.
+    Each detected fold is refined by fitting lam as a parabola in arclength
+    through the three surrounding points.
     """
     pts = b.points
     if len(pts) < 3:

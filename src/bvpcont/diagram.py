@@ -599,6 +599,8 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
 
     Profiles are written for tagged points and branch endpoints; a positive
     profile_stride in the config additionally writes every stride-th point.
+    The profiles/*.txt of an earlier bundle in outdir are removed first;
+    nothing else in outdir is touched.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -639,6 +641,8 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
 
     pdir = out / "profiles"
     pdir.mkdir(exist_ok=True)
+    for stale in pdir.glob("*.txt"):  # profiles of an earlier bundle
+        stale.unlink()
     _, m = RunConfig.from_dict(bundle.config).build()
     for rec in bundle.branches:
         n = len(rec.branch.points)

@@ -8,21 +8,24 @@ where a is constant the flow is Hamiltonian with energy
 v^2/2 + lam*u^2/2 + a*u^4/4, which gives a per-piece conservation check on
 the integrator.
 
-``shoot_count`` integrates its whole slope scan as one batch: a vectorized
-Dormand-Prince 5(4) sweep with one adaptive step per slope and scipy RK45's
-step rules, restarted on each constant-a piece so that no step straddles a
-weight jump.  Only the sign of the miss is kept (negative once u leaves the
-positive cone).  All sign-change brackets are then narrowed together by
-multisection, one batch per round, and each root is accepted by one scalar
-``solve_ivp`` shot.  Single shooting amplifies error by about
-exp(sqrt(-lam)), so counts are refused below lam = -(ln(1/eps_mach))^2,
-about -1299, where that factor exceeds 1/eps_mach.
+Every shot runs through one integrator: a vectorized Dormand-Prince 5(4)
+batch with one adaptive step per slope and scipy RK45's step rules,
+restarted on each constant-a piece so that no step straddles a weight jump.
+A shot stops on the step where u leaves the positive cone, and the crossing
+is located on that step by the cubic Hermite interpolant of u (its slopes
+are v, so no extra right-hand-side calls are made).  ``shoot_count`` scans
+the slopes in one batch, narrows all sign-change brackets together by
+multisection (one batch per round) and accepts every root in one more
+batch; ``integrate_ivp`` is a one-lane batch that records its step ends.
+The time map is closed form, an arithmetic-geometric mean.  Single shooting
+amplifies error by about exp(sqrt(-lam)), so counts are refused below
+lam = -(ln(1/eps_mach))^2, about -1299, where that factor exceeds
+1/eps_mach.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .mesh import Mesh
 from .weight import Weight, eval_weight
@@ -91,65 +94,35 @@ def _pieces(w: Weight) -> list[tuple[float, float, float]]:
             for lo, hi in zip(edges, edges[1:])]
 
 
-def _shoot(w: Weight, lam: float, v0: float, step_tol: float) -> Trajectory:
-    xs = [np.array([0.0])]
-    us = [np.array([0.0])]
-    vs = [np.array([v0])]
-    drift = []
-    state = np.array([0.0, v0])
-    first_zero = None
-    for lo, hi, a in _pieces(w):
-        def rhs(x, y, a=a):
-            return [y[1], -lam * y[0] - a * y[0] ** 3]
-
-        def cross_zero(x, y):
-            return y[0] + 1e-14
-        cross_zero.terminal = True
-        cross_zero.direction = -1.0
-
-        def blow_up(x, y):
-            return abs(y[0]) - _BLOWUP
-        blow_up.terminal = True
-        blow_up.direction = 1.0
-
-        sol = solve_ivp(rhs, (lo, hi), state, method="RK45",
-                        rtol=step_tol, atol=step_tol * 1e-2,
-                        events=[cross_zero, blow_up])
-        xs.append(sol.t[1:])
-        us.append(sol.y[0][1:])
-        vs.append(sol.y[1][1:])
-        e0 = state[1] ** 2 / 2.0 + potential_energy(lam, a, state[0])
-        e1 = sol.y[1][-1] ** 2 / 2.0 + potential_energy(lam, a, sol.y[0][-1])
-        drift.append(abs(e1 - e0) / max(abs(e0), abs(e1), 1.0))
-        state = np.array([sol.y[0][-1], sol.y[1][-1]])
-        if first_zero is None and len(sol.t_events[0]):
-            crossings = sol.t_events[0][sol.t_events[0] > 1e-12]
-            if len(crossings):
-                first_zero = float(crossings[0])
-        if len(sol.t_events[1]):
-            raise BlowUpError(
-                f"|u| exceeded {_BLOWUP:g} at x = {sol.t_events[1][0]:.6g}"
-            )
-        if sol.status == 1 and first_zero is not None:
-            break
-    return Trajectory(x=np.concatenate(xs), u=np.concatenate(us),
-                      v=np.concatenate(vs), v0=float(v0), lam=float(lam),
-                      first_zero=first_zero, piece_energy_drift=drift)
-
-
 def integrate_ivp(w: Weight, lam: float, v0: float,
                   step_tol: float = 1e-10) -> Trajectory:
     """Adaptive RK45 shot from (0, v0); steps never straddle a coefficient jump.
 
-    Integration stops early when u crosses zero from above (the shot left the
-    positive cone), recording the crossing location; |u| > 1e8 raises
-    BlowUpError.
+    A one-lane batch of the oracle's integrator, sampled at its step ends.
+    The shot stops at the end of the step where u crosses zero from above
+    (it left the positive cone) and records the crossing location as
+    first_zero; |u| > 1e8 raises BlowUpError.
     """
     if v0 <= 0:
         raise ValueError("positive solutions leave the origin with v0 > 0")
     if step_tol <= 0:
         raise ValueError("step_tol must be positive")
-    return _shoot(w, lam, v0, step_tol)
+    path = [(0.0, 0.0, float(v0))]
+    _, cross = _batch_miss(w, lam, np.array([float(v0)]), step_tol, path)
+    x, u, v = np.array(path).T
+    if np.isinf(cross[0]):
+        raise BlowUpError(f"|u| exceeded {_BLOWUP:g} by x = {x[-1]:.6g}")
+    drift = []
+    for lo, hi, a in _pieces(w):
+        if lo >= x[-1]:
+            break
+        # pieces end exactly at their edge, so x holds lo and hi as is
+        ends = [np.searchsorted(x, lo), np.searchsorted(x, hi, "right") - 1]
+        e0, e1 = v[ends] ** 2 / 2.0 + potential_energy(lam, a, u[ends])
+        drift.append(float(abs(e1 - e0) / max(abs(e0), abs(e1), 1.0)))
+    first_zero = None if np.isnan(cross[0]) else float(cross[0])
+    return Trajectory(x=x, u=u, v=v, v0=float(v0), lam=float(lam),
+                      first_zero=first_zero, piece_energy_drift=drift)
 
 
 def _rms(z: np.ndarray) -> np.ndarray:
@@ -176,20 +149,46 @@ def _first_step(f, y, fy, length, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), length)
 
 
-def _batch_miss(w: Weight, lam: float, v0: np.ndarray,
-                step_tol: float) -> np.ndarray:
-    """Sign of the boundary miss for every initial slope in v0, as one batch.
+def _hermite_zero(x0, h, u0, v0, u1, v1):
+    """x in (x0, x0 + h] where the cubic Hermite interpolant of u falls
+    through -1e-14, per lane, by bisection to 2^-40 of the step.
+
+    The interpolant matches u and u' = v at both step ends, so its error is
+    O(h^4) and it costs no right-hand-side calls.
+    """
+    c0, c1 = u0 + 1e-14, h * v0
+    c2 = 3.0 * (u1 - u0) - h * (2.0 * v0 + v1)
+    c3 = 2.0 * (u0 - u1) + h * (v0 + v1)
+    t, dt = np.zeros_like(x0), 1.0  # c0 + c1*t + c2*t^2 + c3*t^3 >= 0 at t
+    for _ in range(40):
+        dt *= 0.5
+        mid = t + dt
+        t = np.where(c0 + mid * (c1 + mid * (c2 + mid * c3)) >= 0.0, mid, t)
+    return x0 + h * (t + dt)
+
+
+def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
+                path: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary miss of every initial slope in v0, as one batch.
 
     Each lane is an RK45 shot with its own adaptive step and the step rules
     of scipy's RK45 (``rtol=step_tol``, ``atol=step_tol*1e-2``, RMS error
-    norm), restarted on every constant-a piece as ``_shoot`` does.  A lane
-    retires at the end of the step where u + 1e-14 turns negative (-1: it
-    left the positive cone), where |u| exceeds the blow-up guard (+1), or at
-    x = 1 (the sign of u(1)).
+    norm), restarted on every constant-a piece.  A lane retires at the end
+    of the step where u + 1e-14 turns negative (it left the positive cone),
+    where |u| exceeds the blow-up guard, or at x = 1.
+
+    Returns (miss, cross).  miss is -1, +1 or the sign of u(1) in those
+    three cases.  cross is the x where u + 1e-14 fell through zero, located
+    on the retiring step by ``_hermite_zero``; it is nan for a lane that
+    reached x = 1 and inf for one that blew up.  For a one-lane batch, a
+    list given as path collects (x, u, v) at every accepted step end.
     """
     rtol, atol = step_tol, step_tol * 1e-2
     v0 = np.asarray(v0, dtype=float)
     miss = np.zeros(v0.size)
+    cross = np.full(v0.size, np.nan)
+    # per lane, the step that crossed: x, h, u, v at its start, u, v at its end
+    seg = np.full((6, v0.size), np.nan)
     state = np.stack([np.zeros_like(v0), v0])
     live = np.arange(v0.size)
     for lo, hi, a in _pieces(w):
@@ -222,23 +221,30 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray,
             with np.errstate(divide="ignore", invalid="ignore"):
                 factor = _SAFETY * err_norm ** -0.2
             grow = np.minimum(np.where(retried, 1.0, _MAX_FACTOR), factor)
+            x_old, dx, y_old = x, h, y
             h = h * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
             retried = ~ok
             y = np.where(ok, y_new, y)
             fy = np.where(ok, f_new, fy)
             x = np.where(ok, x_new, x)
+            if path is not None:
+                path.extend(zip(x[ok], y[0, ok], y[1, ok]))
 
             u = y[0]
             # a live lane has u + 1e-14 >= 0, so this is a downward crossing
-            crossed = ok & (u + 1e-14 < 0.0)
-            blown = ok & (np.abs(u) > _BLOWUP)
-            ended = ok & (x == hi)
-            done = crossed | blown | ended
+            crossed = u + 1e-14 < 0.0
+            blown = np.abs(u) > _BLOWUP
+            done = ok & (crossed | blown | (x == hi))
             if not done.any():
                 continue
-            ended &= ~(crossed | blown)
+            crossed &= done
+            blown &= done & ~crossed
+            ended = done & ~(crossed | blown)
+            seg[:, lane[crossed]] = np.vstack(
+                [x_old[crossed], dx[crossed], y_old[:, crossed], y[:, crossed]])
             miss[lane[ended]] = np.sign(u[ended])
             miss[lane[blown]] = 1.0
+            cross[lane[blown]] = np.inf
             miss[lane[crossed]] = -1.0
             if hi < 1.0:
                 state[:, lane[ended]] = y[:, ended]
@@ -248,7 +254,9 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray,
                 lane[keep], y[:, keep], fy[:, keep], x[keep], h[keep],
                 retried[keep])
         live = np.sort(np.concatenate(survivors)) if survivors else live[:0]
-    return miss
+    hit = ~np.isnan(seg[0])
+    cross[hit] = _hermite_zero(*seg[:, hit])
+    return miss, cross
 
 
 def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
@@ -258,9 +266,10 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
 
     Scans v0 over a log-spaced grid in (0, v0_max] in one batch, brackets
     sign changes of the boundary miss, and narrows all brackets together by
-    multisection until hi - lo <= refine_tol*max(1, hi).  A root is kept when
-    a scalar RK45 shot from it stays positive up to x = 1 - 1e-4; roots
-    closer than 1e-8 relative are merged.  Returns (count, sorted v0 roots).
+    multisection until hi - lo <= refine_tol*max(1, hi).  The bracket
+    midpoints are shot once more, as one batch, and a root is kept when its
+    shot stays positive up to x = 1 - 1e-4; roots closer than 1e-8 relative
+    are merged.  Returns (count, sorted v0 roots).
 
     Raises ValueError below the validity floor lam < -(ln(1/eps_mach))^2,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
@@ -285,7 +294,7 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
         # exterior trajectories that boundary shots ride on.
         v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, grid_size)
-    signs = _batch_miss(w, lam, grid, step_tol)
+    signs, _ = _batch_miss(w, lam, grid, step_tol)
 
     cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     lo, hi, s_lo = grid[cells], grid[cells + 1], signs[cells]
@@ -294,7 +303,8 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
     while open_.any():
         i = np.flatnonzero(open_)
         pts = lo[i, None] + (hi[i] - lo[i])[:, None] * frac
-        signs = _batch_miss(w, lam, pts.ravel(), step_tol).reshape(pts.shape)
+        signs = _batch_miss(w, lam, pts.ravel(), step_tol)[0].reshape(
+            pts.shape)
         flip = signs * s_lo[i, None] <= 0.0
         # first interior point whose sign leaves s_lo, else the last section
         k = np.where(flip.any(axis=1), flip.argmax(axis=1), _SECTIONS - 1)
@@ -303,21 +313,20 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
         lo[i], hi[i] = ends[rows, k], ends[rows, k + 1]
         open_[i] = hi[i] - lo[i] > refine_tol * np.maximum(1.0, hi[i])
 
-    roots = []  # ascending: each bracket stays inside its grid cell
-    for root in 0.5 * (lo + hi):
-        try:
-            traj = _shoot(w, lam, root, step_tol)
-        except BlowUpError as exc:
-            # the bracket may pair a zero crossing with a blow-up
-            raise ValueError(
-                f"single shooting cannot resolve the root near v0 = {root:.6g}"
-                f" at lam = {lam:g}: the acceptance shot blew up ({exc})"
-            ) from exc
-        if traj.first_zero is None or traj.first_zero > 1.0 - 1e-4:
-            roots.append(float(root))
+    # ascending: each bracket stays inside its grid cell
+    mids = 0.5 * (lo + hi)
+    _, cross = _batch_miss(w, lam, mids, step_tol)
+    if np.isinf(cross).any():
+        # the bracket may pair a zero crossing with a blow-up
+        root = mids[np.isinf(cross)][0]
+        raise ValueError(
+            f"single shooting cannot resolve the root near v0 = {root:.6g}"
+            f" at lam = {lam:g}: the acceptance shot blew up (|u| exceeded"
+            f" {_BLOWUP:g} before x = 1)")
+    roots = mids[np.isnan(cross) | (cross > 1.0 - 1e-4)]
 
     merged = []
-    for r in roots:
+    for r in roots.tolist():
         if merged and abs(r - merged[-1]) < 1e-8 * max(1.0, r):
             continue  # two roots shared a grid cell: grid too coarse
         merged.append(r)
@@ -327,19 +336,19 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
 def time_map(u0: float, lam: float) -> float:
     """Travel time from (0, v0) to the maximal amplitude (u0, 0).
 
-    T = integral_0^{pi/2} dphi / sqrt(lam + u0^2*(1 + sin(phi)^2)/2)
-    after theta = sin(phi); requires the exterior condition u0^2 > -2*lam.
+    T = integral_0^{pi/2} dphi / sqrt(A + B*sin(phi)^2) after theta = sin(phi),
+    with A = lam + u0^2/2 and B = u0^2/2; requires the exterior condition
+    u0^2 > -2*lam, i.e. A > 0.  By Gauss's formula for the complete elliptic
+    integral, T = pi / (2*AGM(sqrt(A + B), sqrt(A))).
     """
     if lam >= 0:
         raise ValueError("time map defined for lam < 0")
     if u0**2 <= -2.0 * lam:
         raise ValueError(f"u0 = {u0} not an exterior amplitude for lam = {lam}")
-
-    def integrand(phi):
-        return 1.0 / np.sqrt(lam + 0.5 * u0**2 * (1.0 + np.sin(phi) ** 2))
-
-    val, _ = quad(integrand, 0.0, np.pi / 2.0, epsabs=1e-13, epsrel=1e-12)
-    return float(val)
+    a, b = np.sqrt(lam + u0**2), np.sqrt(lam + 0.5 * u0**2)
+    while a - b > 4.0 * np.finfo(float).eps * a:  # a >= b: AM >= GM
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return float(np.pi / (a + b))
 
 
 def check_decay_identity(w: Weight, m: Mesh, u: np.ndarray, lam: float,
@@ -353,7 +362,7 @@ def check_decay_identity(w: Weight, m: Mesh, u: np.ndarray, lam: float,
         int_alpha^beta u*phi = (u(beta)*phi'(beta) - u(alpha)*phi'(alpha))
                                / (lam - (pi/h)^2),
 
-    so the mismatch measures quadrature plus discretization error only.
+    so the mismatch measures trapezoid-rule plus discretization error only.
     """
     if w.eps != 0.0:
         raise ValueError("identity check requires a vanishing (eps = 0) weight")

@@ -201,6 +201,29 @@ def test_bundle_artifacts(tmp_path, pitchfork_bundle):
     assert cols[0, 1] == 0.0 and cols[-1, 1] == 0.0
 
 
+def test_bundle_rewrite_drops_stale_profiles(tmp_path, pitchfork_bundle):
+    # a second bundle written into the same directory leaves only its own
+    # profiles; other files in the directory are kept
+    _, first = pitchfork_bundle
+    second = run_diagram(RunConfig(kappa=1, h=0.5, eps=0.0, mesh_n=200,
+                                   lambda_min=-20.0))
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    write_bundle(first, shared)
+    (shared / "notes.txt").write_text("kept\n")
+    (shared / "profiles" / "notes.md").write_text("kept\n")
+    before = {p.name for p in (shared / "profiles").glob("*.txt")}
+    write_bundle(second, shared)
+    write_bundle(second, fresh)
+    after = {p.name for p in (shared / "profiles").glob("*.txt")}
+    assert after == {p.name for p in (fresh / "profiles").glob("*.txt")}
+    assert before - after  # the first bundle had profiles the second lacks
+    for name in after:
+        assert ((shared / "profiles" / name).read_bytes()
+                == (fresh / "profiles" / name).read_bytes())
+    assert (shared / "notes.txt").read_text() == "kept\n"
+    assert (shared / "profiles" / "notes.md").read_text() == "kept\n"
+
+
 def test_bundle_reruns_byte_identical(tmp_path, pitchfork_bundle):
     cfg, bundle = pitchfork_bundle
     a, b = tmp_path / "a", tmp_path / "b"

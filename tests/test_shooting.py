@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
+import bvpcont
+from bvpcont import shooting
 from bvpcont.corrector import newton_fixed_lambda
 from bvpcont.discretize import Discretization
 from bvpcont.mesh import build_uniform_mesh
@@ -135,7 +142,7 @@ def test_batched_miss_signs_match_single_shots(kappa, h, lam):
     w = build_weight(kappa, h, 0.0)
     v0_max = 2.0 * (-2.0 * lam) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, 200)
-    signs = _batch_miss(w, lam, grid, 1e-8)
+    signs, _ = _batch_miss(w, lam, grid, 1e-8)
     cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     assert cells.size >= 2
     picks = sorted(set(range(0, 200, 5)) | set(cells) | set(cells + 1))
@@ -161,6 +168,88 @@ def test_roots_solve_the_bvp_under_a_tight_reshoot(kappa, h):
         u = np.concatenate(us)
         assert abs(u[-1]) <= 1e-5 * u.max()
         assert u[:-1].min() > 0.0
+
+
+def _reference_crossing(w, lam, v0):
+    """x where a per-slope RK45 shot with a terminal event leaves the
+    positive cone (u + 1e-14 falls through zero), or None."""
+    y = [0.0, v0]
+    for lo, hi, a in _pieces_of(w):
+        def down(x, y):
+            return y[0] + 1e-14
+
+        down.terminal, down.direction = True, -1
+        sol = solve_ivp(lambda x, y, a=a: [y[1], -lam * y[0] - a * y[0] ** 3],
+                        (lo, hi), y, rtol=1e-8, atol=1e-10, events=down)
+        if sol.t_events[0].size:
+            return float(sol.t_events[0][0])
+        y = sol.y[:, -1]
+    return None
+
+
+@pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
+def test_acceptance_crossings_match_event_shots(monkeypatch, kappa, h):
+    # the in-batch acceptance (Hermite-located crossing) against one scipy
+    # shot per slope with a terminal event: at every bracket midpoint that
+    # shoot_count accepts or rejects, and at every fifth slope of its scan
+    w, lam = build_weight(kappa, h, 0.0), -100.0
+    batches = []
+
+    def spy(w, lam, v0, step_tol, path=None):
+        miss, cross = _batch_miss(w, lam, v0, step_tol, path)
+        batches.append((np.array(v0), cross))
+        return miss, cross
+
+    monkeypatch.setattr(shooting, "_batch_miss", spy)
+    count, roots = shoot_count(w, lam)
+    assert count == 3
+    (grid, grid_cross), (mids, mid_cross) = batches[0], batches[-1]
+    assert set(roots) <= set(mids)
+    slopes = np.concatenate([mids, grid[::5]])
+    crosses = np.concatenate([mid_cross, grid_cross[::5]])
+    assert np.isfinite(crosses).sum() >= 10  # crossings inside (0, 1)
+    for v0, cross in zip(slopes, crosses):
+        ref = _reference_crossing(w, lam, float(v0))
+        # a shot that never left the cone counts as leaving it at x = 1; the
+        # Hermite locations agree to about 3e-9, a secant's to about 2e-6
+        assert abs(np.nan_to_num(cross, nan=1.0) - (ref or 1.0)) <= 1e-7
+        kept = np.isnan(cross) or cross > 1.0 - 1e-4
+        assert kept == (ref is None or ref > 1.0 - 1e-4)
+
+
+def test_no_deferred_scipy_integrate_import():
+    # the oracle integrates in-house and the time map is closed form, so
+    # neither importing bvpcont nor using the oracle loads scipy.integrate
+    # or scipy.optimize, not even lazily
+    code = (
+        "import sys, bvpcont\n"
+        "w = bvpcont.build_weight(1, 0.1, 0.0)\n"
+        "assert bvpcont.shoot_count(w, -100.0)[0] == 3\n"
+        "bvpcont.integrate_ivp(w, -100.0, 10.0)\n"
+        "bvpcont.time_map(2.0, -1.0)\n"
+        "print(*sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.integrate', 'scipy.optimize'))))\n")
+    src = str(Path(bvpcont.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("lam", [-1.0, -10.0, -100.0, -1000.0])
+def test_time_map_matches_quadrature(lam):
+    # the arithmetic-geometric mean form against adaptive quadrature of
+    # integral_0^{pi/2} dphi / sqrt(lam + u0^2*(1 + sin(phi)^2)/2), down to
+    # an amplitude just outside the exterior condition u0^2 > -2*lam
+    for ratio in (1.0 + 1e-4, 1.001, 1.1, 2.0, 10.0, 1e2, 1e4):
+        u0 = float(np.sqrt(-2.0 * lam * ratio))
+
+        def integrand(phi):
+            return 1.0 / np.sqrt(lam + 0.5 * u0**2 * (1.0 + np.sin(phi)**2))
+
+        val, _ = quad(integrand, 0.0, np.pi / 2.0, epsabs=1e-13, epsrel=1e-12)
+        assert time_map(u0, lam) == pytest.approx(val, rel=1e-12)
 
 
 def test_time_map_bound_on_grid():
