@@ -4,7 +4,9 @@ Simple branch points on a followed path are flagged by a sign change of the
 determinant of the fixed-parameter tridiagonal Jacobian, localized by
 bisection in arclength (each trial point corrected on the branch, a symmetric
 one in the symmetric subspace), and passed through by one arclength step
-along the null vector (Allgower & Georg, SIAM 2003, ch. 8).
+along the null vector (Allgower & Georg, SIAM 2003, ch. 8).  The signs at
+stored points are the ones ``continue_branch`` recorded (``Branch.det_signs``);
+J is assembled only at the ends of a sign change and at bisection points.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,8 @@ import numpy as np
 
 from .continuation import Branch
 from .corrector import (AugmentedState, SingularSystemError, Tangent,
-                        _inverse_iteration, _lu, newton_augmented)
+                        _inverse_iteration, _lu, _lu_det_sign,
+                        newton_augmented)
 from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
 __all__ = [
@@ -46,13 +49,9 @@ def det_sign(J: BandedJacobian) -> tuple[int, float]:
     sign is 0 (log-magnitude -inf) only when a pivot is exactly zero.
     """
     try:
-        _, u_diag, _, _, ipiv = _lu(J)
+        return _lu_det_sign(_lu(J))
     except SingularSystemError:
         return 0, -np.inf
-    swaps = np.count_nonzero(ipiv != np.arange(1, J.n + 1))
-    negatives = np.count_nonzero(u_diag < 0.0)
-    sign = -1 if (swaps + negatives) % 2 else 1
-    return sign, float(np.sum(np.log(np.abs(u_diag))))
 
 
 def _sign_resolved(J: BandedJacobian) -> bool:
@@ -72,25 +71,32 @@ def _sign_resolved(J: BandedJacobian) -> bool:
     return smallest > bound
 
 
+def _recorded_signs(branch: Branch) -> list[int]:
+    if len(branch.det_signs) != len(branch.points):
+        raise ValueError("branch.det_signs does not cover its points")
+    return branch.det_signs
+
+
 def sign_change_brackets(d: Discretization,
                          branch: Branch) -> list[tuple[int, int]]:
-    """Index pairs (i, i+1) of adjacent points with opposite det signs.
+    """Pairs (i, i+1) of adjacent points with opposite recorded det signs.
 
     A pair is dropped when the sign at either end is not resolved: a zero
     pivot, or an eigenvalue of J at rounding level (see _sign_resolved).
+    Raises ValueError when branch.det_signs does not cover its points.
     """
-    jacs = [jacobian(d, p.lam, p.u) for p in branch.points]
-    signs = [det_sign(J)[0] for J in jacs]
+    signs, pts = _recorded_signs(branch), branch.points
     return [(i, i + 1) for i in range(len(signs) - 1)
             if signs[i] * signs[i + 1] < 0
-            and _sign_resolved(jacs[i]) and _sign_resolved(jacs[i + 1])]
+            and _sign_resolved(jacobian(d, pts[i].lam, pts[i].u))
+            and _sign_resolved(jacobian(d, pts[i + 1].lam, pts[i + 1].u))]
 
 
-def null_vector(J: BandedJacobian, iters: int = 12) -> np.ndarray:
+def null_vector(J: BandedJacobian) -> np.ndarray:
     """Unit approximate null vector of a (near-)singular J by inverse iteration."""
     shift = 1e-12 * float(np.abs(J.diag).max() + 1.0)
     lu = _lu(BandedJacobian(J.sub, J.diag + shift, J.sup))
-    v, _ = _inverse_iteration(lu, J.n, iters)
+    v, _ = _inverse_iteration(lu, J.n, iters=12)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return v
@@ -110,27 +116,27 @@ def _corrected_state(d: Discretization, branch: Branch, idx: int, s: float,
 
 
 def locate_bifurcation(d: Discretization, branch: Branch,
-                       bracket: tuple[int, int], tol: float = 1e-4,
+                       bracket: tuple[int, int],
                        newton_tol: float = 1e-4) -> BifurcationEvent:
     """Bisect in arclength between two branch indices with opposite det signs.
 
     A fold when lam does not cross lambda_b monotonically, else a pitchfork
     when the null vector v is mostly odd (v . Rv < 0, R: x -> 1-x), else
-    unclassified.  Raises BracketError when the endpoints share a det sign,
-    or when the arclength interval can no longer be halved while the
-    corrected lam still differs by more than tol across it.
+    unclassified.  The endpoint signs are read from branch.det_signs.  Raises
+    BracketError when the endpoints share a det sign, or when the arclength
+    interval can no longer be halved while the corrected lam still differs
+    by more than 1e-4 across it; ValueError when det_signs is incomplete.
     """
     ia, ib = bracket
     pa, pb = branch.points[ia], branch.points[ib]
-    sign_a, _ = det_sign(jacobian(d, pa.lam, pa.u))
-    sign_b, _ = det_sign(jacobian(d, pb.lam, pb.u))
+    sign_a, sign_b = (_recorded_signs(branch)[i] for i in bracket)
     if sign_a == sign_b:
         raise BracketError(f"no sign change between indices {ia} and {ib}")
 
     s_hi = float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
     lo, hi = 0.0, s_hi
     lam_lo, lam_hi = pa.lam, pb.lam
-    while abs(lam_hi - lam_lo) > tol:
+    while abs(lam_hi - lam_lo) > 1e-4:
         s_mid = 0.5 * (lo + hi)
         if not lo < s_mid < hi:
             raise BracketError(

@@ -10,9 +10,11 @@ unit tangent turns by more than 0.2 rad.  A symmetric start point is
 continued in the symmetric subspace, so every point it adds is exactly
 symmetric.  On other branches the corrector updates leave out a mode that
 the Newton tolerance leaves free, such as the translation of a lone peak
-deep in lam (``corrector.drop_free_mode``).  A branch terminates on a
-parameter or norm bound, step-count or step-underflow, departure from the
-positive cone, or on closing back onto its own start.
+deep in lam (``corrector.drop_free_mode``).  ``Branch.det_signs`` records the
+sign of det J at each point; an accepted point's comes from the LU of its
+tangent solve.  A branch terminates on a parameter or norm bound, step-count
+or step-underflow, departure from the positive cone, or on closing back onto
+its own start.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, bordered_solve, newton_augmented)
+                        Tangent, _lu, _lu_det_sign, bordered_solve,
+                        newton_augmented)
 from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
                          jacobian, mirrors)
 
@@ -53,6 +56,7 @@ class Branch:
     symmetry: str = "unknown"  # symmetric | asymmetric_left | asymmetric_right | unknown
     tangents: list[Tangent] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
+    det_signs: list[int] = field(default_factory=list)  # of J, per point
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
@@ -90,17 +94,24 @@ def make_point(d: Discretization, lam: float, u: np.ndarray,
                          l2norm=discrete_l2_norm(d, u), tag=tag)
 
 
+def _tangent_and_det_sign(d: Discretization, y: AugmentedState,
+                          ref: Tangent) -> tuple[Tangent, int]:
+    """update_tangent at y and the sign of det J, from one LU of J."""
+    J = jacobian(d, y.lam, y.u)
+    lu = _lu(J)
+    rhs = np.zeros(len(y.u) + 1)
+    rhs[-1] = 1.0
+    sol = bordered_solve(J, -y.u, ref, rhs, lu=lu)
+    return Tangent(sol[:-1], sol[-1]).normalized(), _lu_det_sign(lu)[0]
+
+
 def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent) -> Tangent:
     """Unit tangent at y with ref . t > 0 by construction.
 
     Solves [J | -u] t = 0 (-u = dF/dlam) bordered by the row ref . t = 1 and
     normalizes; only an exactly zero pivot of J raises SingularSystemError.
     """
-    J = jacobian(d, y.lam, y.u)
-    rhs = np.zeros(len(y.u) + 1)
-    rhs[-1] = 1.0
-    sol = bordered_solve(J, -y.u, ref, rhs)
-    return Tangent(sol[:-1], sol[-1]).normalized()
+    return _tangent_and_det_sign(d, y, ref)[0]
 
 
 def initial_tangent(d: Discretization, y: AugmentedState,
@@ -134,11 +145,13 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
 
     A symmetric start point is continued in the symmetric subspace: the
     tangents and every corrector iterate are projected onto it.  Otherwise
-    the corrector updates leave out a free mode of J.
+    the corrector updates leave out a free mode of J.  An exactly zero pivot
+    of J at the start raises SingularSystemError.
     """
     symmetric = mirrors(start.u, start.u)
     t = _symmetrized(t0) if symmetric else t0.normalized()
-    branch = Branch(points=[start], tangents=[t])
+    sign = _lu_det_sign(_lu(jacobian(d, start.lam, start.u)))[0]
+    branch = Branch(points=[start], tangents=[t], det_signs=[sign])
     y = AugmentedState(start.lam, start.u.copy())
     ds = cfg.ds
     while len(branch.points) < cfg.max_steps:
@@ -153,7 +166,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
             y_new = None
         if y_new is not None:
             try:
-                t_new = update_tangent(d, y_new, t)
+                t_new, sign = _tangent_and_det_sign(d, y_new, t)
             except SingularSystemError:
                 branch.diagnostics.append(
                     f"singular bordered matrix at lam = {y_new.lam:.6g}"
@@ -179,6 +192,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
         point = make_point(d, y_new.lam, y_new.u)
         branch.points.append(point)
         branch.tangents.append(t_new)
+        branch.det_signs.append(sign)
         y, t = y_new, t_new
 
         if point.lam < cfg.lambda_min:

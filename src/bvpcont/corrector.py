@@ -93,6 +93,15 @@ def _lu(J: BandedJacobian):
     return dl, d, du, du2, ipiv
 
 
+def _lu_det_sign(lu) -> tuple[int, float]:
+    """Sign and log-magnitude of det(J) from the LU factors lu of J: the
+    product of the pivots of U times (-1) per row swap."""
+    _, u_diag, _, _, ipiv = lu
+    parity = np.count_nonzero(ipiv != np.arange(1, len(u_diag) + 1))
+    parity += np.count_nonzero(u_diag < 0.0)
+    return -1 if parity % 2 else 1, float(np.sum(np.log(np.abs(u_diag))))
+
+
 def _lu_solve(lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """Solve J x = b (trans "N") or J^T x = b (trans "T"); b may hold columns."""
     x, _ = dgttrs(*lu, b, trans=trans)

@@ -10,7 +10,7 @@ fixed sweep order, stable sort keys before emission.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
@@ -40,7 +40,6 @@ __all__ = [
     "deep_census",
     "onset_amplitude",
     "trace_main_branch",
-    "trace_to_fold",
     "emit_svg",
     "write_bundle",
 ]
@@ -132,7 +131,7 @@ class DiagramBundle:
     branches: list[BranchRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-    # The operator the run built; not written out.
+    # The operator the run built; write_bundle reads its mesh.
     operator: Discretization | None = field(default=None, repr=False)
 
     def branch_by_role(self, role: str) -> list[BranchRecord]:
@@ -158,7 +157,8 @@ def _mirrored(d: Discretization, b: Branch) -> Branch:
         points=[make_point(d, p.lam, p.u[::-1], p.tag) for p in b.points],
         symmetry=_MIRRORED_SYMMETRY[b.symmetry],
         tangents=[Tangent(t.du[::-1], t.dlam) for t in b.tangents],
-        diagnostics=list(b.diagnostics))
+        diagnostics=list(b.diagnostics),
+        det_signs=list(b.det_signs))  # det(RJR) = det(J)
 
 
 def onset_amplitude(d: Discretization, lam: float, lam1: float) -> float:
@@ -207,28 +207,10 @@ def _trace_both(d: Discretization, start: SolutionPoint,
     merged.points = b_dn.points[:0:-1] + b_up.points
     merged.tangents = [Tangent(-t.du, -t.dlam) for t in b_dn.tangents[:0:-1]]
     merged.tangents += b_up.tangents
+    merged.det_signs = b_dn.det_signs[:0:-1] + b_up.det_signs
     merged.diagnostics = [f"down: {d}" for d in b_dn.diagnostics]
     merged.diagnostics += [f"up: {d}" for d in b_up.diagnostics]
     return merged
-
-
-def trace_to_fold(d: Discretization, start: SolutionPoint,
-                  cfg: ContinuationConfig, overshoot: float = 50.0):
-    """Follow a branch toward increasing lam until it rounds its fold.
-
-    Returns (branch, lam_t or None).  The continuation is stopped once lam
-    drops overshoot below the start again, so only the neighborhood of the
-    turning point is traced.
-    """
-    local = replace(cfg, lambda_min=start.lam - overshoot)
-    y = AugmentedState(start.lam, start.u.copy())
-    t0 = initial_tangent(d, y, direction_hint=+1.0)
-    b = continue_branch(d, start, t0, local)
-    folds = fold_points(b)
-    if not folds:
-        return b, None
-    lam_t = max(lam for _, lam in folds)
-    return b, lam_t
 
 
 def _event_dict(branch_id: str, index: int, kind: str, lam: float,
@@ -323,11 +305,8 @@ def run_diagram(config) -> DiagramBundle:
     # Stage 4: isola sweep over unrepresented masks, fixed order.  An
     # asymmetric isola is followed by its mirror image unless it contains it.
     masks = enumerate_peak_masks(cfg.kappa)
-    well_patterns = []
-    if cfg.eps > 0:
-        for bits in product((False, True), repeat=cfg.kappa):
-            if any(bits):
-                well_patterns.append(bits)
+    well_patterns = ([bits for bits in product((False, True), repeat=cfg.kappa)
+                      if any(bits)] if cfg.eps > 0 else [])
 
     def attempt(seed_fn, label):
         known = [r.branch for r in records]
@@ -490,7 +469,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def emit_svg(bundle: DiagramBundle, axes_config: dict | None = None) -> str:
+def emit_svg(bundle: DiagramBundle) -> str:
     """Deterministic (lam, l2 norm) diagram as an SVG document string.
 
     One polyline per branch: main black, switched red, isolas cycling through
@@ -498,30 +477,25 @@ def emit_svg(bundle: DiagramBundle, axes_config: dict | None = None) -> str:
     """
     width, height = 640, 480
     ml, mr, mt, mb = 60, 20, 20, 45
-    axes = axes_config or {}
     lams, norms = [], []
     for rec in bundle.branches:
         lams.extend(p.lam for p in rec.branch.points)
         norms.extend(p.l2norm for p in rec.branch.points)
     if lams:
-        lam_lo, lam_hi = min(lams), max(lams)
-        n_lo, n_hi = min(norms), max(norms)
+        lam_lo, lam_hi, n_hi = min(lams), max(lams), max(norms)
     else:
-        lam_lo, lam_hi, n_lo, n_hi = -10.0, 10.0, 0.0, 1.0
-    lam_lo = axes.get("lambda_min", lam_lo - 0.05 * (lam_hi - lam_lo + 1e-9))
-    lam_hi = axes.get("lambda_max", lam_hi + 0.05 * (lam_hi - lam_lo + 1e-9))
-    n_lo = axes.get("norm_min", 0.0)
-    n_hi = axes.get("norm_max", n_hi + 0.05 * (n_hi - n_lo + 1e-9))
+        lam_lo, lam_hi, n_hi = -10.0, 10.0, 1.0
+    lam_lo -= 0.05 * (lam_hi - lam_lo + 1e-9)
+    lam_hi += 0.05 * (lam_hi - lam_lo + 1e-9)
+    n_hi += 0.05 * (n_hi + 1e-9)  # the norm axis starts at 0
     if lam_hi <= lam_lo:
         lam_hi = lam_lo + 1.0
-    if n_hi <= n_lo:
-        n_hi = n_lo + 1.0
 
     def sx(lam):
         return ml + (lam - lam_lo) / (lam_hi - lam_lo) * (width - ml - mr)
 
     def sy(nv):
-        return height - mb - (nv - n_lo) / (n_hi - n_lo) * (height - mt - mb)
+        return height - mb - nv / n_hi * (height - mt - mb)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -643,7 +617,7 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
     pdir.mkdir(exist_ok=True)
     for stale in pdir.glob("*.txt"):  # profiles of an earlier bundle
         stale.unlink()
-    _, m = RunConfig.from_dict(bundle.config).build()
+    m = bundle.operator.m
     for rec in bundle.branches:
         n = len(rec.branch.points)
         for i, p in enumerate(rec.branch.points):

@@ -55,11 +55,8 @@ class PeakMask:
 
 def enumerate_peak_masks(kappa: int) -> list[PeakMask]:
     """All 2^(kappa+1) - 1 nonzero masks, in fixed binary order."""
-    masks = []
-    for bits in product((False, True), repeat=kappa + 1):
-        if any(bits):
-            masks.append(PeakMask(bits))
-    return masks
+    return [PeakMask(bits) for bits in product((False, True), repeat=kappa + 1)
+            if any(bits)]
 
 
 def sine_seed(m: Mesh, amplitude: float) -> np.ndarray:
@@ -145,18 +142,17 @@ def well_edge_seed(d: Discretization, lam: float,
 
 
 def matches_branch(d: Discretization, lam: float, u: np.ndarray,
-                   branch: Branch, newton_tol: float = 1e-4,
-                   lam_window: float = 10.0) -> bool:
+                   branch: Branch, newton_tol: float = 1e-4) -> bool:
     """Whether (lam, u) lies on an already-computed branch.
 
-    The branch point nearest in lam is re-converged at exactly lam and the
-    profiles compared; the (lam, norm)-plane distance alone cannot separate
-    nearby sheets or reflection pairs.
+    Up to 8 branch points within 10 of lam, nearest first, are re-converged
+    at exactly lam and the profiles compared; the (lam, norm)-plane distance
+    alone cannot separate nearby sheets or reflection pairs.
     """
     lams = branch.lambdas()
     if len(lams) == 0:
         return False
-    near = np.nonzero(np.abs(lams - lam) <= lam_window)[0]
+    near = np.nonzero(np.abs(lams - lam) <= 10.0)[0]
     if len(near) == 0:
         return False
     # A branch can carry several sheets through the same lam (isolas fold
@@ -190,17 +186,17 @@ def find_new_solution(d: Discretization, lam: float, seed: np.ndarray,
     return make_point(d, lam, u, tag="branch_start")
 
 
-def peak_indices(u: np.ndarray, rel_threshold: float = 0.1) -> list[int]:
-    """Indices of interior local maxima above rel_threshold * max(u).
+def peak_indices(u: np.ndarray) -> list[int]:
+    """Indices of interior local maxima above 0.1 * max(u).
 
     Maxima separated only by a shallow dip (ripple or flat top) count once.
     """
     u = np.asarray(u)
     if len(u) < 3 or u.max() <= 0:
         return []
-    thresh = rel_threshold * u.max()
-    cands = [i for i in range(1, len(u) - 1)
-             if u[i] >= u[i - 1] and u[i] > u[i + 1] and u[i] > thresh]
+    mid = u[1:-1]
+    cands = (np.flatnonzero((mid >= u[:-2]) & (mid > u[2:])
+                            & (mid > 0.1 * u.max())) + 1).tolist()
     out: list[int] = []
     for i in cands:
         if out:

@@ -16,11 +16,11 @@ import pytest
 from bvpcont.bifurcation import (det_sign, locate_bifurcation,
                                  sign_change_brackets)
 from bvpcont.continuation import (AugmentedState, ContinuationConfig,
-                                  Tangent, continue_branch, initial_tangent,
-                                  make_point)
+                                  Tangent, continue_branch, fold_points,
+                                  initial_tangent, make_point)
 from bvpcont.corrector import bordered_solve, newton_fixed_lambda
 from bvpcont.diagram import (RunConfig, deep_census, run_diagram,
-                             trace_main_branch, trace_to_fold, write_bundle)
+                             trace_main_branch, write_bundle)
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
@@ -175,7 +175,6 @@ def test_isola_folds_k2_within_1e3(isola_bundle):
 
 def test_criterion_4_isola_turning_points_table():
     m = build_uniform_mesh(500)
-    cont = ContinuationConfig()
     found = {}
     for eps, ref in TABLE_LAMBDA_T.items():
         w = build_weight(1, 0.1, eps)
@@ -189,13 +188,18 @@ def test_criterion_4_isola_turning_points_table():
                     u = newton_fixed_lambda(d, lam0, seed_fn(d, lam0))
                 except Exception:
                     continue
+                # upward through the fold until lam drops 50 below the start
                 start = make_point(d, lam0, u, tag="branch_start")
                 try:
-                    _, lt = trace_to_fold(d, start, cont)
+                    t0 = initial_tangent(d, AugmentedState(lam0, u),
+                                         direction_hint=+1.0)
+                    b = continue_branch(d, start, t0, ContinuationConfig(
+                        lambda_min=start.lam - 50.0))
                 except Exception:
                     continue
-                if lt is not None:
-                    lam_t = lt
+                folds = fold_points(b)
+                if folds:
+                    lam_t = max(lam for _, lam in folds)
                     break
             if lam_t is not None:
                 break

@@ -7,9 +7,9 @@ from bvpcont import bifurcation
 from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
                                  null_vector, sign_change_brackets,
                                  switch_branch)
-from bvpcont.continuation import ContinuationConfig
+from bvpcont.continuation import Branch, ContinuationConfig
 from bvpcont.corrector import AugmentedState
-from bvpcont.diagram import trace_main_branch
+from bvpcont.diagram import RunConfig, run_diagram, trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
                                 principal_eigenvalue, residual,
@@ -175,3 +175,84 @@ def test_lambda_b_increasing_in_h():
         vals.append(ev.lambda_b)
     assert vals[0] < vals[1] < vals[2]
     assert vals[0] < 0 < vals[1]  # the h0 sign transition
+
+
+@pytest.fixture(scope="module", params=[
+    RunConfig(kappa=1, h=0.05, lambda_min=-100.0),
+    RunConfig(kappa=2, h=0.25, eps=0.3, lambda_min=-300.0)],
+    ids=["k1_h005", "k2_h025_eps03"])
+def diagram(request):
+    return run_diagram(request.param)
+
+
+def test_every_branch_records_the_det_sign_of_each_point(diagram):
+    # main, switched and mirrored branches, merged isolas and their mirrors
+    d = diagram.operator
+    roles = {rec.role for rec in diagram.branches}
+    assert roles in ({"main", "switched"}, {"main", "isola"})
+    for rec in diagram.branches:
+        b = rec.branch
+        assert len(b.det_signs) == len(b.points), rec.branch_id
+        for p, sign in zip(b.points, b.det_signs):
+            assert sign == det_sign(jacobian(d, p.lam, p.u))[0]
+
+
+def test_recorded_brackets_match_a_fresh_scan(diagram):
+    # the rule before signs were recorded: assemble and factor J at every
+    # point, keep opposite signs whose ends are both resolved
+    d = diagram.operator
+    n_brackets = 0
+    for rec in diagram.branches:
+        jacs = [jacobian(d, p.lam, p.u) for p in rec.branch.points]
+        signs = [det_sign(J)[0] for J in jacs]
+        fresh = [(i, i + 1) for i in range(len(signs) - 1)
+                 if signs[i] * signs[i + 1] < 0
+                 and bifurcation._sign_resolved(jacs[i])
+                 and bifurcation._sign_resolved(jacs[i + 1])]
+        assert sign_change_brackets(d, rec.branch) == fresh, rec.branch_id
+        n_brackets += len(fresh)
+    assert n_brackets > 0
+
+
+def _recorded_jacobians(monkeypatch):
+    """(lam, u) of every Jacobian that bifurcation assembles."""
+    calls = []
+
+    def recorded(d, lam, u):
+        calls.append((lam, u))
+        return jacobian(d, lam, u)
+
+    monkeypatch.setattr(bifurcation, "jacobian", recorded)
+    return calls
+
+
+def test_brackets_assemble_no_jacobian_without_a_sign_change(monkeypatch):
+    d, b = main_branch(0.05, lambda_min=-5.0)  # above lambda_b = -12.4
+    calls = _recorded_jacobians(monkeypatch)
+    assert len(b.points) > 3
+    assert sign_change_brackets(d, b) == []
+    assert calls == []
+
+
+def test_locate_assembles_no_jacobian_at_the_bracket_ends(monkeypatch):
+    d, b = main_branch(0.05)
+    calls = _recorded_jacobians(monkeypatch)
+    (bracket,) = sign_change_brackets(d, b)
+    assert len(calls) == 2  # the resolution check at the two ends
+    del calls[:]
+    ev = locate_bifurcation(d, b, bracket)
+    assert ev.kind == "pitchfork" and calls
+    for i in bracket:
+        p = b.points[i]
+        assert not any(lam == p.lam and np.array_equal(u, p.u)
+                       for lam, u in calls)
+
+
+def test_branch_without_a_sign_record_is_refused():
+    d, b = main_branch(0.05)
+    (bracket,) = sign_change_brackets(d, b)
+    bare = Branch(points=b.points, tangents=b.tangents)
+    with pytest.raises(ValueError, match="det_signs"):
+        sign_change_brackets(d, bare)
+    with pytest.raises(ValueError, match="det_signs"):
+        locate_bifurcation(d, bare, bracket)

@@ -135,20 +135,23 @@ def test_runtime_h_half_to_minus_100():
 
 def test_isola_top_fold_matches():
     # eps = 0.30 detached component: the fold at its largest lam sits near
-    # -1111.65; seed below the fold and trace through it
-    from bvpcont.diagram import trace_to_fold
+    # -1111.65; seed below the fold and trace upward through it until lam
+    # drops 50 below the start again
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(500)
     d = Discretization(w, m)
     lam0 = -1200.0
     u = newton_fixed_lambda(d, lam0, well_bump_seed(d, lam0))
     start = make_point(d, lam0, u, tag="branch_start")
-    b, lam_t = trace_to_fold(d, start, ContinuationConfig())
-    assert lam_t is not None
+    t0 = initial_tangent(d, AugmentedState(lam0, u), direction_hint=+1.0)
+    b = continue_branch(d, start, t0,
+                        ContinuationConfig(lambda_min=start.lam - 50.0))
+    folds = fold_points(b)
+    assert len(folds) >= 1
+    lam_t = max(lam for _, lam in folds)
     assert abs(lam_t - (-1111.65254)) / 1111.65254 < 0.01
     # the component is detached: every point stays well below the onset
     assert b.lambdas().max() < -1000.0
-    assert len(fold_points(b)) >= 1
 
 
 def test_reflection_equivariance_of_continuation():

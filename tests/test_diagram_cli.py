@@ -201,6 +201,20 @@ def test_bundle_artifacts(tmp_path, pitchfork_bundle):
     assert cols[0, 1] == 0.0 and cols[-1, 1] == 0.0
 
 
+def test_write_bundle_uses_the_run_operator(tmp_path, monkeypatch,
+                                           pitchfork_bundle):
+    # the profiles are written on the mesh the run built, not on a rebuilt one
+    _, bundle = pitchfork_bundle
+
+    def no_build(self):
+        raise AssertionError("write_bundle rebuilt the weight and mesh")
+
+    monkeypatch.setattr(RunConfig, "build", no_build)
+    write_bundle(bundle, tmp_path)
+    cols = np.loadtxt(tmp_path / "profiles" / "main_0.txt")
+    assert np.array_equal(cols[:, 0], bundle.operator.m.nodes)
+
+
 def test_bundle_rewrite_drops_stale_profiles(tmp_path, pitchfork_bundle):
     # a second bundle written into the same directory leaves only its own
     # profiles; other files in the directory are kept

@@ -10,7 +10,7 @@ from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import (PeakMask, enumerate_peak_masks,
-                             find_new_solution, peak_pattern,
+                             find_new_solution, peak_indices, peak_pattern,
                              peak_pattern_seed, sine_seed, support_intervals)
 from bvpcont.weight import build_weight
 
@@ -22,6 +22,38 @@ def test_mask_enumeration_counts():
         assert len({str(mk) for mk in masks}) == len(masks)
     with pytest.raises(ValueError):
         PeakMask((False, False))
+
+
+def _peak_indices_by_loop(u):
+    """peak_indices written node by node: the reference for the mask."""
+    if len(u) < 3 or u.max() <= 0:
+        return []
+    out = []
+    for i in range(1, len(u) - 1):
+        if not (u[i] >= u[i - 1] and u[i] > u[i + 1] and u[i] > 0.1 * u.max()):
+            continue
+        if out and np.min(u[out[-1]:i + 1]) > 0.8 * min(u[out[-1]], u[i]):
+            if u[i] > u[out[-1]]:
+                out[-1] = i
+            continue
+        out.append(i)
+    return out
+
+
+def test_peak_indices_matches_the_node_loop():
+    # random profiles, integer-valued ones full of ties and flat tops, and
+    # rippled bumps; the same indices as Python ints
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, 50)
+    for k in range(2000):
+        n = int(rng.integers(0, 50))
+        u = (rng.normal(size=n), rng.integers(-2, 5, size=n).astype(float),
+             np.round(np.abs(rng.normal(size=n)), 1),
+             sum(np.exp(-(30.0 * (x - c)) ** 2) for c in rng.random(3))
+             + 0.01 * rng.normal(size=50))[k % 4]
+        got = peak_indices(u)
+        assert got == _peak_indices_by_loop(u)
+        assert all(type(i) is int for i in got)
 
 
 def test_mask_reflection():
