@@ -15,7 +15,7 @@ import numpy as np
 
 from .continuation import Branch
 from .corrector import (AugmentedState, SingularSystemError, Tangent,
-                        _inverse_iteration, _lu, _lu_det_sign,
+                        _inverse_iteration, _is_free, _lu, _lu_det_sign,
                         newton_augmented)
 from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
@@ -54,21 +54,20 @@ def det_sign(J: BandedJacobian) -> tuple[int, float]:
         return 0, -np.inf
 
 
-def _sign_resolved(J: BandedJacobian) -> bool:
-    """Whether rounding in the LU cannot flip the sign of det(J).
+def _sign_resolved(J: BandedJacobian, u: np.ndarray, tol: float) -> bool:
+    """Whether the sign of det(J) at u is not decided by a free mode.
 
-    The LU is exact for a matrix within about n*eps*max|diag J| of J, so the
-    sign is noise when an eigenvalue of J is smaller than that.  Deep on the
-    kappa=2, h=0.15 main branch the soft mode sits near 1e-10 against a
-    diagonal of 5e5; at genuine brackets the estimate exceeds the bound by
-    1e5 or more.
+    mu, the eigenvalue of the softest mode of J, comes from 4 steps of
+    inverse iteration; its sign is noise when tol leaves the mode free, as
+    in corrector.drop_free_mode.  |mu|*_FREE_FRACTION*||u||/tol is at most
+    0.16 at the noise flips deep on the kappa=2, h=0.15 main branch (mu
+    near 2e-7) and 7.6e3 or more at the ends of genuine brackets.
     """
-    bound = J.n * np.finfo(float).eps * float(np.abs(J.diag).max())
     try:
-        _, smallest = _inverse_iteration(_lu(J), J.n, iters=4)
+        _, mu = _inverse_iteration(_lu(J), J.n, iters=4)
     except SingularSystemError:
         return False
-    return smallest > bound
+    return not _is_free(mu, u, tol)
 
 
 def _recorded_signs(branch: Branch) -> list[int]:
@@ -77,19 +76,19 @@ def _recorded_signs(branch: Branch) -> list[int]:
     return branch.det_signs
 
 
-def sign_change_brackets(d: Discretization,
-                         branch: Branch) -> list[tuple[int, int]]:
+def sign_change_brackets(d: Discretization, branch: Branch,
+                         newton_tol: float = 1e-4) -> list[tuple[int, int]]:
     """Pairs (i, i+1) of adjacent points with opposite recorded det signs.
 
     A pair is dropped when the sign at either end is not resolved: a zero
-    pivot, or an eigenvalue of J at rounding level (see _sign_resolved).
+    pivot, or a mode of J that newton_tol leaves free (see _sign_resolved).
     Raises ValueError when branch.det_signs does not cover its points.
     """
     signs, pts = _recorded_signs(branch), branch.points
     return [(i, i + 1) for i in range(len(signs) - 1)
             if signs[i] * signs[i + 1] < 0
-            and _sign_resolved(jacobian(d, pts[i].lam, pts[i].u))
-            and _sign_resolved(jacobian(d, pts[i + 1].lam, pts[i + 1].u))]
+            and all(_sign_resolved(jacobian(d, p.lam, p.u), p.u, newton_tol)
+                    for p in pts[i:i + 2])]
 
 
 def null_vector(J: BandedJacobian) -> np.ndarray:

@@ -4,17 +4,17 @@ Branches are followed with an Euler predictor and the bordered Newton
 corrector under step-length control (Allgower & Georg, Introduction to
 Numerical Continuation Methods, SIAM 2003, sec. 6).  The first step is ds
 (default 3).  After an accepted step whose corrector took k updates the step
-is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4) and capped
-at 30.  A step is rejected and ds halved when the corrector fails or the
-unit tangent turns by more than 0.2 rad.  A symmetric start point is
+is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4); no
+constant caps it.  A step is rejected and ds halved when the corrector fails
+or the unit tangent turns by more than 0.2 rad; a step that would pass
+lambda_min is cut to end ds_min past it.  A symmetric start point is
 continued in the symmetric subspace, so every point it adds is exactly
 symmetric.  On other branches the corrector updates leave out a mode that
 the Newton tolerance leaves free, such as the translation of a lone peak
-deep in lam (``corrector.drop_free_mode``).  ``Branch.det_signs`` records the
-sign of det J at each point; an accepted point's comes from the LU of its
-tangent solve.  A branch terminates on a parameter or norm bound, step-count
-or step-underflow, departure from the positive cone, or on closing back onto
-its own start.
+deep in lam (``corrector.drop_free_mode``).  ``Branch.det_signs`` records
+the sign of det J at each point, from the LU of its tangent solve.  A branch
+ends on a parameter or norm bound, step-count or step underflow, departure
+from the positive cone, or on closing back onto its own start.
 """
 
 from dataclasses import dataclass, field
@@ -69,8 +69,6 @@ class Branch:
 # (0.2 rad).  Without this bound long steps cut across folds: the kappa=2,
 # h=0.25 isola fold at -26.0214 reads -26.088 instead of -26.0205.
 _COS_MAX_TURN = float(np.cos(0.2))
-# Largest step length.
-_DS_MAX = 30.0
 
 
 @dataclass
@@ -139,22 +137,26 @@ def _symmetrized(t: Tangent) -> Tangent:
     return Tangent(_symmetrize(t.du), t.dlam).normalized()
 
 
-def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
+def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
                     cfg: ContinuationConfig) -> Branch:
-    """Follow a branch from a converged start point along tangent t0.
+    """Follow a branch from a converged start point along update_tangent(ref).
 
-    A symmetric start point is continued in the symmetric subspace: the
-    tangents and every corrector iterate are projected onto it.  Otherwise
-    the corrector updates leave out a free mode of J.  An exactly zero pivot
-    of J at the start raises SingularSystemError.
+    ref is e.g. (0, -1) to go down in lam, or a start tangent.  A symmetric
+    start point is continued in the symmetric subspace: the tangents and
+    every corrector iterate are projected onto it.  Otherwise the corrector
+    updates leave out a free mode of J.  An exactly zero pivot of J at the
+    start raises SingularSystemError.
     """
     symmetric = mirrors(start.u, start.u)
-    t = _symmetrized(t0) if symmetric else t0.normalized()
-    sign = _lu_det_sign(_lu(jacobian(d, start.lam, start.u)))[0]
-    branch = Branch(points=[start], tangents=[t], det_signs=[sign])
     y = AugmentedState(start.lam, start.u.copy())
+    t, sign = _tangent_and_det_sign(d, y, ref)
+    t = _symmetrized(t) if symmetric else t
+    branch = Branch(points=[start], tangents=[t], det_signs=[sign])
     ds = cfg.ds
     while len(branch.points) < cfg.max_steps:
+        if t.dlam < 0.0:  # end ds_min past lambda_min, not a long step past
+            ds = min(ds, cfg.ds_min
+                     + max(y.lam - cfg.lambda_min, 0.0) / -t.dlam)
         y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
         try:
             y_new, iters = newton_augmented(d, y_pred, y, t, ds,
@@ -172,8 +174,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
                     f"singular bordered matrix at lam = {y_new.lam:.6g}"
                 )
                 return branch
-            if symmetric:
-                t_new = _symmetrized(t_new)
+            t_new = _symmetrized(t_new) if symmetric else t_new
         if y_new is None or t_new.dot(t) < _COS_MAX_TURN:
             ds *= 0.5
             if ds < cfg.ds_min:
@@ -210,7 +211,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, t0: Tangent,
                 branch.diagnostics.append("closed loop")
                 return branch
 
-        ds = min(ds * _growth(iters), _DS_MAX)
+        ds *= _growth(iters)
     branch.diagnostics.append("reached max_steps")
     return branch
 

@@ -140,6 +140,10 @@ def _inverse_iteration(lu, n: int, iters: int,
 _FREE_FRACTION = 0.1
 
 
+def _is_free(mu: float, u: np.ndarray, tol: float) -> bool:
+    return abs(mu) * _FREE_FRACTION * np.linalg.norm(u) <= tol
+
+
 def drop_free_mode(lu, u: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     """x without its component along the softest mode of J if tol leaves it free.
 
@@ -149,7 +153,7 @@ def drop_free_mode(lu, u: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     lam=-1950 against a diagonal of 5e5).
     """
     right, mu = _inverse_iteration(lu, len(u), iters=2)
-    if mu * _FREE_FRACTION * np.linalg.norm(u) > tol:
+    if not _is_free(mu, u, tol):
         return x
     left, _ = _inverse_iteration(lu, len(u), iters=2, trans="T")
     return x - right * (np.dot(left, x) / np.dot(left, right))

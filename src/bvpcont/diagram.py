@@ -19,10 +19,9 @@ import numpy as np
 from .bifurcation import (BracketError, locate_bifurcation,
                           sign_change_brackets, switch_branch)
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
-                           continue_branch, fold_points, initial_tangent,
-                           make_point, update_tangent)
-from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, newton_fixed_lambda)
+                           continue_branch, fold_points, make_point)
+from .corrector import (NewtonError, SingularSystemError, Tangent,
+                        newton_fixed_lambda)
 from .discretize import (Discretization, discrete_l2_norm, mirrors,
                          principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
@@ -184,8 +183,7 @@ def trace_main_branch(d: Discretization, lam1: float,
                              sine_seed(d.m, onset_amplitude(d, lam, lam1)),
                              tol=cfg.newton_tol, max_iters=cfg.max_newton_iters)
     start = make_point(d, lam, u0, tag="branch_start")
-    t0 = initial_tangent(d, AugmentedState(lam, u0), direction_hint=-1.0)
-    return continue_branch(d, start, t0, cfg)
+    return continue_branch(d, start, Tangent(np.zeros_like(u0), -1.0), cfg)
 
 
 def _trace_both(d: Discretization, start: SolutionPoint,
@@ -196,13 +194,11 @@ def _trace_both(d: Discretization, start: SolutionPoint,
     directions; the merged branch runs from the deep end of one sheet, through
     the seed and any folds, to the deep end of the other.
     """
-    y = AugmentedState(start.lam, start.u.copy())
-    t_up = initial_tangent(d, y, direction_hint=+1.0)
-    b_up = continue_branch(d, start, t_up, cfg)
+    zero = np.zeros_like(start.u)
+    b_up = continue_branch(d, start, Tangent(zero, 1.0), cfg)
     if "closed loop" in b_up.diagnostics:
         return b_up
-    t_dn = Tangent(-t_up.du, -t_up.dlam)
-    b_dn = continue_branch(d, start, t_dn, cfg)
+    b_dn = continue_branch(d, start, Tangent(zero, -1.0), cfg)
     merged = Branch(symmetry="unknown")
     merged.points = b_dn.points[:0:-1] + b_up.points
     merged.tangents = [Tangent(-t.du, -t.dlam) for t in b_dn.tangents[:0:-1]]
@@ -270,7 +266,7 @@ def run_diagram(config) -> DiagramBundle:
     # Stage 3: locate det-sign changes on the main branch, switch at pitchforks;
     # the mirror image of the switched branch is the other one.
     if main is not None:
-        for i, j in sign_change_brackets(d, main):
+        for i, j in sign_change_brackets(d, main, cfg.newton_tol):
             try:
                 ev = locate_bifurcation(d, main, (i, j),
                                         newton_tol=cfg.newton_tol)
@@ -293,8 +289,8 @@ def run_diagram(config) -> DiagramBundle:
             child_start = make_point(d, y.lam, y.u, tag="branch_start")
             try:
                 # away from the host, on either side of lambda_b
-                tc = update_tangent(d, y, Tangent(ev.null_vector, 0.0))
-                child = continue_branch(d, child_start, tc, cont)
+                child = continue_branch(d, child_start,
+                                        Tangent(ev.null_vector, 0.0), cont)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"child at lam={y.lam:.6g}: {exc}")
                 continue
@@ -352,13 +348,12 @@ def run_diagram(config) -> DiagramBundle:
             bundle.events.append(_event_dict(rec.branch_id, idx, "fold", lam_f,
                                              rec.branch.points[idx].l2norm))
 
-    # Post hoc validation with a freshly built discretization.
-    d2 = Discretization(*cfg.build())
+    # Post hoc validation of every stored point on the run's operator.
     res_max = 0.0
     for rec in records:
         for p in rec.branch.points:
             res_max = max(res_max,
-                          float(np.linalg.norm(residual(d2, p.lam, p.u))))
+                          float(np.linalg.norm(residual(d, p.lam, p.u))))
             if p.lam >= lam1:
                 failures.append(
                     f"{rec.branch_id}: stored point at lam={p.lam:.6g} >= "

@@ -145,25 +145,26 @@ def matches_branch(d: Discretization, lam: float, u: np.ndarray,
                    branch: Branch, newton_tol: float = 1e-4) -> bool:
     """Whether (lam, u) lies on an already-computed branch.
 
-    Up to 8 branch points within 10 of lam, nearest first, are re-converged
+    The guesses are the branch points within 10 of lam and, where a long
+    step leaves no point that near, the secant at lam between the two points
+    on either side of it.  Up to 8, nearest in lam first, are re-converged
     at exactly lam and the profiles compared; the (lam, norm)-plane distance
     alone cannot separate nearby sheets or reflection pairs.
     """
-    lams = branch.lambdas()
-    if len(lams) == 0:
-        return False
-    near = np.nonzero(np.abs(lams - lam) <= 10.0)[0]
-    if len(near) == 0:
-        return False
+    pts, lams = branch.points, branch.lambdas()
+    near = np.abs(lams - lam) <= 10.0
     # A branch can carry several sheets through the same lam (isolas fold
-    # back), so compare against a handful of nearby candidates, not just the
-    # closest one.
-    order = near[np.argsort(np.abs(lams[near] - lam), kind="stable")][:8]
+    # back), so compare against a handful of guesses, not just the closest.
+    guesses = [(abs(lams[i] - lam), pts[i].u) for i in np.nonzero(near)[0]]
+    gaps = (lams[:-1] - lam) * (lams[1:] - lam) < 0
+    for i in np.nonzero(gaps & ~near[:-1] & ~near[1:])[0]:
+        s = (lam - lams[i]) / (lams[i + 1] - lams[i])
+        guesses.append((0.0, pts[i].u + s * (pts[i + 1].u - pts[i].u)))
+    guesses.sort(key=lambda g: g[0])
     scale = 1.0 + float(np.abs(u).max())
-    for i in order:
+    for _, guess in guesses[:8]:
         try:
-            u_ref = newton_fixed_lambda(d, lam, branch.points[i].u,
-                                        tol=newton_tol)
+            u_ref = newton_fixed_lambda(d, lam, guess, tol=newton_tol)
         except (NewtonError, SingularSystemError):
             continue
         if float(np.max(np.abs(u_ref - u))) <= 1e-4 * scale:

@@ -254,8 +254,8 @@ def test_k1_switched_branches_keep_one_peak_to_the_floor(diagram_k1):
 def test_deep_main_branch_stays_symmetric(diagram_k2):
     # kappa=2, h=0.15 to lambda=-3000: the symmetric main branch is corrected
     # in the symmetric subspace, so the antisymmetric mode that softens with
-    # depth cannot pull it onto a neighbouring sheet.  Below lambda~-2680 that
-    # mode's eigenvalue is at rounding level; its det-sign flips are no
+    # depth cannot pull it onto a neighbouring sheet.  Below lambda~-1380 the
+    # Newton tolerance leaves that mode free; its det-sign flips are no
     # bifurcations, so the only events are the three isola folds.
     bundle = diagram_k2
     assert bundle.provenance["failures"] == []

@@ -203,15 +203,45 @@ def test_recorded_brackets_match_a_fresh_scan(diagram):
     d = diagram.operator
     n_brackets = 0
     for rec in diagram.branches:
-        jacs = [jacobian(d, p.lam, p.u) for p in rec.branch.points]
+        pts = rec.branch.points
+        jacs = [jacobian(d, p.lam, p.u) for p in pts]
         signs = [det_sign(J)[0] for J in jacs]
+        resolved = [bifurcation._sign_resolved(J, p.u, 1e-4)
+                    for J, p in zip(jacs, pts)]
         fresh = [(i, i + 1) for i in range(len(signs) - 1)
                  if signs[i] * signs[i + 1] < 0
-                 and bifurcation._sign_resolved(jacs[i])
-                 and bifurcation._sign_resolved(jacs[i + 1])]
+                 and resolved[i] and resolved[i + 1]]
         assert sign_change_brackets(d, rec.branch) == fresh, rec.branch_id
         n_brackets += len(fresh)
     assert n_brackets > 0
+
+
+def _flip_ends(b):
+    """Points at either end of a raw det-sign flip, in branch order."""
+    return [p for i in range(len(b.points) - 1)
+            if b.det_signs[i] * b.det_signs[i + 1] < 0
+            for p in b.points[i:i + 2]]
+
+
+def test_a_free_mode_leaves_the_det_sign_unresolved():
+    # deep on the kappa=2, h=0.15 main branch the soft odd mode flips the
+    # det sign at random; a flip there would be located as a pitchfork
+    # (near -1527), so neither end of any flip may count as resolved.  The
+    # ends of the genuine kappa=1 bracket stay resolved.
+    d = Discretization(build_weight(2, 0.15, 0.0), build_uniform_mesh(500))
+    b = trace_main_branch(d, principal_eigenvalue(d.m), ContinuationConfig())
+    ends = _flip_ends(b)
+    assert ends and max(p.lam for p in ends) < -1000.0
+    for p in ends:
+        assert not bifurcation._sign_resolved(jacobian(d, p.lam, p.u), p.u,
+                                              1e-4)
+    assert sign_change_brackets(d, b) == []
+
+    d, b = main_branch(0.05)
+    ends = _flip_ends(b)
+    assert len(ends) == 2
+    for p in ends:
+        assert bifurcation._sign_resolved(jacobian(d, p.lam, p.u), p.u, 1e-4)
 
 
 def _recorded_jacobians(monkeypatch):

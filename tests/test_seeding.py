@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from bvpcont.continuation import (AugmentedState, ContinuationConfig,
-                                  continue_branch, initial_tangent,
-                                  make_point)
+from bvpcont.continuation import (AugmentedState, Branch,
+                                  ContinuationConfig, continue_branch,
+                                  initial_tangent, make_point)
 from bvpcont.corrector import NewtonError, newton_fixed_lambda
-from bvpcont.diagram import onset_amplitude
+from bvpcont.diagram import onset_amplitude, trace_main_branch
 from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import (PeakMask, enumerate_peak_masks,
                              find_new_solution, peak_indices, peak_pattern,
-                             peak_pattern_seed, sine_seed, support_intervals)
+                             peak_pattern_seed, sine_seed, support_intervals,
+                             well_bump_seed)
 from bvpcont.weight import build_weight
 
 
@@ -188,3 +189,16 @@ def test_find_new_solution_deduplicates_against_known():
     assert find_new_solution(d, -100.0, peak_pattern_seed(d, mask, -100.0),
                              [main]) is None
 
+
+
+def test_find_new_solution_deduplicates_across_a_long_step():
+    # kappa=1, h=0.5, eps=0.5: the well-bump seed at lam = -200 lands on the
+    # main branch; with no stored point within 10 of -200 the secant between
+    # the points on either side must still recognize it
+    d = Discretization(build_weight(1, 0.5, 0.5), build_uniform_mesh(500))
+    main = trace_main_branch(d, principal_eigenvalue(d.m),
+                             ContinuationConfig(lambda_min=-600.0))
+    gap = Branch(points=[p for p in main.points if abs(p.lam + 200.0) > 10.0])
+    seed = well_bump_seed(d, -200.0, wells=(True,))
+    assert find_new_solution(d, -200.0, seed, []) is not None
+    assert find_new_solution(d, -200.0, seed, [gap]) is None
