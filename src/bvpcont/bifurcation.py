@@ -1,22 +1,23 @@
 """Detection, localization and branch switching at simple bifurcation points.
 
 Simple branch points on a followed path are flagged by a sign change of the
-determinant of the fixed-parameter tridiagonal Jacobian, localized by
-bisection in arclength (each trial point corrected on the branch, a symmetric
-one in the symmetric subspace), and passed through by one arclength step
-along the null vector (Allgower & Georg, SIAM 2003, ch. 8).  The signs at
-stored points are the ones ``continue_branch`` recorded (``Branch.det_signs``);
-J is assembled only at the ends of a sign change and at bisection points.
+determinant of the fixed-parameter tridiagonal Jacobian, as ``continue_branch``
+recorded it (``Branch.det_signs``), and located by a bisection that keeps the
+continuation loop's step rules.  A flip of dlam across the change marks a
+fold, an odd null vector on a symmetric host a pitchfork, which one arclength
+step along the null vector passes (Allgower & Georg, SIAM 2003, ch. 8).  J is
+assembled only at the ends of a sign change and at bisection points.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import Branch
-from .corrector import (AugmentedState, SingularSystemError, Tangent,
-                        _inverse_iteration, _is_free, _lu, _lu_det_sign,
-                        newton_augmented)
+from .continuation import (_COS_MAX_TURN, Branch, _symmetrized,
+                           _tangent_and_det_sign)
+from .corrector import (AugmentedState, NewtonError, SingularSystemError,
+                        Tangent, _inverse_iteration, _is_free, _lu,
+                        _lu_det_sign, newton_augmented)
 from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
 __all__ = [
@@ -39,7 +40,7 @@ class BifurcationEvent:
     kind: str  # pitchfork | fold | unclassified
     null_vector: np.ndarray
     branch_index: int
-    state: AugmentedState  # corrected branch point at lambda_b
+    state: AugmentedState  # corrected branch point within 1e-4 of lambda_b
 
 
 def det_sign(J: BandedJacobian) -> tuple[int, float]:
@@ -101,30 +102,26 @@ def null_vector(J: BandedJacobian) -> np.ndarray:
     return v
 
 
-def _corrected_state(d: Discretization, branch: Branch, idx: int, s: float,
-                     tol: float):
-    """Point on the branch at arclength offset s from stored point idx."""
-    base = branch.points[idx]
-    t = branch.tangents[idx]
-    y_prev = AugmentedState(base.lam, base.u.copy())
-    if s == 0.0:
-        return y_prev
-    y_pred = AugmentedState(base.lam + s * t.dlam, base.u + s * t.du)
-    return newton_augmented(d, y_pred, y_prev, t, s, tol=tol,
-                            symmetric=mirrors(base.u, base.u))[0]
+# Trials one bisection may take: halving a step from s/2 to 1e-4 takes
+# log2(s / 1e-4) of them (20 for s = 68); a trial on the start side adds one.
+_MAX_TRIALS = 100
 
 
 def locate_bifurcation(d: Discretization, branch: Branch,
                        bracket: tuple[int, int],
                        newton_tol: float = 1e-4) -> BifurcationEvent:
-    """Bisect in arclength between two branch indices with opposite det signs.
+    """Locate the det-sign change between two branch indices by bisection.
 
-    A fold when lam does not cross lambda_b monotonically, else a pitchfork
-    when the null vector v is mostly odd (v . Rv < 0, R: x -> 1-x), else
-    unclassified.  The endpoint signs are read from branch.det_signs.  Raises
-    BracketError when the endpoints share a det sign, or when the arclength
-    interval can no longer be halved while the corrected lam still differs
-    by more than 1e-4 across it; ValueError when det_signs is incomplete.
+    The bisection follows the branch by continue_branch's rules: each trial
+    is one corrector step from the last point on the start side along its
+    tangent, with tangent and det sign from one LU of J; a step is halved
+    when the corrector fails, the tangent turns by more than 0.2 rad, or it
+    lands on the far side more than 1e-4 away in lam.  A fold when the
+    tangents at the two final ends have dlam of opposite signs, else a
+    pitchfork when the host is symmetric and the null vector v has
+    v . Rv < 0 (R: x -> 1-x), else unclassified.  Raises BracketError when
+    the recorded end signs agree or after _MAX_TRIALS trials; ValueError
+    when det_signs is incomplete.
     """
     ia, ib = bracket
     pa, pb = branch.points[ia], branch.points[ib]
@@ -132,34 +129,36 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     if sign_a == sign_b:
         raise BracketError(f"no sign change between indices {ia} and {ib}")
 
-    s_hi = float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
-    lo, hi = 0.0, s_hi
-    lam_lo, lam_hi = pa.lam, pb.lam
-    while abs(lam_hi - lam_lo) > 1e-4:
-        s_mid = 0.5 * (lo + hi)
-        if not lo < s_mid < hi:
-            raise BracketError(
-                f"bisection between indices {ia} and {ib} stalled at "
-                f"s = {s_mid!r}, lam {lam_lo:.6g} .. {lam_hi:.6g}")
-        y_mid = _corrected_state(d, branch, ia, s_mid, newton_tol)
-        sign_mid, _ = det_sign(jacobian(d, y_mid.lam, y_mid.u))
-        if sign_mid == sign_a:
-            lo, lam_lo = s_mid, y_mid.lam
+    symmetric = mirrors(pa.u, pa.u)
+    y, t = AugmentedState(pa.lam, pa.u.copy()), branch.tangents[ia]
+    ds = 0.5 * float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
+    for _ in range(_MAX_TRIALS):
+        y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
+        try:
+            y_mid = newton_augmented(d, y_pred, y, t, ds, tol=newton_tol,
+                                     symmetric=symmetric)[0]
+            t_mid, sign_mid = _tangent_and_det_sign(d, y_mid, t)
+            t_mid = _symmetrized(t_mid) if symmetric else t_mid
+        except (NewtonError, SingularSystemError):
+            t_mid = None
+        if t_mid is None or t_mid.dot(t) < _COS_MAX_TURN:
+            ds *= 0.5
+        elif sign_mid == sign_a:
+            y, t = y_mid, t_mid
+        elif abs(y_mid.lam - y.lam) <= 1e-4:
+            break
         else:
-            hi, lam_hi = s_mid, y_mid.lam
-
-    lam_b = 0.5 * (lam_lo + lam_hi)
-    y_mid = _corrected_state(d, branch, ia, 0.5 * (lo + hi), newton_tol)
-    v = null_vector(jacobian(d, y_mid.lam, y_mid.u))
-
-    if (pa.lam - lam_b) * (pb.lam - lam_b) > 0:
-        kind = "fold"  # lam does not cross lam_b monotonically
-    elif np.dot(v, v[::-1]) < 0:
-        kind = "pitchfork"
+            ds *= 0.5
     else:
-        kind = "unclassified"
-    return BifurcationEvent(lambda_b=float(lam_b), kind=kind, null_vector=v,
-                            branch_index=ia, state=y_mid)
+        raise BracketError(
+            f"bisection between indices {ia} and {ib} stalled after "
+            f"{_MAX_TRIALS} trials at lam = {y.lam:.6g}, step {ds:.3g}")
+
+    v = null_vector(jacobian(d, y.lam, y.u))
+    kind = ("fold" if t.dlam * t_mid.dlam < 0 else "pitchfork"
+            if symmetric and np.dot(v, v[::-1]) < 0 else "unclassified")
+    return BifurcationEvent(lambda_b=float(0.5 * (y.lam + y_mid.lam)),
+                            kind=kind, null_vector=v, branch_index=ia, state=y)
 
 
 def switch_branch(d: Discretization, ev: BifurcationEvent,

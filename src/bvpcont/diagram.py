@@ -1,11 +1,12 @@
 """Run orchestration: configs, the full diagram pipeline, and artifact output.
 
 A run builds the weight and mesh, follows the main branch from just below the
-first discrete eigenvalue, switches at detected bifurcations, sweeps peak
-masks for isolas, and packages everything as a DiagramBundle that can be
-written out as JSON/CSV/SVG.  Of each mirror pair of branches one is traced
-and the other is its reflection.  Everything is deterministic: fixed seeds,
-fixed sweep order, stable sort keys before emission.
+first discrete eigenvalue, sweeps peak masks for isolas, and packages
+everything as a DiagramBundle that can be written out as JSON/CSV/SVG.  Each
+branch is read for det-sign changes as it is added, and its pitchforks are
+switched, before the next seed is tried.  Of each mirror pair of branches
+one is traced and the other is its reflection.  Everything is deterministic:
+fixed seeds, fixed sweep order, stable sort keys before emission.
 """
 
 import json
@@ -25,9 +26,10 @@ from .corrector import (NewtonError, SingularSystemError, Tangent,
 from .discretize import (Discretization, discrete_l2_norm, mirrors,
                          principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
-from .seeding import (enumerate_peak_masks, find_new_solution, peak_indices,
-                      peak_pattern, peak_pattern_seed, sine_seed,
-                      well_bump_seed, well_edge_seed)
+from .seeding import (enumerate_peak_masks, find_new_solution,
+                      matches_branch, peak_indices, peak_pattern,
+                      peak_pattern_seed, sine_seed, well_bump_seed,
+                      well_edge_seed)
 from .weight import Weight, build_weight
 
 __all__ = [
@@ -190,9 +192,9 @@ def _trace_both(d: Discretization, start: SolutionPoint,
                 cfg: ContinuationConfig) -> Branch:
     """Continue from start toward both increasing and decreasing lam, merged.
 
-    Isolas and switched branches pass through the seed point in both
-    directions; the merged branch runs from the deep end of one sheet, through
-    the seed and any folds, to the deep end of the other.
+    An isola passes through its seed point in both directions; the merged
+    branch runs from the deep end of one sheet, through the seed and any
+    folds, to the deep end of the other.
     """
     zero = np.zeros_like(start.u)
     b_up = continue_branch(d, start, Tangent(zero, 1.0), cfg)
@@ -248,57 +250,56 @@ def run_diagram(config) -> DiagramBundle:
 
     lam1 = principal_eigenvalue(d.m)
 
-    # Stage 1-2: main branch from the near-onset sine seed, downward.
-    main = None
+    def add(role, branch):
+        # Record and read the branch and each child it spawns; a pitchfork is
+        # switched once, unless the child starts on a known branch.
+        queue = [(role, branch)]
+        while queue:
+            role, branch = queue.pop(0)
+            n = len(bundle.branch_by_role(role))
+            bid = role if role == "main" else f"{role}_{n}"
+            records.append(BranchRecord(bid, role, branch))
+            for i, j in sign_change_brackets(d, branch, cfg.newton_tol):
+                if branch.tangents[i].dlam * branch.tangents[j].dlam < 0:
+                    continue  # a fold, which fold_points reports
+                try:
+                    ev = locate_bifurcation(d, branch, (i, j),
+                                            newton_tol=cfg.newton_tol)
+                except (BracketError, SingularSystemError) as exc:
+                    failures.append(f"locate on {bid} at index {i}: {exc}")
+                    continue
+                bundle.events.append(_event_dict(
+                    bid, i, ev.kind, ev.lambda_b,
+                    discrete_l2_norm(d, ev.state.u)))
+                if ev.kind == "unclassified":
+                    failures.append(f"unclassified det-sign change on {bid} "
+                                    f"at index {i}, lam={ev.lambda_b:.6g}")
+                if ev.kind != "pitchfork":
+                    continue
+                try:
+                    y = switch_branch(d, ev, newton_tol=cfg.newton_tol)
+                    if any(matches_branch(d, y.lam, y.u, r.branch,
+                                          cfg.newton_tol) for r in records):
+                        continue
+                    child = continue_branch(
+                        d, make_point(d, y.lam, y.u, tag="branch_start"),
+                        Tangent(ev.null_vector, 0.0), cont)
+                except (NewtonError, SingularSystemError) as exc:
+                    failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
+                    continue
+                child.symmetry = _classify_symmetry(child.points[-1].u)
+                queue += [("switched", child), ("switched", _mirrored(d, child))]
+
+    # Main branch from the near-onset sine seed, downward.
     try:
         main = trace_main_branch(d, lam1, cont)
         main.symmetry = _classify_symmetry(main.points[-1].u)
-        records.append(BranchRecord("main", "main", main))
     except (NewtonError, SingularSystemError, ValueError) as exc:
         failures.append(f"main branch: {exc}")
+    else:
+        add("main", main)
 
-    n_added = {"switched": 0, "isola": 0}
-
-    def add(role, branch):
-        records.append(BranchRecord(f"{role}_{n_added[role]}", role, branch))
-        n_added[role] += 1
-
-    # Stage 3: locate det-sign changes on the main branch, switch at pitchforks;
-    # the mirror image of the switched branch is the other one.
-    if main is not None:
-        for i, j in sign_change_brackets(d, main, cfg.newton_tol):
-            try:
-                ev = locate_bifurcation(d, main, (i, j),
-                                        newton_tol=cfg.newton_tol)
-            except (BracketError, NewtonError, SingularSystemError) as exc:
-                failures.append(f"locate at index {i}: {exc}")
-                continue
-            bundle.events.append(_event_dict(
-                "main", i, ev.kind, ev.lambda_b,
-                discrete_l2_norm(d, ev.state.u)))
-            if ev.kind == "unclassified":
-                failures.append(f"unclassified det-sign change at index {i}, "
-                                f"lam={ev.lambda_b:.6g}")
-            if ev.kind != "pitchfork":
-                continue
-            try:
-                y = switch_branch(d, ev, newton_tol=cfg.newton_tol)
-            except (NewtonError, SingularSystemError) as exc:
-                failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
-                continue
-            child_start = make_point(d, y.lam, y.u, tag="branch_start")
-            try:
-                # away from the host, on either side of lambda_b
-                child = continue_branch(d, child_start,
-                                        Tangent(ev.null_vector, 0.0), cont)
-            except (NewtonError, SingularSystemError) as exc:
-                failures.append(f"child at lam={y.lam:.6g}: {exc}")
-                continue
-            child.symmetry = _classify_symmetry(child.points[-1].u)
-            add("switched", child)
-            add("switched", _mirrored(d, child))
-
-    # Stage 4: isola sweep over unrepresented masks, fixed order.  An
+    # Isola sweep over unrepresented masks, fixed order.  An
     # asymmetric isola is followed by its mirror image unless it contains it.
     masks = enumerate_peak_masks(cfg.kappa)
     well_patterns = ([bits for bits in product((False, True), repeat=cfg.kappa)

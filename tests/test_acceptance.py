@@ -256,12 +256,16 @@ def test_deep_main_branch_stays_symmetric(diagram_k2):
     # in the symmetric subspace, so the antisymmetric mode that softens with
     # depth cannot pull it onto a neighbouring sheet.  Below lambda~-1380 the
     # Newton tolerance leaves that mode free; its det-sign flips are no
-    # bifurcations, so the only events are the three isola folds.
+    # bifurcations, so the only events are the three isola folds and the
+    # pitchfork on the symmetric isola_2, where one mirror pair switches off.
     bundle = diagram_k2
     assert bundle.provenance["failures"] == []
     assert [(e["branch_id"], e["kind"]) for e in bundle.events] == [
-        ("isola_0", "fold"), ("isola_1", "fold"), ("isola_2", "fold")]
-    assert [r.role for r in bundle.branches] == ["main"] + ["isola"] * 3
+        ("isola_0", "fold"), ("isola_1", "fold"), ("isola_2", "fold"),
+        ("isola_2", "pitchfork")]
+    assert abs(bundle.events[-1]["lambda"] - (-78.679)) < 1e-3
+    assert [r.role for r in bundle.branches] == (
+        ["main"] + ["isola"] * 3 + ["switched"] * 2)
     (main,) = bundle.branch_by_role("main")
     assert main.branch.symmetry == "symmetric"
     assert main.branch.diagnostics == ["reached lambda_min"]
@@ -451,8 +455,8 @@ def test_criterion_8_nonexistence_bound(isola_bundle, census_k1, census_k2):
     assert ok
 
 
-@pytest.mark.skip(reason="extended census (kappa=3, count 15) is not gating; "
-                  "the current seed routes realize 13 of 15 patterns")
 def test_extended_census_k3():
+    # 1011 and 1101 are reached only through the pitchfork on the symmetric
+    # isola_4 near lam = -78.745, whose switched pair ends in them
     census = deep_census(RunConfig(kappa=3, h=0.1, eps=0.0, mesh_n=500))
     assert len(census) == 15

@@ -7,8 +7,8 @@ from bvpcont import bifurcation
 from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
                                  null_vector, sign_change_brackets,
                                  switch_branch)
-from bvpcont.continuation import Branch, ContinuationConfig
-from bvpcont.corrector import AugmentedState
+from bvpcont.continuation import Branch, ContinuationConfig, fold_points
+from bvpcont.corrector import NewtonError
 from bvpcont.diagram import RunConfig, run_diagram, trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
@@ -84,22 +84,38 @@ def test_bracket_error_on_same_sign():
 
 
 def test_locate_raises_when_bisection_cannot_narrow(monkeypatch):
-    # a corrector that always returns the left end keeps lam_lo and lam_hi
-    # apart while the arclength interval shrinks to adjacent floats
+    # a corrector that always returns its start point never reaches the far
+    # side of the bracket; the bisection gives up after its trial budget
     d, b = main_branch(0.05)
     calls = [0]
 
-    def frozen(d, branch, idx, s, tol):
+    def frozen(d, y0, y_prev, t, ds, **kw):
         calls[0] += 1
         if calls[0] > 10000:
             raise RuntimeError("bisection does not terminate")
-        p = branch.points[idx]
-        return AugmentedState(p.lam, p.u.copy())
+        return y_prev.copy(), 0
 
-    monkeypatch.setattr(bifurcation, "_corrected_state", frozen)
+    monkeypatch.setattr(bifurcation, "newton_augmented", frozen)
     with pytest.raises(BracketError, match="stalled"):
         locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
-    assert calls[0] < 100
+    assert calls[0] == bifurcation._MAX_TRIALS
+
+
+def test_locate_raises_when_the_corrector_always_fails(monkeypatch):
+    # every trial step is halved, and the budget ends the bisection
+    d, b = main_branch(0.05)
+    calls = [0]
+
+    def failing(*args, **kw):
+        calls[0] += 1
+        if calls[0] > 10000:
+            raise RuntimeError("bisection does not terminate")
+        raise NewtonError("no convergence")
+
+    monkeypatch.setattr(bifurcation, "newton_augmented", failing)
+    with pytest.raises(BracketError, match="stalled"):
+        locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
+    assert calls[0] == bifurcation._MAX_TRIALS
 
 
 def test_locate_returns_the_state_at_lambda_b():
@@ -166,6 +182,58 @@ def test_locate_keeps_a_symmetric_host_exactly_symmetric():
         assert ev.kind == "pitchfork"
 
 
+def _isola_bracket(config, branch_id, lam_lo, lam_hi):
+    """Operator, branch and its one bracket with ends in (lam_lo, lam_hi)."""
+    bundle = run_diagram(config)
+    (rec,) = [r for r in bundle.branches if r.branch_id == branch_id]
+    pts = rec.branch.points
+    (bracket,) = [(i, j) for i, j in sign_change_brackets(bundle.operator,
+                                                          rec.branch)
+                  if all(lam_lo < pts[k].lam < lam_hi for k in (i, j))]
+    return bundle.operator, rec.branch, bracket
+
+
+def _softest_modes(d, state, k=3):
+    """The k eigenvalues of J nearest 0, with the parity of their vectors,
+    from a dense eigensolver that shares no code with the LU."""
+    w, vecs = np.linalg.eig(jacobian(d, state.lam, state.u).dense())
+    idx = np.argsort(np.abs(w))[:k]
+    return [(w[i].real, "odd" if vecs[:, i].real @ vecs[::-1, i].real < 0
+             else "even") for i in idx]
+
+
+def test_locate_holds_on_a_long_isola_bracket():
+    # kappa=1, h=0.5, eps=0.5: the symmetric isola_1 steps from lam -533.47
+    # to -473.07 (arclength 68) across a det-sign change.  A trial corrected
+    # from the bracket start at s = 42.6 does not converge; stepping on from
+    # the last point on the start side reaches the change.  It is a
+    # fold of the sheet that isola_1 leaves: an even mode of J crosses zero
+    # while the odd ones stay near +-300, so it is no pitchfork.
+    d, b, bracket = _isola_bracket(
+        RunConfig(kappa=1, h=0.5, eps=0.5, lambda_min=-600.0), "isola_1",
+        -540.0, -470.0)
+    ev = locate_bifurcation(d, b, bracket)
+    assert -503.15 < ev.lambda_b < -488.08
+    assert ev.kind == "fold"
+    (mu, parity), *rest = _softest_modes(d, ev.state)
+    assert abs(mu) < 0.1 and parity == "even"
+    assert all(abs(m) > 100.0 for m, _ in rest)
+
+
+def test_a_fold_inside_a_bracket_is_a_fold():
+    # refined kappa=2, h=0.25: isola_2 ends a step at lam -41.48204 just
+    # short of its fold, so lam at the two ends does not straddle lambda_b;
+    # the tangents at the final bisection ends tell the fold
+    d, b, bracket = _isola_bracket(
+        RunConfig(kappa=2, h=0.25, lambda_min=-100.0, mesh_kind="refined",
+                  coarse_dx=0.002, fine_dx=0.0005), "isola_2", -42.0, -41.0)
+    ev = locate_bifurcation(d, b, bracket)
+    assert ev.kind == "fold"
+    (i_fold, lam_fold), = fold_points(b)
+    assert i_fold in bracket and abs(ev.lambda_b - lam_fold) < 1e-3
+    assert abs(ev.lambda_b - (-41.482)) < 1e-3
+
+
 def test_lambda_b_increasing_in_h():
     # recompute a sub-grid of the tabulated h values; lambda_b is increasing
     vals = []
@@ -186,10 +254,11 @@ def diagram(request):
 
 
 def test_every_branch_records_the_det_sign_of_each_point(diagram):
-    # main, switched and mirrored branches, merged isolas and their mirrors
+    # main, switched and mirrored branches, merged isolas and their mirrors;
+    # k2_h025_eps03 switches at two isola pitchforks
     d = diagram.operator
     roles = {rec.role for rec in diagram.branches}
-    assert roles in ({"main", "switched"}, {"main", "isola"})
+    assert roles in ({"main", "switched"}, {"main", "isola", "switched"})
     for rec in diagram.branches:
         b = rec.branch
         assert len(b.det_signs) == len(b.points), rec.branch_id

@@ -139,19 +139,25 @@ def test_main_branch_keeps_its_sheet_k3_eps05():
     RunConfig(kappa=1, h=0.6, eps=0.2, lambda_min=-300.0),  # two pitchforks
 ], ids=["k1_h05_eps05", "k1_h06_eps02"])
 def test_switched_pair_at_every_pitchfork(config):
+    # on any symmetric host: the main branch and, at -85.848, -317.32
+    # (k1_h05_eps05) and -65.565 (k1_h06_eps02), the symmetric isolas
     bundle = run_diagram(config)
     assert bundle.provenance["failures"] == []
-    lam_b = [e["lambda"] for e in bundle.events
-             if e["branch_id"] == "main" and e["kind"] == "pitchfork"]
+    lam_b = [e["lambda"] for e in bundle.events if e["kind"] == "pitchfork"]
+    assert {e["branch_id"] for e in bundle.events
+            if e["kind"] == "pitchfork"} >= {"main", "isola_0"}
     switched = [rec.branch for rec in bundle.branch_by_role("switched")]
     assert lam_b and len(switched) == 2 * len(lam_b)
     # a mirror pair of asymmetric branches starts next to each pitchfork
-    for lb, b, c in zip(sorted(lam_b, reverse=True), switched[::2],
-                        switched[1::2]):
+    # and is continued to the lambda floor
+    pairs = list(zip(switched[::2], switched[1::2]))
+    for lb in lam_b:
+        (b, c), = [(b, c) for b, c in pairs
+                   if abs(b.points[0].lam - lb) < 0.1]
         p, q = b.points[0], c.points[0]
-        assert abs(p.lam - lb) < 0.1 and p.lam == q.lam
-        assert np.array_equal(p.u[::-1], q.u)
+        assert p.lam == q.lam and np.array_equal(p.u[::-1], q.u)
         assert b.symmetry != "symmetric" and len(b.points) > 10
+        assert b.diagnostics == ["reached lambda_min"]
     # no isola stands in for a switched branch through a pitchfork
     for e in bundle.events:
         if e["branch_id"].startswith("isola") and e["kind"] == "fold":
