@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import (_COS_MAX_TURN, Branch, _symmetrized,
-                           _tangent_and_det_sign)
-from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, _inverse_iteration, _is_free, _lu,
-                        _lu_det_sign, newton_augmented)
+from .continuation import Branch, _step
+from .corrector import (AugmentedState, SingularSystemError, Tangent,
+                        _inverse_iteration, _is_free, _lu, _lu_det_sign,
+                        newton_augmented)
 from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
 __all__ = [
@@ -113,10 +112,9 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     """Locate the det-sign change between two branch indices by bisection.
 
     The bisection follows the branch by continue_branch's rules: each trial
-    is one corrector step from the last point on the start side along its
-    tangent, with tangent and det sign from one LU of J; a step is halved
-    when the corrector fails, the tangent turns by more than 0.2 rad, or it
-    lands on the far side more than 1e-4 away in lam.  A fold when the
+    is the loop's corrector step (continuation._step) from the last point on
+    the start side along its tangent; a step is halved when _step rejects it
+    or it lands on the far side more than 1e-4 away in lam.  A fold when the
     tangents at the two final ends have dlam of opposite signs, else a
     pitchfork when the host is symmetric and the null vector v has
     v . Rv < 0 (R: x -> 1-x), else unclassified.  Raises BracketError when
@@ -133,17 +131,12 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     y, t = AugmentedState(pa.lam, pa.u.copy()), branch.tangents[ia]
     ds = 0.5 * float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
     for _ in range(_MAX_TRIALS):
-        y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
-        try:
-            y_mid = newton_augmented(d, y_pred, y, t, ds, tol=newton_tol,
-                                     symmetric=symmetric)[0]
-            t_mid, sign_mid = _tangent_and_det_sign(d, y_mid, t)
-            t_mid = _symmetrized(t_mid) if symmetric else t_mid
-        except (NewtonError, SingularSystemError):
-            t_mid = None
-        if t_mid is None or t_mid.dot(t) < _COS_MAX_TURN:
+        step = _step(d, y, t, ds, symmetric, newton_tol)
+        if step is None:
             ds *= 0.5
-        elif sign_mid == sign_a:
+            continue
+        y_mid, t_mid, sign_mid, _ = step
+        if sign_mid == sign_a:
             y, t = y_mid, t_mid
         elif abs(y_mid.lam - y.lam) <= 1e-4:
             break

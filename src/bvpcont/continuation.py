@@ -5,9 +5,10 @@ corrector under step-length control (Allgower & Georg, Introduction to
 Numerical Continuation Methods, SIAM 2003, sec. 6).  The first step is ds
 (default 3).  After an accepted step whose corrector took k updates the step
 is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4); no
-constant caps it.  A step is rejected and ds halved when the corrector fails
-or the unit tangent turns by more than 0.2 rad; a step that would pass
-lambda_min is cut to end ds_min past it.  A symmetric start point is
+constant caps it.  ``_step``, which the bifurcation bisection shares, rejects
+a step when the corrector fails, the tangent solve meets a zero pivot or the
+unit tangent turns by more than 0.2 rad, and ds is halved; a step that would
+pass lambda_min is cut to end ds_min past it.  A symmetric start point is
 continued in the symmetric subspace, so every point it adds is exactly
 symmetric.  On other branches the corrector updates leave out a mode that
 the Newton tolerance leaves free, such as the translation of a lone peak
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, _lu, _lu_det_sign, bordered_solve,
-                        newton_augmented)
+from .corrector import (DEFAULT_MAX_ITERS, AugmentedState, NewtonError,
+                        SingularSystemError, Tangent, _lu, _lu_det_sign,
+                        bordered_solve, newton_augmented)
 from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
                          jacobian, mirrors)
 
@@ -137,6 +138,25 @@ def _symmetrized(t: Tangent) -> Tangent:
     return Tangent(_symmetrize(t.du), t.dlam).normalized()
 
 
+def _step(d: Discretization, y: AugmentedState, t: Tangent, ds: float,
+          symmetric: bool, tol: float, max_iters: int = DEFAULT_MAX_ITERS):
+    """One corrector step of length ds from y along t: (y_new, t_new, det
+    sign of J at y_new, corrector updates), or None when the corrector fails,
+    the tangent solve meets a zero pivot or the tangent turns over 0.2 rad."""
+    y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
+    try:
+        y_new, iters = newton_augmented(
+            d, y_pred, y, t, ds, tol=tol, max_iters=max_iters,
+            symmetric=symmetric, free_modes=not symmetric)
+        t_new, sign = _tangent_and_det_sign(d, y_new, t)
+    except (NewtonError, SingularSystemError):
+        return None
+    t_new = _symmetrized(t_new) if symmetric else t_new
+    if t_new.dot(t) < _COS_MAX_TURN:
+        return None
+    return y_new, t_new, sign, iters
+
+
 def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
                     cfg: ContinuationConfig) -> Branch:
     """Follow a branch from a converged start point along update_tangent(ref).
@@ -157,25 +177,9 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
         if t.dlam < 0.0:  # end ds_min past lambda_min, not a long step past
             ds = min(ds, cfg.ds_min
                      + max(y.lam - cfg.lambda_min, 0.0) / -t.dlam)
-        y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
-        try:
-            y_new, iters = newton_augmented(d, y_pred, y, t, ds,
-                                            tol=cfg.newton_tol,
-                                            max_iters=cfg.max_newton_iters,
-                                            symmetric=symmetric,
-                                            free_modes=not symmetric)
-        except (NewtonError, SingularSystemError):
-            y_new = None
-        if y_new is not None:
-            try:
-                t_new, sign = _tangent_and_det_sign(d, y_new, t)
-            except SingularSystemError:
-                branch.diagnostics.append(
-                    f"singular bordered matrix at lam = {y_new.lam:.6g}"
-                )
-                return branch
-            t_new = _symmetrized(t_new) if symmetric else t_new
-        if y_new is None or t_new.dot(t) < _COS_MAX_TURN:
+        step = _step(d, y, t, ds, symmetric, cfg.newton_tol,
+                     cfg.max_newton_iters)
+        if step is None:
             ds *= 0.5
             if ds < cfg.ds_min:
                 branch.diagnostics.append(
@@ -183,6 +187,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
                 )
                 return branch
             continue
+        y_new, t_new, sign, iters = step
 
         if y_new.u.min() < -1e-8:
             branch.diagnostics.append(

@@ -278,8 +278,11 @@ def run_diagram(config) -> DiagramBundle:
                     continue
                 try:
                     y = switch_branch(d, ev, newton_tol=cfg.newton_tol)
+                    # its odd part, amp along an odd v, is far above the
+                    # match bound, so no symmetric record can hold it
                     if any(matches_branch(d, y.lam, y.u, r.branch,
-                                          cfg.newton_tol) for r in records):
+                                          cfg.newton_tol) for r in records
+                           if r.branch.symmetry != "symmetric"):
                         continue
                     child = continue_branch(
                         d, make_point(d, y.lam, y.u, tag="branch_start"),
@@ -325,9 +328,10 @@ def run_diagram(config) -> DiagramBundle:
                 return
             iso.symmetry = _classify_symmetry(pt.u)
             add("isola", iso)
-            if iso.symmetry != "symmetric" and find_new_solution(
-                    d, pt.lam, pt.u[::-1], known + [iso],
-                    newton_tol=cfg.newton_tol) is not None:
+            # every known asymmetric branch is stored with its mirror, so
+            # only iso can hold the mirror of its new point
+            if iso.symmetry != "symmetric" and not matches_branch(
+                    d, pt.lam, pt.u[::-1], iso, cfg.newton_tol):
                 add("isola", _mirrored(d, iso))
             return
 

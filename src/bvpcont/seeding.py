@@ -7,8 +7,9 @@ are enumerated by boolean peak masks over those kappa+1 intervals (2^(kappa+1)-1
 nonzero patterns).  Each set bit contributes a sech-shaped bump whose amplitude
 sqrt(-2*lam) and width 1/sqrt(-lam) match the homoclinic orbit of the
 autonomous equation -u'' = lam*u + u^3, the true far-field shape of a peak.
-``find_new_solution`` converges a seed at fixed lam and keeps it only if it
-lies on none of the known branches; ``peak_pattern`` reads which support
+``find_new_solution`` converges a seed at fixed lam and keeps it only if
+``matches_branch`` finds it on no known branch (one secant guess per sheet
+through lam, re-converged there); ``peak_pattern`` reads which support
 intervals a solution occupies.  Moving a solution to another lam is the job
 of ``continuation.continue_branch``.
 """
@@ -145,26 +146,20 @@ def matches_branch(d: Discretization, lam: float, u: np.ndarray,
                    branch: Branch, newton_tol: float = 1e-4) -> bool:
     """Whether (lam, u) lies on an already-computed branch.
 
-    The guesses are the branch points within 10 of lam and, where a long
-    step leaves no point that near, the secant at lam between the two points
-    on either side of it.  Up to 8, nearest in lam first, are re-converged
-    at exactly lam and the profiles compared; the (lam, norm)-plane distance
-    alone cannot separate nearby sheets or reflection pairs.
+    One guess per sheet through lam (isolas fold back): the secant at lam of
+    each segment whose lam span holds it, its first point for a zero span.
+    Each is re-converged at exactly lam and compared with u; the (lam, norm)
+    distance alone cannot separate nearby sheets or reflection pairs.
     """
     pts, lams = branch.points, branch.lambdas()
-    near = np.abs(lams - lam) <= 10.0
-    # A branch can carry several sheets through the same lam (isolas fold
-    # back), so compare against a handful of guesses, not just the closest.
-    guesses = [(abs(lams[i] - lam), pts[i].u) for i in np.nonzero(near)[0]]
-    gaps = (lams[:-1] - lam) * (lams[1:] - lam) < 0
-    for i in np.nonzero(gaps & ~near[:-1] & ~near[1:])[0]:
-        s = (lam - lams[i]) / (lams[i + 1] - lams[i])
-        guesses.append((0.0, pts[i].u + s * (pts[i + 1].u - pts[i].u)))
-    guesses.sort(key=lambda g: g[0])
     scale = 1.0 + float(np.abs(u).max())
-    for _, guess in guesses[:8]:
+    for i in np.nonzero((lams[:-1] - lam) * (lams[1:] - lam) <= 0)[0]:
+        span = lams[i + 1] - lams[i]
+        s = (lam - lams[i]) / span if span else 0.0
         try:
-            u_ref = newton_fixed_lambda(d, lam, guess, tol=newton_tol)
+            u_ref = newton_fixed_lambda(
+                d, lam, pts[i].u + s * (pts[i + 1].u - pts[i].u),
+                tol=newton_tol)
         except (NewtonError, SingularSystemError):
             continue
         if float(np.max(np.abs(u_ref - u))) <= 1e-4 * scale:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bvpcont import bifurcation
+from bvpcont import bifurcation, continuation
 from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
                                  null_vector, sign_change_brackets,
                                  switch_branch)
@@ -95,7 +95,7 @@ def test_locate_raises_when_bisection_cannot_narrow(monkeypatch):
             raise RuntimeError("bisection does not terminate")
         return y_prev.copy(), 0
 
-    monkeypatch.setattr(bifurcation, "newton_augmented", frozen)
+    monkeypatch.setattr(continuation, "newton_augmented", frozen)
     with pytest.raises(BracketError, match="stalled"):
         locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
     assert calls[0] == bifurcation._MAX_TRIALS
@@ -112,7 +112,7 @@ def test_locate_raises_when_the_corrector_always_fails(monkeypatch):
             raise RuntimeError("bisection does not terminate")
         raise NewtonError("no convergence")
 
-    monkeypatch.setattr(bifurcation, "newton_augmented", failing)
+    monkeypatch.setattr(continuation, "newton_augmented", failing)
     with pytest.raises(BracketError, match="stalled"):
         locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
     assert calls[0] == bifurcation._MAX_TRIALS

@@ -5,12 +5,14 @@ import sys
 import numpy as np
 import pytest
 
+from bvpcont import diagram
 from bvpcont.cli import main
 from bvpcont.continuation import ContinuationConfig
 from bvpcont.diagram import (DiagramBundle, RunConfig, emit_svg, run_diagram,
                              run_epsilon_sweep, write_bundle)
 from bvpcont.discretize import Discretization, residual
 from bvpcont.mesh import mesh_spacings
+from bvpcont.seeding import matches_branch
 from bvpcont.weight import eval_weight
 
 
@@ -184,6 +186,40 @@ def test_asymmetric_branches_come_in_exact_mirror_pairs(request, which):
         for p in b.points:
             assert (np.linalg.norm(residual(d, p.lam, p.u[::-1]))
                     < cfg.newton_tol)
+
+
+def test_run_matches_only_against_branches_that_can_hold(monkeypatch):
+    # a switched child sits well off the symmetric subspace, and the mirror
+    # of a new isola point can only lie on that isola, so no symmetric
+    # branch is ever asked
+    asked = []
+
+    def recorded(d, lam, u, branch, *args, **kw):
+        asked.append(branch.symmetry)
+        return matches_branch(d, lam, u, branch, *args, **kw)
+
+    monkeypatch.setattr(diagram, "matches_branch", recorded)
+    run_diagram(RunConfig(kappa=1, h=0.05, lambda_min=-100.0))
+    run_diagram(RunConfig(kappa=2, h=0.25, eps=0.3, lambda_min=-300.0))
+    assert asked and "symmetric" not in asked
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(kappa=4, h=0.1),
+    RunConfig(kappa=2, h=0.25, eps=0.3, lambda_min=-300.0),
+], ids=["k4_h01", "k2_h025_eps03"])
+def test_no_branch_is_traced_twice(config):
+    # the deep ends of distinct branches (and the two ends of one isola)
+    # are distinct solutions; a duplicate trace would put two ends together
+    bundle = run_diagram(config)
+    ends = [p for r in bundle.branches
+            for p in r.branch.points[:1] + r.branch.points[1:][-1:]
+            if p.lam < 0.997 * config.lambda_min]
+    assert len(ends) >= 4
+    for i, p in enumerate(ends):
+        for q in ends[:i]:
+            scale = 1.0 + max(np.abs(p.u).max(), np.abs(q.u).max())
+            assert np.abs(p.u - q.u).max() / scale > 1e-2
 
 
 def test_bundle_artifacts(tmp_path, pitchfork_bundle):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bvpcont import seeding
 from bvpcont.continuation import (AugmentedState, Branch,
                                   ContinuationConfig, continue_branch,
                                   initial_tangent, make_point)
@@ -10,7 +11,8 @@ from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import (PeakMask, enumerate_peak_masks,
-                             find_new_solution, peak_indices, peak_pattern,
+                             find_new_solution, matches_branch,
+                             peak_indices, peak_pattern,
                              peak_pattern_seed, sine_seed, support_intervals,
                              well_bump_seed)
 from bvpcont.weight import build_weight
@@ -202,3 +204,32 @@ def test_find_new_solution_deduplicates_across_a_long_step():
     seed = well_bump_seed(d, -200.0, wells=(True,))
     assert find_new_solution(d, -200.0, seed, []) is not None
     assert find_new_solution(d, -200.0, seed, [gap]) is None
+
+
+def test_matches_branch_converges_one_guess_per_sheet(isola_bundle,
+                                                      monkeypatch):
+    # a two-sheet isola of kappa=2, h=0.25 crosses lam = -100 on each
+    # sheet; a candidate off it costs one Newton solve per segment whose
+    # lam span holds -100 (three: the seed point sits at -100 on one
+    # sheet), not one per stored point nearby
+    bundle, lam = isola_bundle, -100.0
+    d = bundle.operator
+    iso = bundle.branch_by_role("isola")[0].branch
+    lams = iso.lambdas()
+    spans = int(np.sum((lams[:-1] - lam) * (lams[1:] - lam) <= 0))
+    assert spans >= 2
+    main = bundle.branch_by_role("main")[0].branch
+    u_main = newton_fixed_lambda(d, lam,
+                                 next(p.u for p in main.points if p.lam <= lam))
+    calls = [0]
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return newton_fixed_lambda(*args, **kw)
+
+    monkeypatch.setattr(seeding, "newton_fixed_lambda", counted)
+    assert not matches_branch(d, lam, u_main, iso)
+    assert calls[0] == spans
+    i = int(np.argmax((lams[:-1] - lam) * (lams[1:] - lam) <= 0))
+    u_iso = newton_fixed_lambda(d, lam, iso.points[i].u)
+    assert matches_branch(d, lam, u_iso, iso)
