@@ -8,8 +8,8 @@ from .bifurcation import (BifurcationEvent, BracketError, det_sign,
                           locate_bifurcation, null_vector,
                           sign_change_brackets, switch_branch)
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
-                           continue_branch, fold_points, initial_tangent,
-                           make_point, update_tangent)
+                           continue_branch, fold_points, make_point,
+                           update_tangent)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, bordered_solve, newton_augmented,
                         newton_fixed_lambda, solve_tridiag)

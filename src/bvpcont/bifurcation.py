@@ -2,11 +2,12 @@
 
 Simple branch points on a followed path are flagged by a sign change of the
 determinant of the fixed-parameter tridiagonal Jacobian, as ``continue_branch``
-recorded it (``Branch.det_signs``), and located by a bisection that keeps the
-continuation loop's step rules.  A flip of dlam across the change marks a
-fold, an odd null vector on a symmetric host a pitchfork, which one arclength
-step along the null vector passes (Allgower & Georg, SIAM 2003, ch. 8).  J is
-assembled only at the ends of a sign change and at bisection points.
+recorded it on each point (``SolutionPoint.det_sign``), and located by a
+bisection that keeps the continuation loop's step rules.  A flip of dlam
+across the change marks a fold, an odd null vector on a symmetric host a
+pitchfork, which one arclength step along the null vector passes (Allgower &
+Georg, SIAM 2003, ch. 8).  J is assembled only at the ends of a sign change
+and at bisection points.
 """
 
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ class BifurcationEvent:
     lambda_b: float
     kind: str  # pitchfork | fold | unclassified
     null_vector: np.ndarray
-    branch_index: int
     state: AugmentedState  # corrected branch point within 1e-4 of lambda_b
 
 
@@ -70,23 +70,16 @@ def _sign_resolved(J: BandedJacobian, u: np.ndarray, tol: float) -> bool:
     return not _is_free(mu, u, tol)
 
 
-def _recorded_signs(branch: Branch) -> list[int]:
-    if len(branch.det_signs) != len(branch.points):
-        raise ValueError("branch.det_signs does not cover its points")
-    return branch.det_signs
-
-
 def sign_change_brackets(d: Discretization, branch: Branch,
                          newton_tol: float = 1e-4) -> list[tuple[int, int]]:
     """Pairs (i, i+1) of adjacent points with opposite recorded det signs.
 
     A pair is dropped when the sign at either end is not resolved: a zero
     pivot, or a mode of J that newton_tol leaves free (see _sign_resolved).
-    Raises ValueError when branch.det_signs does not cover its points.
     """
-    signs, pts = _recorded_signs(branch), branch.points
-    return [(i, i + 1) for i in range(len(signs) - 1)
-            if signs[i] * signs[i + 1] < 0
+    pts = branch.points
+    return [(i, i + 1) for i in range(len(pts) - 1)
+            if pts[i].det_sign * pts[i + 1].det_sign < 0
             and all(_sign_resolved(jacobian(d, p.lam, p.u), p.u, newton_tol)
                     for p in pts[i:i + 2])]
 
@@ -118,40 +111,39 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     tangents at the two final ends have dlam of opposite signs, else a
     pitchfork when the host is symmetric and the null vector v has
     v . Rv < 0 (R: x -> 1-x), else unclassified.  Raises BracketError when
-    the recorded end signs agree or after _MAX_TRIALS trials; ValueError
-    when det_signs is incomplete.
+    the recorded end signs agree or after _MAX_TRIALS trials.
     """
     ia, ib = bracket
     pa, pb = branch.points[ia], branch.points[ib]
-    sign_a, sign_b = (_recorded_signs(branch)[i] for i in bracket)
-    if sign_a == sign_b:
+    if pa.det_sign == pb.det_sign:
         raise BracketError(f"no sign change between indices {ia} and {ib}")
 
     symmetric = mirrors(pa.u, pa.u)
-    y, t = AugmentedState(pa.lam, pa.u.copy()), branch.tangents[ia]
+    a = pa  # the last point on the start side
     ds = 0.5 * float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
     for _ in range(_MAX_TRIALS):
-        step = _step(d, y, t, ds, symmetric, newton_tol)
+        step = _step(d, a, ds, symmetric, newton_tol)
         if step is None:
             ds *= 0.5
             continue
-        y_mid, t_mid, sign_mid, _ = step
-        if sign_mid == sign_a:
-            y, t = y_mid, t_mid
-        elif abs(y_mid.lam - y.lam) <= 1e-4:
+        mid = step[0]
+        if mid.det_sign == pa.det_sign:
+            a = mid
+        elif abs(mid.lam - a.lam) <= 1e-4:
             break
         else:
             ds *= 0.5
     else:
         raise BracketError(
             f"bisection between indices {ia} and {ib} stalled after "
-            f"{_MAX_TRIALS} trials at lam = {y.lam:.6g}, step {ds:.3g}")
+            f"{_MAX_TRIALS} trials at lam = {a.lam:.6g}, step {ds:.3g}")
 
-    v = null_vector(jacobian(d, y.lam, y.u))
-    kind = ("fold" if t.dlam * t_mid.dlam < 0 else "pitchfork"
+    v = null_vector(jacobian(d, a.lam, a.u))
+    kind = ("fold" if a.tangent.dlam * mid.tangent.dlam < 0 else "pitchfork"
             if symmetric and np.dot(v, v[::-1]) < 0 else "unclassified")
-    return BifurcationEvent(lambda_b=float(0.5 * (y.lam + y_mid.lam)),
-                            kind=kind, null_vector=v, branch_index=ia, state=y)
+    return BifurcationEvent(lambda_b=float(0.5 * (a.lam + mid.lam)),
+                            kind=kind, null_vector=v,
+                            state=AugmentedState(a.lam, a.u.copy()))
 
 
 def switch_branch(d: Discretization, ev: BifurcationEvent,

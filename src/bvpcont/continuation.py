@@ -12,13 +12,14 @@ pass lambda_min is cut to end ds_min past it.  A symmetric start point is
 continued in the symmetric subspace, so every point it adds is exactly
 symmetric.  On other branches the corrector updates leave out a mode that
 the Newton tolerance leaves free, such as the translation of a lone peak
-deep in lam (``corrector.drop_free_mode``).  ``Branch.det_signs`` records
-the sign of det J at each point, from the LU of its tangent solve.  A branch
-ends on a parameter or norm bound, step-count or step underflow, departure
-from the positive cone, or on closing back onto its own start.
+deep in lam (``corrector.drop_free_mode``).  Every point of a branch carries
+its unit tangent and the sign of det J there, both from one LU of J in
+``update_tangent``.  A branch ends on a parameter or norm bound, step-count
+or step underflow, departure from the positive cone, or on closing back onto
+its own start.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "SolutionPoint",
     "Branch",
     "ContinuationConfig",
-    "initial_tangent",
     "update_tangent",
     "continue_branch",
     "fold_points",
@@ -41,12 +41,18 @@ __all__ = [
 
 @dataclass
 class SolutionPoint:
-    """Converged pair (lam, u) with its discrete L2 norm."""
+    """Converged pair (lam, u) with its discrete L2 norm.
+
+    continue_branch fills in the unit tangent and the sign of det J at every
+    point it stores; det_sign 0 means no sign is known.
+    """
 
     lam: float
     u: np.ndarray
     l2norm: float
     tag: str = "regular"  # regular | branch_start
+    tangent: Tangent | None = None
+    det_sign: int = 0
 
 
 @dataclass
@@ -55,9 +61,7 @@ class Branch:
 
     points: list[SolutionPoint] = field(default_factory=list)
     symmetry: str = "unknown"  # symmetric | asymmetric_left | asymmetric_right | unknown
-    tangents: list[Tangent] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
-    det_signs: list[int] = field(default_factory=list)  # of J, per point
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
@@ -88,39 +92,29 @@ class ContinuationConfig:
 
 
 def make_point(d: Discretization, lam: float, u: np.ndarray,
-               tag: str = "regular") -> SolutionPoint:
+               tag: str = "regular", tangent: Tangent | None = None,
+               det_sign: int = 0) -> SolutionPoint:
     return SolutionPoint(lam=float(lam), u=np.asarray(u, dtype=float),
-                         l2norm=discrete_l2_norm(d, u), tag=tag)
+                         l2norm=discrete_l2_norm(d, u), tag=tag,
+                         tangent=tangent, det_sign=det_sign)
 
 
-def _tangent_and_det_sign(d: Discretization, y: AugmentedState,
-                          ref: Tangent) -> tuple[Tangent, int]:
-    """update_tangent at y and the sign of det J, from one LU of J."""
+def update_tangent(d: Discretization, y: AugmentedState,
+                   ref: Tangent) -> tuple[Tangent, int]:
+    """Unit tangent at y with ref . t > 0 by construction, and the sign of
+    det J at y, both from one LU of J.
+
+    Solves [J | -u] t = 0 (-u = dF/dlam) bordered by the row ref . t = 1 and
+    normalizes; only an exactly zero pivot of J raises SingularSystemError.
+    ref = (0, +-1) gives the tangent whose dlam has that sign; near a fold
+    du grows along the null vector of J, so it tends to the fold tangent.
+    """
     J = jacobian(d, y.lam, y.u)
     lu = _lu(J)
     rhs = np.zeros(len(y.u) + 1)
     rhs[-1] = 1.0
     sol = bordered_solve(J, -y.u, ref, rhs, lu=lu)
     return Tangent(sol[:-1], sol[-1]).normalized(), _lu_det_sign(lu)[0]
-
-
-def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent) -> Tangent:
-    """Unit tangent at y with ref . t > 0 by construction.
-
-    Solves [J | -u] t = 0 (-u = dF/dlam) bordered by the row ref . t = 1 and
-    normalizes; only an exactly zero pivot of J raises SingularSystemError.
-    """
-    return _tangent_and_det_sign(d, y, ref)[0]
-
-
-def initial_tangent(d: Discretization, y: AugmentedState,
-                    direction_hint: float = -1.0) -> Tangent:
-    """Unit tangent at y whose dlam has the sign of direction_hint.
-
-    update_tangent with ref = (0, direction_hint).  Near a fold du grows
-    along the null vector of J, so the result tends to the fold tangent.
-    """
-    return update_tangent(d, y, Tangent(np.zeros_like(y.u), direction_hint))
 
 
 def _growth(iters: int) -> float:
@@ -138,68 +132,68 @@ def _symmetrized(t: Tangent) -> Tangent:
     return Tangent(_symmetrize(t.du), t.dlam).normalized()
 
 
-def _step(d: Discretization, y: AugmentedState, t: Tangent, ds: float,
-          symmetric: bool, tol: float, max_iters: int = DEFAULT_MAX_ITERS):
-    """One corrector step of length ds from y along t: (y_new, t_new, det
-    sign of J at y_new, corrector updates), or None when the corrector fails,
-    the tangent solve meets a zero pivot or the tangent turns over 0.2 rad."""
+def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
+          tol: float, max_iters: int = DEFAULT_MAX_ITERS):
+    """One corrector step of length ds from p along its tangent: (the new
+    point, corrector updates), or None when the corrector fails, the tangent
+    solve meets a zero pivot or the tangent turns over 0.2 rad."""
+    y, t = AugmentedState(p.lam, p.u), p.tangent
     y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
     try:
         y_new, iters = newton_augmented(
             d, y_pred, y, t, ds, tol=tol, max_iters=max_iters,
             symmetric=symmetric, free_modes=not symmetric)
-        t_new, sign = _tangent_and_det_sign(d, y_new, t)
+        t_new, sign = update_tangent(d, y_new, t)
     except (NewtonError, SingularSystemError):
         return None
     t_new = _symmetrized(t_new) if symmetric else t_new
     if t_new.dot(t) < _COS_MAX_TURN:
         return None
-    return y_new, t_new, sign, iters
+    return make_point(d, y_new.lam, y_new.u, tangent=t_new,
+                      det_sign=sign), iters
 
 
 def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
                     cfg: ContinuationConfig) -> Branch:
     """Follow a branch from a converged start point along update_tangent(ref).
 
-    ref is e.g. (0, -1) to go down in lam, or a start tangent.  A symmetric
-    start point is continued in the symmetric subspace: the tangents and
-    every corrector iterate are projected onto it.  Otherwise the corrector
-    updates leave out a free mode of J.  An exactly zero pivot of J at the
-    start raises SingularSystemError.
+    ref is e.g. (0, -1) to go down in lam, or a start tangent.  The branch
+    starts with a copy of start tagged branch_start; every point, the start
+    included, carries its tangent and det sign.  A symmetric start point is
+    continued in the symmetric subspace: the tangents and every corrector
+    iterate are projected onto it.  Otherwise the corrector updates leave
+    out a free mode of J.  An exactly zero pivot of J at the start raises
+    SingularSystemError.
     """
     symmetric = mirrors(start.u, start.u)
-    y = AugmentedState(start.lam, start.u.copy())
-    t, sign = _tangent_and_det_sign(d, y, ref)
+    t, sign = update_tangent(d, AugmentedState(start.lam, start.u), ref)
     t = _symmetrized(t) if symmetric else t
-    branch = Branch(points=[start], tangents=[t], det_signs=[sign])
-    ds = cfg.ds
+    first = replace(start, tag="branch_start", tangent=t, det_sign=sign)
+    branch = Branch(points=[first])
+    point, ds = first, cfg.ds
     while len(branch.points) < cfg.max_steps:
+        t = point.tangent
         if t.dlam < 0.0:  # end ds_min past lambda_min, not a long step past
             ds = min(ds, cfg.ds_min
-                     + max(y.lam - cfg.lambda_min, 0.0) / -t.dlam)
-        step = _step(d, y, t, ds, symmetric, cfg.newton_tol,
+                     + max(point.lam - cfg.lambda_min, 0.0) / -t.dlam)
+        step = _step(d, point, ds, symmetric, cfg.newton_tol,
                      cfg.max_newton_iters)
         if step is None:
             ds *= 0.5
             if ds < cfg.ds_min:
                 branch.diagnostics.append(
-                    f"stall: step underflow below {cfg.ds_min} at lam = {y.lam:.6g}"
+                    f"stall: step underflow below {cfg.ds_min} at lam = {point.lam:.6g}"
                 )
                 return branch
             continue
-        y_new, t_new, sign, iters = step
+        point, iters = step
 
-        if y_new.u.min() < -1e-8:
+        if point.u.min() < -1e-8:
             branch.diagnostics.append(
-                f"left positive cone at lam = {y_new.lam:.6g}"
+                f"left positive cone at lam = {point.lam:.6g}"
             )
             return branch
-
-        point = make_point(d, y_new.lam, y_new.u)
         branch.points.append(point)
-        branch.tangents.append(t_new)
-        branch.det_signs.append(sign)
-        y, t = y_new, t_new
 
         if point.lam < cfg.lambda_min:
             branch.diagnostics.append("reached lambda_min")
@@ -210,9 +204,8 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
         # Closed-loop detection: back at the start in the (lam, norm) plane
         # with matching direction.
         if len(branch.points) > 10:
-            p0 = branch.points[0]
-            gap = np.hypot(point.lam - p0.lam, point.l2norm - p0.l2norm)
-            if gap < 1e-3 and t_new.dot(branch.tangents[0]) > 0:
+            gap = np.hypot(point.lam - first.lam, point.l2norm - first.l2norm)
+            if gap < 1e-3 and point.tangent.dot(first.tangent) > 0:
                 branch.diagnostics.append("closed loop")
                 return branch
 

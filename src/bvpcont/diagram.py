@@ -11,7 +11,7 @@ fixed seeds, fixed sweep order, stable sort keys before emission.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -155,11 +155,12 @@ _MIRRORED_SYMMETRY = {"asymmetric_left": "asymmetric_right",
 def _mirrored(d: Discretization, b: Branch) -> Branch:
     """The reflection x -> 1-x of an asymmetric branch, itself a branch."""
     return Branch(
-        points=[make_point(d, p.lam, p.u[::-1], p.tag) for p in b.points],
+        points=[make_point(d, p.lam, p.u[::-1], p.tag,
+                           Tangent(p.tangent.du[::-1], p.tangent.dlam),
+                           p.det_sign)  # det(RJR) = det(J)
+                for p in b.points],
         symmetry=_MIRRORED_SYMMETRY[b.symmetry],
-        tangents=[Tangent(t.du[::-1], t.dlam) for t in b.tangents],
-        diagnostics=list(b.diagnostics),
-        det_signs=list(b.det_signs))  # det(RJR) = det(J)
+        diagnostics=list(b.diagnostics))
 
 
 def onset_amplitude(d: Discretization, lam: float, lam1: float) -> float:
@@ -184,8 +185,8 @@ def trace_main_branch(d: Discretization, lam1: float,
     u0 = newton_fixed_lambda(d, lam,
                              sine_seed(d.m, onset_amplitude(d, lam, lam1)),
                              tol=cfg.newton_tol, max_iters=cfg.max_newton_iters)
-    start = make_point(d, lam, u0, tag="branch_start")
-    return continue_branch(d, start, Tangent(np.zeros_like(u0), -1.0), cfg)
+    return continue_branch(d, make_point(d, lam, u0),
+                           Tangent(np.zeros_like(u0), -1.0), cfg)
 
 
 def _trace_both(d: Discretization, start: SolutionPoint,
@@ -201,14 +202,11 @@ def _trace_both(d: Discretization, start: SolutionPoint,
     if "closed loop" in b_up.diagnostics:
         return b_up
     b_dn = continue_branch(d, start, Tangent(zero, -1.0), cfg)
-    merged = Branch(symmetry="unknown")
-    merged.points = b_dn.points[:0:-1] + b_up.points
-    merged.tangents = [Tangent(-t.du, -t.dlam) for t in b_dn.tangents[:0:-1]]
-    merged.tangents += b_up.tangents
-    merged.det_signs = b_dn.det_signs[:0:-1] + b_up.det_signs
-    merged.diagnostics = [f"down: {d}" for d in b_dn.diagnostics]
-    merged.diagnostics += [f"up: {d}" for d in b_up.diagnostics]
-    return merged
+    return Branch(
+        points=[replace(p, tangent=Tangent(-p.tangent.du, -p.tangent.dlam))
+                for p in b_dn.points[:0:-1]] + b_up.points,
+        diagnostics=[f"down: {x}" for x in b_dn.diagnostics]
+        + [f"up: {x}" for x in b_up.diagnostics])
 
 
 def _event_dict(branch_id: str, index: int, kind: str, lam: float,
@@ -260,7 +258,8 @@ def run_diagram(config) -> DiagramBundle:
             bid = role if role == "main" else f"{role}_{n}"
             records.append(BranchRecord(bid, role, branch))
             for i, j in sign_change_brackets(d, branch, cfg.newton_tol):
-                if branch.tangents[i].dlam * branch.tangents[j].dlam < 0:
+                ta, tb = branch.points[i].tangent, branch.points[j].tangent
+                if ta.dlam * tb.dlam < 0:
                     continue  # a fold, which fold_points reports
                 try:
                     ev = locate_bifurcation(d, branch, (i, j),
@@ -284,9 +283,8 @@ def run_diagram(config) -> DiagramBundle:
                                           cfg.newton_tol) for r in records
                            if r.branch.symmetry != "symmetric"):
                         continue
-                    child = continue_branch(
-                        d, make_point(d, y.lam, y.u, tag="branch_start"),
-                        Tangent(ev.null_vector, 0.0), cont)
+                    child = continue_branch(d, make_point(d, y.lam, y.u),
+                                            Tangent(ev.null_vector, 0.0), cont)
                 except (NewtonError, SingularSystemError) as exc:
                     failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
                     continue

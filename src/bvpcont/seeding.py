@@ -147,19 +147,21 @@ def matches_branch(d: Discretization, lam: float, u: np.ndarray,
     """Whether (lam, u) lies on an already-computed branch.
 
     One guess per sheet through lam (isolas fold back): the secant at lam of
-    each segment whose lam span holds it, its first point for a zero span.
+    each segment whose ends lie strictly on either side of it, and each
+    stored point at exactly lam.
     Each is re-converged at exactly lam and compared with u; the (lam, norm)
     distance alone cannot separate nearby sheets or reflection pairs.
     """
     pts, lams = branch.points, branch.lambdas()
     scale = 1.0 + float(np.abs(u).max())
-    for i in np.nonzero((lams[:-1] - lam) * (lams[1:] - lam) <= 0)[0]:
-        span = lams[i + 1] - lams[i]
-        s = (lam - lams[i]) / span if span else 0.0
+    crossed = np.append((lams[:-1] - lam) * (lams[1:] - lam) < 0, False)
+    for i in np.nonzero(crossed | (lams == lam))[0]:
+        guess = pts[i].u
+        if crossed[i]:
+            s = (lam - lams[i]) / (lams[i + 1] - lams[i])
+            guess = guess + s * (pts[i + 1].u - guess)
         try:
-            u_ref = newton_fixed_lambda(
-                d, lam, pts[i].u + s * (pts[i + 1].u - pts[i].u),
-                tol=newton_tol)
+            u_ref = newton_fixed_lambda(d, lam, guess, tol=newton_tol)
         except (NewtonError, SingularSystemError):
             continue
         if float(np.max(np.abs(u_ref - u))) <= 1e-4 * scale:
@@ -169,7 +171,7 @@ def matches_branch(d: Discretization, lam: float, u: np.ndarray,
 
 def find_new_solution(d: Discretization, lam: float, seed: np.ndarray,
                       known: list[Branch], newton_tol: float = 1e-4):
-    """Newton from a seed; returns a branch_start point or None on failure/duplicate."""
+    """Newton from a seed: a new solution point, or None (failure, duplicate)."""
     try:
         u = newton_fixed_lambda(d, lam, seed, tol=newton_tol)
     except (NewtonError, SingularSystemError):
@@ -179,7 +181,7 @@ def find_new_solution(d: Discretization, lam: float, seed: np.ndarray,
     for branch in known:
         if matches_branch(d, lam, u, branch, newton_tol=newton_tol):
             return None
-    return make_point(d, lam, u, tag="branch_start")
+    return make_point(d, lam, u)
 
 
 def peak_indices(u: np.ndarray) -> list[int]:

@@ -1,9 +1,9 @@
+import numpy as np
 import pytest
 
-from bvpcont.continuation import (AugmentedState, ContinuationConfig,
-                                  continue_branch, initial_tangent,
+from bvpcont.continuation import (ContinuationConfig, continue_branch,
                                   make_point)
-from bvpcont.corrector import newton_fixed_lambda
+from bvpcont.corrector import Tangent, newton_fixed_lambda
 from bvpcont.diagram import RunConfig, run_diagram
 
 
@@ -24,9 +24,8 @@ def descend():
     at or below it.
     """
     def run(d, lam, u, levels):
-        start = make_point(d, lam, u, tag="branch_start")
-        t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
-        b = continue_branch(d, start, t,
+        b = continue_branch(d, make_point(d, lam, u),
+                            Tangent(np.zeros_like(u), -1.0),
                             ContinuationConfig(lambda_min=min(levels)))
         assert b.points[-1].lam < min(levels), (
             f"descent from lam={lam:.6g} ended at "

@@ -15,9 +15,8 @@ import pytest
 
 from bvpcont.bifurcation import (det_sign, locate_bifurcation,
                                  sign_change_brackets)
-from bvpcont.continuation import (AugmentedState, ContinuationConfig,
-                                  Tangent, continue_branch, fold_points,
-                                  initial_tangent, make_point)
+from bvpcont.continuation import (ContinuationConfig, Tangent,
+                                  continue_branch, fold_points, make_point)
 from bvpcont.corrector import bordered_solve, newton_fixed_lambda
 from bvpcont.diagram import (RunConfig, deep_census, run_diagram,
                              trace_main_branch, write_bundle)
@@ -189,12 +188,11 @@ def test_criterion_4_isola_turning_points_table():
                 except Exception:
                     continue
                 # upward through the fold until lam drops 50 below the start
-                start = make_point(d, lam0, u, tag="branch_start")
                 try:
-                    t0 = initial_tangent(d, AugmentedState(lam0, u),
-                                         direction_hint=+1.0)
-                    b = continue_branch(d, start, t0, ContinuationConfig(
-                        lambda_min=start.lam - 50.0))
+                    b = continue_branch(
+                        d, make_point(d, lam0, u),
+                        Tangent(np.zeros_like(u), +1.0),
+                        ContinuationConfig(lambda_min=lam0 - 50.0))
                 except Exception:
                     continue
                 folds = fold_points(b)
@@ -369,12 +367,9 @@ def test_criterion_7_property_suite(tmp_path, descend):
     checks["seed_reflection"] = (
         np.abs(u10[::-1] - u01).max() <= 1e-6 * (1 + np.abs(u10).max()))
     cfg30 = ContinuationConfig(lambda_min=-140.0, max_steps=30)
-    s1 = make_point(d1, -100.0, u10, tag="branch_start")
-    t1 = initial_tangent(d1, AugmentedState(-100.0, u10),
-                         direction_hint=-1.0)
-    b1 = continue_branch(d1, s1, t1, cfg30)
-    s2 = make_point(d1, -100.0, u01, tag="branch_start")
-    b2 = continue_branch(d1, s2, Tangent(t1.du[::-1], t1.dlam), cfg30)
+    down = Tangent(np.zeros_like(u10), -1.0)
+    b1 = continue_branch(d1, make_point(d1, -100.0, u10), down, cfg30)
+    b2 = continue_branch(d1, make_point(d1, -100.0, u01), down, cfg30)
     checks["branch_reflection"] = (
         len(b1.points) == len(b2.points)
         and all(np.abs(p.u[::-1] - q.u).max() <= 1e-9 * (1 + np.abs(p.u).max())

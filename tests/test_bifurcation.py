@@ -7,8 +7,8 @@ from bvpcont import bifurcation, continuation
 from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
                                  null_vector, sign_change_brackets,
                                  switch_branch)
-from bvpcont.continuation import Branch, ContinuationConfig, fold_points
-from bvpcont.corrector import NewtonError
+from bvpcont.continuation import ContinuationConfig, fold_points
+from bvpcont.corrector import NewtonError, Tangent
 from bvpcont.diagram import RunConfig, run_diagram, trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
@@ -255,15 +255,25 @@ def diagram(request):
 
 def test_every_branch_records_the_det_sign_of_each_point(diagram):
     # main, switched and mirrored branches, merged isolas and their mirrors;
-    # k2_h025_eps03 switches at two isola pitchforks
+    # k2_h025_eps03 switches at two isola pitchforks.  Each point carries
+    # the det sign of J and a unit null vector t of [J | -u], oriented along
+    # the point order: t_i and t_{i+1} both point from y_i to y_{i+1}
     d = diagram.operator
     roles = {rec.role for rec in diagram.branches}
     assert roles in ({"main", "switched"}, {"main", "isola", "switched"})
     for rec in diagram.branches:
-        b = rec.branch
-        assert len(b.det_signs) == len(b.points), rec.branch_id
-        for p, sign in zip(b.points, b.det_signs):
-            assert sign == det_sign(jacobian(d, p.lam, p.u))[0]
+        pts = rec.branch.points
+        for p in pts:
+            J = jacobian(d, p.lam, p.u)
+            t = p.tangent
+            assert p.det_sign == det_sign(J)[0], rec.branch_id
+            assert abs(t.norm() - 1.0) < 1e-12, rec.branch_id
+            null = np.linalg.norm(J.matvec(t.du) - p.u * t.dlam)
+            assert null <= 1e-9 * (1.0 + np.linalg.norm(p.u)), rec.branch_id
+        for p, q in zip(pts, pts[1:]):
+            dy = Tangent(q.u - p.u, q.lam - p.lam)
+            assert p.tangent.dot(dy) > 0, rec.branch_id
+            assert q.tangent.dot(dy) > 0, rec.branch_id
 
 
 def test_recorded_brackets_match_a_fresh_scan(diagram):
@@ -288,7 +298,7 @@ def test_recorded_brackets_match_a_fresh_scan(diagram):
 def _flip_ends(b):
     """Points at either end of a raw det-sign flip, in branch order."""
     return [p for i in range(len(b.points) - 1)
-            if b.det_signs[i] * b.det_signs[i + 1] < 0
+            if b.points[i].det_sign * b.points[i + 1].det_sign < 0
             for p in b.points[i:i + 2]]
 
 
@@ -345,13 +355,3 @@ def test_locate_assembles_no_jacobian_at_the_bracket_ends(monkeypatch):
         p = b.points[i]
         assert not any(lam == p.lam and np.array_equal(u, p.u)
                        for lam, u in calls)
-
-
-def test_branch_without_a_sign_record_is_refused():
-    d, b = main_branch(0.05)
-    (bracket,) = sign_change_brackets(d, b)
-    bare = Branch(points=b.points, tangents=b.tangents)
-    with pytest.raises(ValueError, match="det_signs"):
-        sign_change_brackets(d, bare)
-    with pytest.raises(ValueError, match="det_signs"):
-        locate_bifurcation(d, bare, bracket)

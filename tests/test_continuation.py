@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from bvpcont.continuation import (ContinuationConfig, continue_branch,
-                                  fold_points, initial_tangent, make_point,
-                                  update_tangent)
+                                  fold_points, make_point, update_tangent)
 from bvpcont.corrector import AugmentedState, Tangent, newton_fixed_lambda
 from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import sine_seed, well_bump_seed
 from bvpcont.weight import build_weight
+
+
+def down(u):
+    return Tangent(np.zeros_like(u), -1.0)
 
 
 def onset_solution(d, offset=0.1):
@@ -36,21 +39,18 @@ def test_step_control_grows_and_bounds_turn():
     m = build_uniform_mesh(300)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    start = make_point(d, lam, u, tag="branch_start")
-    t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
     cfg = ContinuationConfig(ds=1.0, lambda_min=-200.0)
-    b = continue_branch(d, start, t0, cfg)
+    b = continue_branch(d, make_point(d, lam, u), down(u), cfg)
     assert "reached lambda_min" in b.diagnostics
     # step k is the arclength constraint t_k . (y_{k+1} - y_k), which the
     # corrector meets to within newton_tol
-    steps = [np.dot(t.du, q.u - p.u) + t.dlam * (q.lam - p.lam)
-             for t, p, q in zip(b.tangents, b.points, b.points[1:])]
+    pairs = list(zip(b.points, b.points[1:]))
+    steps = [p.tangent.dot(Tangent(q.u - p.u, q.lam - p.lam)) for p, q in pairs]
     assert steps[0] == pytest.approx(cfg.ds, abs=cfg.newton_tol)
     assert max(steps) > 10.0 * cfg.ds
     assert min(steps) >= cfg.ds_min
     assert cfg.lambda_min - 1.0 < b.points[-1].lam < cfg.lambda_min
-    assert all(ta.dot(tb) >= np.cos(0.2)
-               for ta, tb in zip(b.tangents, b.tangents[1:]))
+    assert all(p.tangent.dot(q.tangent) >= np.cos(0.2) for p, q in pairs)
 
 
 def test_initial_tangent_subcritical_onset():
@@ -58,7 +58,7 @@ def test_initial_tangent_subcritical_onset():
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
+    t, _ = update_tangent(d, AugmentedState(lam, u), down(u))
     assert t.dlam < 0
     assert abs(t.norm() - 1.0) < 1e-12
     mode = np.sin(np.pi * m.interior)
@@ -73,7 +73,7 @@ def test_tangent_is_nullvector_of_extended_jacobian():
     m = build_uniform_mesh(150)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    t = initial_tangent(d, AugmentedState(lam, u))
+    t, _ = update_tangent(d, AugmentedState(lam, u), down(u))
     J = jacobian(d, lam, u)
     image = J.matvec(t.du) + (-u) * t.dlam
     assert np.linalg.norm(image) < 1e-8 * (1 + np.abs(J.diag).max())
@@ -86,10 +86,8 @@ def test_main_branch_square_root_onset():
     d = Discretization(w, m)
     lam1 = principal_eigenvalue(m)
     lam, u = onset_solution(d)
-    start = make_point(d, lam, u, tag="branch_start")
-    t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
     cfg = ContinuationConfig(lambda_min=-100.0)
-    b = continue_branch(d, start, t0, cfg)
+    b = continue_branch(d, make_point(d, lam, u), down(u), cfg)
     assert "reached lambda_min" in b.diagnostics
     lams, norms = b.lambdas(), b.norms()
     sel = (lams >= -20.0) & (lams <= lam1)
@@ -111,13 +109,12 @@ def test_every_point_revalidates_and_tangents_cohere():
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    start = make_point(d, lam, u, tag="branch_start")
-    t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
-    b = continue_branch(d, start, t0, ContinuationConfig(lambda_min=-40.0))
+    b = continue_branch(d, make_point(d, lam, u), down(u),
+                        ContinuationConfig(lambda_min=-40.0))
     for p in b.points:
         assert np.linalg.norm(residual(d, p.lam, p.u)) < 1e-4
-    for ta, tb in zip(b.tangents, b.tangents[1:]):
-        assert ta.dot(tb) > 0
+    for p, q in zip(b.points, b.points[1:]):
+        assert p.tangent.dot(q.tangent) > 0
 
 
 def test_runtime_h_half_to_minus_100():
@@ -125,10 +122,10 @@ def test_runtime_h_half_to_minus_100():
     m = build_uniform_mesh(500)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    start = make_point(d, lam, u, tag="branch_start")
-    t0 = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
+    start = make_point(d, lam, u)
     t_wall = time.perf_counter()
-    b = continue_branch(d, start, t0, ContinuationConfig(lambda_min=-100.0))
+    b = continue_branch(d, start, down(u),
+                        ContinuationConfig(lambda_min=-100.0))
     assert time.perf_counter() - t_wall < 60.0
     assert b.points[-1].lam < -100.0
 
@@ -142,10 +139,9 @@ def test_isola_top_fold_matches():
     d = Discretization(w, m)
     lam0 = -1200.0
     u = newton_fixed_lambda(d, lam0, well_bump_seed(d, lam0))
-    start = make_point(d, lam0, u, tag="branch_start")
-    t0 = initial_tangent(d, AugmentedState(lam0, u), direction_hint=+1.0)
-    b = continue_branch(d, start, t0,
-                        ContinuationConfig(lambda_min=start.lam - 50.0))
+    b = continue_branch(d, make_point(d, lam0, u),
+                        Tangent(np.zeros_like(u), +1.0),
+                        ContinuationConfig(lambda_min=lam0 - 50.0))
     folds = fold_points(b)
     assert len(folds) >= 1
     lam_t = max(lam for _, lam in folds)
@@ -165,12 +161,8 @@ def test_reflection_equivariance_of_continuation():
     seed = peak_pattern_seed(d, PeakMask((True, False)), lam0)
     u = newton_fixed_lambda(d, lam0, seed)
     cfg = ContinuationConfig(lambda_min=-110.0, max_steps=30)
-    s1 = make_point(d, lam0, u, tag="branch_start")
-    t1 = initial_tangent(d, AugmentedState(lam0, u), direction_hint=-1.0)
-    b1 = continue_branch(d, s1, t1, cfg)
-    s2 = make_point(d, lam0, u[::-1], tag="branch_start")
-    t2 = Tangent(t1.du[::-1], t1.dlam)
-    b2 = continue_branch(d, s2, t2, cfg)
+    b1 = continue_branch(d, make_point(d, lam0, u), down(u), cfg)
+    b2 = continue_branch(d, make_point(d, lam0, u[::-1]), down(u), cfg)
     assert len(b1.points) == len(b2.points)
     for p, q in zip(b1.points, b2.points):
         assert abs(p.lam - q.lam) < 1e-9 * (1 + abs(p.lam))
@@ -182,14 +174,15 @@ def test_update_tangent_orientation():
     m = build_uniform_mesh(100)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
-    t2 = update_tangent(d, AugmentedState(lam, u), t)
+    y = AugmentedState(lam, u)
+    t, _ = update_tangent(d, y, down(u))
+    t2, _ = update_tangent(d, y, t)
     assert t2.dot(t) > 0
     assert abs(t2.norm() - 1.0) < 1e-12
     # the reference row alone sets the orientation
-    t3 = update_tangent(d, AugmentedState(lam, u), Tangent(-t.du, -t.dlam))
+    t3, _ = update_tangent(d, y, Tangent(-t.du, -t.dlam))
     assert t3.dot(t) < 0
-    up = initial_tangent(d, AugmentedState(lam, u), direction_hint=+1.0)
+    up, _ = update_tangent(d, y, Tangent(np.zeros_like(u), +1.0))
     assert up.dlam > 0
 
 

@@ -6,7 +6,7 @@ from bvpcont.corrector import (AugmentedState, NewtonError,
                                augmented_residual, bordered_solve,
                                drop_free_mode, newton_augmented,
                                newton_fixed_lambda, solve_tridiag)
-from bvpcont.continuation import initial_tangent
+from bvpcont.continuation import update_tangent
 from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 residual)
@@ -200,7 +200,7 @@ def test_bordered_solve_and_tangent_at_isola_fold():
     b, i = min(((r.branch, i) for r in isolas
                 for i in range(len(r.branch.points))),
                key=lambda bi: abs(bi[0].points[bi[1]].lam + 41.546))
-    p, t = b.points[i], b.tangents[i]
+    p, t = b.points[i], b.points[i].tangent
     assert abs(p.lam + 41.546) < 0.05
     J = jacobian(d, p.lam, p.u)
     n = J.n
@@ -219,7 +219,8 @@ def test_bordered_solve_and_tangent_at_isola_fold():
         x = bordered_solve(Jk, -p.u, t, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    tan = initial_tangent(d, AugmentedState(p.lam, p.u))
+    tan, _ = update_tangent(d, AugmentedState(p.lam, p.u),
+                            Tangent(np.zeros_like(p.u), -1.0))
     _, _, vt = np.linalg.svd(np.column_stack([J.dense(), -p.u]))
     assert abs(abs(vt[-1] @ np.append(tan.du, tan.dlam)) - 1.0) < 1e-10
 
@@ -294,7 +295,7 @@ def test_newton_augmented_free_modes_idle_without_soft_mode():
     lam = -20.0
     u = newton_fixed_lambda(d, lam, sine_seed(m, 6.0), tol=1e-8)
     y_prev = AugmentedState(lam, u)
-    t = initial_tangent(d, y_prev, direction_hint=-1.0)
+    t, _ = update_tangent(d, y_prev, Tangent(np.zeros_like(u), -1.0))
     y_pred = AugmentedState(lam + 2.0 * t.dlam, u + 2.0 * t.du)
     a, ia = newton_augmented(d, y_pred, y_prev, t, 2.0)
     b, ib = newton_augmented(d, y_pred, y_prev, t, 2.0, free_modes=True)

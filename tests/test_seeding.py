@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from bvpcont import seeding
-from bvpcont.continuation import (AugmentedState, Branch,
-                                  ContinuationConfig, continue_branch,
-                                  initial_tangent, make_point)
-from bvpcont.corrector import NewtonError, newton_fixed_lambda
+from bvpcont.continuation import (Branch, ContinuationConfig,
+                                  continue_branch, make_point)
+from bvpcont.corrector import NewtonError, Tangent, newton_fixed_lambda
 from bvpcont.diagram import onset_amplitude, trace_main_branch
 from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
@@ -183,9 +182,8 @@ def test_find_new_solution_deduplicates_against_known():
     lam = lam1 - 0.1
     u = newton_fixed_lambda(d, lam,
                             sine_seed(m, onset_amplitude(d, lam, lam1)))
-    start = make_point(d, lam, u, tag="branch_start")
-    t = initial_tangent(d, AugmentedState(lam, u), direction_hint=-1.0)
-    main = continue_branch(d, start, t,
+    main = continue_branch(d, make_point(d, lam, u),
+                           Tangent(np.zeros_like(u), -1.0),
                            ContinuationConfig(lambda_min=-150.0))
     mask = PeakMask((True, True))
     assert find_new_solution(d, -100.0, peak_pattern_seed(d, mask, -100.0),
@@ -209,15 +207,15 @@ def test_find_new_solution_deduplicates_across_a_long_step():
 def test_matches_branch_converges_one_guess_per_sheet(isola_bundle,
                                                       monkeypatch):
     # a two-sheet isola of kappa=2, h=0.25 crosses lam = -100 on each
-    # sheet; a candidate off it costs one Newton solve per segment whose
-    # lam span holds -100 (three: the seed point sits at -100 on one
-    # sheet), not one per stored point nearby
+    # sheet; a candidate off it costs one Newton solve per sheet: one
+    # secant guess where a segment strictly straddles -100, and the seed
+    # point, which sits at exactly -100 on the other sheet
     bundle, lam = isola_bundle, -100.0
     d = bundle.operator
     iso = bundle.branch_by_role("isola")[0].branch
     lams = iso.lambdas()
-    spans = int(np.sum((lams[:-1] - lam) * (lams[1:] - lam) <= 0))
-    assert spans >= 2
+    assert int(np.sum((lams[:-1] - lam) * (lams[1:] - lam) < 0)) == 1
+    assert int(np.sum(lams == lam)) == 1
     main = bundle.branch_by_role("main")[0].branch
     u_main = newton_fixed_lambda(d, lam,
                                  next(p.u for p in main.points if p.lam <= lam))
@@ -229,7 +227,7 @@ def test_matches_branch_converges_one_guess_per_sheet(isola_bundle,
 
     monkeypatch.setattr(seeding, "newton_fixed_lambda", counted)
     assert not matches_branch(d, lam, u_main, iso)
-    assert calls[0] == spans
+    assert calls[0] == 2
     i = int(np.argmax((lams[:-1] - lam) * (lams[1:] - lam) <= 0))
     u_iso = newton_fixed_lambda(d, lam, iso.points[i].u)
     assert matches_branch(d, lam, u_iso, iso)
