@@ -14,8 +14,8 @@ from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, bordered_solve, newton_augmented,
                         newton_fixed_lambda, solve_tridiag)
 from .diagram import (BranchRecord, DiagramBundle, RunConfig, deep_census,
-                      emit_svg, onset_amplitude, run_diagram,
-                      run_epsilon_sweep, trace_main_branch, write_bundle)
+                      emit_svg, run_diagram, run_epsilon_sweep,
+                      trace_main_branch, write_bundle)
 from .discretize import (BandedJacobian, Discretization, MeshMismatchError,
                          discrete_l2_norm, jacobian, principal_eigenvalue,
                          residual, toeplitz_eigenvalue)

@@ -8,12 +8,13 @@ is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4); no
 constant caps it.  ``_step``, which the bifurcation bisection shares, rejects
 a step when the corrector fails, the tangent solve meets a zero pivot or the
 unit tangent turns by more than 0.2 rad, and ds is halved; a step that would
-pass lambda_min is cut to end ds_min past it.  A symmetric start point is
-continued in the symmetric subspace, so every point it adds is exactly
-symmetric.  On other branches the corrector updates leave out a mode that
-the Newton tolerance leaves free, such as the translation of a lone peak
-deep in lam (``corrector.drop_free_mode``).  Every point of a branch carries
-its unit tangent and the sign of det J there, both from one LU of J in
+pass lambda_min is cut to end ds_min past it.  A branch takes its symmetry
+label from its start point.  A symmetric start point is continued in the
+symmetric subspace, so every point it adds is exactly symmetric.  On other
+branches the corrector updates leave out a mode that the Newton tolerance
+leaves free, such as the translation of a lone peak deep in lam
+(``corrector.drop_free_mode``).  Every point of a branch carries its unit
+tangent and the sign of det J there, both from one LU of J in
 ``update_tangent``.  A branch ends on a parameter or norm bound, step-count
 or step underflow, departure from the positive cone, or on closing back onto
 its own start.
@@ -128,6 +129,15 @@ def _growth(iters: int) -> float:
     return 0.5
 
 
+def _classify_symmetry(u: np.ndarray) -> str:
+    if mirrors(u, u):
+        return "symmetric"
+    n = len(u)
+    left = float(u[: n // 2].sum())
+    right = float(u[-(n // 2):].sum())
+    return "asymmetric_left" if left > right else "asymmetric_right"
+
+
 def _symmetrized(t: Tangent) -> Tangent:
     return Tangent(_symmetrize(t.du), t.dlam).normalized()
 
@@ -159,17 +169,19 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
 
     ref is e.g. (0, -1) to go down in lam, or a start tangent.  The branch
     starts with a copy of start tagged branch_start; every point, the start
-    included, carries its tangent and det sign.  A symmetric start point is
-    continued in the symmetric subspace: the tangents and every corrector
-    iterate are projected onto it.  Otherwise the corrector updates leave
-    out a free mode of J.  An exactly zero pivot of J at the start raises
+    included, carries its tangent and det sign.  The branch takes its
+    symmetry label from start.  A symmetric start point is continued in the
+    symmetric subspace: the tangents and every corrector iterate are
+    projected onto it.  Otherwise the corrector updates leave out a free
+    mode of J.  An exactly zero pivot of J at the start raises
     SingularSystemError.
     """
-    symmetric = mirrors(start.u, start.u)
+    branch = Branch(symmetry=_classify_symmetry(start.u))
+    symmetric = branch.symmetry == "symmetric"
     t, sign = update_tangent(d, AugmentedState(start.lam, start.u), ref)
     t = _symmetrized(t) if symmetric else t
     first = replace(start, tag="branch_start", tangent=t, det_sign=sign)
-    branch = Branch(points=[first])
+    branch.points.append(first)
     point, ds = first, cfg.ds
     while len(branch.points) < cfg.max_steps:
         t = point.tangent

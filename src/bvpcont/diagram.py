@@ -1,12 +1,14 @@
 """Run orchestration: configs, the full diagram pipeline, and artifact output.
 
-A run builds the weight and mesh, follows the main branch from just below the
-first discrete eigenvalue, sweeps peak masks for isolas, and packages
-everything as a DiagramBundle that can be written out as JSON/CSV/SVG.  Each
-branch is read for det-sign changes as it is added, and its pitchforks are
-switched, before the next seed is tried.  Of each mirror pair of branches
-one is traced and the other is its reflection.  Everything is deterministic:
-fixed seeds, fixed sweep order, stable sort keys before emission.
+A run builds the weight and mesh, follows the main branch from where it
+bifurcates from u = 0 at the first discrete eigenvalue, sweeps peak masks
+for isolas, and packages everything as a DiagramBundle that can be written
+out as JSON/CSV/SVG.  Each branch is read for det-sign changes as it is
+added, and its pitchforks are switched, before the next seed is tried; a
+switched branch records the event it starts at as its parent.  Of each
+mirror pair of branches one is traced and the other is its reflection.
+Everything is deterministic: fixed seeds, fixed sweep order, stable sort
+keys before emission.
 """
 
 import json
@@ -17,19 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import (BracketError, locate_bifurcation,
+from .bifurcation import (BracketError, locate_bifurcation, null_vector,
                           sign_change_brackets, switch_branch)
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, make_point)
-from .corrector import (NewtonError, SingularSystemError, Tangent,
-                        newton_fixed_lambda)
-from .discretize import (Discretization, discrete_l2_norm, mirrors,
+from .corrector import (AugmentedState, NewtonError, SingularSystemError,
+                        Tangent, newton_augmented)
+from .discretize import (Discretization, discrete_l2_norm, jacobian,
                          principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
 from .seeding import (enumerate_peak_masks, find_new_solution,
                       matches_branch, peak_indices, peak_pattern,
-                      peak_pattern_seed, sine_seed, well_bump_seed,
-                      well_edge_seed)
+                      peak_pattern_seed, well_bump_seed, well_edge_seed)
 from .weight import Weight, build_weight
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "run_diagram",
     "run_epsilon_sweep",
     "deep_census",
-    "onset_amplitude",
     "trace_main_branch",
     "emit_svg",
     "write_bundle",
@@ -124,6 +124,8 @@ class BranchRecord:
     branch_id: str
     role: str  # main | switched | isola
     branch: Branch
+    # (host branch_id, event index) of a switched branch's pitchfork
+    parent: tuple[str, int] | None = None
 
 
 @dataclass
@@ -137,15 +139,6 @@ class DiagramBundle:
 
     def branch_by_role(self, role: str) -> list[BranchRecord]:
         return [r for r in self.branches if r.role == role]
-
-
-def _classify_symmetry(u: np.ndarray) -> str:
-    if mirrors(u, u):
-        return "symmetric"
-    n = len(u)
-    left = float(u[: n // 2].sum())
-    right = float(u[-(n // 2):].sum())
-    return "asymmetric_left" if left > right else "asymmetric_right"
 
 
 _MIRRORED_SYMMETRY = {"asymmetric_left": "asymmetric_right",
@@ -163,30 +156,24 @@ def _mirrored(d: Discretization, b: Branch) -> Branch:
         diagnostics=list(b.diagnostics))
 
 
-def onset_amplitude(d: Discretization, lam: float, lam1: float) -> float:
-    """Galerkin balance of the sine mode: (lam1 - lam)*<phi^2> = A^2*<a*phi^4>."""
-    phi = np.sin(np.pi * d.m.interior)
-    s2 = float(np.sum(d.h_left * phi**2))
-    s4 = float(np.sum(d.h_left * d.a * phi**4))
-    if s4 <= 0 or lam1 <= lam:
-        return 0.05
-    return float(np.sqrt((lam1 - lam) * s2 / s4))
-
-
 def trace_main_branch(d: Discretization, lam1: float,
                       cfg: ContinuationConfig) -> Branch:
-    """Main branch from the near-onset sine seed at lam1 - 0.1, downward in lam.
+    """Main branch, switched from the trivial branch u = 0 at lam1.
 
-    lam1 is the first discrete eigenvalue, principal_eigenvalue(d.m).  The
-    seed amplitude is the Galerkin onset estimate; the start point is
-    corrected by fixed-lam Newton before the continuation begins.
+    lam1 is the first discrete eigenvalue, principal_eigenvalue(d.m), a
+    simple eigenvalue of J(lam1, 0) (Crandall & Rabinowitz, J. Funct. Anal.
+    8 (1971) 321-340).  The start point is one arclength step of length
+    cfg.ds along its positive null vector v, with lam free, as in
+    switch_branch; the branch is continued along Tangent(v, 0), away from
+    u = 0.  A step as short as switch_branch's would take no Newton update
+    and leave the start at lam1 itself.
     """
-    lam = lam1 - 0.1
-    u0 = newton_fixed_lambda(d, lam,
-                             sine_seed(d.m, onset_amplitude(d, lam, lam1)),
-                             tol=cfg.newton_tol, max_iters=cfg.max_newton_iters)
-    return continue_branch(d, make_point(d, lam, u0),
-                           Tangent(np.zeros_like(u0), -1.0), cfg)
+    y0 = AugmentedState(lam1, np.zeros(d.m.n_interior))
+    v = Tangent(null_vector(jacobian(d, lam1, y0.u)), 0.0)
+    y, _ = newton_augmented(d, AugmentedState(lam1, cfg.ds * v.du), y0, v,
+                            cfg.ds, tol=cfg.newton_tol,
+                            max_iters=cfg.max_newton_iters)
+    return continue_branch(d, make_point(d, y.lam, y.u), v, cfg)
 
 
 def _trace_both(d: Discretization, start: SolutionPoint,
@@ -205,6 +192,7 @@ def _trace_both(d: Discretization, start: SolutionPoint,
     return Branch(
         points=[replace(p, tangent=Tangent(-p.tangent.du, -p.tangent.dlam))
                 for p in b_dn.points[:0:-1]] + b_up.points,
+        symmetry=b_up.symmetry,
         diagnostics=[f"down: {x}" for x in b_dn.diagnostics]
         + [f"up: {x}" for x in b_up.diagnostics])
 
@@ -251,12 +239,12 @@ def run_diagram(config) -> DiagramBundle:
     def add(role, branch):
         # Record and read the branch and each child it spawns; a pitchfork is
         # switched once, unless the child starts on a known branch.
-        queue = [(role, branch)]
+        queue = [(role, branch, None)]
         while queue:
-            role, branch = queue.pop(0)
+            role, branch, parent = queue.pop(0)
             n = len(bundle.branch_by_role(role))
             bid = role if role == "main" else f"{role}_{n}"
-            records.append(BranchRecord(bid, role, branch))
+            records.append(BranchRecord(bid, role, branch, parent))
             for i, j in sign_change_brackets(d, branch, cfg.newton_tol):
                 ta, tb = branch.points[i].tangent, branch.points[j].tangent
                 if ta.dlam * tb.dlam < 0:
@@ -288,14 +276,13 @@ def run_diagram(config) -> DiagramBundle:
                 except (NewtonError, SingularSystemError) as exc:
                     failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
                     continue
-                child.symmetry = _classify_symmetry(child.points[-1].u)
-                queue += [("switched", child), ("switched", _mirrored(d, child))]
+                queue += [("switched", child, (bid, i)),
+                          ("switched", _mirrored(d, child), (bid, i))]
 
-    # Main branch from the near-onset sine seed, downward.
+    # Main branch, switched from u = 0 at the first eigenvalue.
     try:
         main = trace_main_branch(d, lam1, cont)
-        main.symmetry = _classify_symmetry(main.points[-1].u)
-    except (NewtonError, SingularSystemError, ValueError) as exc:
+    except (NewtonError, SingularSystemError) as exc:
         failures.append(f"main branch: {exc}")
     else:
         add("main", main)
@@ -324,7 +311,6 @@ def run_diagram(config) -> DiagramBundle:
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"isola trace {label}: {exc}")
                 return
-            iso.symmetry = _classify_symmetry(pt.u)
             add("isola", iso)
             # every known asymmetric branch is stored with its mirror, so
             # only iso can hold the mirror of its new point
@@ -587,6 +573,7 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
                 "branch_id": rec.branch_id,
                 "role": rec.role,
                 "symmetry": rec.branch.symmetry,
+                "parent": rec.parent,
                 "n_points": len(rec.branch.points),
                 "lambda_range": ([min(p.lam for p in rec.branch.points),
                                   max(p.lam for p in rec.branch.points)]

@@ -1,6 +1,6 @@
 """Seeds, discovery of new solutions and peak patterns.
 
-Initial Newton iterates are near-onset sine seeds and multi-peak bump seeds.
+Initial Newton iterates are sine seeds and multi-peak bump seeds.
 For strongly negative lam the mass of every positive solution concentrates in
 the maximal intervals where the coefficient equals 1, so candidate solutions
 are enumerated by boolean peak masks over those kappa+1 intervals (2^(kappa+1)-1

@@ -6,10 +6,11 @@ import pytest
 from bvpcont.continuation import (ContinuationConfig, continue_branch,
                                   fold_points, make_point, update_tangent)
 from bvpcont.corrector import AugmentedState, Tangent, newton_fixed_lambda
-from bvpcont.discretize import (Discretization, principal_eigenvalue,
-                                residual)
+from bvpcont.diagram import RunConfig, trace_main_branch
+from bvpcont.discretize import (Discretization, mirrors,
+                                principal_eigenvalue, residual)
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import sine_seed, well_bump_seed
+from bvpcont.seeding import well_bump_seed
 from bvpcont.weight import build_weight
 
 
@@ -17,13 +18,28 @@ def down(u):
     return Tangent(np.zeros_like(u), -1.0)
 
 
-def onset_solution(d, offset=0.1):
-    from bvpcont.diagram import onset_amplitude
+def onset_solution(d):
+    # the first point of the main branch, just below the first eigenvalue
+    p = trace_main_branch(d, principal_eigenvalue(d.m),
+                          ContinuationConfig(max_steps=1)).points[0]
+    return p.lam, p.u
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(kappa=1, h=0.05),
+    RunConfig(kappa=2, h=0.25, mesh_kind="refined", coarse_dx=0.002,
+              fine_dx=0.0005),
+], ids=["k1_h005", "k2_h025_refined"])
+def test_main_branch_starts_below_the_first_eigenvalue(config):
+    # one arclength step from u = 0 at lam1 along the null vector lands on
+    # the positive symmetric branch, strictly below lam1, heading down
+    d = Discretization(*config.build())
     lam1 = principal_eigenvalue(d.m)
-    lam = lam1 - offset
-    u = newton_fixed_lambda(d, lam,
-                            sine_seed(d.m, onset_amplitude(d, lam, lam1)))
-    return lam, u
+    p = trace_main_branch(d, lam1, ContinuationConfig(max_steps=1)).points[0]
+    assert p.lam < lam1
+    assert p.u.min() > 0.0 and mirrors(p.u, p.u)
+    assert np.linalg.norm(residual(d, p.lam, p.u)) < config.newton_tol
+    assert p.tangent.dlam < 0.0
 
 
 def test_config_validation():

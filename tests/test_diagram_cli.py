@@ -124,13 +124,12 @@ def test_pitchfork_diagram_on_a_mesh_with_a_node_near_the_jump():
     assert bundle.branch_by_role("isola") == []
 
 
-@pytest.mark.xfail(strict=True, reason="the main branch jumps to another "
-                   "symmetric sheet near lam=-215 (ROADMAP item 5)")
 def test_main_branch_keeps_its_sheet_k3_eps05():
-    # kappa=3, h=0.15, eps=0.5: steps of up to 30 carry the main branch from
-    # its sheet onto a neighbouring symmetric one between lam=-200 and -221;
-    # with steps capped at 1 it stays put.  The only trace is a det-sign
-    # change that is neither a pitchfork nor a fold, reported as a failure.
+    # kappa=3, h=0.15, eps=0.5: a long step between lam=-200 and -221 can
+    # carry the main branch onto a neighbouring symmetric sheet, where a
+    # bisection stalls and is reported as a failure.  Its present steps
+    # avoid that sheet; step control does not rule such a jump out
+    # (ROADMAP item 5).
     bundle = run_diagram(RunConfig(kappa=3, h=0.15, eps=0.5,
                                    lambda_min=-300.0))
     assert bundle.provenance["failures"] == []
@@ -164,6 +163,26 @@ def test_switched_pair_at_every_pitchfork(config):
     for e in bundle.events:
         if e["branch_id"].startswith("isola") and e["kind"] == "fold":
             assert min(abs(e["lambda"] - lb) for lb in lam_b) > 1e-3
+
+
+def test_switched_branches_name_their_pitchfork(tmp_path):
+    # kappa=1, h=0.6, eps=0.2: pitchforks on the main branch and on the
+    # symmetric isola; both members of each mirror pair name the same event
+    bundle = run_diagram(RunConfig(kappa=1, h=0.6, eps=0.2,
+                                   lambda_min=-300.0))
+    write_bundle(bundle, tmp_path)
+    records = json.loads((tmp_path / "bundle.json").read_text())["branches"]
+    ids = {r["branch_id"] for r in records}
+    pitchforks = {(e["branch_id"], e["index"]) for e in bundle.events
+                  if e["kind"] == "pitchfork"}
+    switched = [r for r in records if r["role"] == "switched"]
+    assert all(r["parent"] is None for r in records
+               if r["role"] != "switched")
+    assert len(switched) == 2 * len(pitchforks) == 6
+    assert {tuple(r["parent"]) for r in switched} == pitchforks
+    assert {r["parent"][0] for r in switched} <= ids
+    for a, b in zip(switched[::2], switched[1::2]):
+        assert a["parent"] == b["parent"]
 
 
 @pytest.mark.parametrize("which", ["pitchfork_bundle", "isola_bundle"])
@@ -353,6 +372,19 @@ def test_cli_solve_profile(capsys):
     x0, u0 = map(float, lines[1].split())
     x1, u1 = map(float, lines[-1].split())
     assert (x0, u0) == (0.0, 0.0) and (x1, u1) == (1.0, 0.0)
+
+
+def test_cli_sweep_eps(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kappa": 1, "h": 0.1, "mesh_n": 200,
+                                    "lambda_min": -30.0}))
+    out = tmp_path / "out"
+    assert main(["sweep-eps", "--config", str(cfg_path), "--eps-values",
+                 "0,0.5", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [entry["eps"] for entry in report] == [0.0, 0.5]
+    for sub in ("eps_0", "eps_0.5"):
+        assert (out / sub / "bundle.json").is_file()
 
 
 def test_cli_diagram_and_config(tmp_path, capsys):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from bvpcont import seeding
-from bvpcont.continuation import (Branch, ContinuationConfig,
-                                  continue_branch, make_point)
-from bvpcont.corrector import NewtonError, Tangent, newton_fixed_lambda
-from bvpcont.diagram import onset_amplitude, trace_main_branch
+from bvpcont.continuation import Branch, ContinuationConfig
+from bvpcont.corrector import newton_fixed_lambda
+from bvpcont.diagram import trace_main_branch
 from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
@@ -129,10 +128,8 @@ def test_newton_near_onset_small_symmetric():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(300)
     d = Discretization(w, m)
-    lam1 = principal_eigenvalue(m)
-    lam = lam1 - 0.1
-    u = newton_fixed_lambda(d, lam,
-                            sine_seed(m, onset_amplitude(d, lam, lam1)))
+    lam = principal_eigenvalue(m) - 0.1
+    u = newton_fixed_lambda(d, lam, sine_seed(m, 0.37))
     assert 0 < np.abs(u).max() < 1.0
     assert np.max(np.abs(u - u[::-1])) < 1e-8
 
@@ -178,13 +175,8 @@ def test_find_new_solution_deduplicates_against_known():
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
-    lam1 = principal_eigenvalue(m)
-    lam = lam1 - 0.1
-    u = newton_fixed_lambda(d, lam,
-                            sine_seed(m, onset_amplitude(d, lam, lam1)))
-    main = continue_branch(d, make_point(d, lam, u),
-                           Tangent(np.zeros_like(u), -1.0),
-                           ContinuationConfig(lambda_min=-150.0))
+    main = trace_main_branch(d, principal_eigenvalue(m),
+                             ContinuationConfig(lambda_min=-150.0))
     mask = PeakMask((True, True))
     assert find_new_solution(d, -100.0, peak_pattern_seed(d, mask, -100.0),
                              [main]) is None
