@@ -3,8 +3,10 @@
 Simple branch points on a followed path are flagged by a sign change of the
 determinant of the fixed-parameter tridiagonal Jacobian, as ``continue_branch``
 recorded it on each point (``SolutionPoint.det_sign``), and located by a
-bisection that keeps the continuation loop's step rules.  A flip of dlam
-across the change marks a fold, an odd null vector on a symmetric host a
+bisection that keeps the continuation loop's step rules
+(``continuation._bisect``, which the loop runs too, to reject a step that
+lands on another sheet).  A flip of dlam across the change marks a fold,
+an odd null vector on a symmetric host a
 pitchfork, which one arclength step along the null vector passes (Allgower &
 Georg, SIAM 2003, ch. 8).  J is assembled only at the ends of a sign change
 and at bisection points.
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import Branch, _step
+from .continuation import (_MAX_TRIALS, BracketError, Branch, SolutionPoint,
+                           _bisect, _hermite_fold, _lu_sign_resolved)
 from .corrector import (AugmentedState, SingularSystemError, Tangent,
-                        _inverse_iteration, _is_free, _lu, _lu_det_sign,
+                        _inverse_iteration, _lu, _lu_det_sign,
                         newton_augmented)
 from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
@@ -30,16 +33,13 @@ __all__ = [
     "switch_branch",
 ]
 
-class BracketError(ValueError):
-    """Bisection bracket endpoints carry the same determinant sign."""
-
-
 @dataclass
 class BifurcationEvent:
     lambda_b: float
     kind: str  # pitchfork | fold | unclassified
     null_vector: np.ndarray
-    state: AugmentedState  # corrected branch point within 1e-4 of lambda_b
+    # corrected branch point, within 1e-4 of lambda_b but for a fold
+    state: AugmentedState
 
 
 def det_sign(J: BandedJacobian) -> tuple[int, float]:
@@ -55,19 +55,12 @@ def det_sign(J: BandedJacobian) -> tuple[int, float]:
 
 
 def _sign_resolved(J: BandedJacobian, u: np.ndarray, tol: float) -> bool:
-    """Whether the sign of det(J) at u is not decided by a free mode.
-
-    mu, the eigenvalue of the softest mode of J, comes from 4 steps of
-    inverse iteration; its sign is noise when tol leaves the mode free, as
-    in corrector.drop_free_mode.  |mu|*_FREE_FRACTION*||u||/tol is at most
-    0.16 at the noise flips deep on the kappa=2, h=0.15 main branch (mu
-    near 2e-7) and 7.6e3 or more at the ends of genuine brackets.
-    """
+    """Whether the sign of det(J) at u is not decided by a free mode
+    (continuation._lu_sign_resolved); False on a zero pivot."""
     try:
-        _, mu = _inverse_iteration(_lu(J), J.n, iters=4)
+        return _lu_sign_resolved(_lu(J), u, tol)
     except SingularSystemError:
         return False
-    return not _is_free(mu, u, tol)
 
 
 def sign_change_brackets(d: Discretization, branch: Branch,
@@ -94,11 +87,6 @@ def null_vector(J: BandedJacobian) -> np.ndarray:
     return v
 
 
-# Trials one bisection may take: halving a step from s/2 to 1e-4 takes
-# log2(s / 1e-4) of them (20 for s = 68); a trial on the start side adds one.
-_MAX_TRIALS = 100
-
-
 def locate_bifurcation(d: Discretization, branch: Branch,
                        bracket: tuple[int, int],
                        newton_tol: float = 1e-4) -> BifurcationEvent:
@@ -108,41 +96,33 @@ def locate_bifurcation(d: Discretization, branch: Branch,
     is the loop's corrector step (continuation._step) from the last point on
     the start side along its tangent; a step is halved when _step rejects it
     or it lands on the far side more than 1e-4 away in lam.  A fold when the
-    tangents at the two final ends have dlam of opposite signs, else a
-    pitchfork when the host is symmetric and the null vector v has
-    v . Rv < 0 (R: x -> 1-x), else unclassified.  Raises BracketError when
-    the recorded end signs agree or after _MAX_TRIALS trials.
+    tangents at the two final ends have dlam of opposite signs, at the lam
+    of their Hermite fit (continuation._hermite_fold): both ends may lie
+    well below a fold within 1e-4 of each other.  Else a pitchfork when the
+    host is symmetric and the null vector v has v . Rv < 0 (R: x -> 1-x),
+    else unclassified, at the mean lam of the two ends.  Raises
+    BracketError when the recorded end signs agree or after _MAX_TRIALS
+    trials.
     """
     ia, ib = bracket
     pa, pb = branch.points[ia], branch.points[ib]
     if pa.det_sign == pb.det_sign:
         raise BracketError(f"no sign change between indices {ia} and {ib}")
+    return _event(d, *_bisect(d, pa, pb, newton_tol))
 
-    symmetric = mirrors(pa.u, pa.u)
-    a = pa  # the last point on the start side
-    ds = 0.5 * float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
-    for _ in range(_MAX_TRIALS):
-        step = _step(d, a, ds, symmetric, newton_tol)
-        if step is None:
-            ds *= 0.5
-            continue
-        mid = step[0]
-        if mid.det_sign == pa.det_sign:
-            a = mid
-        elif abs(mid.lam - a.lam) <= 1e-4:
-            break
-        else:
-            ds *= 0.5
-    else:
-        raise BracketError(
-            f"bisection between indices {ia} and {ib} stalled after "
-            f"{_MAX_TRIALS} trials at lam = {a.lam:.6g}, step {ds:.3g}")
 
+def _event(d: Discretization, a: SolutionPoint,
+           b: SolutionPoint) -> BifurcationEvent:
+    """The event between the two final ends a (start side) and b of a
+    bisection, classified as in locate_bifurcation."""
     v = null_vector(jacobian(d, a.lam, a.u))
-    kind = ("fold" if a.tangent.dlam * mid.tangent.dlam < 0 else "pitchfork"
-            if symmetric and np.dot(v, v[::-1]) < 0 else "unclassified")
-    return BifurcationEvent(lambda_b=float(0.5 * (a.lam + mid.lam)),
-                            kind=kind, null_vector=v,
+    if a.tangent.dlam * b.tangent.dlam < 0:
+        kind, lambda_b = "fold", _hermite_fold(a, b)[1]
+    else:
+        kind = ("pitchfork" if mirrors(a.u, a.u) and np.dot(v, v[::-1]) < 0
+                else "unclassified")
+        lambda_b = float(0.5 * (a.lam + b.lam))
+    return BifurcationEvent(lambda_b=lambda_b, kind=kind, null_vector=v,
                             state=AugmentedState(a.lam, a.u.copy()))
 
 

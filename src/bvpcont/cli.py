@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bifurcation import locate_bifurcation, sign_change_brackets
+from .bifurcation import _event
 from .continuation import make_point
 from .corrector import newton_fixed_lambda
 from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
@@ -148,8 +148,8 @@ def _cmd_sweep_eps(args) -> int:
 
 
 def _cmd_sweep_h(args) -> int:
-    # For each h, follow the main branch and report the first located
-    # bifurcation value lambda_b (see bifurcation.locate_bifurcation).
+    # For each h, follow the main branch and report the first pitchfork
+    # among the det-sign changes it located (Branch.located).
     h_values = [float(s) for s in args.h_values.split(",")]
     out = []
     for h in h_values:
@@ -159,8 +159,8 @@ def _cmd_sweep_h(args) -> int:
         branch = trace_main_branch(d, principal_eigenvalue(d.m),
                                    cfg.continuation())
         lam_b = None
-        for bracket in sign_change_brackets(d, branch):
-            ev = locate_bifurcation(d, branch, bracket)
+        for i in sorted(branch.located):
+            ev = _event(d, *branch.located[i])
             if ev.kind == "pitchfork":
                 lam_b = ev.lambda_b
                 break

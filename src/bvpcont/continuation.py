@@ -1,23 +1,31 @@
 """Pseudo-arclength path following: tangents, predictor-corrector, branches.
 
-Branches are followed with an Euler predictor and the bordered Newton
+Branches are followed with a cubic Hermite predictor and the bordered Newton
 corrector under step-length control (Allgower & Georg, Introduction to
-Numerical Continuation Methods, SIAM 2003, sec. 6).  The first step is ds
-(default 3).  After an accepted step whose corrector took k updates the step
-is scaled by 2 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4); no
-constant caps it.  ``_step``, which the bifurcation bisection shares, rejects
-a step when the corrector fails, the tangent solve meets a zero pivot or the
-unit tangent turns by more than 0.2 rad, and ds is halved; a step that would
-pass lambda_min is cut to end ds_min past it.  A branch takes its symmetry
-label from its start point.  A symmetric start point is continued in the
-symmetric subspace, so every point it adds is exactly symmetric.  On other
-branches the corrector updates leave out a mode that the Newton tolerance
+Numerical Continuation Methods, SIAM 2003, ch. 6).  The predictor
+extrapolates the cubic through the last two points and their tangents; the
+first step of a branch, and every trial of the bifurcation bisection, is an
+Euler step along the tangent.  The first step is ds (default 3).  After an
+accepted step whose corrector took k updates the step is scaled by 2
+(k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4); no constant caps it.
+``_step``, which the bisection shares, rejects a step when the corrector
+fails, the tangent solve meets a zero pivot or the unit tangent turns by
+more than 0.2 rad.  The loop also rejects a step that lands on a
+neighbouring sheet: det J changes sign while dlam does not, and the
+bisection along the old sheet cannot locate the change.  A change it does
+locate is kept with the branch (``Branch.located``), so a diagram run
+locates each such event once.  A rejected step is halved; a step that would pass lambda_min is cut to end ds_min past it.
+A branch takes its symmetry label from its start point.  A symmetric start
+point is continued in the symmetric subspace, so every point it adds is
+exactly symmetric.  On other branches the corrector updates and the
+predictor's higher-order terms leave out a mode that the Newton tolerance
 leaves free, such as the translation of a lone peak deep in lam
 (``corrector.drop_free_mode``).  Every point of a branch carries its unit
-tangent and the sign of det J there, both from one LU of J in
-``update_tangent``.  A branch ends on a parameter or norm bound, step-count
-or step underflow, departure from the positive cone, or on closing back onto
-its own start.
+tangent and the sign of det J there, both from one LU of J, which also
+serves the next step's predictor and sheet test.  Folds are read off the
+tangents (``fold_points``).  A branch ends on a parameter or norm bound,
+step-count or step underflow, departure from the positive cone, or on
+closing back onto its own start.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,8 +33,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corrector import (DEFAULT_MAX_ITERS, AugmentedState, NewtonError,
-                        SingularSystemError, Tangent, _lu, _lu_det_sign,
-                        bordered_solve, newton_augmented)
+                        SingularSystemError, Tangent, _inverse_iteration,
+                        _is_free, _lu, _lu_det_sign, bordered_solve,
+                        drop_free_mode, newton_augmented)
 from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
                          jacobian, mirrors)
 
@@ -63,6 +72,11 @@ class Branch:
     points: list[SolutionPoint] = field(default_factory=list)
     symmetry: str = "unknown"  # symmetric | asymmetric_left | asymmetric_right | unknown
     diagnostics: list[str] = field(default_factory=list)
+    # {i: (a, b)}: a det-sign change between points i and i+1 that dlam does
+    # not share, bisected by continue_branch to a on the side of point i and
+    # b past it, 1e-4 apart in lam
+    located: dict[int, tuple[SolutionPoint, SolutionPoint]] = field(
+        default_factory=dict)
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
@@ -100,8 +114,8 @@ def make_point(d: Discretization, lam: float, u: np.ndarray,
                          tangent=tangent, det_sign=det_sign)
 
 
-def update_tangent(d: Discretization, y: AugmentedState,
-                   ref: Tangent) -> tuple[Tangent, int]:
+def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent,
+                   lu=None) -> tuple[Tangent, int]:
     """Unit tangent at y with ref . t > 0 by construction, and the sign of
     det J at y, both from one LU of J.
 
@@ -109,12 +123,14 @@ def update_tangent(d: Discretization, y: AugmentedState,
     normalizes; only an exactly zero pivot of J raises SingularSystemError.
     ref = (0, +-1) gives the tangent whose dlam has that sign; near a fold
     du grows along the null vector of J, so it tends to the fold tangent.
+    lu may pass the LU factors of J at y, which the caller keeps; without
+    it J is assembled and factored here.
     """
-    J = jacobian(d, y.lam, y.u)
-    lu = _lu(J)
+    if lu is None:
+        lu = _lu(jacobian(d, y.lam, y.u))
     rhs = np.zeros(len(y.u) + 1)
     rhs[-1] = 1.0
-    sol = bordered_solve(J, -y.u, ref, rhs, lu=lu)
+    sol = bordered_solve(None, -y.u, ref, rhs, lu=lu)
     return Tangent(sol[:-1], sol[-1]).normalized(), _lu_det_sign(lu)[0]
 
 
@@ -142,25 +158,136 @@ def _symmetrized(t: Tangent) -> Tangent:
     return Tangent(_symmetrize(t.du), t.dlam).normalized()
 
 
+def _predict(p: SolutionPoint, ds: float, prev: SolutionPoint | None,
+             lu, symmetric: bool, tol: float) -> AugmentedState:
+    """The point at arclength ds past p: Euler along p's tangent, plus, when
+    there is a previous point, the second- and third-order terms of the
+    cubic Hermite curve through prev and p with their tangents.
+
+    On a non-symmetric branch those terms leave out a free mode of J at p
+    (lu holds its factors): the corrector never removes such a component,
+    so the branch would keep the one the extrapolation puts in.
+    """
+    t = p.tangent
+    lam, u = p.lam + ds * t.dlam, p.u + ds * t.du
+    if prev is None:
+        return AugmentedState(lam, u)
+    dlam, du = p.lam - prev.lam, p.u - prev.u
+    h = float(np.hypot(np.linalg.norm(du), dlam))
+    s = ds / h
+    # Hermite - Euler = h s^2 [(1+s) t_prev + (2+s) t - (3+2s) (p-prev)/h]
+    a, b, c = h * s * s * (1 + s), h * s * s * (2 + s), s * s * (3 + 2 * s)
+    t0 = prev.tangent
+    e = a * t0.du + b * t.du - c * du
+    if not symmetric:
+        e = drop_free_mode(lu, p.u, e, tol)
+    return AugmentedState(lam + a * t0.dlam + b * t.dlam - c * dlam, u + e)
+
+
 def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
-          tol: float, max_iters: int = DEFAULT_MAX_ITERS):
-    """One corrector step of length ds from p along its tangent: (the new
-    point, corrector updates), or None when the corrector fails, the tangent
-    solve meets a zero pivot or the tangent turns over 0.2 rad."""
+          tol: float, max_iters: int = DEFAULT_MAX_ITERS,
+          prev: SolutionPoint | None = None, lu=None):
+    """One corrector step of length ds from p: (the new point, corrector
+    updates, the LU factors of J there), or None when the corrector fails,
+    the tangent solve meets a zero pivot or the tangent turns over 0.2 rad.
+
+    The predictor is Euler, or Hermite through prev and p when prev is
+    given (see _predict; lu then holds the factors of J at p)."""
     y, t = AugmentedState(p.lam, p.u), p.tangent
-    y_pred = AugmentedState(y.lam + ds * t.dlam, y.u + ds * t.du)
+    y_pred = _predict(p, ds, prev, lu, symmetric, tol)
     try:
         y_new, iters = newton_augmented(
             d, y_pred, y, t, ds, tol=tol, max_iters=max_iters,
             symmetric=symmetric, free_modes=not symmetric)
-        t_new, sign = update_tangent(d, y_new, t)
+        lu_new = _lu(jacobian(d, y_new.lam, y_new.u))
+        t_new, sign = update_tangent(d, y_new, t, lu_new)
     except (NewtonError, SingularSystemError):
         return None
     t_new = _symmetrized(t_new) if symmetric else t_new
     if t_new.dot(t) < _COS_MAX_TURN:
         return None
     return make_point(d, y_new.lam, y_new.u, tangent=t_new,
-                      det_sign=sign), iters
+                      det_sign=sign), iters, lu_new
+
+
+class BracketError(ValueError):
+    """A det-sign change that bisection cannot locate: the bracket ends
+    carry the same sign, or the trials do not reach the change."""
+
+
+def _lu_sign_resolved(lu, u: np.ndarray, tol: float) -> bool:
+    """Whether the sign of det J at u, from the LU factors lu of J, is not
+    decided by a free mode.
+
+    mu, the eigenvalue of the softest mode of J, comes from 4 steps of
+    inverse iteration; its sign is noise when tol leaves the mode free, as
+    in corrector.drop_free_mode.  |mu|*_FREE_FRACTION*||u||/tol is at most
+    0.16 at the noise flips deep on the kappa=2, h=0.15 main branch (mu
+    near 2e-7) and 7.6e3 or more at the ends of genuine brackets.
+    """
+    try:
+        _, mu = _inverse_iteration(lu, len(u), iters=4)
+    except SingularSystemError:
+        return False
+    return not _is_free(mu, u, tol)
+
+
+# Trials one bisection may take: halving a step from s/2 to 1e-4 takes
+# log2(s / 1e-4) of them (20 for s = 68); a trial on the start side adds one.
+_MAX_TRIALS = 100
+
+
+def _bisect(d: Discretization, pa: SolutionPoint, pb: SolutionPoint,
+            tol: float) -> tuple[SolutionPoint, SolutionPoint]:
+    """The det-sign change between branch points pa and pb, narrowed to two
+    points a and b on either side of it, at most 1e-4 apart in lam.
+
+    Each trial is the loop's corrector step (_step, Euler) from the last
+    point on the start side along its tangent; a step is halved when _step
+    rejects it or it lands on the far side more than 1e-4 away in lam.
+    Raises BracketError after _MAX_TRIALS trials: the trials follow pa's
+    own sheet, so pb is on another one or the change is out of reach.
+    """
+    symmetric = mirrors(pa.u, pa.u)
+    a = pa  # the last point on the start side
+    ds = 0.5 * float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
+    for _ in range(_MAX_TRIALS):
+        step = _step(d, a, ds, symmetric, tol)
+        if step is None:
+            ds *= 0.5
+            continue
+        b = step[0]
+        if b.det_sign == pa.det_sign:
+            a = b
+        elif abs(b.lam - a.lam) <= 1e-4:
+            return a, b
+        else:
+            ds *= 0.5
+    raise BracketError(f"bisection stalled after {_MAX_TRIALS} trials at "
+                       f"lam = {a.lam:.6g}, step {ds:.3g}")
+
+
+def _crossing(d: Discretization, p: SolutionPoint, q: SolutionPoint,
+              lu_p, lu_q, tol: float):
+    """The bisected ends (a, b) of a det-sign change from p to q that dlam
+    does not share, or None when there is no such change or a sign is not
+    resolved (lu_p, lu_q: the LU factors of J at p and q).
+
+    Raises BracketError when the step left p's sheet: the bisection along
+    it does not reach the change, or reaches a fold there, so the step
+    passed the fold and landed on a sheet that does not fold back.  Without
+    this test a step of chord 71.8 from lam -208.66 on the kappa=3, h=0.15,
+    eps=0.5 main branch lands on the neighbouring sheet at -273.20 (det
+    +1 -> -1, norm 12.21 against 11.66 on its own at -268.1).
+    """
+    if (p.det_sign * q.det_sign >= 0 or p.tangent.dlam * q.tangent.dlam <= 0
+            or not (_lu_sign_resolved(lu_p, p.u, tol)
+                    and _lu_sign_resolved(lu_q, q.u, tol))):
+        return None
+    a, b = _bisect(d, p, q, tol)
+    if a.tangent.dlam * b.tangent.dlam < 0:
+        raise BracketError(f"bisection met a fold at lam = {a.lam:.6g}")
+    return a, b
 
 
 def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
@@ -169,7 +296,8 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
 
     ref is e.g. (0, -1) to go down in lam, or a start tangent.  The branch
     starts with a copy of start tagged branch_start; every point, the start
-    included, carries its tangent and det sign.  The branch takes its
+    included, carries its tangent and det sign, and every det-sign change
+    that the sheet test bisects is kept in Branch.located.  The branch takes its
     symmetry label from start.  A symmetric start point is continued in the
     symmetric subspace: the tangents and every corrector iterate are
     projected onto it.  Otherwise the corrector updates leave out a free
@@ -178,18 +306,26 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
     """
     branch = Branch(symmetry=_classify_symmetry(start.u))
     symmetric = branch.symmetry == "symmetric"
-    t, sign = update_tangent(d, AugmentedState(start.lam, start.u), ref)
+    lu = _lu(jacobian(d, start.lam, start.u))
+    t, sign = update_tangent(d, AugmentedState(start.lam, start.u), ref, lu)
     t = _symmetrized(t) if symmetric else t
     first = replace(start, tag="branch_start", tangent=t, det_sign=sign)
     branch.points.append(first)
-    point, ds = first, cfg.ds
+    point, ds, prev = first, cfg.ds, None
     while len(branch.points) < cfg.max_steps:
         t = point.tangent
         if t.dlam < 0.0:  # end ds_min past lambda_min, not a long step past
             ds = min(ds, cfg.ds_min
                      + max(point.lam - cfg.lambda_min, 0.0) / -t.dlam)
         step = _step(d, point, ds, symmetric, cfg.newton_tol,
-                     cfg.max_newton_iters)
+                     cfg.max_newton_iters, prev, lu)
+        ends = None
+        if step is not None:
+            try:
+                ends = _crossing(d, point, step[0], lu, step[2],
+                                 cfg.newton_tol)
+            except BracketError:  # landed on another sheet
+                step = None
         if step is None:
             ds *= 0.5
             if ds < cfg.ds_min:
@@ -198,13 +334,15 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
                 )
                 return branch
             continue
-        point, iters = step
+        prev, (point, iters, lu) = point, step
 
         if point.u.min() < -1e-8:
             branch.diagnostics.append(
                 f"left positive cone at lam = {point.lam:.6g}"
             )
             return branch
+        if ends:
+            branch.located[len(branch.points) - 1] = ends
         branch.points.append(point)
 
         if point.lam < cfg.lambda_min:
@@ -226,37 +364,36 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
     return branch
 
 
-def _arclengths(points: list[SolutionPoint]) -> np.ndarray:
-    s = [0.0]
-    for a, b in zip(points, points[1:]):
-        s.append(s[-1] + float(np.hypot(np.linalg.norm(b.u - a.u), b.lam - a.lam)))
-    return np.array(s)
+def _hermite_fold(p: SolutionPoint, q: SolutionPoint) -> tuple[float, float]:
+    """(x, lam) of the fold between neighbouring points p and q whose
+    tangents have dlam of opposite signs.
+
+    lam is the extremum of the cubic Hermite lam(s) through the two points
+    with their tangents' dlam, s the arclength along their chord, and x in
+    (0, 1) its place there as a fraction of the chord.
+    """
+    m0, m1 = p.tangent.dlam, q.tangent.dlam
+    h = float(np.hypot(np.linalg.norm(q.u - p.u), q.lam - p.lam))
+    slope = (q.lam - p.lam) / h
+    # lam(x h) = lam_p + h (m0 x + c2 x^2 + c3 x^3)
+    c2, c3 = 3.0 * slope - 2.0 * m0 - m1, m0 + m1 - 2.0 * slope
+    # the one root in (0, 1) of m0 + 2 c2 x + 3 c3 x^2, whose ends have
+    # opposite signs; the form is stable for either root and for c3 = 0
+    r = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * c3 * m0), c2))
+    x = m0 / r if 0.0 <= m0 / r <= 1.0 else r / (3.0 * c3)
+    return float(x), float(p.lam + h * x * (m0 + x * (c2 + x * c3)))
 
 
 def fold_points(b: Branch) -> list[tuple[int, float]]:
-    """Indices and refined lam values where dlam changes sign along the branch.
+    """Index and lam of each fold: a pair of neighbouring points whose
+    tangents have dlam of opposite signs.
 
-    Each detected fold is refined by fitting lam as a parabola in arclength
-    through the three surrounding points.
+    lam is the extremum of the cubic Hermite lam(s) between the pair
+    (_hermite_fold); the index is that of the point nearer to it.
     """
-    pts = b.points
-    if len(pts) < 3:
-        return []
-    lam = np.array([p.lam for p in pts])
-    s = _arclengths(pts)
-    dlam = np.diff(lam)
     folds = []
-    for j in range(len(dlam) - 1):
-        if dlam[j] == 0.0 or dlam[j] * dlam[j + 1] >= 0.0:
-            continue
-        i = j + 1  # vertex-adjacent point
-        ss = s[i - 1:i + 2] - s[i]
-        ll = lam[i - 1:i + 2]
-        coef = np.polyfit(ss, ll, 2)
-        if coef[0] != 0.0:
-            s_star = -coef[1] / (2.0 * coef[0])
-            lam_star = float(np.polyval(coef, s_star))
-        else:
-            lam_star = float(ll[1])
-        folds.append((i, lam_star))
+    for i, (p, q) in enumerate(zip(b.points, b.points[1:])):
+        if p.tangent.dlam * q.tangent.dlam < 0.0:
+            x, lam = _hermite_fold(p, q)
+            folds.append((i + int(x > 0.5), lam))
     return folds

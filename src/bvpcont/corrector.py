@@ -198,7 +198,7 @@ def augmented_residual(d: Discretization, y: AugmentedState,
     return np.concatenate([f, [g]])
 
 
-def bordered_solve(J: BandedJacobian, b_col: np.ndarray, t: Tangent,
+def bordered_solve(J: BandedJacobian | None, b_col: np.ndarray, t: Tangent,
                    rhs: np.ndarray, lu=None) -> np.ndarray:
     """Solve [[J, b_col], [t.du, t.dlam]] x = rhs by mixed block elimination.
 
@@ -206,10 +206,11 @@ def bordered_solve(J: BandedJacobian, b_col: np.ndarray, t: Tangent,
     two-column solve; the scalar unknown is split into a part fixed by the
     left vector and a correction from the right one, which keeps the result
     accurate when J is singular to rounding (BEMW, Govaerts & Pryce 1993).
-    lu may pass factors of J that the caller already holds.
+    lu may pass factors of J that the caller already holds; J is then not
+    read and may be None.
     """
-    n = J.n
-    if len(b_col) != n or len(rhs) != n + 1 or len(t.du) != n:
+    n = len(b_col)
+    if len(rhs) != n + 1 or len(t.du) != n:
         raise ValueError("dimension mismatch in bordered solve")
     f, g = rhs[:n], rhs[n]
     if lu is None:

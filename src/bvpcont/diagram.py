@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import (BracketError, locate_bifurcation, null_vector,
-                          sign_change_brackets, switch_branch)
+from .bifurcation import _event, null_vector, switch_branch
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, make_point)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
@@ -147,13 +146,16 @@ _MIRRORED_SYMMETRY = {"asymmetric_left": "asymmetric_right",
 
 def _mirrored(d: Discretization, b: Branch) -> Branch:
     """The reflection x -> 1-x of an asymmetric branch, itself a branch."""
+    def mirror(p):
+        return make_point(d, p.lam, p.u[::-1], p.tag,
+                          Tangent(p.tangent.du[::-1], p.tangent.dlam),
+                          p.det_sign)  # det(RJR) = det(J)
     return Branch(
-        points=[make_point(d, p.lam, p.u[::-1], p.tag,
-                           Tangent(p.tangent.du[::-1], p.tangent.dlam),
-                           p.det_sign)  # det(RJR) = det(J)
-                for p in b.points],
+        points=[mirror(p) for p in b.points],
         symmetry=_MIRRORED_SYMMETRY[b.symmetry],
-        diagnostics=list(b.diagnostics))
+        diagnostics=list(b.diagnostics),
+        located={i: (mirror(a), mirror(c))
+                 for i, (a, c) in b.located.items()})
 
 
 def trace_main_branch(d: Discretization, lam1: float,
@@ -189,12 +191,18 @@ def _trace_both(d: Discretization, start: SolutionPoint,
     if "closed loop" in b_up.diagnostics:
         return b_up
     b_dn = continue_branch(d, start, Tangent(zero, -1.0), cfg)
+
+    def rev(p):
+        return replace(p, tangent=Tangent(-p.tangent.du, -p.tangent.dlam))
+    n = len(b_dn.points) - 1  # the merged index of start
     return Branch(
-        points=[replace(p, tangent=Tangent(-p.tangent.du, -p.tangent.dlam))
-                for p in b_dn.points[:0:-1]] + b_up.points,
+        points=[rev(p) for p in b_dn.points[:0:-1]] + b_up.points,
         symmetry=b_up.symmetry,
         diagnostics=[f"down: {x}" for x in b_dn.diagnostics]
-        + [f"up: {x}" for x in b_up.diagnostics])
+        + [f"up: {x}" for x in b_up.diagnostics],
+        located={n - 1 - i: (rev(b), rev(a))
+                 for i, (a, b) in b_dn.located.items()}
+        | {n + i: ends for i, ends in b_up.located.items()})
 
 
 def _event_dict(branch_id: str, index: int, kind: str, lam: float,
@@ -245,14 +253,12 @@ def run_diagram(config) -> DiagramBundle:
             n = len(bundle.branch_by_role(role))
             bid = role if role == "main" else f"{role}_{n}"
             records.append(BranchRecord(bid, role, branch, parent))
-            for i, j in sign_change_brackets(d, branch, cfg.newton_tol):
-                ta, tb = branch.points[i].tangent, branch.points[j].tangent
-                if ta.dlam * tb.dlam < 0:
-                    continue  # a fold, which fold_points reports
+            # the det-sign changes that continue_branch located; one across
+            # which dlam flips is a fold, which fold_points reports
+            for i, ends in sorted(branch.located.items()):
                 try:
-                    ev = locate_bifurcation(d, branch, (i, j),
-                                            newton_tol=cfg.newton_tol)
-                except (BracketError, SingularSystemError) as exc:
+                    ev = _event(d, *ends)
+                except SingularSystemError as exc:
                     failures.append(f"locate on {bid} at index {i}: {exc}")
                     continue
                 bundle.events.append(_event_dict(

@@ -7,8 +7,10 @@ from bvpcont import bifurcation, continuation
 from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
                                  null_vector, sign_change_brackets,
                                  switch_branch)
-from bvpcont.continuation import ContinuationConfig, fold_points
-from bvpcont.corrector import NewtonError, Tangent
+from bvpcont.continuation import (Branch, ContinuationConfig, fold_points,
+                                  make_point, update_tangent)
+from bvpcont.corrector import (AugmentedState, NewtonError, Tangent,
+                               newton_fixed_lambda)
 from bvpcont.diagram import RunConfig, run_diagram, trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
@@ -203,16 +205,26 @@ def _softest_modes(d, state, k=3):
 
 
 def test_locate_holds_on_a_long_isola_bracket():
-    # kappa=1, h=0.5, eps=0.5: the symmetric isola_1 steps from lam -533.47
-    # to -473.07 (arclength 68) across a det-sign change.  A trial corrected
-    # from the bracket start at s = 42.6 does not converge; stepping on from
-    # the last point on the start side reaches the change.  It is a
-    # fold of the sheet that isola_1 leaves: an even mode of J crosses zero
-    # while the odd ones stay near +-300, so it is no pitchfork.
-    d, b, bracket = _isola_bracket(
-        RunConfig(kappa=1, h=0.5, eps=0.5, lambda_min=-600.0), "isola_1",
-        -540.0, -470.0)
-    ev = locate_bifurcation(d, b, bracket)
+    # kappa=1, h=0.5, eps=0.5: the symmetric plateau sheet, u = sqrt(-lam/eps)
+    # on the a = eps interval (0.25, 0.75) with the sech tails of the a = 1
+    # homoclinic, which meet it at the same height since eps = 1/2.  One
+    # corrector step of arclength 68.2 from its point at lam -533.47 lands
+    # on a neighbouring sheet at -473.07 across a det-sign change.  The
+    # bisection's second trial lands on that sheet again; halving the step
+    # from the last point on the start side reaches the change.  It is a
+    # fold of the plateau sheet: an even mode of J crosses zero while the
+    # odd ones stay near +-300, so it is no pitchfork.
+    d = Discretization(build_weight(1, 0.5, 0.5), build_uniform_mesh(500))
+    lam = -533.474
+    well = np.maximum(np.abs(d.m.interior - 0.5) - 0.25, 0.0)
+    u = newton_fixed_lambda(d, lam, np.sqrt(-2.0 * lam)
+                            / np.cosh(np.sqrt(-lam) * well))
+    t, sign = update_tangent(d, AugmentedState(lam, u),
+                             Tangent(np.zeros_like(u), 1.0))
+    pa = make_point(d, lam, u, tangent=t, det_sign=sign)
+    pb = continuation._step(d, pa, 68.2, True, 1e-4)[0]
+    assert abs(pb.lam - (-473.07)) < 0.1 and pb.det_sign != pa.det_sign
+    ev = locate_bifurcation(d, Branch(points=[pa, pb]), (0, 1))
     assert -503.15 < ev.lambda_b < -488.08
     assert ev.kind == "fold"
     (mu, parity), *rest = _softest_modes(d, ev.state)
@@ -232,6 +244,32 @@ def test_a_fold_inside_a_bracket_is_a_fold():
     (i_fold, lam_fold), = fold_points(b)
     assert i_fold in bracket and abs(ev.lambda_b - lam_fold) < 1e-3
     assert abs(ev.lambda_b - (-41.482)) < 1e-3
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(kappa=2, h=0.25, lambda_min=-100.0),
+    RunConfig(kappa=1, h=0.5, eps=0.5, lambda_min=-600.0),
+    RunConfig(kappa=1, h=0.6, eps=0.2, lambda_min=-300.0),
+], ids=["k2_h025", "k1_h05_eps05", "k1_h06_eps02"])
+def test_fold_points_agree_with_located_folds(config):
+    # fold_points reads each fold off the two stored points whose tangents'
+    # dlam differ in sign; the bisection on their det-sign bracket narrows
+    # it to two corrected points 1e-4 apart in lam
+    bundle = run_diagram(config)
+    d = bundle.operator
+    n_folds = 0
+    for rec in bundle.branches:
+        b = rec.branch
+        brackets = sign_change_brackets(d, b)
+        for i, lam in fold_points(b):
+            (bracket,) = [br for br in brackets if i in br
+                          and b.points[br[0]].tangent.dlam
+                          * b.points[br[1]].tangent.dlam < 0]
+            ev = locate_bifurcation(d, b, bracket)
+            assert ev.kind == "fold", rec.branch_id
+            assert abs(ev.lambda_b - lam) <= 1e-4 * abs(lam), rec.branch_id
+            n_folds += 1
+    assert n_folds >= 3
 
 
 def test_lambda_b_increasing_in_h():

@@ -146,6 +146,22 @@ def test_runtime_h_half_to_minus_100():
     assert b.points[-1].lam < -100.0
 
 
+def test_single_peak_descent_work_count():
+    # kappa=1, h=0.1, N=200: a lone peak continued from lam=-50 to -3000.
+    # Deep in lam the peak's translation is a free mode of J, which the
+    # Hermite predictor leaves out; with it left in, this descent stalls on
+    # step underflow near lam=-2140.  At most 72 points, the count of the
+    # Euler predictor.
+    from bvpcont.seeding import PeakMask, peak_pattern_seed
+    d = Discretization(build_weight(1, 0.1, 0.0), build_uniform_mesh(200))
+    seed = peak_pattern_seed(d, PeakMask((True, False)), -50.0)
+    u = newton_fixed_lambda(d, -50.0, seed)
+    b = continue_branch(d, make_point(d, -50.0, u), down(u),
+                        ContinuationConfig(lambda_min=-3000.0))
+    assert b.diagnostics == ["reached lambda_min"]
+    assert len(b.points) <= 72
+
+
 def test_isola_top_fold_matches():
     # eps = 0.30 detached component: the fold at its largest lam sits near
     # -1111.65; seed below the fold and trace upward through it until lam

@@ -6,6 +6,7 @@ from bvpcont.corrector import (AugmentedState, NewtonError,
                                augmented_residual, bordered_solve,
                                drop_free_mode, newton_augmented,
                                newton_fixed_lambda, solve_tridiag)
+from bvpcont.bifurcation import locate_bifurcation, sign_change_brackets
 from bvpcont.continuation import update_tangent
 from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
@@ -192,15 +193,16 @@ def test_bordered_solve_regularizes_singular_block():
 
 
 def test_bordered_solve_and_tangent_at_isola_fold():
-    # stored kappa2 h0.25 isola point nearest its fold at lam ~ -41.546
+    # the located state of a kappa2 h0.25 isola fold at lam ~ -41.546, with
+    # its tangent
     cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
-    w, m = cfg.build()
-    d = Discretization(w, m)
-    isolas = run_diagram(cfg).branch_by_role("isola")
-    b, i = min(((r.branch, i) for r in isolas
-                for i in range(len(r.branch.points))),
-               key=lambda bi: abs(bi[0].points[bi[1]].lam + 41.546))
-    p, t = b.points[i], b.points[i].tangent
+    bundle = run_diagram(cfg)
+    d = bundle.operator
+    b, bracket = next((r.branch, br) for r in bundle.branch_by_role("isola")
+                      for br in sign_change_brackets(d, r.branch)
+                      if abs(r.branch.points[br[0]].lam + 41.546) < 1.0)
+    p = locate_bifurcation(d, b, bracket).state
+    t, _ = update_tangent(d, p, Tangent(np.zeros_like(p.u), -1.0))
     assert abs(p.lam + 41.546) < 0.05
     J = jacobian(d, p.lam, p.u)
     n = J.n
