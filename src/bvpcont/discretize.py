@@ -20,9 +20,9 @@ the mirror image of a solution is again a solution.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .mesh import Mesh, mesh_spacings
 from .weight import Weight, eval_weight
@@ -37,6 +37,18 @@ __all__ = [
     "toeplitz_eigenvalue",
     "principal_eigenvalue",
 ]
+
+
+@cache
+def _linalg():
+    """scipy.linalg, imported on the first factorization or eigenvalue.
+
+    Importing it takes about 0.3 s on a 2-vCPU host (scipy 1.17 also loads
+    numpy.testing, numpy.f2py and numpy.ma); the weights, the meshes and
+    the shooting oracle never call LAPACK, so they do not wait for it.
+    """
+    import scipy.linalg
+    return scipy.linalg
 
 
 # Relative tolerance for reflection symmetry.  Weights and meshes are mirrored
@@ -183,6 +195,6 @@ def principal_eigenvalue(m: Mesh) -> float:
     diag = 2.0 / (hl * hr)
     wcell = 0.5 * (hl + hr)
     off = -1.0 / (hr[:-1] * np.sqrt(wcell[:-1] * wcell[1:]))
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
-                            eigvals_only=True)
+    vals = _linalg().eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(0, 0), eigvals_only=True)
     return float(vals[0])

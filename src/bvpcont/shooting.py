@@ -130,11 +130,6 @@ def _rms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (z[0] ** 2 + z[1] ** 2))
 
 
-def _combine(coef: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_i coef[i]*k[i] over the leading stage derivatives k[i] (2, n)."""
-    return (coef @ k[:coef.size].reshape(coef.size, -1)).reshape(k.shape[1:])
-
-
 def _first_step(f, y, fy, length, rtol, atol):
     """scipy's initial step rule (Hairer, Norsett & Wanner I, II.4), per lane."""
     scale = atol + np.abs(y) * rtol
@@ -167,6 +162,7 @@ def _hermite_zero(x0, h, u0, v0, u1, v1):
     return x0 + h * (t + dt)
 
 
+@np.errstate(divide="ignore")
 def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
                 path: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Boundary miss of every initial slope in v0, as one batch.
@@ -192,9 +188,14 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
     state = np.stack([np.zeros_like(v0), v0])
     live = np.arange(v0.size)
     for lo, hi, a in _pieces(w):
-        def f(y, a=a):
+        def f(y, out=None, a=a):
+            """(v, -(lam + a*u^2)*u) at y = (u, v), into out if given."""
             u = y[0]
-            return np.array([y[1], -(lam + a * u * u) * u])
+            if out is None:
+                out = np.empty_like(y)
+            out[0] = y[1]
+            np.multiply(-(lam + a * u * u), u, out=out[1])
+            return out
 
         lane, y = live, state[:, live]
         fy = f(y)
@@ -203,30 +204,43 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
         retried = np.zeros(lane.size, dtype=bool)
         survivors = []
         while lane.size:
-            min_step = 10.0 * np.abs(np.nextafter(x, np.inf) - x)
-            h = np.where(retried, h, np.maximum(h, min_step))
-            if np.any(h < min_step):
-                raise RuntimeError(f"step size underflow at lam = {lam:g}")
+            # x >= 0, so spacing(x) is the gap to the next float above x
+            min_step = 10.0 * np.spacing(x)
+            any_retried = retried.any()
+            if any_retried:
+                h = np.where(retried, h, np.maximum(h, min_step))
+                if np.any(h < min_step):
+                    raise RuntimeError(
+                        f"step size underflow at lam = {lam:g}")
+            else:
+                h = np.maximum(h, min_step)
             x_new = np.minimum(x + h, hi)
             h = x_new - x
+            # stage derivatives; read as (7, 2n), each stage sum is one matmul
             k = np.empty((7,) + y.shape)
+            k2 = k.reshape(7, -1)
             k[0] = fy
             for s, row in enumerate(_DP_A, start=1):
-                k[s] = f(y + h * _combine(row, k))
-            y_new = y + h * _combine(_DP_B, k)
-            k[6] = f_new = f(y_new)
+                f(y + h * (row @ k2[:s]).reshape(y.shape), k[s])
+            y_new = y + h * (_DP_B @ k2[:6]).reshape(y.shape)
+            f(y_new, k[6])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err_norm = _rms(h * _combine(_DP_E, k) / scale)
+            err_norm = _rms(h * (_DP_E @ k2).reshape(y.shape) / scale)
             ok = err_norm < 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factor = _SAFETY * err_norm ** -0.2
-            grow = np.minimum(np.where(retried, 1.0, _MAX_FACTOR), factor)
+            factor = _SAFETY * err_norm ** -0.2  # inf where err_norm is 0
             x_old, dx, y_old = x, h, y
-            h = h * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
-            retried = ~ok
-            y = np.where(ok, y_new, y)
-            fy = np.where(ok, f_new, fy)
-            x = np.where(ok, x_new, x)
+            if not any_retried and ok.all():
+                # what the general update below reduces to when no lane
+                # was retried and every lane accepted its step
+                h = h * np.minimum(_MAX_FACTOR, factor)
+                y, fy, x = y_new, k[6], x_new
+            else:
+                grow = np.minimum(np.where(retried, 1.0, _MAX_FACTOR), factor)
+                h = h * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
+                retried = ~ok
+                y = np.where(ok, y_new, y)
+                fy = np.where(ok, k[6], fy)
+                x = np.where(ok, x_new, x)
             if path is not None:
                 path.extend(zip(x[ok], y[0, ok], y[1, ok]))
 
@@ -273,8 +287,9 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
 
     Raises ValueError below the validity floor lam < -(ln(1/eps_mach))^2,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
-    1/eps_mach and the count means nothing, and when the acceptance shot of
-    a root blows up, which leaves that root undecided.
+    1/eps_mach and the count means nothing, and when a shot at an end of a
+    final bracket or at its midpoint blows up, which leaves that root
+    undecided.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
@@ -294,35 +309,40 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
         # exterior trajectories that boundary shots ride on.
         v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, grid_size)
-    signs, _ = _batch_miss(w, lam, grid, step_tol)
+    signs, cross = _batch_miss(w, lam, grid, step_tol)
 
     cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     lo, hi, s_lo = grid[cells], grid[cells + 1], signs[cells]
+    # whether the shot at each bracket end blew up
+    blown_lo, blown_hi = np.isinf(cross[cells]), np.isinf(cross[cells + 1])
     frac = np.arange(1, _SECTIONS) / _SECTIONS
     open_ = hi - lo > refine_tol * np.maximum(1.0, hi)
     while open_.any():
         i = np.flatnonzero(open_)
         pts = lo[i, None] + (hi[i] - lo[i])[:, None] * frac
-        signs = _batch_miss(w, lam, pts.ravel(), step_tol)[0].reshape(
-            pts.shape)
-        flip = signs * s_lo[i, None] <= 0.0
+        signs, cross = _batch_miss(w, lam, pts.ravel(), step_tol)
+        flip = signs.reshape(pts.shape) * s_lo[i, None] <= 0.0
         # first interior point whose sign leaves s_lo, else the last section
         k = np.where(flip.any(axis=1), flip.argmax(axis=1), _SECTIONS - 1)
         ends = np.column_stack([lo[i], pts, hi[i]])
+        blown = np.column_stack(
+            [blown_lo[i], np.isinf(cross).reshape(pts.shape), blown_hi[i]])
         rows = np.arange(i.size)
         lo[i], hi[i] = ends[rows, k], ends[rows, k + 1]
+        blown_lo[i], blown_hi[i] = blown[rows, k], blown[rows, k + 1]
         open_[i] = hi[i] - lo[i] > refine_tol * np.maximum(1.0, hi[i])
 
     # ascending: each bracket stays inside its grid cell
     mids = 0.5 * (lo + hi)
     _, cross = _batch_miss(w, lam, mids, step_tol)
-    if np.isinf(cross).any():
-        # the bracket may pair a zero crossing with a blow-up
-        root = mids[np.isinf(cross)][0]
+    # a bracket that pairs a zero crossing with a blow-up leaves its root
+    # undecided, wherever its acceptance shot lands
+    undecided = blown_lo | blown_hi | np.isinf(cross)
+    if undecided.any():
         raise ValueError(
-            f"single shooting cannot resolve the root near v0 = {root:.6g}"
-            f" at lam = {lam:g}: the acceptance shot blew up (|u| exceeded"
-            f" {_BLOWUP:g} before x = 1)")
+            f"single shooting cannot resolve the root near v0 ="
+            f" {mids[undecided][0]:.6g} at lam = {lam:g}: a shot of its"
+            f" bracket blew up (|u| exceeded {_BLOWUP:g} before x = 1)")
     roots = mids[np.isnan(cross) | (cross > 1.0 - 1e-4)]
 
     merged = []

@@ -73,11 +73,19 @@ def test_shoot_count_validity_envelope():
     assert count == 3
 
 
-@pytest.mark.parametrize("lam", [-1000.0, -1290.0])
-def test_shoot_count_refuses_an_undecided_root(lam):
+@pytest.mark.parametrize("lam,sections", [
+    pytest.param(-1000.0, 16, id="-1000.0"),
+    pytest.param(-1290.0, 16, id="-1290.0"),
+    pytest.param(-1000.0, 32, id="-1000.0-32"),
+    pytest.param(-1290.0, 32, id="-1290.0-32"),
+])
+def test_shoot_count_refuses_an_undecided_root(monkeypatch, lam, sections):
     # in the a = 0 interval (0.25, 0.75) shots grow like exp(sqrt(-lam)*x);
-    # a bracket pairs a zero crossing with a blow-up, and the acceptance shot
-    # at its midpoint blows up: refuse instead of counting or dropping it
+    # a bracket pairs a zero crossing with a blow-up: refuse instead of
+    # counting or dropping its root, wherever the multisection puts the
+    # acceptance shot (with 32 sections at -1290 it crosses at x = 0.75
+    # instead of blowing up)
+    monkeypatch.setattr(shooting, "_SECTIONS", sections)
     with pytest.raises(ValueError, match="cannot resolve"):
         shoot_count(build_weight(1, 0.5, 0.0), lam)
 
@@ -150,6 +158,27 @@ def test_batched_miss_signs_match_single_shots(kappa, h, lam):
     assert list(signs[picks]) == ref
 
 
+def test_batch_lanes_are_independent():
+    # a lane's steps must not depend on its batch-mates: on slopes of
+    # shoot_count's scan grid, including both ends of every bracket, the
+    # 200-lane batch gives the miss of one-lane batches bit for bit.  Its
+    # crossings agree to rounding only: BLAS rounds a stage sum by the
+    # lane's place in the batch (4e-15 apart here), while a step taken or
+    # sized differently would move a crossing by about step_tol
+    w, lam = build_weight(2, 0.25, 0.0), -100.0
+    v0_max = 2.0 * (-2.0 * lam) ** 1.5
+    grid = np.geomspace(v0_max * 1e-6, v0_max, 200)
+    miss, cross = _batch_miss(w, lam, grid, 1e-8)
+    cells = np.flatnonzero(miss[:-1] * miss[1:] < 0.0)
+    picks = sorted(set(cells) | set(cells + 1) | {0, 50, 100, 150, 199})
+    assert len(picks) >= 10 and np.isfinite(cross[picks]).sum() >= 3
+    for i in picks:
+        one_miss, one_cross = _batch_miss(w, lam, grid[i:i + 1], 1e-8)
+        assert one_miss[0] == miss[i]
+        assert np.allclose(one_cross, cross[i:i + 1], rtol=0.0, atol=1e-13,
+                           equal_nan=True)
+
+
 @pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
 def test_roots_solve_the_bvp_under_a_tight_reshoot(kappa, h):
     # every root, re-shot with DOP853 at rtol 1e-12, hits u(1) = 0 and
@@ -219,22 +248,31 @@ def test_acceptance_crossings_match_event_shots(monkeypatch, kappa, h):
 
 def test_no_deferred_scipy_integrate_import():
     # the oracle integrates in-house and the time map is closed form, so
-    # neither importing bvpcont nor using the oracle loads scipy.integrate
-    # or scipy.optimize, not even lazily
+    # neither importing bvpcont, building a run's weight and mesh nor using
+    # the oracle loads scipy.integrate or scipy.optimize, not even lazily;
+    # none of them factorizes, so scipy.linalg stays unloaded too, until
+    # a diagram's first factorization binds LAPACK
     code = (
         "import sys, bvpcont\n"
+        "def loaded():\n"
+        "    print(*sorted(m for m in sys.modules if m.startswith(\n"
+        "        ('scipy.integrate', 'scipy.optimize', 'scipy.linalg'))))\n"
+        "bvpcont.RunConfig(kappa=2, h=0.25).build()\n"
         "w = bvpcont.build_weight(1, 0.1, 0.0)\n"
         "assert bvpcont.shoot_count(w, -100.0)[0] == 3\n"
         "bvpcont.integrate_ivp(w, -100.0, 10.0)\n"
         "bvpcont.time_map(2.0, -1.0)\n"
-        "print(*sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('scipy.integrate', 'scipy.optimize'))))\n")
+        "loaded()\n"
+        "bvpcont.run_diagram(bvpcont.RunConfig(lambda_min=-20.0))\n"
+        "loaded()\n")
     src = str(Path(bvpcont.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == ""
+    oracle, diagram = out.stdout.split("\n")[:2]
+    assert oracle == ""
+    assert "scipy.linalg" in diagram.split()
 
 
 @pytest.mark.parametrize("lam", [-1.0, -10.0, -100.0, -1000.0])
