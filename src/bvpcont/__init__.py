@@ -4,9 +4,8 @@ weights a, by pseudo-arclength continuation of a finite-difference
 discretization, cross-checked by a phase-plane shooting oracle.
 """
 
-from .bifurcation import (BifurcationEvent, BracketError, det_sign,
-                          locate_bifurcation, null_vector,
-                          sign_change_brackets, switch_branch)
+from .bifurcation import (BifurcationEvent, classify, null_vector,
+                          switch_branch)
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, make_point,
                            update_tangent)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bifurcation import _event
+from .bifurcation import classify
 from .continuation import make_point
 from .corrector import newton_fixed_lambda
 from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--n", type=int, default=500, help="interior mesh points")
     p.add_argument("--seed", default="sine",
-                   help='"sine", a mask bit string like "101", or "wells"')
+                   help='"sine", "wells", or a mask of kappa+1 bits with at '
+                        'least one 1, like "101"')
     p.add_argument("--amplitude", type=float, default=1.0,
                    help="sine seed amplitude")
 
@@ -160,7 +161,7 @@ def _cmd_sweep_h(args) -> int:
                                    cfg.continuation())
         lam_b = None
         for i in sorted(branch.located):
-            ev = _event(d, *branch.located[i])
+            ev = classify(d, *branch.located[i])
             if ev.kind == "pitchfork":
                 lam_b = ev.lambda_b
                 break
@@ -170,8 +171,19 @@ def _cmd_sweep_h(args) -> int:
     return 0 if all(e["lambda_b"] is not None for e in out) else 1
 
 
+def _is_mask(seed: str, kappa: int) -> bool:
+    """Whether seed is a peak mask: kappa+1 of 0/1 with at least one 1."""
+    return len(seed) == kappa + 1 and set(seed) <= {"0", "1"} and "1" in seed
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if (args.command == "solve" and args.seed not in ("sine", "wells")
+            and not _is_mask(args.seed, args.kappa)):
+        ap.error(f"argument --seed: expected sine, wells or a mask of "
+                 f"kappa+1 = {args.kappa + 1} bits 0/1 with at least one 1, "
+                 f"got {args.seed!r}")
     handlers = {
         "diagram": _cmd_diagram,
         "solve": _cmd_solve,

@@ -211,8 +211,8 @@ def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
 
 
 class BracketError(ValueError):
-    """A det-sign change that bisection cannot locate: the bracket ends
-    carry the same sign, or the trials do not reach the change."""
+    """A det-sign change that the bisection cannot locate as a branch
+    point: the trials do not reach the change, or reach a fold."""
 
 
 def _lu_sign_resolved(lu, u: np.ndarray, tol: float) -> bool:

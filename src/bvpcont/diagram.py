@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import _event, null_vector, switch_branch
+from .bifurcation import classify, null_vector, switch_branch
 from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, make_point)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
@@ -253,13 +253,13 @@ def run_diagram(config) -> DiagramBundle:
             n = len(bundle.branch_by_role(role))
             bid = role if role == "main" else f"{role}_{n}"
             records.append(BranchRecord(bid, role, branch, parent))
-            # the det-sign changes that continue_branch located; one across
-            # which dlam flips is a fold, which fold_points reports
+            # the det-sign changes that continue_branch located; folds are
+            # read off the tangents (fold_points) below
             for i, ends in sorted(branch.located.items()):
                 try:
-                    ev = _event(d, *ends)
+                    ev = classify(d, *ends)
                 except SingularSystemError as exc:
-                    failures.append(f"locate on {bid} at index {i}: {exc}")
+                    failures.append(f"classify on {bid} at index {i}: {exc}")
                     continue
                 bundle.events.append(_event_dict(
                     bid, i, ev.kind, ev.lambda_b,

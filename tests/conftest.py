@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from bvpcont.continuation import (ContinuationConfig, continue_branch,
-                                  make_point)
-from bvpcont.corrector import Tangent, newton_fixed_lambda
+from bvpcont.continuation import (ContinuationConfig, _lu_sign_resolved,
+                                  continue_branch, make_point)
+from bvpcont.corrector import Tangent, _lu, _lu_det_sign, newton_fixed_lambda
 from bvpcont.diagram import RunConfig, run_diagram
+from bvpcont.discretize import jacobian
 
 
 @pytest.fixture(scope="session")
@@ -33,4 +34,22 @@ def descend():
         return [newton_fixed_lambda(
                     d, level, next(p.u for p in b.points if p.lam <= level))
                 for level in levels]
+    return run
+
+
+@pytest.fixture(scope="session")
+def resolved_flips():
+    """resolved_flips(d, branch): each i at which det J, assembled and
+    factored afresh at every point, changes sign from point i to i+1 with
+    the sign resolved at both ends for the Newton tolerance 1e-4
+    (continuation._lu_sign_resolved)."""
+    def run(d, branch):
+        pts = branch.points
+        lus = [_lu(jacobian(d, p.lam, p.u)) for p in pts]
+        signs = [_lu_det_sign(lu)[0] for lu in lus]
+        resolved = [_lu_sign_resolved(lu, p.u, 1e-4)
+                    for lu, p in zip(lus, pts)]
+        return [i for i in range(len(pts) - 1)
+                if signs[i] * signs[i + 1] < 0
+                and resolved[i] and resolved[i + 1]]
     return run

@@ -3,14 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bvpcont import bifurcation, continuation
-from bvpcont.bifurcation import (BracketError, det_sign, locate_bifurcation,
-                                 null_vector, sign_change_brackets,
-                                 switch_branch)
-from bvpcont.continuation import (Branch, ContinuationConfig, fold_points,
-                                  make_point, update_tangent)
-from bvpcont.corrector import (AugmentedState, NewtonError, Tangent,
-                               newton_fixed_lambda)
+from bvpcont import continuation
+from bvpcont.bifurcation import classify, null_vector, switch_branch
+from bvpcont.continuation import (BracketError, ContinuationConfig,
+                                  _lu_sign_resolved, fold_points, make_point,
+                                  update_tangent)
+from bvpcont.corrector import (AugmentedState, NewtonError, Tangent, _lu,
+                               _lu_det_sign, newton_fixed_lambda)
 from bvpcont.diagram import RunConfig, run_diagram, trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
@@ -29,11 +28,24 @@ def main_branch(h, n=500, lambda_min=-20.0):
     return d, b
 
 
+def located_events(d, b):
+    """The events of the det-sign changes located on b, in branch order."""
+    return [classify(d, *b.located[i]) for i in sorted(b.located)]
+
+
+def _fold_between(d, p, q):
+    """The loop's bisection from p to q (continuation._bisect): its two
+    final ends, and lam of the fold between them by their Hermite fit
+    (continuation._hermite_fold)."""
+    a, b = continuation._bisect(d, p, q, 1e-4)
+    return a, b, continuation._hermite_fold(a, b)[1]
+
+
 def test_det_sign_positive_definite():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(10)
     d = Discretization(w, m)
-    sign, logmag = det_sign(jacobian(d, 0.0, np.zeros(10)))
+    sign, logmag = _lu_det_sign(_lu(jacobian(d, 0.0, np.zeros(10))))
     assert sign == 1
     assert np.isfinite(logmag)
 
@@ -47,7 +59,7 @@ def test_det_sign_matches_slogdet():
     d, b = main_branch(0.05, lambda_min=-100.0)
     mats += [jacobian(d, p.lam, p.u) for p in b.points]
     for J in mats:
-        sign, logmag = det_sign(J)
+        sign, logmag = _lu_det_sign(_lu(J))
         ref_sign, ref_logmag = np.linalg.slogdet(J.dense())
         assert sign == ref_sign
         assert abs(logmag - ref_logmag) <= 1e-10 * max(abs(ref_logmag), 1.0)
@@ -61,8 +73,8 @@ def test_det_sign_flips_at_discrete_eigenvalues():
     u = np.zeros(n)
     for k in range(1, 6):
         lam_k = toeplitz_eigenvalue(n, k)
-        below, _ = det_sign(jacobian(d, lam_k - 0.5, u))
-        above, _ = det_sign(jacobian(d, lam_k + 0.5, u))
+        below, _ = _lu_det_sign(_lu(jacobian(d, lam_k - 0.5, u)))
+        above, _ = _lu_det_sign(_lu(jacobian(d, lam_k + 0.5, u)))
         assert below != above
         assert below != 0 and above != 0
 
@@ -80,15 +92,20 @@ def test_null_vector_of_singular_laplacian():
 
 
 def test_bracket_error_on_same_sign():
+    # the sheet test leaves a step without a det-sign change alone: no
+    # bisection, so no BracketError
     d, b = main_branch(0.5, n=200, lambda_min=-5.0)
-    with pytest.raises(BracketError):
-        locate_bifurcation(d, b, (0, 1))
+    p, q = b.points[:2]
+    assert p.det_sign == q.det_sign
+    lus = [_lu(jacobian(d, r.lam, r.u)) for r in (p, q)]
+    assert continuation._crossing(d, p, q, *lus, 1e-4) is None
 
 
 def test_locate_raises_when_bisection_cannot_narrow(monkeypatch):
     # a corrector that always returns its start point never reaches the far
-    # side of the bracket; the bisection gives up after its trial budget
+    # side of the located pair; the bisection gives up after its trial budget
     d, b = main_branch(0.05)
+    ends = b.located[min(b.located)]
     calls = [0]
 
     def frozen(d, y0, y_prev, t, ds, **kw):
@@ -99,13 +116,14 @@ def test_locate_raises_when_bisection_cannot_narrow(monkeypatch):
 
     monkeypatch.setattr(continuation, "newton_augmented", frozen)
     with pytest.raises(BracketError, match="stalled"):
-        locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
-    assert calls[0] == bifurcation._MAX_TRIALS
+        continuation._bisect(d, *ends, 1e-4)
+    assert calls[0] == continuation._MAX_TRIALS
 
 
 def test_locate_raises_when_the_corrector_always_fails(monkeypatch):
     # every trial step is halved, and the budget ends the bisection
     d, b = main_branch(0.05)
+    ends = b.located[min(b.located)]
     calls = [0]
 
     def failing(*args, **kw):
@@ -116,24 +134,23 @@ def test_locate_raises_when_the_corrector_always_fails(monkeypatch):
 
     monkeypatch.setattr(continuation, "newton_augmented", failing)
     with pytest.raises(BracketError, match="stalled"):
-        locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
-    assert calls[0] == bifurcation._MAX_TRIALS
+        continuation._bisect(d, *ends, 1e-4)
+    assert calls[0] == continuation._MAX_TRIALS
 
 
 def test_locate_returns_the_state_at_lambda_b():
     d, b = main_branch(0.05)
-    ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
+    ev = located_events(d, b)[0]
     assert abs(ev.state.lam - ev.lambda_b) < 1e-4
     assert np.linalg.norm(residual(d, ev.state.lam, ev.state.u)) < 1e-4
 
 
 def test_locate_pitchfork_h005():
     d, b = main_branch(0.05)
-    brackets = sign_change_brackets(d, b)
-    assert len(brackets) == 1
-    lo, hi = brackets[0]
-    assert b.points[hi].lam < -12.40637 < b.points[lo].lam
-    ev = locate_bifurcation(d, b, brackets[0])
+    assert len(b.located) == 1
+    (i,) = b.located
+    assert b.points[i + 1].lam < -12.40637 < b.points[i].lam
+    ev = classify(d, *b.located[i])
     assert ev.kind == "pitchfork"
     assert abs(ev.lambda_b - (-12.40637)) < 5e-2
     # pitchfork on the symmetric branch: antisymmetric null vector
@@ -143,16 +160,15 @@ def test_locate_pitchfork_h005():
 
 def test_locate_pitchfork_h08_positive():
     d, b = main_branch(0.8, lambda_min=0.0)
-    brackets = sign_change_brackets(d, b)
-    assert len(brackets) >= 1
-    ev = locate_bifurcation(d, b, brackets[0])
+    assert len(b.located) >= 1
+    ev = located_events(d, b)[0]
     assert abs(ev.lambda_b - 8.21472) < 5e-2
 
 
 def test_switch_branch_produces_reflection_pair():
     # one arclength step along +v and along -v lands on mirror images
     d, b = main_branch(0.05)
-    ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
+    ev = located_events(d, b)[0]
     ya = switch_branch(d, ev)
     yb = switch_branch(d, replace(ev, null_vector=-ev.null_vector))
     scale = 1.0 + np.abs(ya.u).max()
@@ -176,23 +192,22 @@ def test_locate_keeps_a_symmetric_host_exactly_symmetric():
     d = Discretization(w, m)
     b = trace_main_branch(d, principal_eigenvalue(m),
                           ContinuationConfig(lambda_min=-300.0))
-    events = [locate_bifurcation(d, b, br)
-              for br in sign_change_brackets(d, b)]
+    events = located_events(d, b)
     assert len(events) == 2
     for ev in events:
         assert np.array_equal(ev.state.u, ev.state.u[::-1])
         assert ev.kind == "pitchfork"
 
 
-def _isola_bracket(config, branch_id, lam_lo, lam_hi):
-    """Operator, branch and its one bracket with ends in (lam_lo, lam_hi)."""
+def _isola_bracket(flips, config, branch_id, lam_lo, lam_hi):
+    """Operator, branch and its one resolved det-sign change (i, i+1) with
+    ends in (lam_lo, lam_hi); flips is the resolved_flips fixture."""
     bundle = run_diagram(config)
     (rec,) = [r for r in bundle.branches if r.branch_id == branch_id]
     pts = rec.branch.points
-    (bracket,) = [(i, j) for i, j in sign_change_brackets(bundle.operator,
-                                                          rec.branch)
-                  if all(lam_lo < pts[k].lam < lam_hi for k in (i, j))]
-    return bundle.operator, rec.branch, bracket
+    (i,) = [i for i in flips(bundle.operator, rec.branch)
+            if all(lam_lo < pts[k].lam < lam_hi for k in (i, i + 1))]
+    return bundle.operator, rec.branch, (i, i + 1)
 
 
 def _softest_modes(d, state, k=3):
@@ -213,7 +228,8 @@ def test_locate_holds_on_a_long_isola_bracket():
     # bisection's second trial lands on that sheet again; halving the step
     # from the last point on the start side reaches the change.  It is a
     # fold of the plateau sheet: an even mode of J crosses zero while the
-    # odd ones stay near +-300, so it is no pitchfork.
+    # odd ones stay near +-300, so it is no pitchfork, and the sheet test
+    # rejects the step.
     d = Discretization(build_weight(1, 0.5, 0.5), build_uniform_mesh(500))
     lam = -533.474
     well = np.maximum(np.abs(d.m.interior - 0.5) - 0.25, 0.0)
@@ -224,26 +240,30 @@ def test_locate_holds_on_a_long_isola_bracket():
     pa = make_point(d, lam, u, tangent=t, det_sign=sign)
     pb = continuation._step(d, pa, 68.2, True, 1e-4)[0]
     assert abs(pb.lam - (-473.07)) < 0.1 and pb.det_sign != pa.det_sign
-    ev = locate_bifurcation(d, Branch(points=[pa, pb]), (0, 1))
-    assert -503.15 < ev.lambda_b < -488.08
-    assert ev.kind == "fold"
-    (mu, parity), *rest = _softest_modes(d, ev.state)
+    a, b, lambda_b = _fold_between(d, pa, pb)
+    assert -503.15 < lambda_b < -488.08
+    assert a.tangent.dlam * b.tangent.dlam < 0  # a fold
+    (mu, parity), *rest = _softest_modes(d, a)
     assert abs(mu) < 0.1 and parity == "even"
     assert all(abs(m) > 100.0 for m, _ in rest)
+    lus = [_lu(jacobian(d, p.lam, p.u)) for p in (pa, pb)]
+    with pytest.raises(BracketError, match="met a fold"):
+        continuation._crossing(d, pa, pb, *lus, 1e-4)
 
 
-def test_a_fold_inside_a_bracket_is_a_fold():
+def test_a_fold_inside_a_bracket_is_a_fold(resolved_flips):
     # refined kappa=2, h=0.25: isola_2 ends a step at lam -41.48204 just
     # short of its fold, so lam at the two ends does not straddle lambda_b;
     # the tangents at the final bisection ends tell the fold
     d, b, bracket = _isola_bracket(
+        resolved_flips,
         RunConfig(kappa=2, h=0.25, lambda_min=-100.0, mesh_kind="refined",
                   coarse_dx=0.002, fine_dx=0.0005), "isola_2", -42.0, -41.0)
-    ev = locate_bifurcation(d, b, bracket)
-    assert ev.kind == "fold"
+    pa, pb, lambda_b = _fold_between(d, *(b.points[i] for i in bracket))
+    assert pa.tangent.dlam * pb.tangent.dlam < 0  # a fold
     (i_fold, lam_fold), = fold_points(b)
-    assert i_fold in bracket and abs(ev.lambda_b - lam_fold) < 1e-3
-    assert abs(ev.lambda_b - (-41.482)) < 1e-3
+    assert i_fold in bracket and abs(lambda_b - lam_fold) < 1e-3
+    assert abs(lambda_b - (-41.482)) < 1e-3
 
 
 @pytest.mark.parametrize("config", [
@@ -251,23 +271,23 @@ def test_a_fold_inside_a_bracket_is_a_fold():
     RunConfig(kappa=1, h=0.5, eps=0.5, lambda_min=-600.0),
     RunConfig(kappa=1, h=0.6, eps=0.2, lambda_min=-300.0),
 ], ids=["k2_h025", "k1_h05_eps05", "k1_h06_eps02"])
-def test_fold_points_agree_with_located_folds(config):
+def test_fold_points_agree_with_located_folds(config, resolved_flips):
     # fold_points reads each fold off the two stored points whose tangents'
-    # dlam differ in sign; the bisection on their det-sign bracket narrows
+    # dlam differ in sign; the bisection on their det-sign change narrows
     # it to two corrected points 1e-4 apart in lam
     bundle = run_diagram(config)
     d = bundle.operator
     n_folds = 0
     for rec in bundle.branches:
         b = rec.branch
-        brackets = sign_change_brackets(d, b)
+        flips = resolved_flips(d, b)
         for i, lam in fold_points(b):
-            (bracket,) = [br for br in brackets if i in br
-                          and b.points[br[0]].tangent.dlam
-                          * b.points[br[1]].tangent.dlam < 0]
-            ev = locate_bifurcation(d, b, bracket)
-            assert ev.kind == "fold", rec.branch_id
-            assert abs(ev.lambda_b - lam) <= 1e-4 * abs(lam), rec.branch_id
+            (k,) = [k for k in flips if i in (k, k + 1)
+                    and b.points[k].tangent.dlam
+                    * b.points[k + 1].tangent.dlam < 0]
+            pa, pb, lambda_b = _fold_between(d, b.points[k], b.points[k + 1])
+            assert pa.tangent.dlam * pb.tangent.dlam < 0, rec.branch_id
+            assert abs(lambda_b - lam) <= 1e-4 * abs(lam), rec.branch_id
             n_folds += 1
     assert n_folds >= 3
 
@@ -277,8 +297,7 @@ def test_lambda_b_increasing_in_h():
     vals = []
     for h in (0.1, 0.3, 0.5):
         d, b = main_branch(h, lambda_min=-10.0)
-        ev = locate_bifurcation(d, b, sign_change_brackets(d, b)[0])
-        vals.append(ev.lambda_b)
+        vals.append(located_events(d, b)[0].lambda_b)
     assert vals[0] < vals[1] < vals[2]
     assert vals[0] < 0 < vals[1]  # the h0 sign transition
 
@@ -304,7 +323,7 @@ def test_every_branch_records_the_det_sign_of_each_point(diagram):
         for p in pts:
             J = jacobian(d, p.lam, p.u)
             t = p.tangent
-            assert p.det_sign == det_sign(J)[0], rec.branch_id
+            assert p.det_sign == _lu_det_sign(_lu(J))[0], rec.branch_id
             assert abs(t.norm() - 1.0) < 1e-12, rec.branch_id
             null = np.linalg.norm(J.matvec(t.du) - p.u * t.dlam)
             assert null <= 1e-9 * (1.0 + np.linalg.norm(p.u)), rec.branch_id
@@ -314,23 +333,22 @@ def test_every_branch_records_the_det_sign_of_each_point(diagram):
             assert q.tangent.dot(dy) > 0, rec.branch_id
 
 
-def test_recorded_brackets_match_a_fresh_scan(diagram):
-    # the rule before signs were recorded: assemble and factor J at every
-    # point, keep opposite signs whose ends are both resolved
+def test_located_record_matches_a_fresh_scan(diagram, resolved_flips):
+    # rebuild Branch.located from scratch: assemble and factor J at every
+    # point, keep opposite signs that are resolved at both ends and whose
+    # tangents' dlam agree
     d = diagram.operator
-    n_brackets = 0
+    n_located = 0
     for rec in diagram.branches:
         pts = rec.branch.points
-        jacs = [jacobian(d, p.lam, p.u) for p in pts]
-        signs = [det_sign(J)[0] for J in jacs]
-        resolved = [bifurcation._sign_resolved(J, p.u, 1e-4)
-                    for J, p in zip(jacs, pts)]
-        fresh = [(i, i + 1) for i in range(len(signs) - 1)
-                 if signs[i] * signs[i + 1] < 0
-                 and resolved[i] and resolved[i + 1]]
-        assert sign_change_brackets(d, rec.branch) == fresh, rec.branch_id
-        n_brackets += len(fresh)
-    assert n_brackets > 0
+        fresh = [i for i in resolved_flips(d, rec.branch)
+                 if pts[i].tangent.dlam * pts[i + 1].tangent.dlam > 0]
+        assert fresh == sorted(rec.branch.located), rec.branch_id
+        for i, (a, b) in rec.branch.located.items():
+            assert abs(a.lam - b.lam) <= 1e-4, rec.branch_id
+            assert a.det_sign == pts[i].det_sign == -b.det_sign, rec.branch_id
+        n_located += len(fresh)
+    assert n_located > 0
 
 
 def _flip_ends(b):
@@ -340,7 +358,7 @@ def _flip_ends(b):
             for p in b.points[i:i + 2]]
 
 
-def test_a_free_mode_leaves_the_det_sign_unresolved():
+def test_a_free_mode_leaves_the_det_sign_unresolved(resolved_flips):
     # deep on the kappa=2, h=0.15 main branch the soft odd mode flips the
     # det sign at random; a flip there would be located as a pitchfork
     # (near -1527), so neither end of any flip may count as resolved.  The
@@ -350,46 +368,12 @@ def test_a_free_mode_leaves_the_det_sign_unresolved():
     ends = _flip_ends(b)
     assert ends and max(p.lam for p in ends) < -1000.0
     for p in ends:
-        assert not bifurcation._sign_resolved(jacobian(d, p.lam, p.u), p.u,
-                                              1e-4)
-    assert sign_change_brackets(d, b) == []
+        assert not _lu_sign_resolved(_lu(jacobian(d, p.lam, p.u)), p.u, 1e-4)
+    assert resolved_flips(d, b) == [] and b.located == {}
 
     d, b = main_branch(0.05)
     ends = _flip_ends(b)
     assert len(ends) == 2
     for p in ends:
-        assert bifurcation._sign_resolved(jacobian(d, p.lam, p.u), p.u, 1e-4)
+        assert _lu_sign_resolved(_lu(jacobian(d, p.lam, p.u)), p.u, 1e-4)
 
-
-def _recorded_jacobians(monkeypatch):
-    """(lam, u) of every Jacobian that bifurcation assembles."""
-    calls = []
-
-    def recorded(d, lam, u):
-        calls.append((lam, u))
-        return jacobian(d, lam, u)
-
-    monkeypatch.setattr(bifurcation, "jacobian", recorded)
-    return calls
-
-
-def test_brackets_assemble_no_jacobian_without_a_sign_change(monkeypatch):
-    d, b = main_branch(0.05, lambda_min=-5.0)  # above lambda_b = -12.4
-    calls = _recorded_jacobians(monkeypatch)
-    assert len(b.points) > 3
-    assert sign_change_brackets(d, b) == []
-    assert calls == []
-
-
-def test_locate_assembles_no_jacobian_at_the_bracket_ends(monkeypatch):
-    d, b = main_branch(0.05)
-    calls = _recorded_jacobians(monkeypatch)
-    (bracket,) = sign_change_brackets(d, b)
-    assert len(calls) == 2  # the resolution check at the two ends
-    del calls[:]
-    ev = locate_bifurcation(d, b, bracket)
-    assert ev.kind == "pitchfork" and calls
-    for i in bracket:
-        p = b.points[i]
-        assert not any(lam == p.lam and np.array_equal(u, p.u)
-                       for lam, u in calls)

@@ -6,8 +6,7 @@ from bvpcont.corrector import (AugmentedState, NewtonError,
                                augmented_residual, bordered_solve,
                                drop_free_mode, newton_augmented,
                                newton_fixed_lambda, solve_tridiag)
-from bvpcont.bifurcation import locate_bifurcation, sign_change_brackets
-from bvpcont.continuation import update_tangent
+from bvpcont.continuation import _bisect, _hermite_fold, update_tangent
 from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 residual)
@@ -192,18 +191,22 @@ def test_bordered_solve_regularizes_singular_block():
     assert np.linalg.norm(res) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
 
 
-def test_bordered_solve_and_tangent_at_isola_fold():
-    # the located state of a kappa2 h0.25 isola fold at lam ~ -41.546, with
-    # its tangent
+def test_bordered_solve_and_tangent_at_isola_fold(resolved_flips):
+    # a kappa2 h0.25 isola fold at lam ~ -41.546, bisected as the
+    # continuation loop does (_bisect) and placed by the Hermite fit of the
+    # two final ends; the state there, with its tangent
     cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
     bundle = run_diagram(cfg)
     d = bundle.operator
-    b, bracket = next((r.branch, br) for r in bundle.branch_by_role("isola")
-                      for br in sign_change_brackets(d, r.branch)
-                      if abs(r.branch.points[br[0]].lam + 41.546) < 1.0)
-    p = locate_bifurcation(d, b, bracket).state
+    pts, i = next((r.branch.points, i) for r in bundle.branch_by_role("isola")
+                  for i in resolved_flips(d, r.branch)
+                  if abs(r.branch.points[i].lam + 41.546) < 1.0)
+    a, b = _bisect(d, pts[i], pts[i + 1], 1e-4)
+    assert a.tangent.dlam * b.tangent.dlam < 0  # a fold
+    p = AugmentedState(a.lam, a.u)
     t, _ = update_tangent(d, p, Tangent(np.zeros_like(p.u), -1.0))
     assert abs(p.lam + 41.546) < 0.05
+    assert abs(_hermite_fold(a, b)[1] + 41.546) < 0.05
     J = jacobian(d, p.lam, p.u)
     n = J.n
     rng = np.random.default_rng(3)

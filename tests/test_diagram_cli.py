@@ -374,6 +374,20 @@ def test_cli_solve_profile(capsys):
     assert (x0, u0) == (0.0, 0.0) and (x1, u1) == (1.0, 0.0)
 
 
+def test_cli_solve_reads_only_a_well_formed_seed(capsys):
+    # a mask is kappa+1 bits 0/1 with at least one 1; "1x" must not run as
+    # "10", and a wrong length or the zero mask must not end in a traceback
+    argv = ["solve", "--kappa", "1", "--lambda", "-50", "--n", "200", "--seed"]
+    assert main([*argv, "10"]) == 0
+    assert capsys.readouterr().out.startswith("# lambda = -50")
+    for seed in ("1x", "1", "100", "00", "sines"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, seed])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --seed" in err
+
+
 def test_cli_sweep_eps(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"kappa": 1, "h": 0.1, "mesh_n": 200,
