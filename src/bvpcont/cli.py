@@ -17,7 +17,7 @@ import numpy as np
 
 from .bifurcation import classify
 from .continuation import make_point
-from .corrector import newton_fixed_lambda
+from .corrector import NewtonError, SingularSystemError, newton_fixed_lambda
 from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
                       run_epsilon_sweep, trace_main_branch, write_bundle)
 from .discretize import (Discretization, principal_eigenvalue,
@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--n", type=int, default=500, help="interior mesh points")
     p.add_argument("--seed", default="sine",
-                   help='"sine", "wells", or a mask of kappa+1 bits with at '
-                        'least one 1, like "101"')
+                   help='"sine", "wells" (needs --eps > 0), or a mask of '
+                        'kappa+1 bits with at least one 1, like "101"')
     p.add_argument("--amplitude", type=float, default=1.0,
                    help="sine seed amplitude")
 
@@ -107,7 +107,11 @@ def _cmd_solve(args) -> int:
     else:
         bits = tuple(c == "1" for c in args.seed)
         u0 = peak_pattern_seed(d, PeakMask(bits), args.lam)
-    u = newton_fixed_lambda(d, args.lam, u0)
+    try:
+        u = newton_fixed_lambda(d, args.lam, u0)
+    except (NewtonError, SingularSystemError) as exc:  # no solution found
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     p = make_point(d, args.lam, u)
     print(f"# lambda = {_fmt(p.lam)}  l2_norm = {_fmt(p.l2norm)}")
     u_full = np.concatenate([[0.0], u, [0.0]])
@@ -184,6 +188,8 @@ def main(argv=None) -> int:
         ap.error(f"argument --seed: expected sine, wells or a mask of "
                  f"kappa+1 = {args.kappa + 1} bits 0/1 with at least one 1, "
                  f"got {args.seed!r}")
+    if args.command == "solve" and args.seed == "wells" and args.eps <= 0:
+        ap.error(f"argument --seed: wells needs --eps > 0, got {args.eps:g}")
     handlers = {
         "diagram": _cmd_diagram,
         "solve": _cmd_solve,

@@ -11,13 +11,13 @@ column dF/dlam = -u and the tangent row.
 
 Every linear solve goes through one LU factorization of J with partial
 pivoting (LAPACK dgttrf/dgttrs), which also yields the sign of det(J) and
-drives inverse iteration for null vectors.  scipy's LAPACK wrappers are
-bound at the first factorization (``discretize._linalg``), so importing
-this module does not load scipy.linalg.  The bordered system is solved by
-mixed block elimination (BEMW: Govaerts & Pryce, IMA J. Numer. Anal. 13
-(1993) 161-180), which stays stable when J is singular to rounding, so folds
-in lam are regular points of the corrector.  Only an exactly zero pivot is
-reported as singular.
+drives inverse iteration for null vectors.  scipy's LAPACK extension is
+loaded from its file at the first factorization (``discretize._lapack``),
+so neither importing this module nor factorizing loads scipy.linalg.  The
+bordered system is solved by mixed block elimination (BEMW: Govaerts &
+Pryce, IMA J. Numer. Anal. 13 (1993) 161-180), which stays stable when J is
+singular to rounding, so folds in lam are regular points of the corrector.
+Only an exactly zero pivot is reported as singular.
 
 A mode of J whose eigenvalue is so small that the residual tolerance cannot
 pin it down is free: an update along it amplifies residual noise by
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (BandedJacobian, Discretization, _linalg,
+from .discretize import (BandedJacobian, Discretization, _lapack,
                          _symmetrize, jacobian, residual)
 
 __all__ = [
@@ -88,8 +88,7 @@ class Tangent:
 
 def _lu(J: BandedJacobian):
     """Pivoted LU factors of J (dgttrf); raises on an exactly zero pivot."""
-    dl, d, du, du2, ipiv, info = _linalg().lapack.dgttrf(J.sub, J.diag,
-                                                         J.sup)
+    dl, d, du, du2, ipiv, info = _lapack().dgttrf(J.sub, J.diag, J.sup)
     if info > 0:
         raise SingularSystemError(f"zero pivot in row {info} of the tridiagonal LU")
     return dl, d, du, du2, ipiv
@@ -106,7 +105,7 @@ def _lu_det_sign(lu) -> tuple[int, float]:
 
 def _lu_solve(lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """Solve J x = b (trans "N") or J^T x = b (trans "T"); b may hold columns."""
-    x, _ = _linalg().lapack.dgttrs(*lu, b, trans=trans)
+    x, _ = _lapack().dgttrs(*lu, b, trans=trans)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("tridiagonal solve produced non-finite values")
     return x

@@ -19,8 +19,12 @@ off-diagonals with the discretization.  It is invariant under x -> 1-x, so
 the mirror image of a solution is again a solution.
 """
 
+import os
 from dataclasses import dataclass, field
 from functools import cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -40,15 +44,28 @@ __all__ = [
 
 
 @cache
-def _linalg():
-    """scipy.linalg, imported on the first factorization or eigenvalue.
+def _lapack():
+    """scipy's LAPACK extension module, loaded on the first factorization or
+    eigenvalue straight from its file, without the scipy.linalg package.
 
-    Importing it takes about 0.3 s on a 2-vCPU host (scipy 1.17 also loads
-    numpy.testing, numpy.f2py and numpy.ma); the weights, the meshes and
-    the shooting oracle never call LAPACK, so they do not wait for it.
+    On a 2-vCPU host with scipy 1.17, loading the extension alone takes
+    6-10 ms and 2.4 MB of peak RSS; importing scipy.linalg takes 0.26 s,
+    311 more modules and 27 MB.  The weights, the meshes and the shooting
+    oracle never call LAPACK, so they load neither.  Top-level ``import
+    scipy`` sets up the library paths the extension needs.  Like any
+    single-phase extension, it is registered in sys.modules under its own
+    name, so a later ``import scipy.linalg`` shares its wrappers.
     """
-    import scipy.linalg
-    return scipy.linalg
+    import scipy
+    spec = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+                      (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                      ).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
+                          f"scipy.linalg._flapack")
+    lapack = module_from_spec(spec)
+    spec.loader.exec_module(lapack)
+    return lapack
 
 
 # Relative tolerance for reflection symmetry.  Weights and meshes are mirrored
@@ -195,6 +212,9 @@ def principal_eigenvalue(m: Mesh) -> float:
     diag = 2.0 / (hl * hr)
     wcell = 0.5 * (hl + hr)
     off = -1.0 / (hr[:-1] * np.sqrt(wcell[:-1] * wcell[1:]))
-    vals = _linalg().eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, 0), eigvals_only=True)
-    return float(vals[0])
+    # the call of eigh_tridiagonal(select="i", select_range=(0, 0),
+    # eigvals_only=True): eigenvalue 1 of 1..1 by bisection, tolerance 0
+    m, w, _, _, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+    return float(w[:m][0])

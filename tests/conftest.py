@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bvpcont
 from bvpcont.continuation import (ContinuationConfig, _lu_sign_resolved,
                                   continue_branch, make_point)
 from bvpcont.corrector import Tangent, _lu, _lu_det_sign, newton_fixed_lambda
@@ -52,4 +58,19 @@ def resolved_flips():
         return [i for i in range(len(pts) - 1)
                 if signs[i] * signs[i + 1] < 0
                 and resolved[i] and resolved[i + 1]]
+    return run
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """run_python(*args): this interpreter run afresh with args, importing
+    bvpcont from this source tree; returns the finished process with its
+    output captured as text."""
+    src = str(Path(bvpcont.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True)
     return run

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from bvpcont.corrector import (AugmentedState, NewtonError,
-                               SingularSystemError, Tangent, _lu,
+                               SingularSystemError, Tangent, _lu, _lu_solve,
                                augmented_residual, bordered_solve,
                                drop_free_mode, newton_augmented,
                                newton_fixed_lambda, solve_tridiag)
@@ -238,6 +239,27 @@ def test_bordered_solve_zero_pivot_raises():
     e0 = np.eye(n)[0]
     with pytest.raises(SingularSystemError):
         bordered_solve(J, e0, Tangent(e0, 0.0), np.ones(n + 1))
+
+
+def test_lu_and_lu_solve_are_scipy_lapack_bit_for_bit():
+    # the wrappers bound without scipy.linalg against scipy.linalg.lapack's,
+    # on a fixed diagonally dominant system: factors, one and two columns,
+    # J and J^T
+    rng = np.random.default_rng(3)
+    n = 200
+    sub, sup = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.5, 4.0, n)
+    lu = _lu(BandedJacobian(sub=sub, diag=diag, sup=sup))
+    *ref, info = lapack.dgttrf(sub, diag, sup)
+    assert info == 0
+    for got, want in zip(lu, ref, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    b = rng.standard_normal((n, 2))
+    for trans in "NT":
+        for rhs in (b[:, 0], b):
+            want, info = lapack.dgttrs(*ref, rhs, trans=trans)
+            assert info == 0
+            assert np.array_equal(_lu_solve(lu, rhs, trans), want)
 
 
 def test_solve_tridiag_singular_raises():

@@ -388,6 +388,43 @@ def test_cli_solve_reads_only_a_well_formed_seed(capsys):
         assert out == "" and "argument --seed" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--seed", "10"], 1),  # Newton does not converge
+    (["--seed", "wells", "--eps", "0.3"], 1),  # Newton diverges
+    (["--seed", "wells"], 2),  # no wells at eps = 0
+], ids=["mask_10", "wells_eps03", "wells_eps0"])
+def test_cli_solve_without_a_solution_ends_in_one_error_line(run_python,
+                                                             argv, code):
+    out = run_python("-m", "bvpcont.cli", "solve", "--lambda", "-100", *argv)
+    assert out.returncode == code
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1].startswith(
+        "error: " if code == 1 else "bvpcont: error: argument --seed")
+
+
+def test_diagram_coexists_with_scipy_linalg(run_python, tmp_path):
+    # LAPACK bound without scipy.linalg, then scipy.linalg imported and
+    # called, and the reverse order: every diagram is the same to the byte
+    code = (
+        "import sys\n"
+        "from bvpcont import RunConfig, run_diagram, write_bundle\n"
+        "for i, step in enumerate(sys.argv[1]):\n"
+        "    if step == 'd':\n"
+        "        write_bundle(run_diagram(RunConfig(kappa=1, h=0.1,\n"
+        "                                           lambda_min=-100.0)),\n"
+        "                     f'{sys.argv[2]}/{i}')\n"
+        "    else:\n"
+        "        import scipy.linalg\n"
+        "        assert scipy.linalg.lapack.dgttrf([1.0] * 2, [4.0] * 3,\n"
+        "                                          [1.0] * 2)[-1] == 0\n")
+    for order in ("dsd", "sd"):
+        out = run_python("-c", code, order, str(tmp_path / order))
+        assert out.returncode == 0, out.stderr
+    csvs = [(tmp_path / run / "branches.csv").read_bytes()
+            for run in ("dsd/0", "dsd/2", "sd/1")]
+    assert csvs[0] and csvs[0] == csvs[1] == csvs[2]
+
+
 def test_cli_sweep_eps(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"kappa": 1, "h": 0.1, "mesh_n": 200,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 MeshMismatchError, discrete_l2_norm, jacobian,
@@ -194,6 +195,22 @@ def test_principal_eigenvalue_uniform_matches_formula():
     m = build_uniform_mesh(500)
     assert principal_eigenvalue(m) == pytest.approx(
         toeplitz_eigenvalue(500, 1), rel=1e-11)
+
+
+@pytest.mark.parametrize("m, n", [
+    (build_uniform_mesh(500), 500),
+    (build_refined_mesh(build_weight(2, 0.25, 0.0), 0.002, 0.0005), 1279),
+])
+def test_principal_eigenvalue_is_eigh_tridiagonal_bit_for_bit(m, n):
+    # the symmetrized -L, written out, through scipy.linalg's own path
+    assert len(m.interior) == n
+    h = np.diff(m.nodes)
+    hl, hr = h[:-1], h[1:]
+    wcell = 0.5 * (hl + hr)
+    off = -1.0 / (hr[:-1] * np.sqrt(wcell[:-1] * wcell[1:]))
+    ref = eigh_tridiagonal(2.0 / (hl * hr), off, select="i",
+                           select_range=(0, 0), eigvals_only=True)[0]
+    assert principal_eigenvalue(m) == ref
 
 
 def test_banded_jacobian_matvec_vs_dense():

@@ -1,13 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-import bvpcont
 from bvpcont import shooting
 from bvpcont.corrector import newton_fixed_lambda
 from bvpcont.discretize import Discretization
@@ -246,12 +240,13 @@ def test_acceptance_crossings_match_event_shots(monkeypatch, kappa, h):
         assert kept == (ref is None or ref > 1.0 - 1e-4)
 
 
-def test_no_deferred_scipy_integrate_import():
+def test_no_deferred_scipy_integrate_import(run_python):
     # the oracle integrates in-house and the time map is closed form, so
     # neither importing bvpcont, building a run's weight and mesh nor using
     # the oracle loads scipy.integrate or scipy.optimize, not even lazily;
-    # none of them factorizes, so scipy.linalg stays unloaded too, until
-    # a diagram's first factorization binds LAPACK
+    # none of them factorizes, so scipy.linalg stays unloaded too.  A
+    # diagram's first factorization binds LAPACK (one cached extension
+    # module), still without importing the scipy.linalg package
     code = (
         "import sys, bvpcont\n"
         "def loaded():\n"
@@ -264,15 +259,14 @@ def test_no_deferred_scipy_integrate_import():
         "bvpcont.time_map(2.0, -1.0)\n"
         "loaded()\n"
         "bvpcont.run_diagram(bvpcont.RunConfig(lambda_min=-20.0))\n"
-        "loaded()\n")
-    src = str(Path(bvpcont.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    oracle, diagram = out.stdout.split("\n")[:2]
+        "loaded()\n"
+        "print(bvpcont.discretize._lapack.cache_info().currsize)\n")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    oracle, diagram, bound = out.stdout.split("\n")[:3]
     assert oracle == ""
-    assert "scipy.linalg" in diagram.split()
+    assert "scipy.linalg" not in diagram.split()
+    assert bound == "1"
 
 
 @pytest.mark.parametrize("lam", [-1.0, -10.0, -100.0, -1000.0])
