@@ -10,7 +10,7 @@ from .continuation import (Branch, ContinuationConfig, SolutionPoint,
                            continue_branch, fold_points, make_point,
                            update_tangent)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
-                        Tangent, bordered_solve, newton_augmented,
+                        SoftMode, Tangent, bordered_solve, newton_augmented,
                         newton_fixed_lambda, solve_tridiag)
 from .diagram import (BranchRecord, DiagramBundle, RunConfig, deep_census,
                       emit_svg, run_diagram, run_epsilon_sweep,

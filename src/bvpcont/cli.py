@@ -22,6 +22,7 @@ from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
                       run_epsilon_sweep, trace_main_branch, write_bundle)
 from .discretize import (Discretization, principal_eigenvalue,
                          toeplitz_eigenvalue)
+from .mesh import MeshError
 from .seeding import PeakMask, peak_pattern_seed, sine_seed, well_bump_seed
 from .shooting import shoot_count
 
@@ -87,7 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_diagram(args) -> int:
     cfg = _load_config(args.config)
-    bundle = run_diagram(cfg)
+    try:
+        bundle = run_diagram(cfg)
+    except MeshError as exc:  # raised by the mesh build, before any work
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_bundle(bundle, args.out)
     prov = bundle.provenance
     print(f"branches: {len(bundle.branches)}  events: {len(bundle.events)}  "
@@ -190,6 +195,8 @@ def main(argv=None) -> int:
                  f"got {args.seed!r}")
     if args.command == "solve" and args.seed == "wells" and args.eps <= 0:
         ap.error(f"argument --seed: wells needs --eps > 0, got {args.eps:g}")
+    if args.command in ("solve", "sweep-h") and args.n < 3:
+        ap.error(f"argument --n: need at least 3 interior nodes, got {args.n}")
     handlers = {
         "diagram": _cmd_diagram,
         "solve": _cmd_solve,

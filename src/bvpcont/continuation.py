@@ -20,22 +20,24 @@ point is continued in the symmetric subspace, so every point it adds is
 exactly symmetric.  On other branches the corrector updates and the
 predictor's higher-order terms leave out a mode that the Newton tolerance
 leaves free, such as the translation of a lone peak deep in lam
-(``corrector.drop_free_mode``).  Every point of a branch carries its unit
-tangent and the sign of det J there, both from one LU of J, which also
-serves the next step's predictor and sheet test.  Folds are read off the
+(``corrector.drop_free_mode``); the estimate of that mode starts cold at
+the first point and is carried from step to step.  Every point of a branch
+carries its unit tangent and the sign of det J there, both from one LU of
+J, which also serves the next step's predictor and sheet test.  Folds are read off the
 tangents (``fold_points``).  A branch ends on a parameter or norm bound,
 step-count or step underflow, departure from the positive cone, or on
 closing back onto its own start.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corrector import (DEFAULT_MAX_ITERS, AugmentedState, NewtonError,
-                        SingularSystemError, Tangent, _inverse_iteration,
-                        _is_free, _lu, _lu_det_sign, bordered_solve,
-                        drop_free_mode, newton_augmented)
+                        SingularSystemError, SoftMode, Tangent,
+                        _inverse_iteration, _is_free, _lu, _lu_sign,
+                        bordered_solve, drop_free_mode, newton_augmented)
 from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
                          jacobian, mirrors)
 
@@ -120,7 +122,9 @@ def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent,
     det J at y, both from one LU of J.
 
     Solves [J | -u] t = 0 (-u = dF/dlam) bordered by the row ref . t = 1 and
-    normalizes; only an exactly zero pivot of J raises SingularSystemError.
+    normalizes; with its right-hand side (0, 1) the bordered solve takes
+    one transpose solve and one single-column solve.  Only an exactly zero
+    pivot of J raises SingularSystemError.
     ref = (0, +-1) gives the tangent whose dlam has that sign; near a fold
     du grows along the null vector of J, so it tends to the fold tangent.
     lu may pass the LU factors of J at y, which the caller keeps; without
@@ -128,10 +132,8 @@ def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent,
     """
     if lu is None:
         lu = _lu(jacobian(d, y.lam, y.u))
-    rhs = np.zeros(len(y.u) + 1)
-    rhs[-1] = 1.0
-    sol = bordered_solve(None, -y.u, ref, rhs, lu=lu)
-    return Tangent(sol[:-1], sol[-1]).normalized(), _lu_det_sign(lu)[0]
+    sol = bordered_solve(None, -y.u, ref, 1.0, lu=lu)
+    return Tangent(sol[:-1], sol[-1]).normalized(), _lu_sign(lu)
 
 
 def _growth(iters: int) -> float:
@@ -159,46 +161,57 @@ def _symmetrized(t: Tangent) -> Tangent:
 
 
 def _predict(p: SolutionPoint, ds: float, prev: SolutionPoint | None,
-             lu, symmetric: bool, tol: float) -> AugmentedState:
+             lu, mode: SoftMode | None, tol: float) -> AugmentedState:
     """The point at arclength ds past p: Euler along p's tangent, plus, when
     there is a previous point, the second- and third-order terms of the
     cubic Hermite curve through prev and p with their tangents.
 
-    On a non-symmetric branch those terms leave out a free mode of J at p
-    (lu holds its factors): the corrector never removes such a component,
-    so the branch would keep the one the extrapolation puts in.
+    On a non-symmetric branch (mode given) mode is first advanced in place
+    on J at p when lu holds its LU factors (the loop passes them, the
+    bisection's trials do not), and the higher-order terms leave out the
+    mode if it is free: the corrector never removes such a component, so
+    the branch would keep the one the extrapolation puts in.
     """
     t = p.tangent
     lam, u = p.lam + ds * t.dlam, p.u + ds * t.du
+    if mode is not None and lu is not None:
+        mode.advance(lu)
     if prev is None:
         return AugmentedState(lam, u)
     dlam, du = p.lam - prev.lam, p.u - prev.u
-    h = float(np.hypot(np.linalg.norm(du), dlam))
+    h = float(np.hypot(math.sqrt(du.dot(du)), dlam))
     s = ds / h
     # Hermite - Euler = h s^2 [(1+s) t_prev + (2+s) t - (3+2s) (p-prev)/h]
     a, b, c = h * s * s * (1 + s), h * s * s * (2 + s), s * s * (3 + 2 * s)
     t0 = prev.tangent
     e = a * t0.du + b * t.du - c * du
-    if not symmetric:
-        e = drop_free_mode(lu, p.u, e, tol)
+    if mode is not None:
+        e = drop_free_mode(mode, p.u, e, tol)
     return AugmentedState(lam + a * t0.dlam + b * t.dlam - c * dlam, u + e)
 
 
 def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
           tol: float, max_iters: int = DEFAULT_MAX_ITERS,
-          prev: SolutionPoint | None = None, lu=None):
+          prev: SolutionPoint | None = None, lu=None,
+          mode: SoftMode | None = None):
     """One corrector step of length ds from p: (the new point, corrector
-    updates, the LU factors of J there), or None when the corrector fails,
-    the tangent solve meets a zero pivot or the tangent turns over 0.2 rad.
+    updates, the LU factors of J there, the SoftMode carried there), or
+    None when the corrector fails, the tangent solve meets a zero pivot or
+    the tangent turns over 0.2 rad.
 
     The predictor is Euler, or Hermite through prev and p when prev is
-    given (see _predict; lu then holds the factors of J at p)."""
+    given (see _predict; lu then holds the factors of J at p).  On a
+    non-symmetric branch the step advances a copy of mode, the estimate
+    carried to p, or a cold one when mode is None; the mode is left out of
+    the updates where it is free.  A symmetric branch carries None."""
     y, t = AugmentedState(p.lam, p.u), p.tangent
-    y_pred = _predict(p, ds, prev, lu, symmetric, tol)
+    if not symmetric:
+        mode = SoftMode.cold(len(p.u)) if mode is None else mode.copy()
+    y_pred = _predict(p, ds, prev, lu, mode, tol)
     try:
         y_new, iters = newton_augmented(
             d, y_pred, y, t, ds, tol=tol, max_iters=max_iters,
-            symmetric=symmetric, free_modes=not symmetric)
+            symmetric=symmetric, mode=mode)
         lu_new = _lu(jacobian(d, y_new.lam, y_new.u))
         t_new, sign = update_tangent(d, y_new, t, lu_new)
     except (NewtonError, SingularSystemError):
@@ -207,7 +220,7 @@ def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
     if t_new.dot(t) < _COS_MAX_TURN:
         return None
     return make_point(d, y_new.lam, y_new.u, tangent=t_new,
-                      det_sign=sign), iters, lu_new
+                      det_sign=sign), iters, lu_new, mode
 
 
 class BracketError(ValueError):
@@ -311,14 +324,14 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
     t = _symmetrized(t) if symmetric else t
     first = replace(start, tag="branch_start", tangent=t, det_sign=sign)
     branch.points.append(first)
-    point, ds, prev = first, cfg.ds, None
+    point, ds, prev, mode = first, cfg.ds, None, None
     while len(branch.points) < cfg.max_steps:
         t = point.tangent
         if t.dlam < 0.0:  # end ds_min past lambda_min, not a long step past
             ds = min(ds, cfg.ds_min
                      + max(point.lam - cfg.lambda_min, 0.0) / -t.dlam)
         step = _step(d, point, ds, symmetric, cfg.newton_tol,
-                     cfg.max_newton_iters, prev, lu)
+                     cfg.max_newton_iters, prev, lu, mode)
         ends = None
         if step is not None:
             try:
@@ -334,7 +347,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
                 )
                 return branch
             continue
-        prev, (point, iters, lu) = point, step
+        prev, (point, iters, lu, mode) = point, step
 
         if point.u.min() < -1e-8:
             branch.diagnostics.append(

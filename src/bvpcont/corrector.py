@@ -17,13 +17,20 @@ so neither importing this module nor factorizing loads scipy.linalg.  The
 bordered system is solved by mixed block elimination (BEMW: Govaerts &
 Pryce, IMA J. Numer. Anal. 13 (1993) 161-180), which stays stable when J is
 singular to rounding, so folds in lam are regular points of the corrector.
-Only an exactly zero pivot is reported as singular.
+It takes a transpose solve and a two-column solve, or a single-column one
+for a right-hand side (0, ..., 0, g) such as a tangent's.  Only an exactly
+zero pivot is reported as singular.
 
 A mode of J whose eigenvalue is so small that the residual tolerance cannot
 pin it down is free: an update along it amplifies residual noise by
 1/|eigenvalue|.  On request the corrector leaves it out (``drop_free_mode``).
+Its right and left estimates (``SoftMode``) are carried along a branch and
+advanced by one step of inverse iteration per Newton update, as one extra
+column of each of the bordered solve's two tridiagonal solves, so a mode
+far from free costs no solve of its own.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,7 @@ __all__ = [
     "augmented_residual",
     "bordered_solve",
     "newton_augmented",
+    "SoftMode",
     "drop_free_mode",
 ]
 
@@ -76,7 +84,7 @@ class Tangent:
     dlam: float
 
     def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.du, self.du) + self.dlam**2))
+        return math.sqrt(self.du.dot(self.du) + self.dlam**2)
 
     def normalized(self) -> "Tangent":
         n = self.norm()
@@ -94,19 +102,29 @@ def _lu(J: BandedJacobian):
     return dl, d, du, du2, ipiv
 
 
-def _lu_det_sign(lu) -> tuple[int, float]:
-    """Sign and log-magnitude of det(J) from the LU factors lu of J: the
-    product of the pivots of U times (-1) per row swap."""
+def _lu_sign(lu) -> int:
+    """Sign of det(J) from the LU factors lu of J: the sign of the product
+    of the pivots of U times (-1) per row swap."""
     _, u_diag, _, _, ipiv = lu
-    parity = np.count_nonzero(ipiv != np.arange(1, len(u_diag) + 1))
+    n = len(u_diag)
+    # row i (1-based) is swapped with row i+1 or kept: ipiv[i] - i is 1 or 0
+    parity = int(ipiv.sum()) - n * (n + 1) // 2
     parity += np.count_nonzero(u_diag < 0.0)
-    return -1 if parity % 2 else 1, float(np.sum(np.log(np.abs(u_diag))))
+    return -1 if parity % 2 else 1
+
+
+def _lu_det_sign(lu) -> tuple[int, float]:
+    """Sign and log-magnitude of det(J) from the LU factors lu of J."""
+    return _lu_sign(lu), float(np.log(np.abs(lu[1])).sum())
 
 
 def _lu_solve(lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Solve J x = b (trans "N") or J^T x = b (trans "T"); b may hold columns."""
+    """Solve J x = b (trans "N") or J^T x = b (trans "T"); b may hold columns.
+
+    One sum checks the result for entries that are not finite; a sum that
+    overflows, out of entries near the largest double, counts as such."""
     x, _ = _lapack().dgttrs(*lu, b, trans=trans)
-    if not np.all(np.isfinite(x)):
+    if not math.isfinite(x.sum()):
         raise SingularSystemError("tridiagonal solve produced non-finite values")
     return x
 
@@ -116,20 +134,24 @@ def solve_tridiag(J: BandedJacobian, b: np.ndarray) -> np.ndarray:
     return _lu_solve(_lu(J), b)
 
 
-def _inverse_iteration(lu, n: int, iters: int,
-                       trans: str = "N") -> tuple[np.ndarray, float]:
-    """Unit vector after iters inverse-iteration steps on the LU factors lu.
-
-    trans "T" iterates with J^T, which yields the left vector.  Also returns
-    1/||J^-1 v|| of the last step, an estimate from above of the smallest
-    |eigenvalue| of J.
-    """
+def _start_vector(n: int) -> np.ndarray:
+    """The unit start vector of inverse iteration."""
     v = np.ones(n)
     v[::2] += 0.5  # break accidental orthogonality to the target mode
     v /= np.linalg.norm(v)
+    return v
+
+
+def _inverse_iteration(lu, n: int, iters: int) -> tuple[np.ndarray, float]:
+    """Unit vector after iters inverse-iteration steps on the LU factors lu.
+
+    Also returns 1/||J^-1 v|| of the last step, an estimate from above of
+    the smallest |eigenvalue| of J.
+    """
+    v = _start_vector(n)
     for _ in range(iters):
-        x = _lu_solve(lu, v, trans=trans)
-        growth = float(np.linalg.norm(x))
+        x = _lu_solve(lu, v)
+        growth = math.sqrt(x.dot(x))
         v = x / growth
     return v, 1.0 / growth
 
@@ -142,22 +164,66 @@ _FREE_FRACTION = 0.1
 
 
 def _is_free(mu: float, u: np.ndarray, tol: float) -> bool:
-    return abs(mu) * _FREE_FRACTION * np.linalg.norm(u) <= tol
+    return abs(mu) * _FREE_FRACTION * math.sqrt(u.dot(u)) <= tol
 
 
-def drop_free_mode(lu, u: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+@dataclass
+class SoftMode:
+    """Unit right and left estimates of the softest mode of J, carried along
+    a branch from one Jacobian to the next.
+
+    advance takes one step of inverse iteration with J and J^T; mu is
+    1/||J^-1 right|| of the last step, an estimate of the smallest
+    |eigenvalue| of the J it was taken on (from above of its smallest
+    singular value).  It stays inf until the second step: the first one, from the start vector, can read a mode of
+    1e-2 of a non-normal J as 6e-5.  bordered_solve advances a mode in the
+    same solves as its own columns.  The vectors are replaced, never
+    written in place, so copies may share them.
+    """
+
+    right: np.ndarray
+    left: np.ndarray
+    mu: float = math.inf
+    steps: int = 0
+
+    @classmethod
+    def cold(cls, n: int) -> "SoftMode":
+        """The estimate at the first point of a branch: the start vector."""
+        v = _start_vector(n)
+        return cls(v, v)
+
+    def copy(self) -> "SoftMode":
+        return SoftMode(self.right, self.left, self.mu, self.steps)
+
+    def advance(self, lu) -> None:
+        """One step with the J whose LU factors lu holds."""
+        self._take(_lu_solve(lu, self.right), _lu_solve(lu, self.left, "T"))
+
+    def _take(self, x_right: np.ndarray, x_left: np.ndarray) -> None:
+        growth = math.sqrt(x_right.dot(x_right))
+        self.right = x_right / growth
+        self.left = x_left / math.sqrt(x_left.dot(x_left))
+        self.steps += 1
+        if self.steps > 1:
+            self.mu = 1.0 / growth
+
+
+def drop_free_mode(mode: SoftMode, u: np.ndarray, x: np.ndarray,
+                   tol: float) -> np.ndarray:
     """x without its component along the softest mode of J if tol leaves it free.
 
-    lu holds the LU factors of J at u; the mode with eigenvalue mu is free
-    when |mu| * _FREE_FRACTION * ||u|| <= tol.  Deep on a single-peak branch
-    it is the translation of the peak (kappa=1, h=0.1, N=500: mu = 2e-7 at
-    lam=-1950 against a diagonal of 5e5).
+    mode holds the estimates of that mode, advanced on J at u; the mode is
+    free when mode.mu * _FREE_FRACTION * ||u|| <= tol, and x is then
+    projected along mode.right onto the complement of mode.left.  Deep on a
+    single-peak branch it is the translation of the peak (kappa=1, h=0.1,
+    N=500: mu = 2e-7 at lam=-1950 against a diagonal of 5e5).  Started
+    cold, two advances give the mode of test matrices to 1e-10; along a
+    branch each Newton update advances it once more.
     """
-    right, mu = _inverse_iteration(lu, len(u), iters=2)
-    if not _is_free(mu, u, tol):
+    if not _is_free(mode.mu, u, tol):
         return x
-    left, _ = _inverse_iteration(lu, len(u), iters=2, trans="T")
-    return x - right * (np.dot(left, x) / np.dot(left, right))
+    right, left = mode.right, mode.left
+    return x - right * (left.dot(x) / left.dot(right))
 
 
 def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
@@ -172,9 +238,9 @@ def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
         raise ValueError("tol must be positive")
     u = np.asarray(u0, dtype=float).copy()
     r = residual(d, lam, u)
-    rnorm0 = max(np.linalg.norm(r), 1e-300)
+    rnorm = math.sqrt(r.dot(r))
+    rnorm0 = max(rnorm, 1e-300)
     for _ in range(max_iters):
-        rnorm = np.linalg.norm(r)
         if rnorm < tol:
             return u
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
@@ -182,10 +248,11 @@ def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
         J = jacobian(d, lam, u)
         u -= solve_tridiag(J, r)
         r = residual(d, lam, u)
-    if np.linalg.norm(r) < tol:
+        rnorm = math.sqrt(r.dot(r))
+    if rnorm < tol:
         return u
     raise NewtonError(
-        f"no convergence after {max_iters} iterations (||F|| = {np.linalg.norm(r):.3e})"
+        f"no convergence after {max_iters} iterations (||F|| = {rnorm:.3e})"
     )
 
 
@@ -194,40 +261,68 @@ def augmented_residual(d: Discretization, y: AugmentedState,
     """[F(lam, u); t . (y - y_prev) - ds], length N+1."""
     if y.u.shape != y_prev.u.shape or y.u.shape != t.du.shape:
         raise ValueError("dimension mismatch in augmented residual")
-    f = residual(d, y.lam, y.u)
-    g = np.dot(t.du, y.u - y_prev.u) + t.dlam * (y.lam - y_prev.lam) - ds
-    return np.concatenate([f, [g]])
+    r = np.empty(len(y.u) + 1)
+    r[:-1] = residual(d, y.lam, y.u)
+    r[-1] = t.du.dot(y.u - y_prev.u) + t.dlam * (y.lam - y_prev.lam) - ds
+    return r
 
 
 def bordered_solve(J: BandedJacobian | None, b_col: np.ndarray, t: Tangent,
-                   rhs: np.ndarray, lu=None) -> np.ndarray:
+                   rhs, lu=None, mode: SoftMode | None = None) -> np.ndarray:
     """Solve [[J, b_col], [t.du, t.dlam]] x = rhs by mixed block elimination.
 
     One LU of J serves a transpose solve for the left vector and one
     two-column solve; the scalar unknown is split into a part fixed by the
     left vector and a correction from the right one, which keeps the result
     accurate when J is singular to rounding (BEMW, Govaerts & Pryce 1993).
-    lu may pass factors of J that the caller already holds; J is then not
-    read and may be None.
+    rhs is the vector of length N+1, or a number g for (0, ..., 0, g): the
+    second column, J^-1 (0 - b_col xi1), is then -xi1 times the first and
+    is not solved for, as for a tangent.  lu may pass factors of J that the
+    caller already holds; J is then not read and may be None.  A SoftMode
+    passed as mode is advanced by one step on J in place: its right and
+    left vectors ride along as one more column of each solve.
     """
     n = len(b_col)
-    if len(rhs) != n + 1 or len(t.du) != n:
+    one_column = isinstance(rhs, (int, float))
+    if (not one_column and len(rhs) != n + 1) or len(t.du) != n:
         raise ValueError("dimension mismatch in bordered solve")
-    f, g = rhs[:n], rhs[n]
+    g = float(rhs) if one_column else rhs[n]
     if lu is None:
         lu = _lu(J)
-    v = _lu_solve(lu, t.du, trans="T")
-    delta_left = t.dlam - np.dot(b_col, v)
+    if mode is None:
+        v = _lu_solve(lu, t.du, trans="T")
+    else:
+        cols = np.empty((n, 2), order="F")
+        cols[:, 0], cols[:, 1] = t.du, mode.left
+        vl = _lu_solve(lu, cols, trans="T")
+        v = vl[:, 0]
+    delta_left = t.dlam - b_col.dot(v)
     if delta_left == 0.0:
         raise SingularSystemError("singular bordered matrix")
-    xi1 = (g - np.dot(v, f)) / delta_left
-    wz = _lu_solve(lu, np.column_stack([b_col, f - b_col * xi1]))
-    w, z = wz[:, 0], wz[:, 1]
-    delta_right = t.dlam - np.dot(t.du, w)
+    if one_column:
+        xi1 = g / delta_left
+    else:
+        f = rhs[:n]
+        xi1 = (g - v.dot(f)) / delta_left
+    cols = np.empty((n, 1 + (not one_column) + (mode is not None)), order="F")
+    cols[:, 0] = b_col
+    if not one_column:
+        np.subtract(f, b_col * xi1, out=cols[:, 1])
+    if mode is not None:
+        cols[:, -1] = mode.right
+    wz = _lu_solve(lu, cols)
+    w = wz[:, 0]
+    z = w * -xi1 if one_column else wz[:, 1]
+    if mode is not None:
+        mode._take(wz[:, -1], vl[:, 1])
+    delta_right = t.dlam - t.du.dot(w)
     if delta_right == 0.0:
         raise SingularSystemError("singular bordered matrix")
-    xi2 = (g - t.dlam * xi1 - np.dot(t.du, z)) / delta_right
-    return np.concatenate([z - w * xi2, [xi1 + xi2]])
+    xi2 = (g - t.dlam * xi1 - t.du.dot(z)) / delta_right
+    x = np.empty(n + 1)
+    np.subtract(z, w * xi2, out=x[:n])
+    x[n] = xi1 + xi2
+    return x
 
 
 def newton_augmented(d: Discretization, y0: AugmentedState,
@@ -235,36 +330,38 @@ def newton_augmented(d: Discretization, y0: AugmentedState,
                      tol: float = DEFAULT_TOL,
                      max_iters: int = DEFAULT_MAX_ITERS,
                      symmetric: bool = False,
-                     free_modes: bool = False) -> tuple[AugmentedState, int]:
+                     mode: SoftMode | None = None) -> tuple[AugmentedState, int]:
     """Newton's method on the arclength-augmented system, starting at y0.
 
     Returns the converged state and the number of Newton updates taken.
     With symmetric set, the start and every iterate are replaced by their
     reflection mean (u + u reversed)/2 before the convergence test, so the
-    iteration stays in the reflection-symmetric subspace.  With free_modes
-    set, each update leaves out a free mode of J (see drop_free_mode).
+    iteration stays in the reflection-symmetric subspace.  With a SoftMode
+    passed as mode, each update advances it in place on that iterate's J
+    (in the bordered solve) and leaves out the mode if it is free (see
+    drop_free_mode).
     """
     y = y0.copy()
     if symmetric:
         y.u = _symmetrize(y.u)
     r = augmented_residual(d, y, y_prev, t, ds)
-    rnorm0 = max(np.linalg.norm(r), 1e-300)
+    rnorm = math.sqrt(r.dot(r))
+    rnorm0 = max(rnorm, 1e-300)
     for it in range(max_iters):
-        rnorm = np.linalg.norm(r)
         if rnorm < tol:
             return y, it
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
             raise NewtonError(f"augmented residual diverged to {rnorm:.3e}")
-        J = jacobian(d, y.lam, y.u)
-        lu = _lu(J)
-        delta = bordered_solve(J, -y.u, t, r, lu=lu)
-        y.u -= (drop_free_mode(lu, y.u, delta[:-1], tol) if free_modes
-                else delta[:-1])
+        lu = _lu(jacobian(d, y.lam, y.u))
+        delta = bordered_solve(None, -y.u, t, r, lu=lu, mode=mode)
+        y.u -= (delta[:-1] if mode is None
+                else drop_free_mode(mode, y.u, delta[:-1], tol))
         y.lam -= delta[-1]
         if symmetric:
             y.u = _symmetrize(y.u)
         r = augmented_residual(d, y, y_prev, t, ds)
-    if np.linalg.norm(r) < tol:
+        rnorm = math.sqrt(r.dot(r))
+    if rnorm < tol:
         return y, max_iters
     raise NewtonError(
         f"augmented Newton: no convergence after {max_iters} iterations"

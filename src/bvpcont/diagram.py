@@ -12,6 +12,7 @@ keys before emission.
 """
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
@@ -211,20 +212,16 @@ def _event_dict(branch_id: str, index: int, kind: str, lam: float,
             "lambda": float(lam), "norm": float(norm)}
 
 
-def _represented_masks(d: Discretization,
-                       records: list[BranchRecord]) -> set[tuple[bool, ...]]:
-    out = set()
-    for rec in records:
-        pts = rec.branch.points
-        if not pts:
-            continue
-        # Both ends of a merged isola trace are deep sheets with possibly
-        # different peak patterns; register them all.
-        for p in (pts[0], pts[-1], min(pts, key=lambda q: q.lam)):
-            bits = peak_pattern(d, p.u)
-            if any(bits):
-                out.add(bits)
-    return out
+def _end_patterns(d: Discretization, b: Branch) -> set[tuple[bool, ...]]:
+    """The nonzero peak patterns at both ends of b and at its lowest lam."""
+    pts = b.points
+    if not pts:
+        return set()
+    # Both ends of a merged isola trace are deep sheets with possibly
+    # different peak patterns; register them all.
+    patterns = (peak_pattern(d, p.u)
+                for p in (pts[0], pts[-1], min(pts, key=lambda q: q.lam)))
+    return {bits for bits in patterns if any(bits)}
 
 
 def run_diagram(config) -> DiagramBundle:
@@ -241,6 +238,7 @@ def run_diagram(config) -> DiagramBundle:
     bundle = DiagramBundle(config=cfg.resolved(), operator=d)
     failures: list[str] = []
     records = bundle.branches
+    represented = set()  # the _end_patterns of every record
 
     lam1 = principal_eigenvalue(d.m)
 
@@ -253,6 +251,7 @@ def run_diagram(config) -> DiagramBundle:
             n = len(bundle.branch_by_role(role))
             bid = role if role == "main" else f"{role}_{n}"
             records.append(BranchRecord(bid, role, branch, parent))
+            represented.update(_end_patterns(d, branch))
             # the det-sign changes that continue_branch located; folds are
             # read off the tangents (fold_points) below
             for i, ends in sorted(branch.located.items()):
@@ -326,7 +325,7 @@ def run_diagram(config) -> DiagramBundle:
             return
 
     for mask in masks:
-        if mask.bits in _represented_masks(d, records):
+        if mask.bits in represented:
             continue
         attempt(lambda lam, mk=mask: peak_pattern_seed(d, mk, lam),
                 f"mask {mask}")
@@ -347,8 +346,8 @@ def run_diagram(config) -> DiagramBundle:
     res_max = 0.0
     for rec in records:
         for p in rec.branch.points:
-            res_max = max(res_max,
-                          float(np.linalg.norm(residual(d, p.lam, p.u))))
+            r = residual(d, p.lam, p.u)
+            res_max = max(res_max, math.sqrt(r.dot(r)))
             if p.lam >= lam1:
                 failures.append(
                     f"{rec.branch_id}: stored point at lam={p.lam:.6g} >= "
@@ -608,7 +607,7 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
     pdir.mkdir(exist_ok=True)
     for stale in pdir.glob("*.txt"):  # profiles of an earlier bundle
         stale.unlink()
-    m = bundle.operator.m
+    xs = [_fmt(x) for x in bundle.operator.m.nodes]  # once for every profile
     for rec in bundle.branches:
         n = len(rec.branch.points)
         for i, p in enumerate(rec.branch.points):
@@ -616,7 +615,6 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
                     or (stride > 0 and i % stride == 0))
             if not keep:
                 continue
-            u_full = np.concatenate([[0.0], p.u, [0.0]])
-            body = "\n".join(f"{_fmt(x)} {_fmt(u)}"
-                             for x, u in zip(m.nodes, u_full))
+            u_full = [0.0, *p.u.tolist(), 0.0]
+            body = "\n".join([f"{x} {_fmt(u)}" for x, u in zip(xs, u_full)])
             (pdir / f"{rec.branch_id}_{i}.txt").write_text(body + "\n")

@@ -19,6 +19,7 @@ off-diagonals with the discretization.  It is invariant under x -> 1-x, so
 the mirror image of a solution is again a solution.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cache
@@ -161,12 +162,15 @@ def _check(d: Discretization, u: np.ndarray) -> np.ndarray:
 
 
 def residual(d: Discretization, lam: float, u: np.ndarray) -> np.ndarray:
-    """-L[u] - lam*u - a(x)*u^3 at the interior nodes."""
+    """-L[u] - lam*u - a(x)*u^3 at the interior nodes, built in place as
+    (center - lam - a*u^2)*u plus the two neighbour terms of -L."""
     u = _check(d, u)
-    lu = -d.center * u
-    lu[1:] -= d.sub * u[:-1]
-    lu[:-1] -= d.sup * u[1:]
-    return -lu - lam * u - d.a * u**3
+    r = d.center - lam
+    r -= d.a * (u * u)
+    r *= u
+    r[1:] += d.sub * u[:-1]
+    r[:-1] += d.sup * u[1:]
+    return r
 
 
 def jacobian(d: Discretization, lam: float, u: np.ndarray) -> BandedJacobian:
@@ -185,7 +189,7 @@ def discrete_l2_norm(d: Discretization, u: np.ndarray) -> float:
     mesh because the spacings are palindromic.
     """
     u = _check(d, u)
-    return float(np.sqrt(np.sum(d.h_left * u**2)))
+    return math.sqrt((d.h_left * u**2).sum())
 
 
 def toeplitz_eigenvalue(n: int, k: int) -> float:

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import lapack
 
 from bvpcont.corrector import (AugmentedState, NewtonError,
-                               SingularSystemError, Tangent, _lu, _lu_solve,
-                               augmented_residual, bordered_solve,
+                               SingularSystemError, SoftMode, Tangent, _lu,
+                               _lu_solve, augmented_residual, bordered_solve,
                                drop_free_mode, newton_augmented,
                                newton_fixed_lambda, solve_tridiag)
 from bvpcont.continuation import _bisect, _hermite_fold, update_tangent
@@ -231,6 +231,35 @@ def test_bordered_solve_and_tangent_at_isola_fold(resolved_flips):
     assert abs(abs(vt[-1] @ np.append(tan.du, tan.dlam)) - 1.0) < 1e-10
 
 
+def test_one_column_tangent_is_the_bordered_solve(isola_bundle,
+                                                  resolved_flips):
+    # the tangent's right-hand side (0, ..., 0, 1) takes one column fewer;
+    # it agrees with the full elimination on that vector at ordinary points
+    # and at the kappa2 h0.25 isola fold near -41.546, bisected as in
+    # test_bordered_solve_and_tangent_at_isola_fold
+    d = isola_bundle.operator
+    states = [(p, p.tangent) for r in isola_bundle.branches
+              for p in r.branch.points[::7]]
+    pts, i = next((r.branch.points, i)
+                  for r in isola_bundle.branch_by_role("isola")
+                  for i in resolved_flips(d, r.branch)
+                  if abs(r.branch.points[i].lam + 41.546) < 1.0)
+    a, b = _bisect(d, pts[i], pts[i + 1], 1e-4)
+    assert a.tangent.dlam * b.tangent.dlam < 0  # a fold
+    states += [(a, a.tangent), (a, Tangent(np.zeros_like(a.u), -1.0))]
+    rhs = np.zeros(d.a.size + 1)
+    rhs[-1] = 1.0
+    for p, ref in states:
+        lu = _lu(jacobian(d, p.lam, p.u))
+        full = bordered_solve(None, -p.u, ref, rhs, lu=lu)
+        one = bordered_solve(None, -p.u, ref, 1.0, lu=lu)
+        assert np.linalg.norm(one - full) <= 1e-12 * np.linalg.norm(full)
+        t, _ = update_tangent(d, AugmentedState(p.lam, p.u), ref, lu)
+        want = Tangent(full[:-1], full[-1]).normalized()
+        assert np.linalg.norm(np.append(t.du - want.du, t.dlam - want.dlam)) \
+            <= 1e-12
+
+
 def test_bordered_solve_zero_pivot_raises():
     # the bordered matrix is regular, but J has an exactly zero pivot
     n = 6
@@ -291,19 +320,33 @@ def test_newton_augmented_follows_constraint():
     assert y.lam < lam
 
 
-def test_free_mode_dropped():
+def _soft_mode_matrix():
     # nonsymmetric tridiagonal J with one eigenvalue of 1e-9 and the rest
-    # near 2: the dropped vector loses exactly that mode
+    # near 2, and that eigenvalue's unit right vector
     n = 40
     J = BandedJacobian(np.full(n - 1, -0.3), np.full(n, 2.0),
                        np.full(n - 1, -0.6))
     evals, vecs = np.linalg.eig(J.dense())
     k = np.argmin(np.abs(evals))
     J = BandedJacobian(J.sub, J.diag - evals[k].real + 1e-9, J.sup)
-    right = vecs[:, k].real / np.linalg.norm(vecs[:, k].real)
+    return J, vecs[:, k].real / np.linalg.norm(vecs[:, k].real)
+
+
+def _advanced(lu, n, steps):
+    mode = SoftMode.cold(n)
+    for _ in range(steps):
+        mode.advance(lu)
+    return mode
+
+
+def test_free_mode_dropped():
+    # the dropped vector loses exactly the mode of 1e-9, estimated by two
+    # cold steps of inverse iteration
+    J, right = _soft_mode_matrix()
+    n = J.n
     u = np.ones(n)
     x = np.linspace(1.0, 2.0, n)
-    y = drop_free_mode(_lu(J), u, x, tol=1e-4)
+    y = drop_free_mode(_advanced(_lu(J), n, 2), u, x, tol=1e-4)
     removed = x - y
     assert np.linalg.norm(removed) > 0.1
     assert abs(abs(np.dot(right, removed)) - np.linalg.norm(removed)) \
@@ -311,7 +354,33 @@ def test_free_mode_dropped():
     assert np.linalg.norm(solve_tridiag(J, y)) < 1e3 * np.linalg.norm(y)
     # a mode of 1e-2 is pinned down by the tolerance: nothing is dropped
     J2 = BandedJacobian(J.sub, J.diag + 1e-2, J.sup)
-    assert drop_free_mode(_lu(J2), u, x, tol=1e-4) is x
+    assert drop_free_mode(_advanced(_lu(J2), n, 2), u, x, tol=1e-4) is x
+
+
+def test_carried_free_mode_drops_the_same_mode():
+    # the estimate carried through the bordered solve's extra columns, as
+    # newton_augmented carries it, drops what two cold steps drop once it
+    # has taken two steps itself, and leaves the bordered solution as it is
+    J, _ = _soft_mode_matrix()
+    n = J.n
+    u = np.ones(n)
+    x = np.linspace(1.0, 2.0, n)
+    rng = np.random.default_rng(8)
+    t = Tangent(rng.normal(size=n), 0.6).normalized()
+    rhs = rng.normal(size=n + 1)
+    for Jk, free in ((J, True),
+                     (BandedJacobian(J.sub, J.diag + 1e-2, J.sup), False)):
+        lu = _lu(Jk)
+        ref = drop_free_mode(_advanced(lu, n, 2), u, x, tol=1e-4)
+        mode = SoftMode.cold(n)
+        for step in range(4):
+            sol = bordered_solve(None, -u, t, rhs, lu=lu, mode=mode)
+            assert np.array_equal(sol, bordered_solve(None, -u, t, rhs, lu=lu))
+            y = drop_free_mode(mode, u, x, tol=1e-4)
+            if not free or step == 0:  # no mu before the second step
+                assert y is x
+            else:
+                assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_newton_augmented_free_modes_idle_without_soft_mode():
@@ -325,5 +394,6 @@ def test_newton_augmented_free_modes_idle_without_soft_mode():
     t, _ = update_tangent(d, y_prev, Tangent(np.zeros_like(u), -1.0))
     y_pred = AugmentedState(lam + 2.0 * t.dlam, u + 2.0 * t.du)
     a, ia = newton_augmented(d, y_pred, y_prev, t, 2.0)
-    b, ib = newton_augmented(d, y_pred, y_prev, t, 2.0, free_modes=True)
+    b, ib = newton_augmented(d, y_pred, y_prev, t, 2.0,
+                             mode=SoftMode.cold(len(u)))
     assert ia == ib and a.lam == b.lam and np.array_equal(a.u, b.u)

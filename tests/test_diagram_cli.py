@@ -402,6 +402,32 @@ def test_cli_solve_without_a_solution_ends_in_one_error_line(run_python,
         "error: " if code == 1 else "bvpcont: error: argument --seed")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lambda", "-10", "--n", "1"],
+    ["solve", "--lambda", "-10", "--n", "2"],
+    ["sweep-h", "--h-values", "0.1", "--n", "2"],
+], ids=["solve_n1", "solve_n2", "sweep_h_n2"])
+def test_cli_refuses_a_mesh_below_three_nodes(run_python, argv):
+    out = run_python("-m", "bvpcont.cli", *argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1].startswith(
+        "bvpcont: error: argument --n")
+
+
+def test_cli_diagram_with_a_two_node_mesh_ends_in_one_error_line(run_python,
+                                                                 tmp_path):
+    config = tmp_path / "n2.json"
+    config.write_text('{"mesh": {"n": 2}}')
+    out = run_python("-m", "bvpcont.cli", "diagram", "--config", str(config),
+                     "--out", str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        "error: need at least 3 interior nodes, got 2"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_diagram_coexists_with_scipy_linalg(run_python, tmp_path):
     # LAPACK bound without scipy.linalg, then scipy.linalg imported and
     # called, and the reverse order: every diagram is the same to the byte

@@ -79,10 +79,12 @@ def test_operator_matches_written_out_stencil_exactly():
     for _ in range(5):
         u = rng.normal(size=m.n_interior) * rng.uniform(0.1, 3.0)
         lam = rng.uniform(-200.0, 9.0)
-        lu = -c_center * u
-        lu[1:] += c_minus[1:] * u[:-1]
-        lu[:-1] += c_plus[:-1] * u[1:]
-        assert np.array_equal(residual(d, lam, u), -lu - lam * u - a * u**3)
+        # grouped as residual builds it: the diagonal part, then the
+        # neighbours
+        r = (c_center - lam - a * (u * u)) * u
+        r[1:] -= c_minus[1:] * u[:-1]
+        r[:-1] -= c_plus[:-1] * u[1:]
+        assert np.array_equal(residual(d, lam, u), r)
         J = jacobian(d, lam, u)
         assert np.array_equal(J.diag, c_center - lam - 3.0 * a * u**2)
         assert np.array_equal(J.sub, -c_minus[1:])
