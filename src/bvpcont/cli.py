@@ -25,6 +25,7 @@ from .discretize import (Discretization, principal_eigenvalue,
 from .mesh import MeshError
 from .seeding import PeakMask, peak_pattern_seed, sine_seed, well_bump_seed
 from .shooting import shoot_count
+from .weight import WeightError, build_weight
 
 __all__ = ["main", "build_parser"]
 
@@ -90,7 +91,7 @@ def _cmd_diagram(args) -> int:
     cfg = _load_config(args.config)
     try:
         bundle = run_diagram(cfg)
-    except MeshError as exc:  # raised by the mesh build, before any work
+    except (MeshError, WeightError) as exc:  # raised before any work
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_bundle(bundle, args.out)
@@ -104,7 +105,11 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = RunConfig(kappa=args.kappa, h=args.h, eps=args.eps, mesh_n=args.n)
-    d = Discretization(*cfg.build())
+    try:
+        d = Discretization(*cfg.build())
+    except WeightError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.seed == "sine":
         u0 = sine_seed(d.m, args.amplitude)
     elif args.seed == "wells":
@@ -126,11 +131,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_shoot(args) -> int:
-    cfg = RunConfig(kappa=args.kappa, h=args.h, eps=args.eps)
-    w, _ = cfg.build()
     try:
+        w = build_weight(args.kappa, args.h, args.eps)
         count, roots = shoot_count(w, args.lam, grid_size=args.grid_size)
-    except ValueError as exc:  # outside the oracle's domain: refuse, no count
+    except ValueError as exc:  # a WeightError, or outside the oracle's domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"count: {count}")
@@ -161,6 +165,12 @@ def _cmd_sweep_h(args) -> int:
     # For each h, follow the main branch and report the first pitchfork
     # among the det-sign changes it located (Branch.located).
     h_values = [float(s) for s in args.h_values.split(",")]
+    try:  # every h before the first branch
+        for h in h_values:
+            build_weight(1, h, 0.0)
+    except WeightError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = []
     for h in h_values:
         cfg = RunConfig(kappa=1, h=h, mesh_n=args.n,
@@ -197,6 +207,10 @@ def main(argv=None) -> int:
         ap.error(f"argument --seed: wells needs --eps > 0, got {args.eps:g}")
     if args.command in ("solve", "sweep-h") and args.n < 3:
         ap.error(f"argument --n: need at least 3 interior nodes, got {args.n}")
+    if args.command == "eig" and args.n < 1:
+        ap.error(f"argument --n: need at least 1 interior node, got {args.n}")
+    if args.command == "eig" and not 1 <= args.k <= args.n:
+        ap.error(f"argument --k: need 1 <= k <= n = {args.n}, got {args.k}")
     handlers = {
         "diagram": _cmd_diagram,
         "solve": _cmd_solve,

@@ -3,7 +3,10 @@
 The boundary value problem is recast as the initial value problem
 u' = v, v' = -lam*u - a(x)*u^3 from (u, v)(0) = (0, v0) and positive
 solutions are counted as roots of the boundary miss function M(v0) = u(1; v0),
-accepted only when the shot stayed positive on (0, 1).  On every subinterval
+accepted only when the shot stayed positive on (0, 1).  A shot that leaves
+the positive cone at x_c < 1 misses by (x_c - 1)*|u'(x_c)|, the first-order
+guess at u(1), so that M is continuous where a root's shot leaves the cone
+at x = 1; a shot that blows up misses by +inf.  On every subinterval
 where a is constant the flow is Hamiltonian with energy
 v^2/2 + lam*u^2/2 + a*u^4/4, which gives a per-piece conservation check on
 the integrator.
@@ -14,12 +17,17 @@ restarted on each constant-a piece so that no step straddles a weight jump.
 A shot stops on the step where u leaves the positive cone, and the crossing
 is located on that step by the cubic Hermite interpolant of u (its slopes
 are v, so no extra right-hand-side calls are made).  ``shoot_count`` scans
-the slopes in one batch, narrows all sign-change brackets together by
-multisection (one batch per round) and accepts every root in one more
-batch; ``integrate_ivp`` is a one-lane batch that records its step ends.
-The time map is closed form, an arithmetic-geometric mean.  Single shooting
-amplifies error by about exp(sqrt(-lam)), so counts are refused below
-lam = -(ln(1/eps_mach))^2, about -1299, where that factor exceeds
+the slopes in one batch, narrows all sign-change brackets together (one
+batch per round) and accepts every root in one more batch.  A round shoots
+each bracket at uniform sections and, where M is finite at both ends, also
+around its secant (regula falsi) estimate: the sections narrow a bracket
+at least as fast as plain multisection, and the interpolation closes it in
+fewer rounds where M is smooth near the root (Dowell & Jarratt, BIT 11
+(1971) 168-174; Brent, Algorithms for Minimization without Derivatives,
+1973, ch. 4).  ``integrate_ivp`` is a one-lane batch that records its step
+ends.  The time map is closed form, an arithmetic-geometric mean.  Single
+shooting amplifies error by about exp(sqrt(-lam)), so counts are refused
+below lam = -(ln(1/eps_mach))^2, about -1299, where that factor exceeds
 1/eps_mach.
 """
 
@@ -44,9 +52,17 @@ _BLOWUP = 1e8
 # Single shooting amplifies error by about exp(sqrt(-lam)); below this floor
 # that exceeds 1/eps_mach (about -1299.1).
 _LAM_FLOOR = -np.log(1.0 / np.finfo(float).eps) ** 2
-# Multisection: each refinement round splits every bracket into this many
-# equal sections, i.e. evaluates _SECTIONS - 1 interior slopes.
+# Each refinement round splits every bracket into this many equal sections,
+# i.e. evaluates _SECTIONS - 1 interior slopes, so that it shrinks by at
+# least this factor even where interpolation does not help.
 _SECTIONS = 16
+# Where the miss is finite at both ends, the round also shoots a ladder of
+# slopes on either side of the secant estimate: offsets from about
+# refine_tol out to _SPREAD times the estimate's last move, in geometric
+# steps (exponents _LADDER), so that the new bracket is a small multiple of
+# the estimate's error, however small that error is.
+_SPREAD = 4.0
+_LADDER = np.linspace(0.0, 1.0, 5)
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6 (1980) 19-26), the pair of
 # scipy's RK45, with its step-size factors.  The flow on a constant-a piece
@@ -94,6 +110,17 @@ def _pieces(w: Weight) -> list[tuple[float, float, float]]:
             for lo, hi in zip(edges, edges[1:])]
 
 
+def _check_inputs(lam, **positive):
+    """Refuse a lam that is not finite and each named value that is not a
+    positive finite number (None passes): on nan no shot ever ends."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    for name, value in positive.items():
+        if value is not None and not 0.0 < value < np.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value}")
+
+
 def integrate_ivp(w: Weight, lam: float, v0: float,
                   step_tol: float = 1e-10) -> Trajectory:
     """Adaptive RK45 shot from (0, v0); steps never straddle a coefficient jump.
@@ -101,12 +128,10 @@ def integrate_ivp(w: Weight, lam: float, v0: float,
     A one-lane batch of the oracle's integrator, sampled at its step ends.
     The shot stops at the end of the step where u crosses zero from above
     (it left the positive cone) and records the crossing location as
-    first_zero; |u| > 1e8 raises BlowUpError.
+    first_zero; |u| > 1e8 raises BlowUpError.  Raises ValueError unless
+    lam is finite and v0 and step_tol are positive and finite.
     """
-    if v0 <= 0:
-        raise ValueError("positive solutions leave the origin with v0 > 0")
-    if step_tol <= 0:
-        raise ValueError("step_tol must be positive")
+    _check_inputs(lam, v0=v0, step_tol=step_tol)
     path = [(0.0, 0.0, float(v0))]
     _, cross = _batch_miss(w, lam, np.array([float(v0)]), step_tol, path)
     x, u, v = np.array(path).T
@@ -145,8 +170,8 @@ def _first_step(f, y, fy, length, rtol, atol):
 
 
 def _hermite_zero(x0, h, u0, v0, u1, v1):
-    """x in (x0, x0 + h] where the cubic Hermite interpolant of u falls
-    through -1e-14, per lane, by bisection to 2^-40 of the step.
+    """(x, u'(x)) per lane, at the x in (x0, x0 + h] where the cubic Hermite
+    interpolant of u falls through -1e-14, by bisection to 2^-40 of the step.
 
     The interpolant matches u and u' = v at both step ends, so its error is
     O(h^4) and it costs no right-hand-side calls.
@@ -159,7 +184,8 @@ def _hermite_zero(x0, h, u0, v0, u1, v1):
         dt *= 0.5
         mid = t + dt
         t = np.where(c0 + mid * (c1 + mid * (c2 + mid * c3)) >= 0.0, mid, t)
-    return x0 + h * (t + dt)
+    t += dt
+    return x0 + h * t, (c1 + t * (2.0 * c2 + t * 3.0 * c3)) / h
 
 
 @np.errstate(divide="ignore")
@@ -173,11 +199,16 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
     of the step where u + 1e-14 turns negative (it left the positive cone),
     where |u| exceeds the blow-up guard, or at x = 1.
 
-    Returns (miss, cross).  miss is -1, +1 or the sign of u(1) in those
-    three cases.  cross is the x where u + 1e-14 fell through zero, located
-    on the retiring step by ``_hermite_zero``; it is nan for a lane that
-    reached x = 1 and inf for one that blew up.  For a one-lane batch, a
-    list given as path collects (x, u, v) at every accepted step end.
+    Returns (miss, cross).  cross is the x where u + 1e-14 fell through
+    zero, located on the retiring step by ``_hermite_zero``; it is nan for a
+    lane that reached x = 1 and inf for one that blew up.  miss is u(1) for
+    a lane that reached x = 1, +inf for one that blew up, and
+    (cross - 1)*|u'(cross)| for one that left the cone, with u' from the
+    same interpolant: the first-order guess at u(1) had the shot gone on,
+    so that miss is continuous where a root's shot leaves the cone at
+    x = 1.  Its sign is that of u(1), +1 and -1 in those three cases.
+    For a one-lane batch, a list given as path collects (x, u, v) at every
+    accepted step end.
     """
     rtol, atol = step_tol, step_tol * 1e-2
     v0 = np.asarray(v0, dtype=float)
@@ -256,10 +287,9 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
             ended = done & ~(crossed | blown)
             seg[:, lane[crossed]] = np.vstack(
                 [x_old[crossed], dx[crossed], y_old[:, crossed], y[:, crossed]])
-            miss[lane[ended]] = np.sign(u[ended])
-            miss[lane[blown]] = 1.0
+            miss[lane[ended]] = u[ended]
+            miss[lane[blown]] = np.inf
             cross[lane[blown]] = np.inf
-            miss[lane[crossed]] = -1.0
             if hi < 1.0:
                 state[:, lane[ended]] = y[:, ended]
                 survivors.append(lane[ended])
@@ -269,8 +299,28 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
                 retried[keep])
         live = np.sort(np.concatenate(survivors)) if survivors else live[:0]
     hit = ~np.isnan(seg[0])
-    cross[hit] = _hermite_zero(*seg[:, hit])
+    cross[hit], slope = _hermite_zero(*seg[:, hit])
+    # below zero even where the crossing rounds to x = 1 or is tangential
+    miss[hit] = np.minimum((cross[hit] - 1.0) * np.abs(slope),
+                           -np.finfo(float).tiny)
     return miss, cross
+
+
+def _near_root(a, b, fa, fb, last, refine_tol):
+    """Secant estimate s of each bracket [a, b] and the slopes to shoot
+    around it; every argument is a column, one row per bracket.
+
+    The slopes are s -/+ d for d on a geometric ladder from
+    0.45*refine_tol*max(1, b), a pair that closes the bracket once s is
+    good, out to _SPREAD times the estimate's move since last, or to
+    (b - a)/32 where last is nan (the bracket's first guided round).
+    """
+    s = a - fa * (b - a) / (fb - fa)
+    reach = np.where(np.isnan(last), (b - a) / 32.0,
+                     _SPREAD * np.abs(s - last))
+    pair = 0.45 * refine_tol * np.maximum(1.0, b)
+    ladder = pair * (reach / pair) ** _LADDER
+    return s[:, 0], s + np.hstack([-ladder, ladder])
 
 
 def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
@@ -279,26 +329,30 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
     """Count positive solutions by scanning the initial slope.
 
     Scans v0 over a log-spaced grid in (0, v0_max] in one batch, brackets
-    sign changes of the boundary miss, and narrows all brackets together by
-    multisection until hi - lo <= refine_tol*max(1, hi).  The bracket
-    midpoints are shot once more, as one batch, and a root is kept when its
-    shot stays positive up to x = 1 - 1e-4; roots closer than 1e-8 relative
-    are merged.  Returns (count, sorted v0 roots).
+    sign changes of the boundary miss, and narrows all brackets together
+    until hi - lo <= refine_tol*max(1, hi), one batch per round.  Each round
+    splits every bracket into _SECTIONS equal sections; where the miss is
+    finite at both ends it also shoots a pair at 0.45*refine_tol*max(1, hi)
+    on either side of the secant estimate, which closes the bracket once
+    the estimate is good, and a geometric ladder out to a few times the
+    estimate's last move (the bracket/32 in its first round).  A bracket
+    with a blown end keeps plain multisection.  The new bracket is the
+    first section, among all slopes shot, where the miss changes sign.
+    The bracket midpoints are shot once more, as one batch, and a root is
+    kept when its shot stays positive up to x = 1 - 1e-4; roots closer than
+    1e-8 relative are merged.  Returns (count, sorted v0 roots).
 
     Raises ValueError below the validity floor lam < -(ln(1/eps_mach))^2,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
-    1/eps_mach and the count means nothing, and when a shot at an end of a
+    1/eps_mach and the count means nothing, when a shot at an end of a
     final bracket or at its midpoint blows up, which leaves that root
-    undecided.
+    undecided, and when lam is not finite or a tolerance or v0_max is not
+    positive and finite.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    if step_tol <= 0:
-        raise ValueError("step_tol must be positive")
-    if refine_tol <= 0:
-        raise ValueError("refine_tol must be positive")
-    if v0_max is not None and v0_max <= 0:
-        raise ValueError("v0_max must be positive")
+    _check_inputs(lam, step_tol=step_tol, refine_tol=refine_tol,
+                  v0_max=v0_max)
     if lam < _LAM_FLOOR:
         raise ValueError(
             f"lam = {lam:g} is below the shooting oracle's validity floor "
@@ -309,27 +363,38 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
         # exterior trajectories that boundary shots ride on.
         v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, grid_size)
-    signs, cross = _batch_miss(w, lam, grid, step_tol)
+    miss, cross = _batch_miss(w, lam, grid, step_tol)
 
-    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    lo, hi, s_lo = grid[cells], grid[cells + 1], signs[cells]
-    # whether the shot at each bracket end blew up
-    blown_lo, blown_hi = np.isinf(cross[cells]), np.isinf(cross[cells + 1])
+    sign = np.sign(miss)
+    cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    lo, hi = grid[cells], grid[cells + 1]
+    f_lo, f_hi = miss[cells], miss[cells + 1]
+    est = np.full(cells.size, np.nan)  # each bracket's last secant estimate
     frac = np.arange(1, _SECTIONS) / _SECTIONS
     open_ = hi - lo > refine_tol * np.maximum(1.0, hi)
     while open_.any():
         i = np.flatnonzero(open_)
-        pts = lo[i, None] + (hi[i] - lo[i])[:, None] * frac
-        signs, cross = _batch_miss(w, lam, pts.ravel(), step_tol)
-        flip = signs.reshape(pts.shape) * s_lo[i, None] <= 0.0
-        # first interior point whose sign leaves s_lo, else the last section
-        k = np.where(flip.any(axis=1), flip.argmax(axis=1), _SECTIONS - 1)
-        ends = np.column_stack([lo[i], pts, hi[i]])
-        blown = np.column_stack(
-            [blown_lo[i], np.isinf(cross).reshape(pts.shape), blown_hi[i]])
+        a, b, fa, fb = lo[i, None], hi[i, None], f_lo[i, None], f_hi[i, None]
+        # guided where both ends have a finite miss; elsewhere copies of b
+        # pad the row and plain multisection remains
+        g = np.isfinite(f_lo[i]) & np.isfinite(f_hi[i])
+        near = np.repeat(b, 2 * _LADDER.size, axis=1)
+        est[i[g]], near[g] = _near_root(a[g], b[g], fa[g], fb[g],
+                                        est[i[g], None], refine_tol)
+        pts = np.sort(np.clip(np.hstack([a + (b - a) * frac, near]), a, b),
+                      axis=1)
+        # only slopes strictly inside a bracket are shot
+        vals = np.where(pts == a, fa, fb)
+        inner = (pts > a) & (pts < b)
+        vals[inner], _ = _batch_miss(w, lam, pts[inner], step_tol)
+        # the first slope whose sign leaves that of lo, else b (a padded
+        # row always has one)
+        flip = np.sign(vals) * np.sign(fa) <= 0.0
+        k = np.where(flip.any(axis=1), flip.argmax(axis=1), pts.shape[1])
+        ends, vals = np.hstack([a, pts, b]), np.hstack([fa, vals, fb])
         rows = np.arange(i.size)
         lo[i], hi[i] = ends[rows, k], ends[rows, k + 1]
-        blown_lo[i], blown_hi[i] = blown[rows, k], blown[rows, k + 1]
+        f_lo[i], f_hi[i] = vals[rows, k], vals[rows, k + 1]
         open_[i] = hi[i] - lo[i] > refine_tol * np.maximum(1.0, hi[i])
 
     # ascending: each bracket stays inside its grid cell
@@ -337,7 +402,7 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
     _, cross = _batch_miss(w, lam, mids, step_tol)
     # a bracket that pairs a zero crossing with a blow-up leaves its root
     # undecided, wherever its acceptance shot lands
-    undecided = blown_lo | blown_hi | np.isinf(cross)
+    undecided = np.isinf(f_lo) | np.isinf(f_hi) | np.isinf(cross)
     if undecided.any():
         raise ValueError(
             f"single shooting cannot resolve the root near v0 ="

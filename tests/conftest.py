@@ -63,14 +63,15 @@ def resolved_flips():
 
 @pytest.fixture(scope="session")
 def run_python():
-    """run_python(*args): this interpreter run afresh with args, importing
-    bvpcont from this source tree; returns the finished process with its
-    output captured as text."""
+    """run_python(*args, timeout=None): this interpreter run afresh with
+    args, importing bvpcont from this source tree; returns the finished
+    process with its output captured as text, or raises
+    subprocess.TimeoutExpired after timeout seconds."""
     src = str(Path(bvpcont.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def run(*args):
+    def run(*args, timeout=None):
         return subprocess.run([sys.executable, *args], env=env,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, timeout=timeout)
     return run

@@ -428,6 +428,52 @@ def test_cli_diagram_with_a_two_node_mesh_ends_in_one_error_line(run_python,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--lambda", "nan"],
+    ["shoot", "--lambda", "inf"],
+    ["shoot", "--kappa", "0", "--lambda", "-100"],
+    ["shoot", "--h", "0", "--lambda", "-100"],
+    ["shoot", "--eps", "-1", "--lambda", "-100"],
+    ["solve", "--kappa", "0", "--lambda", "-100"],
+    ["sweep-h", "--h-values", "0.1,0"],
+], ids=["shoot_lam_nan", "shoot_lam_inf", "shoot_kappa0", "shoot_h0",
+        "shoot_eps_neg", "solve_kappa0", "sweep_h_h0"])
+def test_cli_refuses_a_bad_argument_in_one_error_line(run_python, argv):
+    # in a subprocess with a timeout, so that a hang fails instead of
+    # stalling; the refusal comes before any work, so nothing is printed
+    out = run_python("-m", "bvpcont.cli", *argv, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--n", "10", "--k", "0"], "--k"),
+    (["--n", "10", "--k", "11"], "--k"),
+    (["--n", "0"], "--n"),
+], ids=["k0", "k_above_n", "n0"])
+def test_cli_eig_refuses_an_index_outside_the_matrix(run_python, argv, flag):
+    out = run_python("-m", "bvpcont.cli", "eig", *argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1].startswith(
+        f"bvpcont: error: argument {flag}")
+
+
+def test_cli_diagram_with_a_bad_weight_ends_in_one_error_line(run_python,
+                                                              tmp_path):
+    config = tmp_path / "k0.json"
+    config.write_text('{"kappa": 0}')
+    out = run_python("-m", "bvpcont.cli", "diagram", "--config", str(config),
+                     "--out", str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        "error: kappa must be a positive integer, got 0"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_diagram_coexists_with_scipy_linalg(run_python, tmp_path):
     # LAPACK bound without scipy.linalg, then scipy.linalg imported and
     # called, and the reverse order: every diagram is the same to the byte

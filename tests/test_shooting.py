@@ -101,6 +101,90 @@ def test_shoot_count_argument_checks(bad):
         shoot_count(build_weight(1, 0.1, 0.0), -100.0, **bad)
 
 
+@pytest.mark.parametrize("call", [
+    "shoot_count(w, nan)",
+    "shoot_count(w, inf)",
+    "shoot_count(w, -100.0, step_tol=nan)",
+    "shoot_count(w, -100.0, step_tol=inf)",
+    "shoot_count(w, -100.0, refine_tol=nan)",
+    "shoot_count(w, -100.0, v0_max=nan)",
+    "shoot_count(w, -100.0, v0_max=inf)",
+    "integrate_ivp(w, nan, 10.0)",
+    "integrate_ivp(w, -100.0, nan)",
+    "integrate_ivp(w, -100.0, 10.0, step_tol=nan)",
+])
+def test_oracle_refuses_a_non_finite_argument(run_python, call):
+    # no shot ends on nan: refuse it instead of running forever (in a
+    # subprocess with a timeout, so that a hang fails instead of stalling)
+    code = ("from math import inf, nan\n"
+            "from bvpcont import build_weight, integrate_ivp, shoot_count\n"
+            "w = build_weight(1, 0.1, 0.0)\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
+    out = run_python("-c", code, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "refused\n"
+
+
+@pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
+def test_guided_refinement_brackets_every_root(monkeypatch, kappa, h):
+    # the counting ops of the oracle benchmark take the scan, at most four
+    # guided rounds (eight of plain multisection) and the acceptance batch.
+    # Each root is the midpoint of a final bracket, the nearest slopes shot
+    # on either side of it, that is at most refine_tol*max(1, hi) wide and
+    # whose ends, shot again one lane at a time, have opposite miss signs
+    w, lam, tol = build_weight(kappa, h, 0.0), -100.0, 1e-10
+    batches = []
+
+    def spy(w, lam, v0, step_tol, path=None):
+        batches.append(np.array(v0))
+        return _batch_miss(w, lam, v0, step_tol, path)
+
+    monkeypatch.setattr(shooting, "_batch_miss", spy)
+    count, roots = shoot_count(w, lam, refine_tol=tol)
+    assert count == 3
+    assert len(batches) <= 6
+    shot = np.sort(np.concatenate(batches[:-1]))
+    for r in roots:
+        lo, hi = shot[shot < r][-1], shot[shot > r][0]
+        assert r == 0.5 * (lo + hi)
+        assert hi - lo <= tol * max(1.0, hi)
+        m_lo, m_hi = (_batch_miss(w, lam, np.array([v]), 1e-8)[0][0]
+                      for v in (lo, hi))
+        assert np.sign(m_lo) * np.sign(m_hi) < 0.0
+
+
+def test_miss_is_continuous_where_a_root_leaves_the_cone():
+    # on one side of a root the shot leaves the cone just before x = 1 and
+    # reports (cross - 1)*|u'(cross)|, the first-order guess at u(1), so
+    # that the misses on both sides lie on one line through the root
+    w, lam = build_weight(1, 0.1, 0.0), -100.0
+    steps = np.array([-2.0, -1.0, 1.0, 2.0])
+    for r in shoot_count(w, lam)[1]:
+        d = 1e-6 * r
+        miss, cross = _batch_miss(w, lam, r + d * steps, 1e-8)
+        left = np.isfinite(cross)
+        assert left.sum() == 2 and np.all(cross[left] < 1.0)
+        assert np.all(miss[left] < 0.0) and np.all(miss[~left] > 0.0)
+        slope = (miss[3] - miss[0]) / (4.0 * d)
+        assert np.allclose(miss / (slope * d), steps, rtol=0.0, atol=1e-3)
+
+
+def test_oracle_loads_no_module(run_python):
+    # a count imports nothing beyond what importing bvpcont and building a
+    # weight loaded (np.unique, for one, would load numpy.ma)
+    code = ("import sys, bvpcont\n"
+            "w = bvpcont.build_weight(2, 0.25, 0.0)\n"
+            "before = set(sys.modules)\n"
+            "assert bvpcont.shoot_count(w, -100.0)[0] == 3\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "\n"
+
+
 def _pieces_of(w):
     """(lo, hi, a) per constant piece, read off the weight's intervals."""
     edges = [0.0, *w.edges, 1.0]
@@ -144,7 +228,7 @@ def test_batched_miss_signs_match_single_shots(kappa, h, lam):
     w = build_weight(kappa, h, 0.0)
     v0_max = 2.0 * (-2.0 * lam) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, 200)
-    signs, _ = _batch_miss(w, lam, grid, 1e-8)
+    signs = np.sign(_batch_miss(w, lam, grid, 1e-8)[0])
     cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     assert cells.size >= 2
     picks = sorted(set(range(0, 200, 5)) | set(cells) | set(cells + 1))
@@ -155,20 +239,22 @@ def test_batched_miss_signs_match_single_shots(kappa, h, lam):
 def test_batch_lanes_are_independent():
     # a lane's steps must not depend on its batch-mates: on slopes of
     # shoot_count's scan grid, including both ends of every bracket, the
-    # 200-lane batch gives the miss of one-lane batches bit for bit.  Its
-    # crossings agree to rounding only: BLAS rounds a stage sum by the
-    # lane's place in the batch (4e-15 apart here), while a step taken or
-    # sized differently would move a crossing by about step_tol
+    # 200-lane batch gives the miss sign of one-lane batches bit for bit.
+    # Its misses and crossings agree to rounding only: BLAS rounds a stage
+    # sum by the lane's place in the batch (4e-15 apart here), while a step
+    # taken or sized differently would move them by about step_tol
     w, lam = build_weight(2, 0.25, 0.0), -100.0
     v0_max = 2.0 * (-2.0 * lam) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, 200)
     miss, cross = _batch_miss(w, lam, grid, 1e-8)
-    cells = np.flatnonzero(miss[:-1] * miss[1:] < 0.0)
+    signs = np.sign(miss)
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     picks = sorted(set(cells) | set(cells + 1) | {0, 50, 100, 150, 199})
     assert len(picks) >= 10 and np.isfinite(cross[picks]).sum() >= 3
     for i in picks:
         one_miss, one_cross = _batch_miss(w, lam, grid[i:i + 1], 1e-8)
-        assert one_miss[0] == miss[i]
+        assert np.sign(one_miss[0]) == signs[i]
+        assert np.allclose(one_miss, miss[i:i + 1], rtol=1e-12, atol=0.0)
         assert np.allclose(one_cross, cross[i:i + 1], rtol=0.0, atol=1e-13,
                            equal_nan=True)
 
