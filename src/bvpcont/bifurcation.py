@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import SolutionPoint
-from .corrector import (AugmentedState, Tangent, _inverse_iteration, _lu,
+from .corrector import (AugmentedState, SoftMode, Tangent, _lu,
                         newton_augmented)
 from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
@@ -37,10 +37,14 @@ class BifurcationEvent:
 
 
 def null_vector(J: BandedJacobian) -> np.ndarray:
-    """Unit approximate null vector of a (near-)singular J by inverse iteration."""
+    """Unit approximate null vector of a (near-)singular J: 12 steps of a
+    cold SoftMode on the LU of J shifted by 1e-12 of its largest diagonal."""
     shift = 1e-12 * float(np.abs(J.diag).max() + 1.0)
     lu = _lu(BandedJacobian(J.sub, J.diag + shift, J.sup))
-    v, _ = _inverse_iteration(lu, J.n, iters=12)
+    mode = SoftMode.cold(J.n)
+    for _ in range(12):
+        mode.advance(lu)
+    v = mode.right
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return v

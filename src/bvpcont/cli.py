@@ -11,6 +11,7 @@ Subcommands:
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,10 +23,9 @@ from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
                       run_epsilon_sweep, trace_main_branch, write_bundle)
 from .discretize import (Discretization, principal_eigenvalue,
                          toeplitz_eigenvalue)
-from .mesh import MeshError
-from .seeding import PeakMask, peak_pattern_seed, sine_seed, well_bump_seed
+from .seeding import PeakMask, peak_pattern_seed, peak_seed, sine_seed
 from .shooting import shoot_count
-from .weight import WeightError, build_weight
+from .weight import build_weight
 
 __all__ = ["main", "build_parser"]
 
@@ -87,13 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error(exc, code: int = 2) -> int:
+    """exc as one error line; code 2 refuses an input before any work."""
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_diagram(args) -> int:
-    cfg = _load_config(args.config)
-    try:
-        bundle = run_diagram(cfg)
-    except (MeshError, WeightError) as exc:  # raised before any work
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    try:  # a bad config, weight or mesh; each raised before any work
+        bundle = run_diagram(_load_config(args.config))
+    except ValueError as exc:
+        return _error(exc)
     write_bundle(bundle, args.out)
     prov = bundle.provenance
     print(f"branches: {len(bundle.branches)}  events: {len(bundle.events)}  "
@@ -104,24 +108,25 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = RunConfig(kappa=args.kappa, h=args.h, eps=args.eps, mesh_n=args.n)
     try:
-        d = Discretization(*cfg.build())
-    except WeightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed == "sine":
-        u0 = sine_seed(d.m, args.amplitude)
-    elif args.seed == "wells":
-        u0 = well_bump_seed(d, args.lam)
-    else:
-        bits = tuple(c == "1" for c in args.seed)
-        u0 = peak_pattern_seed(d, PeakMask(bits), args.lam)
+        if not math.isfinite(args.lam):
+            raise ValueError(f"lambda must be finite, got {args.lam}")
+        d = Discretization(*RunConfig(kappa=args.kappa, h=args.h, eps=args.eps,
+                                      mesh_n=args.n).build())
+        if args.seed == "sine":
+            u0 = sine_seed(d.m, args.amplitude)
+        elif args.seed == "wells":  # a peak in the middle of every well
+            u0 = peak_seed(d, args.lam, [0.5 * (lo + hi)
+                                         for lo, hi in d.w.intervals], args.eps)
+        else:
+            bits = tuple(c == "1" for c in args.seed)
+            u0 = peak_pattern_seed(d, PeakMask(bits), args.lam)
+    except ValueError as exc:
+        return _error(exc)
     try:
         u = newton_fixed_lambda(d, args.lam, u0)
     except (NewtonError, SingularSystemError) as exc:  # no solution found
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     p = make_point(d, args.lam, u)
     print(f"# lambda = {_fmt(p.lam)}  l2_norm = {_fmt(p.l2norm)}")
     u_full = np.concatenate([[0.0], u, [0.0]])
@@ -135,8 +140,7 @@ def _cmd_shoot(args) -> int:
         w = build_weight(args.kappa, args.h, args.eps)
         count, roots = shoot_count(w, args.lam, grid_size=args.grid_size)
     except ValueError as exc:  # a WeightError, or outside the oracle's domain
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     print(f"count: {count}")
     for r in roots:
         print(f"v0 = {_fmt(r)}")
@@ -150,9 +154,12 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_sweep_eps(args) -> int:
-    base = _load_config(args.config)
-    eps_values = [float(s) for s in args.eps_values.split(",")]
-    bundles, report = run_epsilon_sweep(base, eps_values)
+    try:  # every eps is checked before the first diagram
+        eps_values = [float(s) for s in args.eps_values.split(",")]
+        bundles, report = run_epsilon_sweep(_load_config(args.config),
+                                            eps_values)
+    except ValueError as exc:
+        return _error(exc)
     if args.out:
         for eps, bundle in zip(eps_values, bundles):
             if bundle is not None:
@@ -164,17 +171,16 @@ def _cmd_sweep_eps(args) -> int:
 def _cmd_sweep_h(args) -> int:
     # For each h, follow the main branch and report the first pitchfork
     # among the det-sign changes it located (Branch.located).
-    h_values = [float(s) for s in args.h_values.split(",")]
-    try:  # every h before the first branch
-        for h in h_values:
-            build_weight(1, h, 0.0)
-    except WeightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    try:  # every h and the config before the first branch
+        cfgs = [RunConfig(kappa=1, h=float(s), mesh_n=args.n,
+                          lambda_min=args.lambda_min)
+                for s in args.h_values.split(",")]
+        for cfg in cfgs:
+            build_weight(1, cfg.h, 0.0)
+    except ValueError as exc:
+        return _error(exc)
     out = []
-    for h in h_values:
-        cfg = RunConfig(kappa=1, h=h, mesh_n=args.n,
-                        lambda_min=args.lambda_min)
+    for cfg in cfgs:
         d = Discretization(*cfg.build())
         branch = trace_main_branch(d, principal_eigenvalue(d.m),
                                    cfg.continuation())
@@ -184,8 +190,8 @@ def _cmd_sweep_h(args) -> int:
             if ev.kind == "pitchfork":
                 lam_b = ev.lambda_b
                 break
-        out.append({"h": h, "lambda_b": lam_b})
-        print(f"h = {h:g}  lambda_b = "
+        out.append({"h": cfg.h, "lambda_b": lam_b})
+        print(f"h = {cfg.h:g}  lambda_b = "
               f"{'not found' if lam_b is None else _fmt(lam_b)}")
     return 0 if all(e["lambda_b"] is not None for e in out) else 1
 

@@ -21,10 +21,11 @@ exactly symmetric.  On other branches the corrector updates and the
 predictor's higher-order terms leave out a mode that the Newton tolerance
 leaves free, such as the translation of a lone peak deep in lam
 (``corrector.drop_free_mode``); the estimate of that mode starts cold at
-the first point and is carried from step to step.  Every point of a branch
-carries its unit tangent and the sign of det J there, both from one LU of
-J, which also serves the next step's predictor and sheet test.  Folds are read off the
-tangents (``fold_points``).  A branch ends on a parameter or norm bound,
+the first point and is carried from step to step, advanced in every
+tangent solve and corrector update.  Every point of a branch carries its
+unit tangent and the sign of det J there, both from one LU of J, which
+also serves the next step's sheet test.  Folds are read off the tangents
+(``fold_points``).  A branch ends on a parameter or norm bound,
 step-count or step underflow, departure from the positive cone, or on
 closing back onto its own start.
 """
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corrector import (DEFAULT_MAX_ITERS, AugmentedState, NewtonError,
-                        SingularSystemError, SoftMode, Tangent,
-                        _inverse_iteration, _is_free, _lu, _lu_sign,
-                        bordered_solve, drop_free_mode, newton_augmented)
+                        SingularSystemError, SoftMode, Tangent, _is_free,
+                        _lu, _lu_sign, bordered_solve, drop_free_mode,
+                        newton_augmented)
 from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
                          jacobian, mirrors)
 
@@ -104,6 +105,10 @@ class ContinuationConfig:
     max_newton_iters: int = 25
 
     def __post_init__(self):
+        # a nan step never falls below ds_min, so the loop would never end
+        for name in ("ds", "ds_min", "newton_tol", "norm_max"):
+            if not 0.0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         if self.ds_min > self.ds:
             raise ValueError("ds_min must not exceed ds")
 
@@ -117,7 +122,7 @@ def make_point(d: Discretization, lam: float, u: np.ndarray,
 
 
 def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent,
-                   lu=None) -> tuple[Tangent, int]:
+                   lu=None, mode: SoftMode | None = None) -> tuple[Tangent, int]:
     """Unit tangent at y with ref . t > 0 by construction, and the sign of
     det J at y, both from one LU of J.
 
@@ -128,11 +133,12 @@ def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent,
     ref = (0, +-1) gives the tangent whose dlam has that sign; near a fold
     du grows along the null vector of J, so it tends to the fold tangent.
     lu may pass the LU factors of J at y, which the caller keeps; without
-    it J is assembled and factored here.
+    it J is assembled and factored here.  A SoftMode passed as mode is
+    advanced in place by one step on J at y, in the same two solves.
     """
     if lu is None:
         lu = _lu(jacobian(d, y.lam, y.u))
-    sol = bordered_solve(None, -y.u, ref, 1.0, lu=lu)
+    sol = bordered_solve(None, -y.u, ref, 1.0, lu=lu, mode=mode)
     return Tangent(sol[:-1], sol[-1]).normalized(), _lu_sign(lu)
 
 
@@ -161,21 +167,18 @@ def _symmetrized(t: Tangent) -> Tangent:
 
 
 def _predict(p: SolutionPoint, ds: float, prev: SolutionPoint | None,
-             lu, mode: SoftMode | None, tol: float) -> AugmentedState:
+             mode: SoftMode | None, tol: float) -> AugmentedState:
     """The point at arclength ds past p: Euler along p's tangent, plus, when
     there is a previous point, the second- and third-order terms of the
     cubic Hermite curve through prev and p with their tangents.
 
-    On a non-symmetric branch (mode given) mode is first advanced in place
-    on J at p when lu holds its LU factors (the loop passes them, the
-    bisection's trials do not), and the higher-order terms leave out the
-    mode if it is free: the corrector never removes such a component, so
-    the branch would keep the one the extrapolation puts in.
+    On a non-symmetric branch (mode given, and left unchanged) the
+    higher-order terms leave out the mode if it is free: the corrector never
+    removes such a component, so the branch would keep the one the
+    extrapolation puts in.
     """
     t = p.tangent
     lam, u = p.lam + ds * t.dlam, p.u + ds * t.du
-    if mode is not None and lu is not None:
-        mode.advance(lu)
     if prev is None:
         return AugmentedState(lam, u)
     dlam, du = p.lam - prev.lam, p.u - prev.u
@@ -192,28 +195,28 @@ def _predict(p: SolutionPoint, ds: float, prev: SolutionPoint | None,
 
 def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
           tol: float, max_iters: int = DEFAULT_MAX_ITERS,
-          prev: SolutionPoint | None = None, lu=None,
-          mode: SoftMode | None = None):
+          prev: SolutionPoint | None = None, mode: SoftMode | None = None):
     """One corrector step of length ds from p: (the new point, corrector
     updates, the LU factors of J there, the SoftMode carried there), or
     None when the corrector fails, the tangent solve meets a zero pivot or
     the tangent turns over 0.2 rad.
 
     The predictor is Euler, or Hermite through prev and p when prev is
-    given (see _predict; lu then holds the factors of J at p).  On a
-    non-symmetric branch the step advances a copy of mode, the estimate
-    carried to p, or a cold one when mode is None; the mode is left out of
-    the updates where it is free.  A symmetric branch carries None."""
+    given (see _predict).  On a non-symmetric branch the step advances a
+    copy of mode, the estimate carried to p, or a cold one when mode is
+    None, in each corrector update and in the tangent solve at the new
+    point; the mode is left out of the updates where it is free.  A
+    symmetric branch carries None."""
     y, t = AugmentedState(p.lam, p.u), p.tangent
     if not symmetric:
         mode = SoftMode.cold(len(p.u)) if mode is None else mode.copy()
-    y_pred = _predict(p, ds, prev, lu, mode, tol)
+    y_pred = _predict(p, ds, prev, mode, tol)
     try:
         y_new, iters = newton_augmented(
             d, y_pred, y, t, ds, tol=tol, max_iters=max_iters,
             symmetric=symmetric, mode=mode)
         lu_new = _lu(jacobian(d, y_new.lam, y_new.u))
-        t_new, sign = update_tangent(d, y_new, t, lu_new)
+        t_new, sign = update_tangent(d, y_new, t, lu_new, mode)
     except (NewtonError, SingularSystemError):
         return None
     t_new = _symmetrized(t_new) if symmetric else t_new
@@ -232,17 +235,19 @@ def _lu_sign_resolved(lu, u: np.ndarray, tol: float) -> bool:
     """Whether the sign of det J at u, from the LU factors lu of J, is not
     decided by a free mode.
 
-    mu, the eigenvalue of the softest mode of J, comes from 4 steps of
-    inverse iteration; its sign is noise when tol leaves the mode free, as
-    in corrector.drop_free_mode.  |mu|*_FREE_FRACTION*||u||/tol is at most
+    mu, the eigenvalue of the softest mode of J, comes from 4 steps of a
+    cold SoftMode; its sign is noise when tol leaves the mode free, as in
+    corrector.drop_free_mode.  |mu|*_FREE_FRACTION*||u||/tol is at most
     0.16 at the noise flips deep on the kappa=2, h=0.15 main branch (mu
     near 2e-7) and 7.6e3 or more at the ends of genuine brackets.
     """
+    mode = SoftMode.cold(len(u))
     try:
-        _, mu = _inverse_iteration(lu, len(u), iters=4)
+        for _ in range(4):
+            mode.advance(lu)
     except SingularSystemError:
         return False
-    return not _is_free(mu, u, tol)
+    return not _is_free(mode.mu, u, tol)
 
 
 # Trials one bisection may take: halving a step from s/2 to 1e-4 takes
@@ -320,18 +325,20 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
     branch = Branch(symmetry=_classify_symmetry(start.u))
     symmetric = branch.symmetry == "symmetric"
     lu = _lu(jacobian(d, start.lam, start.u))
-    t, sign = update_tangent(d, AugmentedState(start.lam, start.u), ref, lu)
+    mode = None if symmetric else SoftMode.cold(len(start.u))
+    t, sign = update_tangent(d, AugmentedState(start.lam, start.u), ref, lu,
+                             mode)
     t = _symmetrized(t) if symmetric else t
     first = replace(start, tag="branch_start", tangent=t, det_sign=sign)
     branch.points.append(first)
-    point, ds, prev, mode = first, cfg.ds, None, None
+    point, ds, prev = first, cfg.ds, None
     while len(branch.points) < cfg.max_steps:
         t = point.tangent
         if t.dlam < 0.0:  # end ds_min past lambda_min, not a long step past
             ds = min(ds, cfg.ds_min
                      + max(point.lam - cfg.lambda_min, 0.0) / -t.dlam)
         step = _step(d, point, ds, symmetric, cfg.newton_tol,
-                     cfg.max_newton_iters, prev, lu, mode)
+                     cfg.max_newton_iters, prev, mode)
         ends = None
         if step is not None:
             try:

@@ -11,7 +11,7 @@ column dF/dlam = -u and the tangent row.
 
 Every linear solve goes through one LU factorization of J with partial
 pivoting (LAPACK dgttrf/dgttrs), which also yields the sign of det(J) and
-drives inverse iteration for null vectors.  scipy's LAPACK extension is
+drives inverse iteration (``SoftMode``).  scipy's LAPACK extension is
 loaded from its file at the first factorization (``discretize._lapack``),
 so neither importing this module nor factorizing loads scipy.linalg.  The
 bordered system is solved by mixed block elimination (BEMW: Govaerts &
@@ -25,9 +25,9 @@ A mode of J whose eigenvalue is so small that the residual tolerance cannot
 pin it down is free: an update along it amplifies residual noise by
 1/|eigenvalue|.  On request the corrector leaves it out (``drop_free_mode``).
 Its right and left estimates (``SoftMode``) are carried along a branch and
-advanced by one step of inverse iteration per Newton update, as one extra
-column of each of the bordered solve's two tridiagonal solves, so a mode
-far from free costs no solve of its own.
+advanced by one step of inverse iteration per bordered solve (each Newton
+update and each tangent), as one extra column of each of its two
+tridiagonal solves, so a mode far from free costs no solve of its own.
 """
 
 import math
@@ -134,28 +134,6 @@ def solve_tridiag(J: BandedJacobian, b: np.ndarray) -> np.ndarray:
     return _lu_solve(_lu(J), b)
 
 
-def _start_vector(n: int) -> np.ndarray:
-    """The unit start vector of inverse iteration."""
-    v = np.ones(n)
-    v[::2] += 0.5  # break accidental orthogonality to the target mode
-    v /= np.linalg.norm(v)
-    return v
-
-
-def _inverse_iteration(lu, n: int, iters: int) -> tuple[np.ndarray, float]:
-    """Unit vector after iters inverse-iteration steps on the LU factors lu.
-
-    Also returns 1/||J^-1 v|| of the last step, an estimate from above of
-    the smallest |eigenvalue| of J.
-    """
-    v = _start_vector(n)
-    for _ in range(iters):
-        x = _lu_solve(lu, v)
-        growth = math.sqrt(x.dot(x))
-        v = x / growth
-    return v, 1.0 / growth
-
-
 # With a tenth of |u| the switched branches of kappa=1 (h 0.05 to 0.3, N 300,
 # 500, 999) all reach lam=-3000 without a fold; 8 of these 15 diagrams stall
 # without it.  At N=500, Newton first needs 6 or more iterations where
@@ -175,9 +153,10 @@ class SoftMode:
     advance takes one step of inverse iteration with J and J^T; mu is
     1/||J^-1 right|| of the last step, an estimate of the smallest
     |eigenvalue| of the J it was taken on (from above of its smallest
-    singular value).  It stays inf until the second step: the first one, from the start vector, can read a mode of
-    1e-2 of a non-normal J as 6e-5.  bordered_solve advances a mode in the
-    same solves as its own columns.  The vectors are replaced, never
+    singular value).  It stays inf until the second step: the first one,
+    from the start vector, can read a mode of 1e-2 of a non-normal J as
+    6e-5.  bordered_solve advances a mode in the same solves as its own
+    columns.  The vectors are replaced, never
     written in place, so copies may share them.
     """
 
@@ -189,7 +168,9 @@ class SoftMode:
     @classmethod
     def cold(cls, n: int) -> "SoftMode":
         """The estimate at the first point of a branch: the start vector."""
-        v = _start_vector(n)
+        v = np.ones(n)
+        v[::2] += 0.5  # break accidental orthogonality to the target mode
+        v /= np.linalg.norm(v)
         return cls(v, v)
 
     def copy(self) -> "SoftMode":

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import product
+from itertools import compress, product
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from .discretize import (Discretization, discrete_l2_norm, jacobian,
                          principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
 from .seeding import (enumerate_peak_masks, find_new_solution,
-                      matches_branch, peak_indices, peak_pattern,
-                      peak_pattern_seed, well_bump_seed, well_edge_seed)
+                      matches_branch, peak_indices, peak_pattern, peak_seed,
+                      support_intervals)
 from .weight import Weight, build_weight
 
 __all__ = [
@@ -94,10 +94,18 @@ class RunConfig:
                 if k not in _CONTINUATION_KEYS:
                     raise ValueError(f"unknown config key: continuation.{k}")
                 kw[k] = v
-        cfg = cls(**kw)
-        if cfg.centers is not None:
-            cfg.centers = tuple(float(c) for c in cfg.centers)
-        return cfg
+        return cls(**kw)
+
+    def __post_init__(self):
+        """Refuse a float that is not finite; continuation() refuses a step,
+        tolerance or norm bound that is not positive, and ds_min > ds."""
+        if self.centers is not None:
+            self.centers = tuple(float(c) for c in self.centers)
+        for name, value in asdict(self).items():
+            for v in value if name == "centers" and value else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
+        self.continuation()
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -292,22 +300,31 @@ def run_diagram(config) -> DiagramBundle:
     else:
         add("main", main)
 
-    # Isola sweep over unrepresented masks, fixed order.  An
-    # asymmetric isola is followed by its mirror image unless it contains it.
-    masks = enumerate_peak_masks(cfg.kappa)
-    well_patterns = ([bits for bits in product((False, True), repeat=cfg.kappa)
-                      if any(bits)] if cfg.eps > 0 else [])
+    # Isola sweep over one seed list in a fixed order: (failure label,
+    # pattern whose representation skips the seed, peak centres, weight a
+    # there) for each mask, then for eps > 0 each well pattern's well
+    # midpoints and then its well edges.  An asymmetric isola is followed by
+    # its mirror image unless it contains it.
+    mids = [0.5 * (lo + hi) for lo, hi in support_intervals(d.w)]
+    seeds = [(f"mask {m}", m.bits, list(compress(mids, m.bits)), 1.0)
+             for m in enumerate_peak_masks(cfg.kappa)]
+    wells = [(bits, list(compress(d.w.intervals, bits)))
+             for bits in product((False, True), repeat=cfg.kappa)
+             if any(bits) and cfg.eps > 0]
+    seeds += [(f"wells {bits}", None, [0.5 * (lo + hi) for lo, hi in ivs],
+               cfg.eps) for bits, ivs in wells]
+    seeds += [(f"well edges {bits}", None, [c for iv in ivs for c in iv], 1.0)
+              for bits, ivs in wells]
 
-    def attempt(seed_fn, label):
+    for label, pattern, centers, a in seeds:
+        if pattern in represented:
+            continue
         known = [r.branch for r in records]
         for lam_try in _ISOLA_GRID:
             if lam_try < cfg.lambda_min:
                 continue
-            try:
-                seed = seed_fn(lam_try)
-            except ValueError:
-                continue
-            pt = find_new_solution(d, lam_try, seed, known,
+            pt = find_new_solution(d, lam_try,
+                                   peak_seed(d, lam_try, centers, a), known,
                                    newton_tol=cfg.newton_tol)
             if pt is None:
                 continue
@@ -315,26 +332,14 @@ def run_diagram(config) -> DiagramBundle:
                 iso = _trace_both(d, pt, cont)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"isola trace {label}: {exc}")
-                return
+                break
             add("isola", iso)
             # every known asymmetric branch is stored with its mirror, so
             # only iso can hold the mirror of its new point
             if iso.symmetry != "symmetric" and not matches_branch(
                     d, pt.lam, pt.u[::-1], iso, cfg.newton_tol):
                 add("isola", _mirrored(d, iso))
-            return
-
-    for mask in masks:
-        if mask.bits in represented:
-            continue
-        attempt(lambda lam, mk=mask: peak_pattern_seed(d, mk, lam),
-                f"mask {mask}")
-    for wells in well_patterns:
-        attempt(lambda lam, ws=wells: well_bump_seed(d, lam, wells=ws),
-                f"wells {wells}")
-    for wells in well_patterns:
-        attempt(lambda lam, ws=wells: well_edge_seed(d, lam, wells=ws),
-                f"well edges {wells}")
+            break
 
     # Fold events from every branch.
     for rec in records:
@@ -418,9 +423,9 @@ def run_epsilon_sweep(base_config, eps_values):
             else RunConfig.from_dict(base_config))
     bundles = []
     report = []
+    if not all(0.0 <= eps <= 1.0 for eps in eps_values):  # before any diagram
+        raise ValueError(f"eps outside [0, 1] in {list(eps_values)}")
     for eps in eps_values:
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError(f"eps = {eps} outside [0, 1]")
         cfg = RunConfig.from_dict({**base.resolved(), "eps": float(eps)})
         entry = {"eps": float(eps), "main_peaks": None, "isola_peaks": None,
                  "error": None}

@@ -1,15 +1,17 @@
 """Seeds, discovery of new solutions and peak patterns.
 
-Initial Newton iterates are sine seeds and multi-peak bump seeds.
-For strongly negative lam the mass of every positive solution concentrates in
-the maximal intervals where the coefficient equals 1, so candidate solutions
-are enumerated by boolean peak masks over those kappa+1 intervals (2^(kappa+1)-1
-nonzero patterns).  Each set bit contributes a sech-shaped bump whose amplitude
-sqrt(-2*lam) and width 1/sqrt(-lam) match the homoclinic orbit of the
-autonomous equation -u'' = lam*u + u^3, the true far-field shape of a peak.
-``find_new_solution`` converges a seed at fixed lam and keeps it only if
-``matches_branch`` finds it on no known branch (one secant guess per sheet
-through lam, re-converged there); ``peak_pattern`` reads which support
+Initial Newton iterates are sine seeds and peak seeds.  For strongly
+negative lam a positive solution concentrates as homoclinic peaks
+sqrt(-2*lam/a) / cosh(sqrt(-lam) * (x - c)) of -u'' = lam*u + a*u^3, the true
+far-field shape of a peak, wherever the weight a is positive.  ``peak_seed``
+sums such peaks at given centres.  Where the coefficient equals 1 the
+candidate solutions are enumerated by boolean peak masks over the kappa+1
+maximal intervals (2^(kappa+1)-1 nonzero patterns); ``peak_pattern_seed``
+puts one peak at the midpoint of each masked interval.  For eps > 0 a run
+also seeds peaks at the midpoints of the wells (a = eps) and at their edges
+(a = 1).  ``find_new_solution`` converges a seed at fixed lam and keeps it
+only if ``matches_branch`` finds it on no known branch (one secant guess per
+sheet through lam, re-converged there); ``peak_pattern`` reads which support
 intervals a solution occupies.  Moving a solution to another lam is the job
 of ``continuation.continue_branch``.
 """
@@ -30,9 +32,8 @@ __all__ = [
     "enumerate_peak_masks",
     "sine_seed",
     "support_intervals",
+    "peak_seed",
     "peak_pattern_seed",
-    "well_bump_seed",
-    "well_edge_seed",
     "find_new_solution",
     "matches_branch",
     "peak_indices",
@@ -73,73 +74,32 @@ def support_intervals(w: Weight) -> list[tuple[float, float]]:
     return [(edges[2 * i], edges[2 * i + 1]) for i in range(w.kappa + 1)]
 
 
-def _bump(x: np.ndarray, center: float, lam: float, amplitude: float) -> np.ndarray:
-    return amplitude / np.cosh(np.sqrt(-lam) * (x - center))
+def peak_seed(d: Discretization, lam: float, centers, a: float = 1.0) -> np.ndarray:
+    """Sum of homoclinic peaks sqrt(-2*lam/a) / cosh(sqrt(-lam) * (x - c)),
+    one at each c in centers, at the interior nodes; a is the weight at the
+    centres (1 on the support intervals, eps in a well), given by the caller
+    so that a seed evaluates no weight."""
+    if not lam < 0:
+        raise ValueError("peak seeds require lam < 0")
+    if not a > 0:
+        raise ValueError(f"peak seeds require a > 0, got {a}")
+    x = d.m.interior
+    u = np.zeros_like(x)
+    amp = np.sqrt(-2.0 * lam / a)
+    for c in centers:
+        u += amp / np.cosh(np.sqrt(-lam) * (x - c))
+    return u
 
 
 def peak_pattern_seed(d: Discretization, mask: PeakMask, lam: float) -> np.ndarray:
-    """Sum of homoclinic-shaped bumps on the masked support intervals."""
-    if lam >= 0:
-        raise ValueError("peak seeds require lam < 0")
+    """peak_seed at the midpoints of the masked support intervals (a = 1)."""
     intervals = support_intervals(d.w)
     if len(mask.bits) != len(intervals):
         raise ValueError(
             f"mask has {len(mask.bits)} bits for {len(intervals)} support intervals"
         )
-    x = d.m.interior
-    u = np.zeros_like(x)
-    amp = np.sqrt(-2.0 * lam)
-    for bit, (lo, hi) in zip(mask.bits, intervals):
-        if bit:
-            u += _bump(x, 0.5 * (lo + hi), lam, amp)
-    return u
-
-
-def _well_intervals(d: Discretization, lam: float,
-                    wells: tuple[bool, ...] | None) -> list[tuple[float, float]]:
-    """The depressed intervals flagged in wells (default: all), for eps > 0."""
-    if lam >= 0:
-        raise ValueError("peak seeds require lam < 0")
-    if d.w.eps <= 0:
-        raise ValueError("well seeds require eps > 0")
-    if wells is None:
-        wells = (True,) * d.w.kappa
-    if len(wells) != d.w.kappa:
-        raise ValueError(f"expected {d.w.kappa} well flags, got {len(wells)}")
-    return [iv for bit, iv in zip(wells, d.w.intervals) if bit]
-
-
-def well_bump_seed(d: Discretization, lam: float,
-                   wells: tuple[bool, ...] | None = None) -> np.ndarray:
-    """Bumps centered in the depressed intervals, scaled for coefficient eps.
-
-    Only meaningful for eps > 0, where the local cubic coefficient is eps and
-    the corresponding homoclinic amplitude is sqrt(-2*lam/eps).
-    """
-    intervals = _well_intervals(d, lam, wells)
-    x = d.m.interior
-    u = np.zeros_like(x)
-    amp = np.sqrt(-2.0 * lam / d.w.eps)
-    for a, b in intervals:
-        u += _bump(x, 0.5 * (a + b), lam, amp)
-    return u
-
-
-def well_edge_seed(d: Discretization, lam: float,
-                   wells: tuple[bool, ...] | None = None) -> np.ndarray:
-    """A pair of bumps straddling each depressed interval, at its endpoints.
-
-    For eps > 0 the deep solutions with two peaks per well sit at the jump
-    points alpha_i and beta_i of the coefficient, not at the support interval
-    midpoints, so a dedicated seed family is needed to reach them.
-    """
-    intervals = _well_intervals(d, lam, wells)
-    x = d.m.interior
-    u = np.zeros_like(x)
-    amp = np.sqrt(-2.0 * lam)
-    for a, b in intervals:
-        u += _bump(x, a, lam, amp) + _bump(x, b, lam, amp)
-    return u
+    return peak_seed(d, lam, [0.5 * (lo + hi) for bit, (lo, hi)
+                              in zip(mask.bits, intervals) if bit])
 
 
 def matches_branch(d: Discretization, lam: float, u: np.ndarray,

@@ -112,13 +112,18 @@ def _pieces(w: Weight) -> list[tuple[float, float, float]]:
 
 def _check_inputs(lam, **positive):
     """Refuse a lam that is not finite and each named value that is not a
-    positive finite number (None passes): on nan no shot ever ends."""
+    positive finite number (None passes): on nan no shot ever ends.  A
+    refine_tol below the float resolution is refused too: a bracket one ulp
+    wide never meets it."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     for name, value in positive.items():
         if value is not None and not 0.0 < value < np.inf:
             raise ValueError(
                 f"{name} must be positive and finite, got {value}")
+    if positive.get("refine_tol", 1.0) < np.finfo(float).eps:
+        raise ValueError(f"refine_tol below the float resolution, got "
+                         f"{positive['refine_tol']}")
 
 
 def integrate_ivp(w: Weight, lam: float, v0: float,

@@ -24,8 +24,7 @@ from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
-from bvpcont.seeding import (PeakMask, peak_pattern, peak_pattern_seed,
-                             well_bump_seed, well_edge_seed)
+from bvpcont.seeding import PeakMask, peak_pattern, peak_pattern_seed, peak_seed
 from bvpcont.shooting import (check_decay_identity, integrate_ivp,
                               shoot_count, time_map)
 from bvpcont.weight import build_weight
@@ -182,9 +181,13 @@ def test_criterion_4_isola_turning_points_table():
         for lam0 in (-300.0, -600.0, -1300.0, -2400.0, -2900.0):
             if lam0 >= ref:
                 continue
-            for seed_fn in (well_bump_seed, well_edge_seed):
+            # a peak in the well's middle (weight eps), then a pair of
+            # peaks at its edges (weight 1)
+            (lo, hi), = w.intervals
+            for centers, a in (([0.5 * (lo + hi)], eps), ([lo, hi], 1.0)):
                 try:
-                    u = newton_fixed_lambda(d, lam0, seed_fn(d, lam0))
+                    u = newton_fixed_lambda(d, lam0,
+                                            peak_seed(d, lam0, centers, a))
                 except Exception:
                     continue
                 # upward through the fold until lam drops 50 below the start

@@ -10,7 +10,7 @@ from bvpcont.diagram import RunConfig, trace_main_branch
 from bvpcont.discretize import (Discretization, mirrors,
                                 principal_eigenvalue, residual)
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import well_bump_seed
+from bvpcont.seeding import peak_seed
 from bvpcont.weight import build_weight
 
 
@@ -170,7 +170,8 @@ def test_isola_top_fold_matches():
     m = build_uniform_mesh(500)
     d = Discretization(w, m)
     lam0 = -1200.0
-    u = newton_fixed_lambda(d, lam0, well_bump_seed(d, lam0))
+    (lo, hi), = w.intervals
+    u = newton_fixed_lambda(d, lam0, peak_seed(d, lam0, [0.5 * (lo + hi)], 0.3))
     b = continue_branch(d, make_point(d, lam0, u),
                         Tangent(np.zeros_like(u), +1.0),
                         ContinuationConfig(lambda_min=lam0 - 50.0))
@@ -216,6 +217,29 @@ def test_update_tangent_orientation():
     assert t3.dot(t) < 0
     up, _ = update_tangent(d, y, Tangent(np.zeros_like(u), +1.0))
     assert up.dlam > 0
+
+
+def test_predict_leaves_the_mode_unchanged():
+    # the loop advances the soft mode in its tangent solves; the Hermite
+    # predictor on a lone-peak branch only reads it
+    from bvpcont.continuation import _predict
+    from bvpcont.corrector import SoftMode, _lu
+    from bvpcont.discretize import jacobian
+    from bvpcont.seeding import PeakMask, peak_pattern_seed
+    d = Discretization(build_weight(1, 0.1, 0.0), build_uniform_mesh(200))
+    u = newton_fixed_lambda(d, -50.0, peak_pattern_seed(
+        d, PeakMask((True, False)), -50.0))
+    b = continue_branch(d, make_point(d, -50.0, u), down(u),
+                        ContinuationConfig(lambda_min=-1000.0))
+    prev, p = b.points[-3:-1]
+    mode = SoftMode.cold(len(u))
+    lu = _lu(jacobian(d, p.lam, p.u))
+    for _ in range(3):
+        mode.advance(lu)
+    kept = mode.copy()
+    _predict(p, 1.0, prev, mode, 1e-4)
+    assert mode.right is kept.right and mode.left is kept.left
+    assert (mode.mu, mode.steps) == (kept.mu, kept.steps)
 
 
 def test_fold_points_requires_three_points():

@@ -12,7 +12,7 @@ from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import sine_seed, well_bump_seed
+from bvpcont.seeding import peak_seed, sine_seed
 from bvpcont.weight import build_weight
 
 
@@ -74,12 +74,14 @@ def test_divergence_and_exhaustion_raise():
 
 def test_isola_solution_at_minus_1200(descend):
     # the eps = 0.30 isola exists only below its top fold near -1111.65; a
-    # well-centered bump seed at -1200 lands in its Newton basin, and the
-    # solution continues down to -1300
+    # peak seed in the middle of the well at -1200 lands in its Newton basin,
+    # and the solution continues down to -1300
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(500)
     d = Discretization(w, m)
-    u = newton_fixed_lambda(d, -1200.0, well_bump_seed(d, -1200.0))
+    (lo, hi), = w.intervals
+    u = newton_fixed_lambda(d, -1200.0,
+                            peak_seed(d, -1200.0, [0.5 * (lo + hi)], 0.3))
     assert u.min() > -1e-8
     assert np.abs(u).max() > 1.0
     assert np.linalg.norm(residual(d, -1200.0, u)) < 1e-4
@@ -381,6 +383,28 @@ def test_carried_free_mode_drops_the_same_mode():
                 assert y is x
             else:
                 assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_tangent_solve_advances_a_mode_as_advance_does():
+    # the mode rides along as one more column of each of the tangent's two
+    # solves: bit for bit the step SoftMode.advance takes on the same LU,
+    # and the tangent and det sign are those of a solve without it
+    J, _ = _soft_mode_matrix()
+    n = J.n
+    y = AugmentedState(0.0, np.linspace(1.0, 2.0, n))
+    ref = Tangent(np.zeros(n), -1.0)
+    lu = _lu(J)
+    carried, stepped = SoftMode.cold(n), SoftMode.cold(n)
+    t0, sign0 = update_tangent(None, y, ref, lu)
+    for _ in range(3):
+        t, sign = update_tangent(None, y, ref, lu, carried)
+        stepped.advance(lu)
+        assert np.array_equal(carried.right, stepped.right)
+        assert np.array_equal(carried.left, stepped.left)
+        assert (carried.mu, carried.steps) == (stepped.mu, stepped.steps)
+        assert np.array_equal(t.du, t0.du) and t.dlam == t0.dlam
+        assert sign == sign0
+    assert carried.mu < 1e-8  # the mode of 1e-9, found
 
 
 def test_newton_augmented_free_modes_idle_without_soft_mode():

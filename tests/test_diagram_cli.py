@@ -448,6 +448,46 @@ def test_cli_refuses_a_bad_argument_in_one_error_line(run_python, argv):
     assert out.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("config", [
+    '{"ds": NaN, "mesh_n": 100, "lambda_min": -50}',
+    '{"lambda_min": NaN, "mesh_n": 100}',
+    '{"ds": 0}',
+    '{"newton_tol": 0}',
+    '{"continuation": {"norm_max": -1}}',
+    '{"ds": 1, "ds_min": 2}',
+], ids=["ds_nan", "lambda_min_nan", "ds_0", "newton_tol_0", "norm_max_neg",
+        "ds_min_above_ds"])
+def test_cli_diagram_refuses_a_bad_setting_in_one_error_line(run_python,
+                                                             tmp_path, config):
+    # a nan step never falls below ds_min: refused before any work, in a
+    # subprocess with a timeout so that a hang fails instead of stalling
+    path = tmp_path / "bad.json"
+    path.write_text(config)
+    out = run_python("-m", "bvpcont.cli", "diagram", "--config", str(path),
+                     "--out", str(tmp_path / "out"), timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-h", "--h-values", "0.1", "--lambda-min", "nan"],
+    ["sweep-eps", "--eps-values", "nan"],
+    ["sweep-eps", "--eps-values", "0.5,nan"],
+    ["solve", "--lambda", "nan", "--n", "50"],
+    ["solve", "--lambda", "inf", "--n", "50", "--seed", "10"],
+], ids=["sweep_h_lambda_min_nan", "sweep_eps_nan", "sweep_eps_second_nan",
+        "solve_lambda_nan", "solve_lambda_inf"])
+def test_cli_refuses_a_non_finite_setting_in_one_error_line(run_python, argv):
+    out = run_python("-m", "bvpcont.cli", *argv, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--n", "10", "--k", "0"], "--k"),
     (["--n", "10", "--k", "11"], "--k"),

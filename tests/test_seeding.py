@@ -11,8 +11,8 @@ from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import (PeakMask, enumerate_peak_masks,
                              find_new_solution, matches_branch,
                              peak_indices, peak_pattern,
-                             peak_pattern_seed, sine_seed, support_intervals,
-                             well_bump_seed)
+                             peak_pattern_seed, peak_seed, sine_seed,
+                             support_intervals)
 from bvpcont.weight import build_weight
 
 
@@ -95,6 +95,43 @@ def test_pattern_seed_rejects_bad_input():
         peak_pattern_seed(d, PeakMask((True, False, True)), -50.0)
     with pytest.raises(ValueError):
         peak_pattern_seed(d, PeakMask((True, False)), 5.0)
+
+
+def test_peak_seed_is_the_homoclinic_peak():
+    # one peak at a node: amplitude sqrt(-2*lam/a) there, and 1/cosh(1) of
+    # it at the width 1/sqrt(-lam) = 0.1 = 50 dx on either side
+    d = Discretization(build_weight(1, 0.1, 0.3), build_uniform_mesh(499))
+    x = d.m.interior
+    for lam, a in ((-100.0, 1.0), (-100.0, 0.3)):
+        u = peak_seed(d, lam, [x[249]], a)
+        amp = np.sqrt(-2.0 * lam / a)
+        assert x[249] == 0.5 and u.max() == u[249] == amp
+        for i in (199, 299):
+            assert abs(x[i] - 0.5) == pytest.approx(1.0 / np.sqrt(-lam))
+            assert u[i] == pytest.approx(amp / np.cosh(1.0), rel=1e-12)
+        assert np.array_equal(u, amp / np.cosh(np.sqrt(-lam) * (x - 0.5)))
+    # peaks add, in the order given
+    two = peak_seed(d, -100.0, [0.2, 0.7])
+    assert np.array_equal(two, peak_seed(d, -100.0, [0.2])
+                          + peak_seed(d, -100.0, [0.7]))
+
+
+@pytest.mark.parametrize("lam, a", [(0.0, 1.0), (5.0, 1.0), (np.nan, 1.0),
+                                    (-50.0, 0.0), (-50.0, -1.0),
+                                    (-50.0, np.nan)])
+def test_peak_seed_refuses_lam_and_weight(lam, a):
+    d = Discretization(build_weight(1, 0.1, 0.3), build_uniform_mesh(100))
+    with pytest.raises(ValueError):
+        peak_seed(d, lam, [0.25], a)
+
+
+def test_pattern_seed_is_the_peak_seed_at_masked_midpoints():
+    d = Discretization(build_weight(2, 0.25, 0.3), build_uniform_mesh(200))
+    mids = [0.5 * (lo + hi) for lo, hi in support_intervals(d.w)]
+    for mask in enumerate_peak_masks(2):
+        centers = [c for bit, c in zip(mask.bits, mids) if bit]
+        assert np.array_equal(peak_pattern_seed(d, mask, -50.0),
+                              peak_seed(d, -50.0, centers))
 
 
 def _single_peaks(d, levels, descend):
@@ -184,14 +221,16 @@ def test_find_new_solution_deduplicates_against_known():
 
 
 def test_find_new_solution_deduplicates_across_a_long_step():
-    # kappa=1, h=0.5, eps=0.5: the well-bump seed at lam = -200 lands on the
-    # main branch; with no stored point within 10 of -200 the secant between
-    # the points on either side must still recognize it
+    # kappa=1, h=0.5, eps=0.5: the peak seed in the middle of the well at
+    # lam = -200 lands on the main branch; with no stored point within 10 of
+    # -200 the secant between the points on either side must still
+    # recognize it
     d = Discretization(build_weight(1, 0.5, 0.5), build_uniform_mesh(500))
     main = trace_main_branch(d, principal_eigenvalue(d.m),
                              ContinuationConfig(lambda_min=-600.0))
     gap = Branch(points=[p for p in main.points if abs(p.lam + 200.0) > 10.0])
-    seed = well_bump_seed(d, -200.0, wells=(True,))
+    (lo, hi), = d.w.intervals
+    seed = peak_seed(d, -200.0, [0.5 * (lo + hi)], 0.5)
     assert find_new_solution(d, -200.0, seed, []) is not None
     assert find_new_solution(d, -200.0, seed, [gap]) is None
 

@@ -128,6 +128,22 @@ def test_oracle_refuses_a_non_finite_argument(run_python, call):
     assert out.stdout == "refused\n"
 
 
+def test_shoot_count_refuses_a_refine_tol_below_the_float_resolution(
+        run_python):
+    # no bracket can be narrower than one ulp, so a refine_tol below
+    # eps_mach is never met (in a subprocess with a timeout, so that a hang
+    # fails instead of stalling)
+    code = ("from bvpcont import build_weight, shoot_count\n"
+            "try:\n"
+            "    shoot_count(build_weight(1, 0.1, 0.0), -100.0,"
+            " refine_tol=1e-20)\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n")
+    out = run_python("-c", code, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused: refine_tol")
+
+
 @pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
 def test_guided_refinement_brackets_every_root(monkeypatch, kappa, h):
     # the counting ops of the oracle benchmark take the scan, at most four
