@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import SolutionPoint
-from .corrector import (AugmentedState, SoftMode, Tangent, _lu,
+from .corrector import (DEFAULT_TOL, AugmentedState, SoftMode, Tangent, _lu,
                         newton_augmented)
 from .discretize import BandedJacobian, Discretization, jacobian, mirrors
 
@@ -41,10 +41,7 @@ def null_vector(J: BandedJacobian) -> np.ndarray:
     cold SoftMode on the LU of J shifted by 1e-12 of its largest diagonal."""
     shift = 1e-12 * float(np.abs(J.diag).max() + 1.0)
     lu = _lu(BandedJacobian(J.sub, J.diag + shift, J.sup))
-    mode = SoftMode.cold(J.n)
-    for _ in range(12):
-        mode.advance(lu)
-    v = mode.right
+    v = SoftMode.settled(lu, J.n, 12).right
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return v
@@ -68,7 +65,7 @@ def classify(d: Discretization, a: SolutionPoint,
 
 
 def switch_branch(d: Discretization, ev: BifurcationEvent,
-                  newton_tol: float = 1e-4) -> AugmentedState:
+                  newton_tol: float = DEFAULT_TOL) -> AugmentedState:
     """A corrected state on the other branch through the pitchfork ev.
 
     One arclength step of length amp = 0.01 * (1 + ||u_b||) along the null

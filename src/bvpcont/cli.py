@@ -19,8 +19,8 @@ import numpy as np
 from .bifurcation import classify
 from .continuation import make_point
 from .corrector import NewtonError, SingularSystemError, newton_fixed_lambda
-from .diagram import (RunConfig, _fmt, _json_dumps, run_diagram,
-                      run_epsilon_sweep, trace_main_branch, write_bundle)
+from .diagram import (RunConfig, _fmt, run_diagram, run_epsilon_sweep,
+                      trace_main_branch, write_bundle)
 from .discretize import (Discretization, principal_eigenvalue,
                          toeplitz_eigenvalue)
 from .seeding import PeakMask, peak_pattern_seed, peak_seed, sine_seed
@@ -164,7 +164,7 @@ def _cmd_sweep_eps(args) -> int:
         for eps, bundle in zip(eps_values, bundles):
             if bundle is not None:
                 write_bundle(bundle, f"{args.out}/eps_{eps:g}")
-    print(_json_dumps(report))
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -182,8 +182,7 @@ def _cmd_sweep_h(args) -> int:
     out = []
     for cfg in cfgs:
         d = Discretization(*cfg.build())
-        branch = trace_main_branch(d, principal_eigenvalue(d.m),
-                                   cfg.continuation())
+        branch = trace_main_branch(d, principal_eigenvalue(d.m), cfg)
         lam_b = None
         for i in sorted(branch.located):
             ev = classify(d, *branch.located[i])

@@ -35,10 +35,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corrector import (DEFAULT_MAX_ITERS, AugmentedState, NewtonError,
-                        SingularSystemError, SoftMode, Tangent, _is_free,
-                        _lu, _lu_sign, bordered_solve, drop_free_mode,
-                        newton_augmented)
+from .corrector import (DEFAULT_MAX_ITERS, DEFAULT_TOL, AugmentedState,
+                        NewtonError, SingularSystemError, SoftMode, Tangent,
+                        _is_free, _lu, _lu_sign, bordered_solve,
+                        drop_free_mode, newton_augmented)
 from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
                          jacobian, mirrors)
 
@@ -101,14 +101,17 @@ class ContinuationConfig:
     lambda_min: float = -3000.0
     norm_max: float = 1e4
     max_steps: int = 20000
-    newton_tol: float = 1e-4
-    max_newton_iters: int = 25
+    newton_tol: float = DEFAULT_TOL
+    max_newton_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
         # a nan step never falls below ds_min, so the loop would never end
         for name in ("ds", "ds_min", "newton_tol", "norm_max"):
             if not 0.0 < (v := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        for name in ("max_steps", "max_newton_iters"):
+            if type(v := getattr(self, name)) is not int or v < 1:  # no bool
+                raise ValueError(f"{name} must be an integer >= 1, got {v}")
         if self.ds_min > self.ds:
             raise ValueError("ds_min must not exceed ds")
 
@@ -241,10 +244,8 @@ def _lu_sign_resolved(lu, u: np.ndarray, tol: float) -> bool:
     0.16 at the noise flips deep on the kappa=2, h=0.15 main branch (mu
     near 2e-7) and 7.6e3 or more at the ends of genuine brackets.
     """
-    mode = SoftMode.cold(len(u))
     try:
-        for _ in range(4):
-            mode.advance(lu)
+        mode = SoftMode.settled(lu, len(u), 4)
     except SingularSystemError:
         return False
     return not _is_free(mode.mu, u, tol)

@@ -173,6 +173,15 @@ class SoftMode:
         v /= np.linalg.norm(v)
         return cls(v, v)
 
+    @classmethod
+    def settled(cls, lu, n: int, steps: int) -> "SoftMode":
+        """A cold estimate after steps steps with the J whose LU factors lu
+        holds, taken on the right vector only: left stays the start vector."""
+        mode = cls.cold(n)
+        for _ in range(steps):
+            mode._take(_lu_solve(lu, mode.right))
+        return mode
+
     def copy(self) -> "SoftMode":
         return SoftMode(self.right, self.left, self.mu, self.steps)
 
@@ -180,10 +189,12 @@ class SoftMode:
         """One step with the J whose LU factors lu holds."""
         self._take(_lu_solve(lu, self.right), _lu_solve(lu, self.left, "T"))
 
-    def _take(self, x_right: np.ndarray, x_left: np.ndarray) -> None:
+    def _take(self, x_right: np.ndarray,
+              x_left: np.ndarray | None = None) -> None:
         growth = math.sqrt(x_right.dot(x_right))
         self.right = x_right / growth
-        self.left = x_left / math.sqrt(x_left.dot(x_left))
+        if x_left is not None:
+            self.left = x_left / math.sqrt(x_left.dot(x_left))
         self.steps += 1
         if self.steps > 1:
             self.mu = 1.0 / growth

@@ -52,8 +52,9 @@ _CONTINUATION_KEYS = tuple(f.name for f in fields(ContinuationConfig))
 
 
 @dataclass
-class RunConfig:
-    """Fully resolved run configuration; every field has a default."""
+class RunConfig(ContinuationConfig):
+    """Fully resolved run configuration, a ContinuationConfig with the
+    weight, mesh and output settings; every field has a default."""
 
     kappa: int = 1
     h: float = 0.1
@@ -64,13 +65,6 @@ class RunConfig:
     coarse_dx: float = 0.01
     fine_dx: float = 0.002
     pad: float | None = None
-    ds: float = 3.0
-    ds_min: float = 0.01
-    lambda_min: float = -3000.0
-    norm_max: float = 1e4
-    max_steps: int = 20000
-    newton_tol: float = 1e-4
-    max_newton_iters: int = 25
     probe_lambda: float = -700.0
     profile_stride: int = 0  # 0: only tagged points and branch endpoints
 
@@ -97,24 +91,17 @@ class RunConfig:
         return cls(**kw)
 
     def __post_init__(self):
-        """Refuse a float that is not finite; continuation() refuses a step,
-        tolerance or norm bound that is not positive, and ds_min > ds."""
+        """Refuse a float that is not finite and a profile_stride that is not
+        an integer >= 0; ContinuationConfig refuses the rest."""
         if self.centers is not None:
             self.centers = tuple(float(c) for c in self.centers)
         for name, value in asdict(self).items():
             for v in value if name == "centers" and value else [value]:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"{name} must be finite, got {v}")
-        self.continuation()
-
-    def resolved(self) -> dict:
-        d = asdict(self)
-        d["centers"] = None if self.centers is None else list(self.centers)
-        return d
-
-    def continuation(self) -> ContinuationConfig:
-        return ContinuationConfig(
-            **{k: getattr(self, k) for k in _CONTINUATION_KEYS})
+        if type(v := self.profile_stride) is not int or v < 0:
+            raise ValueError(f"profile_stride must be an integer >= 0, got {v}")
+        super().__post_init__()
 
     def build(self) -> tuple[Weight, Mesh]:
         w = build_weight(self.kappa, self.h, self.eps, centers=self.centers)
@@ -232,18 +219,16 @@ def _end_patterns(d: Discretization, b: Branch) -> set[tuple[bool, ...]]:
     return {bits for bits in patterns if any(bits)}
 
 
-def run_diagram(config) -> DiagramBundle:
+def run_diagram(cfg: RunConfig) -> DiagramBundle:
     """Full pipeline: main branch, bifurcations, isola sweep, bundle assembly.
 
     Stage failures and unclassified det-sign changes are recorded in
     provenance and do not abort the run; the bundle always contains whatever
     was computed.
     """
-    cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(config)
     t_wall = time.perf_counter()
     d = Discretization(*cfg.build())
-    cont = cfg.continuation()
-    bundle = DiagramBundle(config=cfg.resolved(), operator=d)
+    bundle = DiagramBundle(config=asdict(cfg), operator=d)
     failures: list[str] = []
     records = bundle.branches
     represented = set()  # the _end_patterns of every record
@@ -285,7 +270,7 @@ def run_diagram(config) -> DiagramBundle:
                            if r.branch.symmetry != "symmetric"):
                         continue
                     child = continue_branch(d, make_point(d, y.lam, y.u),
-                                            Tangent(ev.null_vector, 0.0), cont)
+                                            Tangent(ev.null_vector, 0.0), cfg)
                 except (NewtonError, SingularSystemError) as exc:
                     failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
                     continue
@@ -294,7 +279,7 @@ def run_diagram(config) -> DiagramBundle:
 
     # Main branch, switched from u = 0 at the first eigenvalue.
     try:
-        main = trace_main_branch(d, lam1, cont)
+        main = trace_main_branch(d, lam1, cfg)
     except (NewtonError, SingularSystemError) as exc:
         failures.append(f"main branch: {exc}")
     else:
@@ -329,7 +314,7 @@ def run_diagram(config) -> DiagramBundle:
             if pt is None:
                 continue
             try:
-                iso = _trace_both(d, pt, cont)
+                iso = _trace_both(d, pt, cfg)
             except (NewtonError, SingularSystemError) as exc:
                 failures.append(f"isola trace {label}: {exc}")
                 break
@@ -383,16 +368,14 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
     Returns {pattern: (lam, u, branch_id)} keyed by the 0/1 string of
     occupied vanishing intervals.
 
-    config is a RunConfig or its dict form, or a DiagramBundle that
-    run_diagram returned, whose branches are then used without a new run.
+    config is a RunConfig, or a DiagramBundle that run_diagram returned,
+    whose branches are then used without a new run.
     """
     if isinstance(config, DiagramBundle):
         bundle = config
         cfg = RunConfig.from_dict(bundle.config)
     else:
-        cfg = (config if isinstance(config, RunConfig)
-               else RunConfig.from_dict(config))
-        bundle = run_diagram(cfg)
+        cfg, bundle = config, run_diagram(config)
     d = bundle.operator
     out: dict[str, tuple[float, np.ndarray, str]] = {}
     for rec in bundle.branches:
@@ -412,21 +395,19 @@ def _nearest_point(b: Branch, lam: float) -> SolutionPoint | None:
     return min(b.points, key=lambda p: abs(p.lam - lam))
 
 
-def run_epsilon_sweep(base_config, eps_values):
+def run_epsilon_sweep(base: RunConfig, eps_values):
     """One diagram per eps plus a peak-count recombination report.
 
     The report records, at the probe lam, the peak count of the symmetric
     main-branch solution and of the (symmetric) isola solution for each eps.
     Per-eps failures are isolated into the report entry.
     """
-    base = (base_config if isinstance(base_config, RunConfig)
-            else RunConfig.from_dict(base_config))
     bundles = []
     report = []
     if not all(0.0 <= eps <= 1.0 for eps in eps_values):  # before any diagram
         raise ValueError(f"eps outside [0, 1] in {list(eps_values)}")
     for eps in eps_values:
-        cfg = RunConfig.from_dict({**base.resolved(), "eps": float(eps)})
+        cfg = replace(base, eps=float(eps))
         entry = {"eps": float(eps), "main_peaks": None, "isola_peaks": None,
                  "error": None}
         try:
@@ -534,34 +515,6 @@ def emit_svg(bundle: DiagramBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_dumps(obj, indent=0) -> str:
-    """JSON with floats rendered at 17 significant digits."""
-    pad = "  " * indent
-    pad1 = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad1}{json.dumps(str(k))}: {_json_dumps(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad1}{_json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        if not np.isfinite(obj):
-            return json.dumps(None)
-        return _fmt(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return _fmt(float(obj))
-    return json.dumps(obj)
-
-
 def write_bundle(bundle: DiagramBundle, outdir) -> None:
     """Write bundle.json, branches.csv, events.jsonl, diagram.svg, profiles/.
 
@@ -593,7 +546,8 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
             for rec in bundle.branches
         ],
     }
-    (out / "bundle.json").write_text(_json_dumps(doc) + "\n")
+    (out / "bundle.json").write_text(
+        json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
     rows = ["branch_id,point_index,lambda,l2_norm,tag"]
     for rec in bundle.branches:
@@ -604,7 +558,7 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
 
     with open(out / "events.jsonl", "w") as fh:
         for e in bundle.events:
-            fh.write(_json_dumps(e).replace("\n", " ") + "\n")
+            fh.write(json.dumps(e) + "\n")
 
     (out / "diagram.svg").write_text(emit_svg(bundle))
 

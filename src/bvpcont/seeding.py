@@ -16,13 +16,15 @@ intervals a solution occupies.  Moving a solution to another lam is the job
 of ``continuation.continue_branch``.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .continuation import Branch, make_point
-from .corrector import NewtonError, SingularSystemError, newton_fixed_lambda
+from .corrector import (DEFAULT_TOL, NewtonError, SingularSystemError,
+                        newton_fixed_lambda)
 from .discretize import Discretization
 from .mesh import Mesh
 from .weight import Weight
@@ -63,8 +65,9 @@ def enumerate_peak_masks(kappa: int) -> list[PeakMask]:
 
 def sine_seed(m: Mesh, amplitude: float) -> np.ndarray:
     """amplitude * sin(pi * x) at the interior nodes."""
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    if not 0.0 < amplitude < math.inf:  # a nan passes amplitude <= 0
+        raise ValueError(
+            f"amplitude must be positive and finite, got {amplitude}")
     return amplitude * np.sin(np.pi * m.interior)
 
 
@@ -103,7 +106,7 @@ def peak_pattern_seed(d: Discretization, mask: PeakMask, lam: float) -> np.ndarr
 
 
 def matches_branch(d: Discretization, lam: float, u: np.ndarray,
-                   branch: Branch, newton_tol: float = 1e-4) -> bool:
+                   branch: Branch, newton_tol: float = DEFAULT_TOL) -> bool:
     """Whether (lam, u) lies on an already-computed branch.
 
     One guess per sheet through lam (isolas fold back): the secant at lam of
@@ -130,7 +133,7 @@ def matches_branch(d: Discretization, lam: float, u: np.ndarray,
 
 
 def find_new_solution(d: Discretization, lam: float, seed: np.ndarray,
-                      known: list[Branch], newton_tol: float = 1e-4):
+                      known: list[Branch], newton_tol: float = DEFAULT_TOL):
     """Newton from a seed: a new solution point, or None (failure, duplicate)."""
     try:
         u = newton_fixed_lambda(d, lam, seed, tol=newton_tol)

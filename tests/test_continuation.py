@@ -45,6 +45,10 @@ def test_main_branch_starts_below_the_first_eigenvalue(config):
 def test_config_validation():
     with pytest.raises(ValueError):
         ContinuationConfig(ds=1.0, ds_min=2.0)
+    for bad in ({"max_steps": 0}, {"max_steps": 2.5}, {"max_steps": True},
+                {"max_newton_iters": 0}, {"max_newton_iters": 3.0}):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            ContinuationConfig(**bad)
 
 
 def test_step_control_grows_and_bounds_turn():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+from bvpcont import corrector
+from bvpcont.bifurcation import null_vector
 from bvpcont.corrector import (AugmentedState, NewtonError,
                                SingularSystemError, SoftMode, Tangent, _lu,
                                _lu_solve, augmented_residual, bordered_solve,
@@ -405,6 +407,29 @@ def test_tangent_solve_advances_a_mode_as_advance_does():
         assert np.array_equal(t.du, t0.du) and t.dlam == t0.dlam
         assert sign == sign0
     assert carried.mu < 1e-8  # the mode of 1e-9, found
+
+
+def test_settled_mode_steps_only_the_right_vector(monkeypatch):
+    # null_vector and the sheet test read only the right vector and mu of a
+    # cold mode: settled takes them bit for bit as advance does, without
+    # advance's transpose solves for the left vector
+    J, _ = _soft_mode_matrix()
+    n = J.n
+    lu = _lu(J)
+    for steps in (1, 4, 12):
+        settled = SoftMode.settled(lu, n, steps)
+        stepped = _advanced(lu, n, steps)
+        assert np.array_equal(settled.right, stepped.right)
+        assert (settled.mu, settled.steps) == (stepped.mu, stepped.steps)
+    calls = []
+
+    def counted(lu, b, trans="N"):
+        calls.append(trans)
+        return _lu_solve(lu, b, trans)
+
+    monkeypatch.setattr(corrector, "_lu_solve", counted)
+    null_vector(J)
+    assert calls == ["N"] * 12
 
 
 def test_newton_augmented_free_modes_idle_without_soft_mode():

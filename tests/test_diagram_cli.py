@@ -59,7 +59,7 @@ def test_continuation_section_round_trips_every_field():
         values[f.name] = v + 1 if isinstance(v, int) else v / 2.0
         assert values[f.name] != v
     cfg = RunConfig.from_dict({"continuation": values})
-    assert cfg.continuation() == ContinuationConfig(**values)
+    assert all(getattr(cfg, k) == v for k, v in values.items())
 
 
 def _count_calls(monkeypatch, fn):
@@ -263,6 +263,21 @@ def test_bundle_artifacts(tmp_path, pitchfork_bundle):
     assert cols[0, 1] == 0.0 and cols[-1, 1] == 0.0
 
 
+def test_bundle_files_round_trip(tmp_path, pitchfork_bundle):
+    # bundle.json gives back the run's config with every float setting a
+    # float (eps = 0 among them), and events.jsonl every event to the bit
+    cfg, bundle = pitchfork_bundle
+    write_bundle(bundle, tmp_path)
+    config = json.loads((tmp_path / "bundle.json").read_text())["config"]
+    assert RunConfig.from_dict(config) == cfg
+    floats = [k for k, v in dataclasses.asdict(cfg).items()
+              if isinstance(v, float)]
+    assert "eps" in floats and cfg.eps == 0.0
+    assert all(isinstance(config[k], float) for k in floats)
+    lines = (tmp_path / "events.jsonl").read_text().splitlines()
+    assert bundle.events and [json.loads(x) for x in lines] == bundle.events
+
+
 def test_write_bundle_uses_the_run_operator(tmp_path, monkeypatch,
                                            pitchfork_bundle):
     # the profiles are written on the mesh the run built, not on a rebuilt one
@@ -455,8 +470,13 @@ def test_cli_refuses_a_bad_argument_in_one_error_line(run_python, argv):
     '{"newton_tol": 0}',
     '{"continuation": {"norm_max": -1}}',
     '{"ds": 1, "ds_min": 2}',
+    '{"kappa": 1, "mesh_n": 100, "max_steps": 0}',
+    '{"max_steps": 2.5, "mesh_n": 100}',
+    '{"max_newton_iters": 0, "mesh_n": 100}',
+    '{"profile_stride": -1, "mesh_n": 100}',
 ], ids=["ds_nan", "lambda_min_nan", "ds_0", "newton_tol_0", "norm_max_neg",
-        "ds_min_above_ds"])
+        "ds_min_above_ds", "max_steps_0", "max_steps_2.5",
+        "max_newton_iters_0", "profile_stride_neg"])
 def test_cli_diagram_refuses_a_bad_setting_in_one_error_line(run_python,
                                                              tmp_path, config):
     # a nan step never falls below ds_min: refused before any work, in a
@@ -478,8 +498,11 @@ def test_cli_diagram_refuses_a_bad_setting_in_one_error_line(run_python,
     ["sweep-eps", "--eps-values", "0.5,nan"],
     ["solve", "--lambda", "nan", "--n", "50"],
     ["solve", "--lambda", "inf", "--n", "50", "--seed", "10"],
+    ["solve", "--lambda", "-10", "--n", "50", "--amplitude", "nan"],
+    ["solve", "--lambda", "-10", "--n", "50", "--amplitude", "inf"],
 ], ids=["sweep_h_lambda_min_nan", "sweep_eps_nan", "sweep_eps_second_nan",
-        "solve_lambda_nan", "solve_lambda_inf"])
+        "solve_lambda_nan", "solve_lambda_inf", "solve_amplitude_nan",
+        "solve_amplitude_inf"])
 def test_cli_refuses_a_non_finite_setting_in_one_error_line(run_python, argv):
     out = run_python("-m", "bvpcont.cli", *argv, timeout=60)
     assert out.returncode == 2
