@@ -1,14 +1,14 @@
-"""Classification of located det-sign changes and branch switching at
+"""Classification of located orientation changes and branch switching at
 simple bifurcation points.
 
-``continue_branch`` bisects each resolved sign change of det J that dlam
-does not share, and keeps its two final ends, 1e-4 apart in lam, in
-``Branch.located``; a step whose bisection meets a fold is halved, so a
-located pair never straddles one (folds are read off the tangents,
-``continuation.fold_points``).  ``classify`` reads the event between such a
-pair: an odd null vector on a symmetric host marks a pitchfork, which one
-arclength step along the null vector passes (Allgower & Georg, SIAM 2003,
-ch. 8).
+``continue_branch`` bisects each resolved change of the orientation sign
+sign(det J) sign(dlam), which a fold does not make, and keeps its two
+final ends, 1e-4 apart in lam, in ``Branch.located``; a bisection that
+meets a fold stops, so a located pair never straddles one (folds are read
+off the tangents, ``continuation.fold_points``).  ``classify`` reads the
+event between such a pair: an odd null vector on a symmetric host marks a
+pitchfork, which one arclength step along the null vector passes
+(Allgower & Georg, SIAM 2003, ch. 8).
 """
 
 from dataclasses import dataclass
@@ -49,8 +49,8 @@ def null_vector(J: BandedJacobian) -> np.ndarray:
 
 def classify(d: Discretization, a: SolutionPoint,
              b: SolutionPoint) -> BifurcationEvent:
-    """The event between the located ends a (start side) and b of a
-    det-sign change, as continue_branch keeps them in Branch.located.
+    """The event between the located ends a (start side) and b of an
+    orientation change, as continue_branch keeps them in Branch.located.
 
     A pitchfork when the host is symmetric and the null vector v of J at a
     has v . Rv < 0 (R: x -> 1-x), else unclassified, at the mean lam of a

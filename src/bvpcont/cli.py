@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='"sine", "wells" (needs --eps > 0), or a mask of '
                         'kappa+1 bits with at least one 1, like "101"')
     p.add_argument("--amplitude", type=float, default=1.0,
-                   help="sine seed amplitude")
+                   help="sine seed amplitude, positive and finite; only the "
+                        "sine seed reads it")
 
     p = sub.add_parser("shoot", help="oracle census at one lambda")
     _add_weight_args(p)
@@ -113,12 +114,11 @@ def _cmd_solve(args) -> int:
             raise ValueError(f"lambda must be finite, got {args.lam}")
         d = Discretization(*RunConfig(kappa=args.kappa, h=args.h, eps=args.eps,
                                       mesh_n=args.n).build())
-        if args.seed == "sine":
-            u0 = sine_seed(d.m, args.amplitude)
-        elif args.seed == "wells":  # a peak in the middle of every well
+        u0 = sine_seed(d.m, args.amplitude)  # refuses a bad one for any seed
+        if args.seed == "wells":  # a peak in the middle of every well
             u0 = peak_seed(d, args.lam, [0.5 * (lo + hi)
                                          for lo, hi in d.w.intervals], args.eps)
-        else:
+        elif args.seed != "sine":
             bits = tuple(c == "1" for c in args.seed)
             u0 = peak_pattern_seed(d, PeakMask(bits), args.lam)
     except ValueError as exc:
@@ -170,7 +170,7 @@ def _cmd_sweep_eps(args) -> int:
 
 def _cmd_sweep_h(args) -> int:
     # For each h, follow the main branch and report the first pitchfork
-    # among the det-sign changes it located (Branch.located).
+    # among the orientation changes it located (Branch.located).
     try:  # every h and the config before the first branch
         cfgs = [RunConfig(kappa=1, h=float(s), mesh_n=args.n,
                           lambda_min=args.lambda_min)

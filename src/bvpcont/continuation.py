@@ -10,11 +10,15 @@ accepted step whose corrector took k updates the step is scaled by 2
 (k <= 1), 1.25 (k = 2), 1 (k = 3) or 0.5 (k >= 4); no constant caps it.
 ``_step``, which the bisection shares, rejects a step when the corrector
 fails, the tangent solve meets a zero pivot or the unit tangent turns by
-more than 0.2 rad.  The loop also rejects a step that lands on a
-neighbouring sheet: det J changes sign while dlam does not, and the
-bisection along the old sheet cannot locate the change.  A change it does
-locate is kept with the branch (``Branch.located``), so a diagram run
-locates each such event once.  A rejected step is halved; a step that would pass lambda_min is cut to end ds_min past it.
+more than 0.2 rad.  The loop also compares the orientation sign
+det [J -u; t^T] = sign(det J) sign(dlam) at the ends of a step, which
+changes at every simple bifurcation point and never at a fold (ch. 8).
+A plain bisection along the old sheet locates a change (``_crossing``),
+kept with the branch (``Branch.located``), so a diagram run locates each
+such event once.  A step whose change it cannot locate landed on another
+sheet and is rejected, unless too short to halve: then the change is
+reported.  A rejected step is halved; a step that would pass lambda_min
+is cut to end ds_min past it.
 A branch takes its symmetry label from its start point.  A symmetric start
 point is continued in the symmetric subspace, so every point it adds is
 exactly symmetric.  On other branches the corrector updates and the
@@ -75,9 +79,9 @@ class Branch:
     points: list[SolutionPoint] = field(default_factory=list)
     symmetry: str = "unknown"  # symmetric | asymmetric_left | asymmetric_right | unknown
     diagnostics: list[str] = field(default_factory=list)
-    # {i: (a, b)}: a det-sign change between points i and i+1 that dlam does
-    # not share, bisected by continue_branch to a on the side of point i and
-    # b past it, 1e-4 apart in lam
+    # {i: (a, b)}: an orientation change between points i and i+1, bisected
+    # by continue_branch to a on the side of point i and b past it, 1e-4
+    # apart in lam, with opposite det signs and dlam of one sign
     located: dict[int, tuple[SolutionPoint, SolutionPoint]] = field(
         default_factory=dict)
 
@@ -230,8 +234,8 @@ def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
 
 
 class BracketError(ValueError):
-    """A det-sign change that the bisection cannot locate as a branch
-    point: the trials do not reach the change, or reach a fold."""
+    """An orientation change that the bisection cannot locate as a branch
+    point: the trials do not reach it, or reach a fold first."""
 
 
 def _lu_sign_resolved(lu, u: np.ndarray, tol: float) -> bool:
@@ -251,62 +255,49 @@ def _lu_sign_resolved(lu, u: np.ndarray, tol: float) -> bool:
     return not _is_free(mode.mu, u, tol)
 
 
-# Trials one bisection may take: halving a step from s/2 to 1e-4 takes
-# log2(s / 1e-4) of them (20 for s = 68); a trial on the start side adds one.
-_MAX_TRIALS = 100
-
-
-def _bisect(d: Discretization, pa: SolutionPoint, pb: SolutionPoint,
-            tol: float) -> tuple[SolutionPoint, SolutionPoint]:
-    """The det-sign change between branch points pa and pb, narrowed to two
-    points a and b on either side of it, at most 1e-4 apart in lam.
-
-    Each trial is the loop's corrector step (_step, Euler) from the last
-    point on the start side along its tangent; a step is halved when _step
-    rejects it or it lands on the far side more than 1e-4 away in lam.
-    Raises BracketError after _MAX_TRIALS trials: the trials follow pa's
-    own sheet, so pb is on another one or the change is out of reach.
-    """
-    symmetric = mirrors(pa.u, pa.u)
-    a = pa  # the last point on the start side
-    ds = 0.5 * float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
-    for _ in range(_MAX_TRIALS):
-        step = _step(d, a, ds, symmetric, tol)
-        if step is None:
-            ds *= 0.5
-            continue
-        b = step[0]
-        if b.det_sign == pa.det_sign:
-            a = b
-        elif abs(b.lam - a.lam) <= 1e-4:
-            return a, b
-        else:
-            ds *= 0.5
-    raise BracketError(f"bisection stalled after {_MAX_TRIALS} trials at "
-                       f"lam = {a.lam:.6g}, step {ds:.3g}")
+def _orientation(p: SolutionPoint) -> float:
+    """sign det [J -u; t^T] at p, which is sign(det J) sign(dlam)."""
+    return p.det_sign * math.copysign(1.0, p.tangent.dlam)
 
 
 def _crossing(d: Discretization, p: SolutionPoint, q: SolutionPoint,
               lu_p, lu_q, tol: float):
-    """The bisected ends (a, b) of a det-sign change from p to q that dlam
-    does not share, or None when there is no such change or a sign is not
-    resolved (lu_p, lu_q: the LU factors of J at p and q).
+    """The bisected ends (a, b) of an orientation change from p to q, or
+    None when there is none or a det sign is not resolved (lu_p, lu_q: the
+    LU factors of J at p and q).
 
-    Raises BracketError when the step left p's sheet: the bisection along
-    it does not reach the change, or reaches a fold there, so the step
-    passed the fold and landed on a sheet that does not fold back.  Without
-    this test a step of chord 71.8 from lam -208.66 on the kappa=3, h=0.15,
-    eps=0.5 main branch lands on the neighbouring sheet at -273.20 (det
-    +1 -> -1, norm 12.21 against 11.66 on its own at -268.1).
+    Each trial is the loop's corrector step (_step, Euler) from a, the last
+    point on the start side, along its tangent: half the chord from p to q
+    at first and half the last one after that, so the trials stay inside
+    the chord.  Returns a and the first trial b past the change within 1e-4
+    of a in lam.  Raises BracketError when a trial meets a fold (its dlam
+    differs in sign from a's) or the step falls below 1e-6: the step left
+    p's sheet.  Without this test a step of chord 71.8 from lam -208.66 on
+    the kappa=3, h=0.15, eps=0.5 main branch lands on the neighbouring sheet
+    at -273.20 (det +1 -> -1, norm 12.21 against 11.66 on its own at -268.1).
     """
-    if (p.det_sign * q.det_sign >= 0 or p.tangent.dlam * q.tangent.dlam <= 0
+    if (_orientation(p) * _orientation(q) >= 0
             or not (_lu_sign_resolved(lu_p, p.u, tol)
                     and _lu_sign_resolved(lu_q, q.u, tol))):
         return None
-    a, b = _bisect(d, p, q, tol)
-    if a.tangent.dlam * b.tangent.dlam < 0:
-        raise BracketError(f"bisection met a fold at lam = {a.lam:.6g}")
-    return a, b
+    symmetric = mirrors(p.u, p.u)
+    a = p
+    ds = 0.5 * float(np.hypot(np.linalg.norm(q.u - p.u), q.lam - p.lam))
+    # every successful bisection measured ended on a step of 4.3e-6 or more
+    # (the least on kappa=1, h=0.5, eps=0.5 at lam -294.37)
+    while ds >= 1e-6:
+        step = _step(d, a, ds, symmetric, tol)
+        ds *= 0.5
+        if step is None:
+            continue
+        b = step[0]
+        if b.tangent.dlam * a.tangent.dlam < 0:
+            raise BracketError(f"bisection met a fold at lam = {a.lam:.6g}")
+        if _orientation(b) == _orientation(p):
+            a = b
+        elif abs(b.lam - a.lam) <= 1e-4:
+            return a, b
+    raise BracketError(f"bisection stalled at lam = {a.lam:.6g}")
 
 
 def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
@@ -315,10 +306,10 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
 
     ref is e.g. (0, -1) to go down in lam, or a start tangent.  The branch
     starts with a copy of start tagged branch_start; every point, the start
-    included, carries its tangent and det sign, and every det-sign change
-    that the sheet test bisects is kept in Branch.located.  The branch takes its
-    symmetry label from start.  A symmetric start point is continued in the
-    symmetric subspace: the tangents and every corrector iterate are
+    included, carries its tangent and det sign, and every orientation change
+    that the sheet test locates is kept in Branch.located.  The branch takes
+    its symmetry label from start.  A symmetric start point is continued in
+    the symmetric subspace: the tangents and every corrector iterate are
     projected onto it.  Otherwise the corrector updates leave out a free
     mode of J.  An exactly zero pivot of J at the start raises
     SingularSystemError.
@@ -345,8 +336,13 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
             try:
                 ends = _crossing(d, point, step[0], lu, step[2],
                                  cfg.newton_tol)
-            except BracketError:  # landed on another sheet
-                step = None
+            except BracketError as exc:
+                if ds >= 2.0 * cfg.ds_min:  # landed on another sheet
+                    step = None
+                else:  # too short to halve: keep the step, report the change
+                    branch.diagnostics.append(
+                        f"orientation change not located at lam = "
+                        f"{point.lam:.6g}, step {ds:.3g}: {exc}")
         if step is None:
             ds *= 0.5
             if ds < cfg.ds_min:

@@ -3,7 +3,7 @@
 A run builds the weight and mesh, follows the main branch from where it
 bifurcates from u = 0 at the first discrete eigenvalue, sweeps peak masks
 for isolas, and packages everything as a DiagramBundle that can be written
-out as JSON/CSV/SVG.  Each branch is read for det-sign changes as it is
+out as JSON/CSV/SVG.  Each branch is read for located changes as it is
 added, and its pitchforks are switched, before the next seed is tried; a
 switched branch records the event it starts at as its parent.  Of each
 mirror pair of branches one is traced and the other is its reflection.
@@ -222,9 +222,9 @@ def _end_patterns(d: Discretization, b: Branch) -> set[tuple[bool, ...]]:
 def run_diagram(cfg: RunConfig) -> DiagramBundle:
     """Full pipeline: main branch, bifurcations, isola sweep, bundle assembly.
 
-    Stage failures and unclassified det-sign changes are recorded in
-    provenance and do not abort the run; the bundle always contains whatever
-    was computed.
+    Stage failures, unclassified det-sign changes and orientation changes
+    that a branch kept unlocated are recorded in provenance and do not
+    abort the run; the bundle always contains whatever was computed.
     """
     t_wall = time.perf_counter()
     d = Discretization(*cfg.build())
@@ -235,17 +235,20 @@ def run_diagram(cfg: RunConfig) -> DiagramBundle:
 
     lam1 = principal_eigenvalue(d.m)
 
-    def add(role, branch):
+    def add(role, branch, mirror=False):
         # Record and read the branch and each child it spawns; a pitchfork is
-        # switched once, unless the child starts on a known branch.
-        queue = [(role, branch, None)]
+        # switched once, unless the child starts on a known branch, and a
+        # change left unlocated is reported for the traced branch only.
+        queue = [(role, branch, None, mirror)]
         while queue:
-            role, branch, parent = queue.pop(0)
+            role, branch, parent, mirror = queue.pop(0)
             n = len(bundle.branch_by_role(role))
             bid = role if role == "main" else f"{role}_{n}"
             records.append(BranchRecord(bid, role, branch, parent))
             represented.update(_end_patterns(d, branch))
-            # the det-sign changes that continue_branch located; folds are
+            failures.extend(f"{bid}: {x}" for x in branch.diagnostics
+                            if "not located" in x and not mirror)
+            # the orientation changes that continue_branch located; folds are
             # read off the tangents (fold_points) below
             for i, ends in sorted(branch.located.items()):
                 try:
@@ -274,8 +277,8 @@ def run_diagram(cfg: RunConfig) -> DiagramBundle:
                 except (NewtonError, SingularSystemError) as exc:
                     failures.append(f"switch at lam={ev.lambda_b:.6g}: {exc}")
                     continue
-                queue += [("switched", child, (bid, i)),
-                          ("switched", _mirrored(d, child), (bid, i))]
+                queue += [("switched", child, (bid, i), False),
+                          ("switched", _mirrored(d, child), (bid, i), True)]
 
     # Main branch, switched from u = 0 at the first eigenvalue.
     try:
@@ -323,7 +326,7 @@ def run_diagram(cfg: RunConfig) -> DiagramBundle:
             # only iso can hold the mirror of its new point
             if iso.symmetry != "symmetric" and not matches_branch(
                     d, pt.lam, pt.u[::-1], iso, cfg.newton_tol):
-                add("isola", _mirrored(d, iso))
+                add("isola", _mirrored(d, iso), mirror=True)
             break
 
     # Fold events from every branch.

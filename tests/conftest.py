@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import bvpcont
-from bvpcont.continuation import (ContinuationConfig, _lu_sign_resolved,
+from bvpcont.continuation import (BracketError, ContinuationConfig,
+                                  SolutionPoint, _lu_sign_resolved, _step,
                                   continue_branch, make_point)
 from bvpcont.corrector import Tangent, _lu, _lu_det_sign, newton_fixed_lambda
 from bvpcont.diagram import RunConfig, run_diagram
-from bvpcont.discretize import jacobian
+from bvpcont.discretize import Discretization, jacobian, mirrors
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +76,48 @@ def run_python():
         return subprocess.run([sys.executable, *args], env=env,
                               capture_output=True, text=True, timeout=timeout)
     return run
+
+
+# Trials one bisection may take: halving a step from s/2 to 1e-4 takes
+# log2(s / 1e-4) of them (20 for s = 68); a trial on the start side adds one.
+_MAX_TRIALS = 100
+
+
+def _bisect(d: Discretization, pa: SolutionPoint, pb: SolutionPoint,
+            tol: float) -> tuple[SolutionPoint, SolutionPoint]:
+    """The det-sign change between branch points pa and pb, narrowed to two
+    points a and b on either side of it, at most 1e-4 apart in lam.
+
+    Each trial is the loop's corrector step (_step, Euler) from the last
+    point on the start side along its tangent; a step is halved when _step
+    rejects it or it lands on the far side more than 1e-4 away in lam.
+    Raises BracketError after _MAX_TRIALS trials: the trials follow pa's
+    own sheet, so pb is on another one or the change is out of reach.
+    """
+    symmetric = mirrors(pa.u, pa.u)
+    a = pa  # the last point on the start side
+    ds = 0.5 * float(np.hypot(np.linalg.norm(pb.u - pa.u), pb.lam - pa.lam))
+    for _ in range(_MAX_TRIALS):
+        step = _step(d, a, ds, symmetric, tol)
+        if step is None:
+            ds *= 0.5
+            continue
+        b = step[0]
+        if b.det_sign == pa.det_sign:
+            a = b
+        elif abs(b.lam - a.lam) <= 1e-4:
+            return a, b
+        else:
+            ds *= 0.5
+    raise BracketError(f"bisection stalled after {_MAX_TRIALS} trials at "
+                       f"lam = {a.lam:.6g}, step {ds:.3g}")
+
+
+@pytest.fixture(scope="session")
+def fold_bisect():
+    """fold_bisect(d, pa, pb, tol): a det-sign change between the branch
+    points pa and pb narrowed to two corrected points a and b at most 1e-4
+    apart in lam.  The continuation loop bisects orientation changes, which
+    a fold does not make, so folds are narrowed by this reference locator,
+    a det-sign bisection along pa's sheet."""
+    return _bisect

@@ -33,11 +33,11 @@ def located_events(d, b):
     return [classify(d, *b.located[i]) for i in sorted(b.located)]
 
 
-def _fold_between(d, p, q):
-    """The loop's bisection from p to q (continuation._bisect): its two
+def _fold_between(bisect, d, p, q):
+    """The det-sign bisection from p to q (the fold_bisect fixture): its two
     final ends, and lam of the fold between them by their Hermite fit
     (continuation._hermite_fold)."""
-    a, b = continuation._bisect(d, p, q, 1e-4)
+    a, b = bisect(d, p, q, 1e-4)
     return a, b, continuation._hermite_fold(a, b)[1]
 
 
@@ -101,11 +101,20 @@ def test_bracket_error_on_same_sign():
     assert continuation._crossing(d, p, q, *lus, 1e-4) is None
 
 
+def _max_trials(p, q):
+    """The trials that a plain bisection of the chord from p to q may take
+    before its halved step falls below 1e-6."""
+    chord = float(np.hypot(np.linalg.norm(q.u - p.u), q.lam - p.lam))
+    return int(np.ceil(np.log2(chord / 2e-6))) + 1
+
+
 def test_locate_raises_when_bisection_cannot_narrow(monkeypatch):
     # a corrector that always returns its start point never reaches the far
-    # side of the located pair; the bisection gives up after its trial budget
+    # side of the located pair; the bisection gives up when its halved step
+    # falls below 1e-6
     d, b = main_branch(0.05)
     ends = b.located[min(b.located)]
+    lus = [_lu(jacobian(d, p.lam, p.u)) for p in ends]
     calls = [0]
 
     def frozen(d, y0, y_prev, t, ds, **kw):
@@ -116,14 +125,15 @@ def test_locate_raises_when_bisection_cannot_narrow(monkeypatch):
 
     monkeypatch.setattr(continuation, "newton_augmented", frozen)
     with pytest.raises(BracketError, match="stalled"):
-        continuation._bisect(d, *ends, 1e-4)
-    assert calls[0] == continuation._MAX_TRIALS
+        continuation._crossing(d, *ends, *lus, 1e-4)
+    assert 0 < calls[0] <= _max_trials(*ends)
 
 
 def test_locate_raises_when_the_corrector_always_fails(monkeypatch):
-    # every trial step is halved, and the budget ends the bisection
+    # every trial step is halved, and the 1e-6 step ends the bisection
     d, b = main_branch(0.05)
     ends = b.located[min(b.located)]
+    lus = [_lu(jacobian(d, p.lam, p.u)) for p in ends]
     calls = [0]
 
     def failing(*args, **kw):
@@ -134,8 +144,8 @@ def test_locate_raises_when_the_corrector_always_fails(monkeypatch):
 
     monkeypatch.setattr(continuation, "newton_augmented", failing)
     with pytest.raises(BracketError, match="stalled"):
-        continuation._bisect(d, *ends, 1e-4)
-    assert calls[0] == continuation._MAX_TRIALS
+        continuation._crossing(d, *ends, *lus, 1e-4)
+    assert 0 < calls[0] <= _max_trials(*ends)
 
 
 def test_locate_returns_the_state_at_lambda_b():
@@ -219,17 +229,19 @@ def _softest_modes(d, state, k=3):
              else "even") for i in idx]
 
 
-def test_locate_holds_on_a_long_isola_bracket():
+def test_locate_holds_on_a_long_isola_bracket(fold_bisect):
     # kappa=1, h=0.5, eps=0.5: the symmetric plateau sheet, u = sqrt(-lam/eps)
     # on the a = eps interval (0.25, 0.75) with the sech tails of the a = 1
     # homoclinic, which meet it at the same height since eps = 1/2.  One
     # corrector step of arclength 68.2 from its point at lam -533.47 lands
     # on a neighbouring sheet at -473.07 across a det-sign change.  The
-    # bisection's second trial lands on that sheet again; halving the step
-    # from the last point on the start side reaches the change.  It is a
-    # fold of the plateau sheet: an even mode of J crosses zero while the
-    # odd ones stay near +-300, so it is no pitchfork, and the sheet test
-    # rejects the step.
+    # det-sign bisection's second trial lands on that sheet again; halving
+    # the step from the last point on the start side reaches the change.  It
+    # is a fold of the plateau sheet: an even mode of J crosses zero while
+    # the odd ones stay near +-300, so it is no pitchfork.  The loop's
+    # orientation bisection stops short of it: its trials past the fold turn
+    # by more than 0.2 rad, so it stalls, and the sheet test rejects the
+    # step.
     d = Discretization(build_weight(1, 0.5, 0.5), build_uniform_mesh(500))
     lam = -533.474
     well = np.maximum(np.abs(d.m.interior - 0.5) - 0.25, 0.0)
@@ -240,18 +252,18 @@ def test_locate_holds_on_a_long_isola_bracket():
     pa = make_point(d, lam, u, tangent=t, det_sign=sign)
     pb = continuation._step(d, pa, 68.2, True, 1e-4)[0]
     assert abs(pb.lam - (-473.07)) < 0.1 and pb.det_sign != pa.det_sign
-    a, b, lambda_b = _fold_between(d, pa, pb)
+    a, b, lambda_b = _fold_between(fold_bisect, d, pa, pb)
     assert -503.15 < lambda_b < -488.08
     assert a.tangent.dlam * b.tangent.dlam < 0  # a fold
     (mu, parity), *rest = _softest_modes(d, a)
     assert abs(mu) < 0.1 and parity == "even"
     assert all(abs(m) > 100.0 for m, _ in rest)
     lus = [_lu(jacobian(d, p.lam, p.u)) for p in (pa, pb)]
-    with pytest.raises(BracketError, match="met a fold"):
+    with pytest.raises(BracketError, match="stalled"):
         continuation._crossing(d, pa, pb, *lus, 1e-4)
 
 
-def test_a_fold_inside_a_bracket_is_a_fold(resolved_flips):
+def test_a_fold_inside_a_bracket_is_a_fold(resolved_flips, fold_bisect):
     # refined kappa=2, h=0.25: isola_2 ends a step at lam -41.48204 just
     # short of its fold, so lam at the two ends does not straddle lambda_b;
     # the tangents at the final bisection ends tell the fold
@@ -259,7 +271,8 @@ def test_a_fold_inside_a_bracket_is_a_fold(resolved_flips):
         resolved_flips,
         RunConfig(kappa=2, h=0.25, lambda_min=-100.0, mesh_kind="refined",
                   coarse_dx=0.002, fine_dx=0.0005), "isola_2", -42.0, -41.0)
-    pa, pb, lambda_b = _fold_between(d, *(b.points[i] for i in bracket))
+    pa, pb, lambda_b = _fold_between(fold_bisect, d,
+                                     *(b.points[i] for i in bracket))
     assert pa.tangent.dlam * pb.tangent.dlam < 0  # a fold
     (i_fold, lam_fold), = fold_points(b)
     assert i_fold in bracket and abs(lambda_b - lam_fold) < 1e-3
@@ -271,7 +284,8 @@ def test_a_fold_inside_a_bracket_is_a_fold(resolved_flips):
     RunConfig(kappa=1, h=0.5, eps=0.5, lambda_min=-600.0),
     RunConfig(kappa=1, h=0.6, eps=0.2, lambda_min=-300.0),
 ], ids=["k2_h025", "k1_h05_eps05", "k1_h06_eps02"])
-def test_fold_points_agree_with_located_folds(config, resolved_flips):
+def test_fold_points_agree_with_located_folds(config, resolved_flips,
+                                             fold_bisect):
     # fold_points reads each fold off the two stored points whose tangents'
     # dlam differ in sign; the bisection on their det-sign change narrows
     # it to two corrected points 1e-4 apart in lam
@@ -285,7 +299,8 @@ def test_fold_points_agree_with_located_folds(config, resolved_flips):
             (k,) = [k for k in flips if i in (k, k + 1)
                     and b.points[k].tangent.dlam
                     * b.points[k + 1].tangent.dlam < 0]
-            pa, pb, lambda_b = _fold_between(d, b.points[k], b.points[k + 1])
+            pa, pb, lambda_b = _fold_between(fold_bisect, d, b.points[k],
+                                             b.points[k + 1])
             assert pa.tangent.dlam * pb.tangent.dlam < 0, rec.branch_id
             assert abs(lambda_b - lam) <= 1e-4 * abs(lam), rec.branch_id
             n_folds += 1
@@ -333,16 +348,22 @@ def test_every_branch_records_the_det_sign_of_each_point(diagram):
             assert q.tangent.dot(dy) > 0, rec.branch_id
 
 
-def test_located_record_matches_a_fresh_scan(diagram, resolved_flips):
+def test_located_record_matches_a_fresh_scan(diagram):
     # rebuild Branch.located from scratch: assemble and factor J at every
-    # point, keep opposite signs that are resolved at both ends and whose
-    # tangents' dlam agree
+    # point, keep opposite orientations, sign(det J) sign(dlam), whose det
+    # signs are resolved at both ends
     d = diagram.operator
     n_located = 0
     for rec in diagram.branches:
         pts = rec.branch.points
-        fresh = [i for i in resolved_flips(d, rec.branch)
-                 if pts[i].tangent.dlam * pts[i + 1].tangent.dlam > 0]
+        lus = [_lu(jacobian(d, p.lam, p.u)) for p in pts]
+        orient = [_lu_det_sign(lu)[0] * np.sign(p.tangent.dlam)
+                  for lu, p in zip(lus, pts)]
+        resolved = [_lu_sign_resolved(lu, p.u, 1e-4)
+                    for lu, p in zip(lus, pts)]
+        fresh = [i for i in range(len(pts) - 1)
+                 if orient[i] * orient[i + 1] < 0
+                 and resolved[i] and resolved[i + 1]]
         assert fresh == sorted(rec.branch.located), rec.branch_id
         for i, (a, b) in rec.branch.located.items():
             assert abs(a.lam - b.lam) <= 1e-4, rec.branch_id

@@ -9,7 +9,7 @@ from bvpcont.corrector import (AugmentedState, NewtonError,
                                _lu_solve, augmented_residual, bordered_solve,
                                drop_free_mode, newton_augmented,
                                newton_fixed_lambda, solve_tridiag)
-from bvpcont.continuation import _bisect, _hermite_fold, update_tangent
+from bvpcont.continuation import _hermite_fold, update_tangent
 from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 residual)
@@ -196,17 +196,18 @@ def test_bordered_solve_regularizes_singular_block():
     assert np.linalg.norm(res) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
 
 
-def test_bordered_solve_and_tangent_at_isola_fold(resolved_flips):
-    # a kappa2 h0.25 isola fold at lam ~ -41.546, bisected as the
-    # continuation loop does (_bisect) and placed by the Hermite fit of the
-    # two final ends; the state there, with its tangent
+def test_bordered_solve_and_tangent_at_isola_fold(resolved_flips,
+                                                  fold_bisect):
+    # a kappa2 h0.25 isola fold at lam ~ -41.546, bisected on its det sign
+    # (the fold_bisect fixture) and placed by the Hermite fit of the two
+    # final ends; the state there, with its tangent
     cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
     bundle = run_diagram(cfg)
     d = bundle.operator
     pts, i = next((r.branch.points, i) for r in bundle.branch_by_role("isola")
                   for i in resolved_flips(d, r.branch)
                   if abs(r.branch.points[i].lam + 41.546) < 1.0)
-    a, b = _bisect(d, pts[i], pts[i + 1], 1e-4)
+    a, b = fold_bisect(d, pts[i], pts[i + 1], 1e-4)
     assert a.tangent.dlam * b.tangent.dlam < 0  # a fold
     p = AugmentedState(a.lam, a.u)
     t, _ = update_tangent(d, p, Tangent(np.zeros_like(p.u), -1.0))
@@ -236,7 +237,8 @@ def test_bordered_solve_and_tangent_at_isola_fold(resolved_flips):
 
 
 def test_one_column_tangent_is_the_bordered_solve(isola_bundle,
-                                                  resolved_flips):
+                                                  resolved_flips,
+                                                  fold_bisect):
     # the tangent's right-hand side (0, ..., 0, 1) takes one column fewer;
     # it agrees with the full elimination on that vector at ordinary points
     # and at the kappa2 h0.25 isola fold near -41.546, bisected as in
@@ -248,7 +250,7 @@ def test_one_column_tangent_is_the_bordered_solve(isola_bundle,
                   for r in isola_bundle.branch_by_role("isola")
                   for i in resolved_flips(d, r.branch)
                   if abs(r.branch.points[i].lam + 41.546) < 1.0)
-    a, b = _bisect(d, pts[i], pts[i + 1], 1e-4)
+    a, b = fold_bisect(d, pts[i], pts[i + 1], 1e-4)
     assert a.tangent.dlam * b.tangent.dlam < 0  # a fold
     states += [(a, a.tangent), (a, Tangent(np.zeros_like(a.u), -1.0))]
     rhs = np.zeros(d.a.size + 1)

@@ -8,8 +8,8 @@ import pytest
 from bvpcont import diagram
 from bvpcont.cli import main
 from bvpcont.continuation import ContinuationConfig
-from bvpcont.diagram import (DiagramBundle, RunConfig, emit_svg, run_diagram,
-                             run_epsilon_sweep, write_bundle)
+from bvpcont.diagram import (DiagramBundle, RunConfig, deep_census, emit_svg,
+                             run_diagram, run_epsilon_sweep, write_bundle)
 from bvpcont.discretize import Discretization, residual
 from bvpcont.mesh import mesh_spacings
 from bvpcont.seeding import matches_branch
@@ -133,6 +133,64 @@ def test_main_branch_keeps_its_sheet_k3_eps05():
     bundle = run_diagram(RunConfig(kappa=3, h=0.15, eps=0.5,
                                    lambda_min=-300.0))
     assert bundle.provenance["failures"] == []
+
+
+_STEP_GRID = [(ds, tol) for ds in (1.5, 2.0, 3.0, 4.5, 6.0)
+              for tol in (1e-4, 1e-5)]
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(kappa=2, h=0.25),
+    RunConfig(kappa=3, h=0.1),
+    RunConfig(kappa=3, h=0.15, eps=0.5, lambda_min=-300.0),
+    RunConfig(kappa=4, h=0.1),
+], ids=["k2_h025", "k3_h01", "k3_h015_eps05", "k4_h01"])
+def test_results_do_not_depend_on_where_the_steps_fall(config):
+    # the first step and the Newton tolerance move the points of a branch,
+    # not its events or census.  A symmetric isola whose fold and pitchfork
+    # fall inside one step keeps its det sign but not its orientation sign
+    # (kappa=3, h=0.1 isola_4: pitchfork -78.745, fold -78.586; kappa=4,
+    # h=0.1 isola_9: fold -116.081, pitchfork -116.083); the switched pair
+    # at that pitchfork carries two of the census patterns
+    runs = []
+    for ds, tol in _STEP_GRID:
+        bundle = run_diagram(dataclasses.replace(config, ds=ds,
+                                                 newton_tol=tol))
+        assert bundle.provenance["failures"] == [], (ds, tol)
+        events = {}
+        for e in bundle.events:
+            events.setdefault(e["kind"], []).append(e["lambda"])
+        runs.append(({k: sorted(v) for k, v in events.items()},
+                     sorted(deep_census(bundle))))
+    events0, census0 = runs[0]
+    for (ds, tol), (events, census) in zip(_STEP_GRID, runs):
+        assert census == census0, (ds, tol)
+        assert {k: len(v) for k, v in events.items()} == {
+            k: len(v) for k, v in events0.items()}, (ds, tol)
+    for kind, bound in (("pitchfork", 1e-4), ("fold", 1e-3)):
+        lams = np.array([events[kind] for events, _ in runs])
+        assert np.ptp(lams, axis=0).max() <= bound, kind
+    if config.eps == 0.0 and config.kappa <= 3:
+        assert len(census0) == 2 ** (config.kappa + 1) - 1
+
+
+def test_a_fold_that_no_step_parts_from_its_pitchfork_is_reported():
+    # kappa=3, h=0.15, eps=0.2: on isola_10 near lam -621.31 the softest
+    # even and odd eigenvalues of J agree to 4 digits (14.16 and 14.17 at
+    # -621.379, -15.52 and -15.53 at -621.392), so no step down to ds_min
+    # parts the fold from the orientation change.  The loop keeps the step
+    # and reports the change instead of ending the branch on a step
+    # underflow.
+    bundle = run_diagram(RunConfig(kappa=3, h=0.15, eps=0.2,
+                                   lambda_min=-1000.0))
+    for rec in bundle.branches:
+        assert not any("step underflow" in x for x in rec.branch.diagnostics)
+    kinds = [e["kind"] for e in bundle.events]
+    assert kinds.count("fold") == 12 and kinds.count("pitchfork") == 2
+    (msg,) = bundle.provenance["failures"]
+    assert msg.startswith("isola_10: ")
+    lam = float(msg.split("lam = ")[1].split(",")[0])
+    assert abs(lam - (-621.31)) < 0.01
 
 
 @pytest.mark.parametrize("config", [
@@ -509,6 +567,21 @@ def test_cli_refuses_a_non_finite_setting_in_one_error_line(run_python, argv):
     assert out.stdout == "" and "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "10", "--amplitude", "nan"],
+    ["--seed", "10", "--amplitude", "-1"],
+    ["--seed", "wells", "--eps", "0.3", "--amplitude", "inf"],
+], ids=["mask_nan", "mask_negative", "wells_inf"])
+def test_cli_solve_refuses_a_bad_amplitude_for_every_seed(run_python, argv):
+    # only the sine seed reads the amplitude; any other seed refuses it too
+    out = run_python("-m", "bvpcont.cli", "solve", "--lambda", "-50", "--n",
+                     "100", *argv, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: amplitude")
 
 
 @pytest.mark.parametrize("argv, flag", [
