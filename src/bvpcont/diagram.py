@@ -569,7 +569,9 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
     pdir.mkdir(exist_ok=True)
     for stale in pdir.glob("*.txt"):  # profiles of an earlier bundle
         stale.unlink()
-    xs = [_fmt(x) for x in bundle.operator.m.nodes]  # once for every profile
+    # one template for every profile: the node column formatted once, and
+    # %.17g, which formats u as _fmt does
+    template = "".join(f"{_fmt(x)} %.17g\n" for x in bundle.operator.m.nodes)
     for rec in bundle.branches:
         n = len(rec.branch.points)
         for i, p in enumerate(rec.branch.points):
@@ -577,6 +579,5 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
                     or (stride > 0 and i % stride == 0))
             if not keep:
                 continue
-            u_full = [0.0, *p.u.tolist(), 0.0]
-            body = "\n".join([f"{x} {_fmt(u)}" for x, u in zip(xs, u_full)])
-            (pdir / f"{rec.branch_id}_{i}.txt").write_text(body + "\n")
+            (pdir / f"{rec.branch_id}_{i}.txt").write_text(
+                template % (0.0, *p.u.tolist(), 0.0))

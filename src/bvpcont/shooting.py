@@ -14,6 +14,9 @@ the integrator.
 Every shot runs through one integrator: a vectorized Dormand-Prince 5(4)
 batch with one adaptive step per slope and scipy RK45's step rules,
 restarted on each constant-a piece so that no step straddles a weight jump.
+A batch has one set of stage buffers per batch size, taken anew from
+the same memory only when lanes retire, and builds every step in place
+in them, so that a step costs few numpy calls and allocates no stages.
 A shot stops on the step where u leaves the positive cone, and the crossing
 is located on that step by the cubic Hermite interpolant of u (its slopes
 are v, so no extra right-hand-side calls are made).  ``shoot_count`` scans
@@ -79,6 +82,9 @@ _DP_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
 _DP_E = np.array((-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
                   -22 / 525, 1 / 40))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# The step floor 10*spacing(x) is at most this for x <= 1, so it cannot
+# bind while every step is at least this long.
+_FLOOR_MAX = 10.0 * np.spacing(1.0)
 
 
 class BlowUpError(RuntimeError):
@@ -193,6 +199,28 @@ def _hermite_zero(x0, h, u0, v0, u1, v1):
     return x0 + h * t, (c1 + t * (2.0 * c2 + t * 3.0 * c3)) / h
 
 
+def _stage_buffers(work, y, fy):
+    """The buffers of a batch's steps while its lanes stay the same, taken
+    from the front of each row of work, with the state y and its derivative
+    fy, each (2, n), copied into their row 0.
+
+    Returns (k, z, hh, stages).  k holds the stage derivatives
+    [v_s | v'(u_s)] and z the stage inputs [u_s | v_s], each (7, 2n), with
+    row 6 at the step's end; hh holds each lane's step, over both halves.
+    The rows of k stay contiguous, so that each stage sum is one BLAS
+    matmul over k[:s] (through a strided view it rounds differently).
+    stages holds, for s = 1..6, the weights and the views that build z[s]
+    and k[s] in place.
+    """
+    n = y.shape[1]
+    k = work[0, :14 * n].reshape(7, 2 * n)
+    z = work[1, :14 * n].reshape(7, 2 * n)
+    k[0], z[0] = fy.ravel(), y.ravel()
+    stages = [(row, k[:s], z[s], z[s, :n], z[s, n:], k[s, :n], k[s, n:])
+              for s, row in enumerate(_DP_A + (_DP_B,), start=1)]
+    return k, z, work[2, :2 * n], stages
+
+
 @np.errstate(divide="ignore")
 def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
                 path: list | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -223,85 +251,119 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
     seg = np.full((6, v0.size), np.nan)
     state = np.stack([np.zeros_like(v0), v0])
     live = np.arange(v0.size)
+    # the buffers of every batch size, from v0.size lanes down
+    work = np.empty((3, 14 * v0.size))
     for lo, hi, a in _pieces(w):
-        def f(y, out=None, a=a):
-            """(v, -(lam + a*u^2)*u) at y = (u, v), into out if given."""
-            u = y[0]
-            if out is None:
-                out = np.empty_like(y)
+        def g(u, out, a=a):
+            """v' = -(lam + a*u^2)*u into out, as ((-a*u)*u - lam)*u, which
+            rounds the same."""
+            np.multiply(u, -a, out=out)
+            out *= u
+            out -= lam
+            out *= u
+
+        def f(y, g=g):
+            """(v, v') at y = (u, v)."""
+            out = np.empty_like(y)
             out[0] = y[1]
-            np.multiply(-(lam + a * u * u), u, out=out[1])
+            g(y[0], out[1])
             return out
 
         lane, y = live, state[:, live]
         fy = f(y)
         x = np.full(lane.size, lo)
         h = _first_step(f, y, fy, hi - lo, rtol, atol)
+        k, z, hh, stages = _stage_buffers(work, y, fy)
         retried = np.zeros(lane.size, dtype=bool)
+        any_retried = False
         survivors = []
         while lane.size:
-            # x >= 0, so spacing(x) is the gap to the next float above x
-            min_step = 10.0 * np.spacing(x)
-            any_retried = retried.any()
-            if any_retried:
-                h = np.where(retried, h, np.maximum(h, min_step))
-                if np.any(h < min_step):
-                    raise RuntimeError(
-                        f"step size underflow at lam = {lam:g}")
-            else:
-                h = np.maximum(h, min_step)
+            if any_retried or h.min() < _FLOOR_MAX:
+                # x >= 0, so spacing(x) is the gap to the next float above x
+                min_step = 10.0 * np.spacing(x)
+                if any_retried:
+                    h = np.where(retried, h, np.maximum(h, min_step))
+                    if np.any(h < min_step):
+                        raise RuntimeError(
+                            f"step size underflow at lam = {lam:g}")
+                else:
+                    h = np.maximum(h, min_step)
             x_new = np.minimum(x + h, hi)
             h = x_new - x
-            # stage derivatives; read as (7, 2n), each stage sum is one matmul
-            k = np.empty((7,) + y.shape)
-            k2 = k.reshape(7, -1)
-            k[0] = fy
-            for s, row in enumerate(_DP_A, start=1):
-                f(y + h * (row @ k2[:s]).reshape(y.shape), k[s])
-            y_new = y + h * (_DP_B @ k2[:6]).reshape(y.shape)
-            f(y_new, k[6])
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err_norm = _rms(h * (_DP_E @ k2).reshape(y.shape) / scale)
+            np.concatenate((h, h), out=hh)
+            y = z[0]
+            for row, k_prev, zs, us, vs, kv, kg in stages:
+                np.matmul(row, k_prev, out=zs)
+                zs *= hh
+                zs += y
+                kv[...] = vs
+                g(us, kg)
+            # RMS over (u, v) of h*(E @ k)/scale, per lane
+            err = np.abs(z[6])
+            scale = np.abs(y)
+            np.maximum(scale, err, out=scale)
+            scale *= rtol
+            scale += atol
+            np.matmul(_DP_E, k, out=err)
+            err *= hh
+            err /= scale
+            err *= err
+            n = lane.size
+            err_norm = err[:n] + err[n:]
+            err_norm *= 0.5
+            np.sqrt(err_norm, out=err_norm)
             ok = err_norm < 1.0
+            all_ok = ok.all()
             factor = _SAFETY * err_norm ** -0.2  # inf where err_norm is 0
-            x_old, dx, y_old = x, h, y
-            if not any_retried and ok.all():
+            x_old, dx = x, h
+            if all_ok and not any_retried:
                 # what the general update below reduces to when no lane
                 # was retried and every lane accepted its step
                 h = h * np.minimum(_MAX_FACTOR, factor)
-                y, fy, x = y_new, k[6], x_new
+                y_end, x = z[6], x_new
+                k[0] = k[6]
             else:
                 grow = np.minimum(np.where(retried, 1.0, _MAX_FACTOR), factor)
                 h = h * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
                 retried = ~ok
-                y = np.where(ok, y_new, y)
-                fy = np.where(ok, k[6], fy)
+                both = np.concatenate((ok, ok))
+                y_end = np.where(both, z[6], y)
+                np.copyto(k[0], k[6], where=both)
                 x = np.where(ok, x_new, x)
+            # a lane that rejected its step does not retire below
+            any_retried = not all_ok
+            u = y_end[:n]
             if path is not None:
-                path.extend(zip(x[ok], y[0, ok], y[1, ok]))
+                path.extend(zip(x[ok], u[ok], y_end[n:][ok]))
 
-            u = y[0]
+            # a lane that rejected its step kept a state that did not
+            # retire, so no lane retires unless three scalars show one
+            if not (u.min() + 1e-14 < 0.0 or u.max() > _BLOWUP
+                    or x.max() == hi):
+                z[0] = y_end
+                continue
+            y_end, y_old = y_end.reshape(2, n), y.reshape(2, n)
             # a live lane has u + 1e-14 >= 0, so this is a downward crossing
             crossed = u + 1e-14 < 0.0
             blown = np.abs(u) > _BLOWUP
             done = ok & (crossed | blown | (x == hi))
-            if not done.any():
-                continue
             crossed &= done
             blown &= done & ~crossed
             ended = done & ~(crossed | blown)
-            seg[:, lane[crossed]] = np.vstack(
-                [x_old[crossed], dx[crossed], y_old[:, crossed], y[:, crossed]])
+            seg[:, lane[crossed]] = np.vstack([x_old[crossed], dx[crossed],
+                                               y_old[:, crossed],
+                                               y_end[:, crossed]])
             miss[lane[ended]] = u[ended]
             miss[lane[blown]] = np.inf
             cross[lane[blown]] = np.inf
             if hi < 1.0:
-                state[:, lane[ended]] = y[:, ended]
+                state[:, lane[ended]] = y_end[:, ended]
                 survivors.append(lane[ended])
             keep = ~done
-            lane, y, fy, x, h, retried = (
-                lane[keep], y[:, keep], fy[:, keep], x[keep], h[keep],
-                retried[keep])
+            lane, x, h, retried = lane[keep], x[keep], h[keep], retried[keep]
+            # the kept lanes are copied out before their buffers are reused
+            k, z, hh, stages = _stage_buffers(work, y_end[:, keep],
+                                              k[0].reshape(2, n)[:, keep])
         live = np.sort(np.concatenate(survivors)) if survivors else live[:0]
     hit = ~np.isnan(seg[0])
     cross[hit], slope = _hermite_zero(*seg[:, hit])

@@ -267,12 +267,52 @@ def test_batch_lanes_are_independent():
     cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     picks = sorted(set(cells) | set(cells + 1) | {0, 50, 100, 150, 199})
     assert len(picks) >= 10 and np.isfinite(cross[picks]).sum() >= 3
+    # the batch shrinks inside a piece: picked lanes retire there while
+    # others run on to x = 1
+    inside = np.isfinite(cross[picks]) & ~np.isin(cross[picks], w.edges)
+    assert inside.sum() >= 3 and np.isnan(cross[picks]).sum() >= 3
     for i in picks:
         one_miss, one_cross = _batch_miss(w, lam, grid[i:i + 1], 1e-8)
         assert np.sign(one_miss[0]) == signs[i]
         assert np.allclose(one_miss, miss[i:i + 1], rtol=1e-12, atol=0.0)
         assert np.allclose(one_cross, cross[i:i + 1], rtol=0.0, atol=1e-13,
                            equal_nan=True)
+
+
+def test_empty_batch():
+    # shoot_count's acceptance batch is empty where the scan brackets no
+    # root (kappa = 1, h = 0.1, eps = 1 at lam = 15)
+    w = build_weight(1, 0.1, 1.0)
+    miss, cross = _batch_miss(w, 15.0, np.array([]), 1e-8)
+    assert miss.shape == cross.shape == (0,)
+    assert shoot_count(w, 15.0) == (0, [])
+
+
+@pytest.mark.parametrize("kappa,h,eps,lam,v0", [
+    (1, 0.1, 1.0, 0.0, 5.0),
+    (2, 0.25, 0.0, -100.0, 3.3),
+])
+def test_integrate_ivp_takes_the_steps_of_scipy_rk45(kappa, h, eps, lam, v0):
+    # on each constant piece, scipy's RK45 at the same tolerances, started
+    # from integrate_ivp's state at the piece's start, ends its steps where
+    # integrate_ivp does: this checks the step size rules, rejected steps
+    # included, where the other tests see only signs and crossings
+    w = build_weight(kappa, h, eps)
+    traj = integrate_ivp(w, lam, v0, step_tol=1e-8)
+    assert traj.first_zero is None and traj.x[-1] == 1.0
+    rejected = 0
+    for lo, hi, a in _pieces_of(w):
+        start = np.searchsorted(traj.x, lo)
+        ends = traj.x[start + 1:np.searchsorted(traj.x, hi, "right")]
+        sol = solve_ivp(
+            lambda x, y, a=a: [y[1], -(lam + a * y[0] * y[0]) * y[0]],
+            (lo, hi), [traj.u[start], traj.v[start]], method="RK45",
+            rtol=1e-8, atol=1e-10)
+        assert ends.size == sol.t.size - 1
+        assert np.abs(ends - sol.t[1:]).max() <= 1e-9
+        # scipy calls the right-hand side twice to start, then 6 times a try
+        rejected += (sol.nfev - 2) // 6 - ends.size
+    assert rejected > 0
 
 
 @pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
