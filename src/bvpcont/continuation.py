@@ -18,7 +18,7 @@ kept with the branch (``Branch.located``), so a diagram run locates each
 such event once.  A step whose change it cannot locate landed on another
 sheet and is rejected, unless too short to halve: then the change is
 reported.  A rejected step is halved; a step that would pass lambda_min
-is cut to end ds_min past it.
+is cut to end _DS_MIN past it.
 A branch takes its symmetry label from its start point.  A symmetric start
 point is continued in the symmetric subspace, so every point it adds is
 exactly symmetric.  On other branches the corrector updates and the
@@ -39,10 +39,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corrector import (DEFAULT_MAX_ITERS, DEFAULT_TOL, AugmentedState,
-                        NewtonError, SingularSystemError, SoftMode, Tangent,
-                        _is_free, _lu, _lu_sign, bordered_solve,
-                        drop_free_mode, newton_augmented)
+from .corrector import (DEFAULT_TOL, AugmentedState, NewtonError,
+                        SingularSystemError, SoftMode, Tangent, _is_free, _lu,
+                        _lu_sign, bordered_solve, drop_free_mode,
+                        newton_augmented)
 from .discretize import (Discretization, _symmetrize, discrete_l2_norm,
                          jacobian, mirrors)
 
@@ -96,28 +96,25 @@ class Branch:
 # (0.2 rad).  Without this bound long steps cut across folds: the kappa=2,
 # h=0.25 isola fold at -26.0214 reads -26.088 instead of -26.0205.
 _COS_MAX_TURN = float(np.cos(0.2))
+# a branch stalls on a step below _DS_MIN and ends at a norm past _NORM_MAX
+_DS_MIN, _NORM_MAX = 0.01, 1e4
 
 
 @dataclass
 class ContinuationConfig:
     ds: float = 3.0  # first step
-    ds_min: float = 0.01
     lambda_min: float = -3000.0
-    norm_max: float = 1e4
     max_steps: int = 20000
     newton_tol: float = DEFAULT_TOL
-    max_newton_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
-        # a nan step never falls below ds_min, so the loop would never end
-        for name in ("ds", "ds_min", "newton_tol", "norm_max"):
-            if not 0.0 < (v := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        for name in ("max_steps", "max_newton_iters"):
-            if type(v := getattr(self, name)) is not int or v < 1:  # no bool
-                raise ValueError(f"{name} must be an integer >= 1, got {v}")
-        if self.ds_min > self.ds:
-            raise ValueError("ds_min must not exceed ds")
+        # a nan step never falls below _DS_MIN, so the loop would never end
+        if not _DS_MIN <= (v := self.ds) < math.inf:
+            raise ValueError(f"ds must be finite and at least {_DS_MIN}, got {v}")
+        if not 0.0 < (v := self.newton_tol) < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {v}")
+        if type(v := self.max_steps) is not int or v < 1:  # no bool
+            raise ValueError(f"max_steps must be an integer >= 1, got {v}")
 
 
 def make_point(d: Discretization, lam: float, u: np.ndarray,
@@ -201,8 +198,8 @@ def _predict(p: SolutionPoint, ds: float, prev: SolutionPoint | None,
 
 
 def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
-          tol: float, max_iters: int = DEFAULT_MAX_ITERS,
-          prev: SolutionPoint | None = None, mode: SoftMode | None = None):
+          tol: float, prev: SolutionPoint | None = None,
+          mode: SoftMode | None = None):
     """One corrector step of length ds from p: (the new point, corrector
     updates, the LU factors of J there, the SoftMode carried there), or
     None when the corrector fails, the tangent solve meets a zero pivot or
@@ -220,8 +217,7 @@ def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
     y_pred = _predict(p, ds, prev, mode, tol)
     try:
         y_new, iters = newton_augmented(
-            d, y_pred, y, t, ds, tol=tol, max_iters=max_iters,
-            symmetric=symmetric, mode=mode)
+            d, y_pred, y, t, ds, tol=tol, symmetric=symmetric, mode=mode)
         lu_new = _lu(jacobian(d, y_new.lam, y_new.u))
         t_new, sign = update_tangent(d, y_new, t, lu_new, mode)
     except (NewtonError, SingularSystemError):
@@ -326,18 +322,17 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
     point, ds, prev = first, cfg.ds, None
     while len(branch.points) < cfg.max_steps:
         t = point.tangent
-        if t.dlam < 0.0:  # end ds_min past lambda_min, not a long step past
-            ds = min(ds, cfg.ds_min
+        if t.dlam < 0.0:  # end _DS_MIN past lambda_min, not a long step past
+            ds = min(ds, _DS_MIN
                      + max(point.lam - cfg.lambda_min, 0.0) / -t.dlam)
-        step = _step(d, point, ds, symmetric, cfg.newton_tol,
-                     cfg.max_newton_iters, prev, mode)
+        step = _step(d, point, ds, symmetric, cfg.newton_tol, prev, mode)
         ends = None
         if step is not None:
             try:
                 ends = _crossing(d, point, step[0], lu, step[2],
                                  cfg.newton_tol)
             except BracketError as exc:
-                if ds >= 2.0 * cfg.ds_min:  # landed on another sheet
+                if ds >= 2.0 * _DS_MIN:  # landed on another sheet
                     step = None
                 else:  # too short to halve: keep the step, report the change
                     branch.diagnostics.append(
@@ -345,9 +340,9 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
                         f"{point.lam:.6g}, step {ds:.3g}: {exc}")
         if step is None:
             ds *= 0.5
-            if ds < cfg.ds_min:
+            if ds < _DS_MIN:
                 branch.diagnostics.append(
-                    f"stall: step underflow below {cfg.ds_min} at lam = {point.lam:.6g}"
+                    f"stall: step underflow below {_DS_MIN} at lam = {point.lam:.6g}"
                 )
                 return branch
             continue
@@ -365,7 +360,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
         if point.lam < cfg.lambda_min:
             branch.diagnostics.append("reached lambda_min")
             return branch
-        if point.l2norm > cfg.norm_max:
+        if point.l2norm > _NORM_MAX:
             branch.diagnostics.append("reached norm_max")
             return branch
         # Closed-loop detection: back at the start in the (lam, norm) plane

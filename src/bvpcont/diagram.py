@@ -14,15 +14,16 @@ keys before emission.
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import compress, product
 from pathlib import Path
 
 import numpy as np
 
 from .bifurcation import classify, null_vector, switch_branch
-from .continuation import (Branch, ContinuationConfig, SolutionPoint,
-                           continue_branch, fold_points, make_point)
+from .continuation import (_DS_MIN, Branch, ContinuationConfig,
+                           SolutionPoint, continue_branch, fold_points,
+                           make_point)
 from .corrector import (AugmentedState, NewtonError, SingularSystemError,
                         Tangent, newton_augmented)
 from .discretize import (Discretization, discrete_l2_norm, jacobian,
@@ -46,69 +47,47 @@ __all__ = [
 ]
 
 _ISOLA_GRID = (-50.0, -100.0, -200.0, -500.0, -1000.0, -2000.0, -3000.0)
-_MESH_KEYS = {"kind": "mesh_kind", "n": "mesh_n", "coarse_dx": "coarse_dx",
-              "fine_dx": "fine_dx", "pad": "pad"}
-_CONTINUATION_KEYS = tuple(f.name for f in fields(ContinuationConfig))
+# run_epsilon_sweep counts the peaks of the solutions nearest this lam
+_PROBE_LAMBDA = -700.0
 
 
 @dataclass
 class RunConfig(ContinuationConfig):
     """Fully resolved run configuration, a ContinuationConfig with the
-    weight, mesh and output settings; every field has a default."""
+    weight and mesh settings; every field has a default."""
 
     kappa: int = 1
     h: float = 0.1
     eps: float = 0.0
-    centers: tuple[float, ...] | None = None
     mesh_kind: str = "uniform"  # uniform | refined
     mesh_n: int = 500
     coarse_dx: float = 0.01
     fine_dx: float = 0.002
-    pad: float | None = None
-    probe_lambda: float = -700.0
-    profile_stride: int = 0  # 0: only tagged points and branch endpoints
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        mesh = d.pop("mesh", None)
-        cont = d.pop("continuation", None)
-        kw = {}
-        for k, v in d.items():
+        for k in d:
             if k not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown config key: {k}")
-            kw[k] = v
-        if mesh is not None:
-            for k, v in mesh.items():
-                if k not in _MESH_KEYS:
-                    raise ValueError(f"unknown config key: mesh.{k}")
-                kw[_MESH_KEYS[k]] = v
-        if cont is not None:
-            for k, v in cont.items():
-                if k not in _CONTINUATION_KEYS:
-                    raise ValueError(f"unknown config key: continuation.{k}")
-                kw[k] = v
-        return cls(**kw)
+        return cls(**d)
 
     def __post_init__(self):
-        """Refuse a float that is not finite and a profile_stride that is not
-        an integer >= 0; ContinuationConfig refuses the rest."""
-        if self.centers is not None:
-            self.centers = tuple(float(c) for c in self.centers)
-        for name, value in asdict(self).items():
-            for v in value if name == "centers" and value else [value]:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v}")
-        if type(v := self.profile_stride) is not int or v < 0:
-            raise ValueError(f"profile_stride must be an integer >= 0, got {v}")
+        """Refuse a float that is not finite and a kappa or mesh_n that is
+        not an int (a bool is not); ContinuationConfig refuses the rest."""
+        for name, v in vars(self).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+        for name in ("kappa", "mesh_n"):
+            if type(v := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {v}")
         super().__post_init__()
 
     def build(self) -> tuple[Weight, Mesh]:
-        w = build_weight(self.kappa, self.h, self.eps, centers=self.centers)
+        w = build_weight(self.kappa, self.h, self.eps)
         if self.mesh_kind == "uniform":
             m = build_uniform_mesh(self.mesh_n)
         elif self.mesh_kind == "refined":
-            m = build_refined_mesh(w, self.coarse_dx, self.fine_dx, pad=self.pad)
+            m = build_refined_mesh(w, self.coarse_dx, self.fine_dx)
         else:
             raise ValueError(f"unknown mesh kind: {self.mesh_kind}")
         return w, m
@@ -169,8 +148,7 @@ def trace_main_branch(d: Discretization, lam1: float,
     y0 = AugmentedState(lam1, np.zeros(d.m.n_interior))
     v = Tangent(null_vector(jacobian(d, lam1, y0.u)), 0.0)
     y, _ = newton_augmented(d, AugmentedState(lam1, cfg.ds * v.du), y0, v,
-                            cfg.ds, tol=cfg.newton_tol,
-                            max_iters=cfg.max_newton_iters)
+                            cfg.ds, tol=cfg.newton_tol)
     return continue_branch(d, make_point(d, y.lam, y.u), v, cfg)
 
 
@@ -354,7 +332,7 @@ def run_diagram(cfg: RunConfig) -> DiagramBundle:
                  "min_dx": float(np.diff(d.m.nodes).min()),
                  "max_dx": float(np.diff(d.m.nodes).max())},
         "tolerances": {"newton_tol": cfg.newton_tol, "ds": cfg.ds,
-                       "ds_min": cfg.ds_min},
+                       "ds_min": _DS_MIN},
         "first_eigenvalue": float(lam1),
         "wall_time_s": time.perf_counter() - t_wall,
         "step_counts": {r.branch_id: len(r.branch.points) for r in records},
@@ -401,7 +379,7 @@ def _nearest_point(b: Branch, lam: float) -> SolutionPoint | None:
 def run_epsilon_sweep(base: RunConfig, eps_values):
     """One diagram per eps plus a peak-count recombination report.
 
-    The report records, at the probe lam, the peak count of the symmetric
+    The report records, at _PROBE_LAMBDA, the peak count of the symmetric
     main-branch solution and of the (symmetric) isola solution for each eps.
     Per-eps failures are isolated into the report entry.
     """
@@ -423,13 +401,13 @@ def run_epsilon_sweep(base: RunConfig, eps_values):
         bundles.append(bundle)
         mains = bundle.branch_by_role("main")
         if mains:
-            p = _nearest_point(mains[0].branch, cfg.probe_lambda)
+            p = _nearest_point(mains[0].branch, _PROBE_LAMBDA)
             if p is not None:
                 entry["main_peaks"] = len(peak_indices(p.u))
         isolas = [r for r in bundle.branch_by_role("isola")
                   if r.branch.symmetry == "symmetric"] or bundle.branch_by_role("isola")
         if isolas:
-            p = _nearest_point(isolas[0].branch, cfg.probe_lambda)
+            p = _nearest_point(isolas[0].branch, _PROBE_LAMBDA)
             if p is not None:
                 entry["isola_peaks"] = len(peak_indices(p.u))
         report.append(entry)
@@ -521,14 +499,12 @@ def emit_svg(bundle: DiagramBundle) -> str:
 def write_bundle(bundle: DiagramBundle, outdir) -> None:
     """Write bundle.json, branches.csv, events.jsonl, diagram.svg, profiles/.
 
-    Profiles are written for tagged points and branch endpoints; a positive
-    profile_stride in the config additionally writes every stride-th point.
+    Profiles are written for tagged points and branch endpoints.
     The profiles/*.txt of an earlier bundle in outdir are removed first;
     nothing else in outdir is touched.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    stride = int(bundle.config.get("profile_stride", 0))
 
     doc = {
         "config": bundle.config,
@@ -575,9 +551,7 @@ def write_bundle(bundle: DiagramBundle, outdir) -> None:
     for rec in bundle.branches:
         n = len(rec.branch.points)
         for i, p in enumerate(rec.branch.points):
-            keep = (p.tag != "regular" or i == 0 or i == n - 1
-                    or (stride > 0 and i % stride == 0))
-            if not keep:
+            if p.tag == "regular" and 0 < i < n - 1:
                 continue
             (pdir / f"{rec.branch_id}_{i}.txt").write_text(
                 template % (0.0, *p.u.tolist(), 0.0))

@@ -120,7 +120,9 @@ def _check_inputs(lam, **positive):
     """Refuse a lam that is not finite and each named value that is not a
     positive finite number (None passes): on nan no shot ever ends.  A
     refine_tol below the float resolution is refused too: a bracket one ulp
-    wide never meets it."""
+    wide never meets it.  So is a step_tol below 100*eps_mach, the floor to
+    which scipy's RK45 raises its rtol: below it the steps shrink until the
+    shot stalls, underflows or overflows."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     for name, value in positive.items():
@@ -130,6 +132,8 @@ def _check_inputs(lam, **positive):
     if positive.get("refine_tol", 1.0) < np.finfo(float).eps:
         raise ValueError(f"refine_tol below the float resolution, got "
                          f"{positive['refine_tol']}")
+    if (v := positive["step_tol"]) < 100.0 * np.finfo(float).eps:
+        raise ValueError(f"step_tol below 100*eps_mach, got {v}")
 
 
 def integrate_ivp(w: Weight, lam: float, v0: float,
@@ -140,7 +144,8 @@ def integrate_ivp(w: Weight, lam: float, v0: float,
     The shot stops at the end of the step where u crosses zero from above
     (it left the positive cone) and records the crossing location as
     first_zero; |u| > 1e8 raises BlowUpError.  Raises ValueError unless
-    lam is finite and v0 and step_tol are positive and finite.
+    lam is finite, v0 is positive and finite and step_tol is finite and at
+    least 100*eps_mach.
     """
     _check_inputs(lam, v0=v0, step_tol=step_tol)
     path = [(0.0, 0.0, float(v0))]
@@ -413,8 +418,8 @@ def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
     1/eps_mach and the count means nothing, when a shot at an end of a
     final bracket or at its midpoint blows up, which leaves that root
-    undecided, and when lam is not finite or a tolerance or v0_max is not
-    positive and finite.
+    undecided, when lam is not finite or a tolerance or v0_max is not
+    positive and finite, and when step_tol is below 100*eps_mach.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from bvpcont import continuation
 from bvpcont.continuation import (ContinuationConfig, continue_branch,
                                   fold_points, make_point, update_tangent)
 from bvpcont.corrector import AugmentedState, Tangent, newton_fixed_lambda
@@ -43,10 +44,12 @@ def test_main_branch_starts_below_the_first_eigenvalue(config):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ContinuationConfig(ds=1.0, ds_min=2.0)
-    for bad in ({"max_steps": 0}, {"max_steps": 2.5}, {"max_steps": True},
-                {"max_newton_iters": 0}, {"max_newton_iters": 3.0}):
+    # a first step below the stall floor would stall at once
+    for ds in (0.5 * continuation._DS_MIN, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="ds must be finite and at least"):
+            ContinuationConfig(ds=ds)
+    ContinuationConfig(ds=continuation._DS_MIN)
+    for bad in ({"max_steps": 0}, {"max_steps": 2.5}, {"max_steps": True}):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             ContinuationConfig(**bad)
 
@@ -68,7 +71,7 @@ def test_step_control_grows_and_bounds_turn():
     steps = [p.tangent.dot(Tangent(q.u - p.u, q.lam - p.lam)) for p, q in pairs]
     assert steps[0] == pytest.approx(cfg.ds, abs=cfg.newton_tol)
     assert max(steps) > 10.0 * cfg.ds
-    assert min(steps) >= cfg.ds_min
+    assert min(steps) >= continuation._DS_MIN
     assert cfg.lambda_min - 1.0 < b.points[-1].lam < cfg.lambda_min
     assert all(p.tangent.dot(q.tangent) >= np.cos(0.2) for p, q in pairs)
 

@@ -7,7 +7,6 @@ import pytest
 
 from bvpcont import diagram
 from bvpcont.cli import main
-from bvpcont.continuation import ContinuationConfig
 from bvpcont.diagram import (DiagramBundle, RunConfig, deep_census, emit_svg,
                              run_diagram, run_epsilon_sweep, write_bundle)
 from bvpcont.discretize import Discretization, residual
@@ -22,44 +21,19 @@ def pitchfork_bundle():
     return cfg, run_diagram(cfg)
 
 
-def test_run_config_from_dict_nested():
-    cfg = RunConfig.from_dict({
-        "kappa": 2, "h": 0.15, "eps": 0.3,
-        "mesh": {"kind": "uniform", "n": 301},
-        "continuation": {"ds": 2.0, "lambda_min": -500.0},
-    })
-    assert cfg.kappa == 2 and cfg.mesh_n == 301
-    assert cfg.ds == 2.0 and cfg.lambda_min == -500.0
-    with pytest.raises(ValueError):
-        RunConfig.from_dict({"kappa": 1, "bogus": 3})
-
-
-def test_run_config_mesh_section_keeps_top_level_kind():
-    cfg = RunConfig.from_dict({"kappa": 2, "h": 0.25, "mesh_kind": "refined",
-                               "mesh": {"fine_dx": 0.001}})
-    assert cfg.mesh_kind == "refined" and cfg.fine_dx == 0.001
-    assert RunConfig.from_dict({"mesh": {"n": 99}}).mesh_kind == "uniform"
-    cfg = RunConfig.from_dict({"mesh_kind": "refined",
-                               "mesh": {"kind": "uniform"}})
-    assert cfg.mesh_kind == "uniform"
-
-
 def test_run_config_rejects_unknown_nested_keys():
-    for bad in ({"mesh": {"nn": 99}}, {"continuation": {"dss": 0.5}},
-                {"continuation": {"dss": 0.5}, "mesh": {"nn": 99}}):
-        with pytest.raises(ValueError):
+    # the config is flat: a nested section, a removed setting and a
+    # misspelt one are all unknown keys
+    for bad in ({"mesh": {"n": 99}}, {"continuation": {"ds": 0.5}},
+                {"mesh": {"nn": 99}}, {"kappa": 1, "bogus": 3},
+                {"ds_min": 0.01}, {"norm_max": 1e4}, {"max_newton_iters": 30},
+                {"probe_lambda": -700.0}, {"profile_stride": 0},
+                {"pad": 0.02}, {"centers": [0.5]}):
+        with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_dict(bad)
-
-
-def test_continuation_section_round_trips_every_field():
-    defaults = ContinuationConfig()
-    values = {}
-    for f in dataclasses.fields(ContinuationConfig):
-        v = getattr(defaults, f.name)
-        values[f.name] = v + 1 if isinstance(v, int) else v / 2.0
-        assert values[f.name] != v
-    cfg = RunConfig.from_dict({"continuation": values})
-    assert all(getattr(cfg, k) == v for k, v in values.items())
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "ds", "lambda_min", "max_steps", "newton_tol", "kappa", "h", "eps",
+        "mesh_kind", "mesh_n", "coarse_dx", "fine_dx"]
 
 
 def _count_calls(monkeypatch, fn):
@@ -177,7 +151,7 @@ def test_results_do_not_depend_on_where_the_steps_fall(config):
 def test_a_fold_that_no_step_parts_from_its_pitchfork_is_reported():
     # kappa=3, h=0.15, eps=0.2: on isola_10 near lam -621.31 the softest
     # even and odd eigenvalues of J agree to 4 digits (14.16 and 14.17 at
-    # -621.379, -15.52 and -15.53 at -621.392), so no step down to ds_min
+    # -621.379, -15.52 and -15.53 at -621.392), so no step down to _DS_MIN
     # parts the fold from the orientation change.  The loop keeps the step
     # and reports the change instead of ending the branch on a step
     # underflow.
@@ -491,7 +465,7 @@ def test_cli_refuses_a_mesh_below_three_nodes(run_python, argv):
 def test_cli_diagram_with_a_two_node_mesh_ends_in_one_error_line(run_python,
                                                                  tmp_path):
     config = tmp_path / "n2.json"
-    config.write_text('{"mesh": {"n": 2}}')
+    config.write_text('{"mesh_n": 2}')
     out = run_python("-m", "bvpcont.cli", "diagram", "--config", str(config),
                      "--out", str(tmp_path / "out"))
     assert out.returncode == 2
@@ -532,13 +506,19 @@ def test_cli_refuses_a_bad_argument_in_one_error_line(run_python, argv):
     '{"max_steps": 2.5, "mesh_n": 100}',
     '{"max_newton_iters": 0, "mesh_n": 100}',
     '{"profile_stride": -1, "mesh_n": 100}',
+    '{"kappa": 2.0, "h": 0.25, "mesh_n": 100, "lambda_min": -60}',
+    '{"kappa": true}',
+    '{"mesh_n": 100.5}',
 ], ids=["ds_nan", "lambda_min_nan", "ds_0", "newton_tol_0", "norm_max_neg",
         "ds_min_above_ds", "max_steps_0", "max_steps_2.5",
-        "max_newton_iters_0", "profile_stride_neg"])
+        "max_newton_iters_0", "profile_stride_neg", "kappa_float",
+        "kappa_bool", "mesh_n_float"])
 def test_cli_diagram_refuses_a_bad_setting_in_one_error_line(run_python,
                                                              tmp_path, config):
-    # a nan step never falls below ds_min: refused before any work, in a
-    # subprocess with a timeout so that a hang fails instead of stalling
+    # a nan step never falls below the step floor: refused before any work,
+    # in a subprocess with a timeout so that a hang fails instead of
+    # stalling.  A nested section and the settings ds_min, norm_max,
+    # max_newton_iters and profile_stride are refused as unknown keys
     path = tmp_path / "bad.json"
     path.write_text(config)
     out = run_python("-m", "bvpcont.cli", "diagram", "--config", str(path),
@@ -647,9 +627,8 @@ def test_cli_sweep_eps(tmp_path, capsys):
 
 
 def test_cli_diagram_and_config(tmp_path, capsys):
-    cfg = {"kappa": 1, "h": 0.5, "eps": 0.0,
-           "mesh": {"n": 200},
-           "continuation": {"lambda_min": -20.0}}
+    cfg = {"kappa": 1, "h": 0.5, "eps": 0.0, "mesh_n": 200,
+           "lambda_min": -20.0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"

@@ -112,10 +112,14 @@ def test_shoot_count_argument_checks(bad):
     "integrate_ivp(w, nan, 10.0)",
     "integrate_ivp(w, -100.0, nan)",
     "integrate_ivp(w, -100.0, 10.0, step_tol=nan)",
+    "shoot_count(w, -100.0, step_tol=1e-30)",
+    "integrate_ivp(w, -100.0, 10.0, step_tol=1e-30)",
 ])
 def test_oracle_refuses_a_non_finite_argument(run_python, call):
     # no shot ends on nan: refuse it instead of running forever (in a
-    # subprocess with a timeout, so that a hang fails instead of stalling)
+    # subprocess with a timeout, so that a hang fails instead of stalling).
+    # A step_tol below 100*eps_mach, the floor to which scipy's RK45 raises
+    # its rtol, is refused too: at 1e-30 a count ran past 20 s
     code = ("from math import inf, nan\n"
             "from bvpcont import build_weight, integrate_ivp, shoot_count\n"
             "w = build_weight(1, 0.1, 0.0)\n"
@@ -142,6 +146,24 @@ def test_shoot_count_refuses_a_refine_tol_below_the_float_resolution(
     out = run_python("-c", code, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("refused: refine_tol")
+
+
+def test_batch_miss_refuses_a_step_below_the_float_spacing(run_python):
+    # step_tol 1e-100, below the floor that shoot_count and integrate_ivp
+    # refuse, shrinks a retried step under 10 ulps of x; without the guard
+    # the step loop never ends (in a subprocess with a timeout, so that a
+    # hang fails instead of stalling)
+    code = ("import numpy as np\n"
+            "from bvpcont import build_weight\n"
+            "from bvpcont.shooting import _batch_miss\n"
+            "try:\n"
+            "    _batch_miss(build_weight(1, 0.1, 0.0), -100.0,"
+            " np.array([1.0, 50.0]), 1e-100)\n"
+            "except RuntimeError as exc:\n"
+            "    print('refused:', exc)\n")
+    out = run_python("-c", code, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "refused: step size underflow at lam = -100\n"
 
 
 @pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
