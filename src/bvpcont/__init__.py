@@ -26,7 +26,6 @@ from .seeding import (PeakMask, enumerate_peak_masks, find_new_solution,
                       support_intervals)
 from .shooting import (BlowUpError, Trajectory, check_decay_identity,
                        integrate_ivp, potential_energy, shoot_count, time_map)
-from .weight import (Weight, WeightError, build_weight, default_centers,
-                     eval_weight)
+from .weight import Weight, WeightError, build_weight, eval_weight
 
 __version__ = "0.1.0"

@@ -31,10 +31,17 @@ __all__ = ["main", "build_parser"]
 
 
 def _load_config(path: str | None) -> RunConfig:
+    """The RunConfig of the JSON file at path, or the defaults without one;
+    ValueError if the file cannot be read or holds no valid config."""
     if path is None:
         return RunConfig()
-    with open(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read config {path}: {exc.strerror}") from None
+    return RunConfig.from_dict(data)
 
 
 def _add_weight_args(p: argparse.ArgumentParser) -> None:
@@ -171,17 +178,16 @@ def _cmd_sweep_eps(args) -> int:
 def _cmd_sweep_h(args) -> int:
     # For each h, follow the main branch and report the first pitchfork
     # among the orientation changes it located (Branch.located).
+    runs = []
     try:  # every h and the config before the first branch
-        cfgs = [RunConfig(kappa=1, h=float(s), mesh_n=args.n,
-                          lambda_min=args.lambda_min)
-                for s in args.h_values.split(",")]
-        for cfg in cfgs:
-            build_weight(1, cfg.h, 0.0)
+        for s in args.h_values.split(","):
+            cfg = RunConfig(kappa=1, h=float(s), mesh_n=args.n,
+                            lambda_min=args.lambda_min)
+            runs.append((cfg, Discretization(*cfg.build())))
     except ValueError as exc:
         return _error(exc)
     out = []
-    for cfg in cfgs:
-        d = Discretization(*cfg.build())
+    for cfg, d in runs:
         branch = trace_main_branch(d, principal_eigenvalue(d.m), cfg)
         lam_b = None
         for i in sorted(branch.located):

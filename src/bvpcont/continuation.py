@@ -88,9 +88,6 @@ class Branch:
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
 
-    def norms(self) -> np.ndarray:
-        return np.array([p.l2norm for p in self.points])
-
 
 # Cosine of the largest turn of the unit tangent accepted in one step
 # (0.2 rad).  Without this bound long steps cut across folds: the kappa=2,
@@ -125,10 +122,10 @@ def make_point(d: Discretization, lam: float, u: np.ndarray,
                          tangent=tangent, det_sign=det_sign)
 
 
-def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent,
-                   lu=None, mode: SoftMode | None = None) -> tuple[Tangent, int]:
+def update_tangent(y: AugmentedState, ref: Tangent, lu,
+                   mode: SoftMode | None = None) -> tuple[Tangent, int]:
     """Unit tangent at y with ref . t > 0 by construction, and the sign of
-    det J at y, both from one LU of J.
+    det J at y, both from lu, the LU factors of J at y (corrector._lu).
 
     Solves [J | -u] t = 0 (-u = dF/dlam) bordered by the row ref . t = 1 and
     normalizes; with its right-hand side (0, 1) the bordered solve takes
@@ -136,13 +133,10 @@ def update_tangent(d: Discretization, y: AugmentedState, ref: Tangent,
     pivot of J raises SingularSystemError.
     ref = (0, +-1) gives the tangent whose dlam has that sign; near a fold
     du grows along the null vector of J, so it tends to the fold tangent.
-    lu may pass the LU factors of J at y, which the caller keeps; without
-    it J is assembled and factored here.  A SoftMode passed as mode is
-    advanced in place by one step on J at y, in the same two solves.
+    A SoftMode passed as mode is advanced in place by one step on J at y,
+    in the same two solves.
     """
-    if lu is None:
-        lu = _lu(jacobian(d, y.lam, y.u))
-    sol = bordered_solve(None, -y.u, ref, 1.0, lu=lu, mode=mode)
+    sol = bordered_solve(lu, -y.u, ref, 1.0, mode)
     return Tangent(sol[:-1], sol[-1]).normalized(), _lu_sign(lu)
 
 
@@ -219,7 +213,7 @@ def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
         y_new, iters = newton_augmented(
             d, y_pred, y, t, ds, tol=tol, symmetric=symmetric, mode=mode)
         lu_new = _lu(jacobian(d, y_new.lam, y_new.u))
-        t_new, sign = update_tangent(d, y_new, t, lu_new, mode)
+        t_new, sign = update_tangent(y_new, t, lu_new, mode)
     except (NewtonError, SingularSystemError):
         return None
     t_new = _symmetrized(t_new) if symmetric else t_new
@@ -314,8 +308,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
     symmetric = branch.symmetry == "symmetric"
     lu = _lu(jacobian(d, start.lam, start.u))
     mode = None if symmetric else SoftMode.cold(len(start.u))
-    t, sign = update_tangent(d, AugmentedState(start.lam, start.u), ref, lu,
-                             mode)
+    t, sign = update_tangent(AugmentedState(start.lam, start.u), ref, lu, mode)
     t = _symmetrized(t) if symmetric else t
     first = replace(start, tag="branch_start", tangent=t, det_sign=sign)
     branch.points.append(first)

@@ -219,8 +219,7 @@ def drop_free_mode(mode: SoftMode, u: np.ndarray, x: np.ndarray,
 
 
 def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
-                        tol: float = DEFAULT_TOL,
-                        max_iters: int = DEFAULT_MAX_ITERS) -> np.ndarray:
+                        tol: float = DEFAULT_TOL) -> np.ndarray:
     """Newton's method on F(lam, .) = 0 at fixed lam.
 
     Returns u with ||F(lam, u)||_2 < tol.  Raises NewtonError on divergence
@@ -232,7 +231,7 @@ def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
     r = residual(d, lam, u)
     rnorm = math.sqrt(r.dot(r))
     rnorm0 = max(rnorm, 1e-300)
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         if rnorm < tol:
             return u
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
@@ -243,9 +242,8 @@ def newton_fixed_lambda(d: Discretization, lam: float, u0: np.ndarray,
         rnorm = math.sqrt(r.dot(r))
     if rnorm < tol:
         return u
-    raise NewtonError(
-        f"no convergence after {max_iters} iterations (||F|| = {rnorm:.3e})"
-    )
+    raise NewtonError(f"no convergence after {DEFAULT_MAX_ITERS} iterations "
+                      f"(||F|| = {rnorm:.3e})")
 
 
 def augmented_residual(d: Discretization, y: AugmentedState,
@@ -259,28 +257,26 @@ def augmented_residual(d: Discretization, y: AugmentedState,
     return r
 
 
-def bordered_solve(J: BandedJacobian | None, b_col: np.ndarray, t: Tangent,
-                   rhs, lu=None, mode: SoftMode | None = None) -> np.ndarray:
-    """Solve [[J, b_col], [t.du, t.dlam]] x = rhs by mixed block elimination.
+def bordered_solve(lu, b_col: np.ndarray, t: Tangent, rhs,
+                   mode: SoftMode | None = None) -> np.ndarray:
+    """Solve [[J, b_col], [t.du, t.dlam]] x = rhs by mixed block elimination,
+    with lu the LU factors of J (_lu).
 
-    One LU of J serves a transpose solve for the left vector and one
+    The LU serves a transpose solve for the left vector and one
     two-column solve; the scalar unknown is split into a part fixed by the
     left vector and a correction from the right one, which keeps the result
     accurate when J is singular to rounding (BEMW, Govaerts & Pryce 1993).
     rhs is the vector of length N+1, or a number g for (0, ..., 0, g): the
     second column, J^-1 (0 - b_col xi1), is then -xi1 times the first and
-    is not solved for, as for a tangent.  lu may pass factors of J that the
-    caller already holds; J is then not read and may be None.  A SoftMode
-    passed as mode is advanced by one step on J in place: its right and
-    left vectors ride along as one more column of each solve.
+    is not solved for, as for a tangent.  A SoftMode passed as mode is
+    advanced by one step on J in place: its right and left vectors ride
+    along as one more column of each solve.
     """
     n = len(b_col)
     one_column = isinstance(rhs, (int, float))
     if (not one_column and len(rhs) != n + 1) or len(t.du) != n:
         raise ValueError("dimension mismatch in bordered solve")
     g = float(rhs) if one_column else rhs[n]
-    if lu is None:
-        lu = _lu(J)
     if mode is None:
         v = _lu_solve(lu, t.du, trans="T")
     else:
@@ -319,9 +315,7 @@ def bordered_solve(J: BandedJacobian | None, b_col: np.ndarray, t: Tangent,
 
 def newton_augmented(d: Discretization, y0: AugmentedState,
                      y_prev: AugmentedState, t: Tangent, ds: float,
-                     tol: float = DEFAULT_TOL,
-                     max_iters: int = DEFAULT_MAX_ITERS,
-                     symmetric: bool = False,
+                     tol: float = DEFAULT_TOL, symmetric: bool = False,
                      mode: SoftMode | None = None) -> tuple[AugmentedState, int]:
     """Newton's method on the arclength-augmented system, starting at y0.
 
@@ -339,13 +333,13 @@ def newton_augmented(d: Discretization, y0: AugmentedState,
     r = augmented_residual(d, y, y_prev, t, ds)
     rnorm = math.sqrt(r.dot(r))
     rnorm0 = max(rnorm, 1e-300)
-    for it in range(max_iters):
+    for it in range(DEFAULT_MAX_ITERS):
         if rnorm < tol:
             return y, it
         if rnorm > _DIVERGENCE_FACTOR * rnorm0:
             raise NewtonError(f"augmented residual diverged to {rnorm:.3e}")
         lu = _lu(jacobian(d, y.lam, y.u))
-        delta = bordered_solve(None, -y.u, t, r, lu=lu, mode=mode)
+        delta = bordered_solve(lu, -y.u, t, r, mode)
         y.u -= (delta[:-1] if mode is None
                 else drop_free_mode(mode, y.u, delta[:-1], tol))
         y.lam -= delta[-1]
@@ -354,7 +348,6 @@ def newton_augmented(d: Discretization, y0: AugmentedState,
         r = augmented_residual(d, y, y_prev, t, ds)
         rnorm = math.sqrt(r.dot(r))
     if rnorm < tol:
-        return y, max_iters
-    raise NewtonError(
-        f"augmented Newton: no convergence after {max_iters} iterations"
-    )
+        return y, DEFAULT_MAX_ITERS
+    raise NewtonError(f"augmented Newton: no convergence after "
+                      f"{DEFAULT_MAX_ITERS} iterations")

@@ -14,7 +14,7 @@ keys before emission.
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import compress, product
 from pathlib import Path
 
@@ -66,20 +66,26 @@ class RunConfig(ContinuationConfig):
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         for k in d:
             if k not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown config key: {k}")
         return cls(**d)
 
     def __post_init__(self):
-        """Refuse a float that is not finite and a kappa or mesh_n that is
-        not an int (a bool is not); ContinuationConfig refuses the rest."""
-        for name, v in vars(self).items():
+        """Refuse an int setting that is not an int and a float setting that
+        is not a finite int or float (a bool is neither);
+        ContinuationConfig refuses the rest."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is int and type(v) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if f.type is float and (isinstance(v, bool)
+                                    or not isinstance(v, (int, float))):
+                raise ValueError(f"{f.name} must be a number, got {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        for name in ("kappa", "mesh_n"):
-            if type(v := getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {v}")
+                raise ValueError(f"{f.name} must be finite, got {v}")
         super().__post_init__()
 
     def build(self) -> tuple[Weight, Mesh]:

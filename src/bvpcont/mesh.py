@@ -72,13 +72,12 @@ def build_uniform_mesh(n_interior: int) -> Mesh:
     return _mirror(left)
 
 
-def build_refined_mesh(w: Weight, coarse_dx: float, fine_dx: float,
-                       pad: float | None = None) -> Mesh:
-    """Mesh refined to ~fine_dx on [alpha_i - pad, beta_i + pad], ~coarse_dx elsewhere.
+def build_refined_mesh(w: Weight, coarse_dx: float, fine_dx: float) -> Mesh:
+    """Mesh refined to ~fine_dx on [alpha_i - pad, beta_i + pad], ~coarse_dx
+    elsewhere, with pad = 10*fine_dx.
 
     Every interval endpoint alpha_i, beta_i is a node.  With equal spacings
-    the construction degenerates to the matching uniform mesh.  The default
-    pad is 10*fine_dx.
+    the construction degenerates to the matching uniform mesh.
     """
     if not 0.0 < fine_dx <= coarse_dx:
         raise MeshError(f"need 0 < fine_dx <= coarse_dx, got {fine_dx}, {coarse_dx}")
@@ -86,14 +85,11 @@ def build_refined_mesh(w: Weight, coarse_dx: float, fine_dx: float,
         raise MeshError(
             f"fine_dx = {fine_dx} does not resolve intervals of length {w.h}"
         )
-    if pad is None:
-        pad = 10.0 * fine_dx
-    if pad < 0.0:
-        raise MeshError(f"pad must be nonnegative, got {pad}")
 
     if fine_dx == coarse_dx:
         return build_uniform_mesh(int(round(1.0 / fine_dx)) - 1)
 
+    pad = 10.0 * fine_dx
     fine_zones = [(max(a - pad, 0.0), min(b + pad, 1.0)) for a, b in w.intervals]
 
     # Breakpoints in [0, 0.5]: zone edges plus the forced nodes alpha_i, beta_i.

@@ -118,15 +118,15 @@ def _pieces(w: Weight) -> list[tuple[float, float, float]]:
 
 def _check_inputs(lam, **positive):
     """Refuse a lam that is not finite and each named value that is not a
-    positive finite number (None passes): on nan no shot ever ends.  A
-    refine_tol below the float resolution is refused too: a bracket one ulp
-    wide never meets it.  So is a step_tol below 100*eps_mach, the floor to
-    which scipy's RK45 raises its rtol: below it the steps shrink until the
-    shot stalls, underflows or overflows."""
+    positive finite number: on nan no shot ever ends.  A refine_tol below
+    the float resolution is refused too: a bracket one ulp wide never meets
+    it.  So is a step_tol below 100*eps_mach, the floor to which scipy's
+    RK45 raises its rtol: below it the steps shrink until the shot stalls,
+    underflows or overflows."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     for name, value in positive.items():
-        if value is not None and not 0.0 < value < np.inf:
+        if not 0.0 < value < np.inf:
             raise ValueError(
                 f"{name} must be positive and finite, got {value}")
     if positive.get("refine_tol", 1.0) < np.finfo(float).eps:
@@ -395,45 +395,43 @@ def _near_root(a, b, fa, fb, last, refine_tol):
     return s[:, 0], s + np.hstack([-ladder, ladder])
 
 
-def shoot_count(w: Weight, lam: float, v0_max: float | None = None,
-                grid_size: int = 200, step_tol: float = 1e-8,
-                refine_tol: float = 1e-10):
+def shoot_count(w: Weight, lam: float, grid_size: int = 200,
+                step_tol: float = 1e-8, refine_tol: float = 1e-10):
     """Count positive solutions by scanning the initial slope.
 
-    Scans v0 over a log-spaced grid in (0, v0_max] in one batch, brackets
-    sign changes of the boundary miss, and narrows all brackets together
-    until hi - lo <= refine_tol*max(1, hi), one batch per round.  Each round
-    splits every bracket into _SECTIONS equal sections; where the miss is
-    finite at both ends it also shoots a pair at 0.45*refine_tol*max(1, hi)
-    on either side of the secant estimate, which closes the bracket once
-    the estimate is good, and a geometric ladder out to a few times the
-    estimate's last move (the bracket/32 in its first round).  A bracket
-    with a blown end keeps plain multisection.  The new bracket is the
-    first section, among all slopes shot, where the miss changes sign.
-    The bracket midpoints are shot once more, as one batch, and a root is
-    kept when its shot stays positive up to x = 1 - 1e-4; roots closer than
-    1e-8 relative are merged.  Returns (count, sorted v0 roots).
+    Scans v0 over a log-spaced grid in (0, 2*max(-2*lam, pi^2)^(3/2)] in
+    one batch, brackets sign changes of the boundary miss, and narrows all
+    brackets together until hi - lo <= refine_tol*max(1, hi), one batch per
+    round.  Each round splits every bracket into _SECTIONS equal sections;
+    where the miss is finite at both ends it also shoots a pair at
+    0.45*refine_tol*max(1, hi) on either side of the secant estimate, which
+    closes the bracket once the estimate is good, and a geometric ladder out
+    to a few times the estimate's last move (the bracket/32 in its first
+    round).  A bracket with a blown end keeps plain multisection.  The new
+    bracket is the first section, among all slopes shot, where the miss
+    changes sign.  The bracket midpoints are shot once more, as one batch,
+    and a root is kept when its shot stays positive up to x = 1 - 1e-4;
+    roots closer than 1e-8 relative are merged.  Returns (count, sorted v0
+    roots).
 
     Raises ValueError below the validity floor lam < -(ln(1/eps_mach))^2,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
     1/eps_mach and the count means nothing, when a shot at an end of a
     final bracket or at its midpoint blows up, which leaves that root
-    undecided, when lam is not finite or a tolerance or v0_max is not
-    positive and finite, and when step_tol is below 100*eps_mach.
+    undecided, when lam is not finite or a tolerance is not positive and
+    finite, and when step_tol is below 100*eps_mach.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    _check_inputs(lam, step_tol=step_tol, refine_tol=refine_tol,
-                  v0_max=v0_max)
+    _check_inputs(lam, step_tol=step_tol, refine_tol=refine_tol)
     if lam < _LAM_FLOOR:
         raise ValueError(
             f"lam = {lam:g} is below the shooting oracle's validity floor "
             f"{_LAM_FLOOR:.1f}: single shooting amplifies rounding error by "
             f"about exp(sqrt(-lam)), which exceeds 1/eps_mach there")
-    if v0_max is None:
-        # Homoclinic slope scale is (-2*lam)^(3/2); factor 2 covers the
-        # exterior trajectories that boundary shots ride on.
-        v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
+    # Homoclinic slope scale is (-2*lam)^(3/2); factor 2 covers the
+    # exterior trajectories that boundary shots ride on.
+    v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, grid_size)
     miss, cross = _batch_miss(w, lam, grid, step_tol)
 
@@ -509,8 +507,7 @@ def time_map(u0: float, lam: float) -> float:
 
 
 def check_decay_identity(w: Weight, m: Mesh, u: np.ndarray, lam: float,
-                         interval_index: int, residual_norm: float | None = None,
-                         newton_tol: float = 1e-4) -> float:
+                         interval_index: int) -> float:
     """Relative mismatch of the weighted-average identity on one vanishing interval.
 
     With phi(x) = sin(pi*(x - alpha)/h) on (alpha, beta) where the weight
@@ -523,8 +520,6 @@ def check_decay_identity(w: Weight, m: Mesh, u: np.ndarray, lam: float,
     """
     if w.eps != 0.0:
         raise ValueError("identity check requires a vanishing (eps = 0) weight")
-    if residual_norm is not None and residual_norm > 10 * newton_tol:
-        raise ValueError("input does not solve the problem to tolerance")
     alpha, beta = w.intervals[interval_index]
     h = beta - alpha
     x_full = m.nodes

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Weight", "WeightError", "build_weight", "eval_weight", "default_centers"]
+__all__ = ["Weight", "WeightError", "build_weight", "eval_weight"]
 
 
 class WeightError(ValueError):
-    """Invalid coefficient configuration (overlap, domain or symmetry)."""
+    """Invalid coefficient configuration (overlap or domain)."""
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,11 @@ class Weight:
         return np.array([e for ab in self.intervals for e in ab])
 
 
-def default_centers(kappa: int) -> list[float]:
-    """Standard symmetric interval midpoints (2i-1)/(2*kappa), i = 1..kappa."""
-    return [(2 * i - 1) / (2 * kappa) for i in range(1, kappa + 1)]
+def build_weight(kappa, h, eps):
+    """Build a Weight with intervals (c_i - h/2, c_i + h/2) at the
+    symmetric midpoints c_i = (2i-1)/(2*kappa), i = 1..kappa.
 
-
-def build_weight(kappa, h, eps, centers=None):
-    """Build a Weight with intervals (c_i - h/2, c_i + h/2).
-
-    If ``centers`` is omitted the standard symmetric midpoints are used.
-    Raises WeightError on overlapping intervals, intervals leaving (0,1),
-    or centers that are not symmetric about 0.5.
+    Raises WeightError on overlapping intervals or intervals leaving (0,1).
     """
     if kappa < 1 or int(kappa) != kappa:
         raise WeightError(f"kappa must be a positive integer, got {kappa!r}")
@@ -56,18 +50,7 @@ def build_weight(kappa, h, eps, centers=None):
     if not 0.0 <= eps <= 1.0:
         raise WeightError(f"depth eps must lie in [0, 1], got {eps}")
 
-    if centers is None:
-        centers = default_centers(kappa)
-    centers = sorted(float(c) for c in centers)
-    if len(centers) != kappa:
-        raise WeightError(f"expected {kappa} centers, got {len(centers)}")
-
-    for ci, cj in zip(centers, reversed(centers)):
-        if abs(ci + cj - 1.0) > 1e-12:
-            raise WeightError(
-                f"centers not symmetric about 0.5: {ci} vs {cj}"
-            )
-
+    centers = [(2 * i - 1) / (2 * kappa) for i in range(1, kappa + 1)]
     intervals = [(c - h / 2.0, c + h / 2.0) for c in centers]
     # Make the interval set reflection-invariant in floating point, not
     # just to rounding error: snap each left edge e so that 1 - e is

@@ -409,7 +409,7 @@ def test_criterion_7_property_suite(tmp_path, descend):
         b_col = rng.normal(size=nb)
         t = Tangent(rng.normal(size=nb), rng.normal()).normalized()
         rhs = rng.normal(size=nb + 1)
-        x = bordered_solve(J, b_col, t, rhs)
+        x = bordered_solve(_lu(J), b_col, t, rhs)
         full = np.zeros((nb + 1, nb + 1))
         full[:nb, :nb] = J.dense()
         full[:nb, nb] = b_col

@@ -247,8 +247,9 @@ def test_locate_holds_on_a_long_isola_bracket(fold_bisect):
     well = np.maximum(np.abs(d.m.interior - 0.5) - 0.25, 0.0)
     u = newton_fixed_lambda(d, lam, np.sqrt(-2.0 * lam)
                             / np.cosh(np.sqrt(-lam) * well))
-    t, sign = update_tangent(d, AugmentedState(lam, u),
-                             Tangent(np.zeros_like(u), 1.0))
+    t, sign = update_tangent(AugmentedState(lam, u),
+                             Tangent(np.zeros_like(u), 1.0),
+                             _lu(jacobian(d, lam, u)))
     pa = make_point(d, lam, u, tangent=t, det_sign=sign)
     pb = continuation._step(d, pa, 68.2, True, 1e-4)[0]
     assert abs(pb.lam - (-473.07)) < 0.1 and pb.det_sign != pa.det_sign

@@ -6,9 +6,10 @@ import pytest
 from bvpcont import continuation
 from bvpcont.continuation import (ContinuationConfig, continue_branch,
                                   fold_points, make_point, update_tangent)
-from bvpcont.corrector import AugmentedState, Tangent, newton_fixed_lambda
+from bvpcont.corrector import (AugmentedState, Tangent, _lu,
+                               newton_fixed_lambda)
 from bvpcont.diagram import RunConfig, trace_main_branch
-from bvpcont.discretize import (Discretization, mirrors,
+from bvpcont.discretize import (Discretization, jacobian, mirrors,
                                 principal_eigenvalue, residual)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import peak_seed
@@ -81,7 +82,8 @@ def test_initial_tangent_subcritical_onset():
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    t, _ = update_tangent(d, AugmentedState(lam, u), down(u))
+    t, _ = update_tangent(AugmentedState(lam, u), down(u),
+                          _lu(jacobian(d, lam, u)))
     assert t.dlam < 0
     assert abs(t.norm() - 1.0) < 1e-12
     mode = np.sin(np.pi * m.interior)
@@ -91,13 +93,12 @@ def test_initial_tangent_subcritical_onset():
 
 
 def test_tangent_is_nullvector_of_extended_jacobian():
-    from bvpcont.discretize import jacobian
     w = build_weight(1, 0.3, 0.0)
     m = build_uniform_mesh(150)
     d = Discretization(w, m)
     lam, u = onset_solution(d)
-    t, _ = update_tangent(d, AugmentedState(lam, u), down(u))
     J = jacobian(d, lam, u)
+    t, _ = update_tangent(AugmentedState(lam, u), down(u), _lu(J))
     image = J.matvec(t.du) + (-u) * t.dlam
     assert np.linalg.norm(image) < 1e-8 * (1 + np.abs(J.diag).max())
 
@@ -112,7 +113,7 @@ def test_main_branch_square_root_onset():
     cfg = ContinuationConfig(lambda_min=-100.0)
     b = continue_branch(d, make_point(d, lam, u), down(u), cfg)
     assert "reached lambda_min" in b.diagnostics
-    lams, norms = b.lambdas(), b.norms()
+    lams, norms = b.lambdas(), np.array([p.l2norm for p in b.points])
     sel = (lams >= -20.0) & (lams <= lam1)
     slope = np.polyfit(np.log(lam1 - lams[sel]), np.log(norms[sel]), 1)[0]
     assert abs(slope - 0.5) < 0.05
@@ -215,14 +216,15 @@ def test_update_tangent_orientation():
     d = Discretization(w, m)
     lam, u = onset_solution(d)
     y = AugmentedState(lam, u)
-    t, _ = update_tangent(d, y, down(u))
-    t2, _ = update_tangent(d, y, t)
+    lu = _lu(jacobian(d, lam, u))
+    t, _ = update_tangent(y, down(u), lu)
+    t2, _ = update_tangent(y, t, lu)
     assert t2.dot(t) > 0
     assert abs(t2.norm() - 1.0) < 1e-12
     # the reference row alone sets the orientation
-    t3, _ = update_tangent(d, y, Tangent(-t.du, -t.dlam))
+    t3, _ = update_tangent(y, Tangent(-t.du, -t.dlam), lu)
     assert t3.dot(t) < 0
-    up, _ = update_tangent(d, y, Tangent(np.zeros_like(u), +1.0))
+    up, _ = update_tangent(y, Tangent(np.zeros_like(u), +1.0), lu)
     assert up.dlam > 0
 
 
@@ -230,8 +232,7 @@ def test_predict_leaves_the_mode_unchanged():
     # the loop advances the soft mode in its tangent solves; the Hermite
     # predictor on a lone-peak branch only reads it
     from bvpcont.continuation import _predict
-    from bvpcont.corrector import SoftMode, _lu
-    from bvpcont.discretize import jacobian
+    from bvpcont.corrector import SoftMode
     from bvpcont.seeding import PeakMask, peak_pattern_seed
     d = Discretization(build_weight(1, 0.1, 0.0), build_uniform_mesh(200))
     u = newton_fixed_lambda(d, -50.0, peak_pattern_seed(

@@ -71,7 +71,7 @@ def test_divergence_and_exhaustion_raise():
     m = build_uniform_mesh(100)
     d = Discretization(w, m)
     with pytest.raises(NewtonError):
-        newton_fixed_lambda(d, -500.0, 1e6 * np.ones(100), max_iters=3)
+        newton_fixed_lambda(d, -500.0, 1e6 * np.ones(100))
 
 
 def test_isola_solution_at_minus_1200(descend):
@@ -155,7 +155,7 @@ def test_bordered_solve_decoupled():
     t = Tangent(np.zeros(n), 1.0)
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
-    x = bordered_solve(J, np.zeros(n), t, rhs)
+    x = bordered_solve(_lu(J), np.zeros(n), t, rhs)
     assert np.allclose(x, rhs, rtol=0, atol=1e-15)
 
 
@@ -168,7 +168,7 @@ def test_bordered_solve_matches_dense():
         b_col = rng.normal(size=n)
         t = Tangent(rng.normal(size=n), rng.normal()).normalized()
         rhs = rng.normal(size=n + 1)
-        x = bordered_solve(J, b_col, t, rhs)
+        x = bordered_solve(_lu(J), b_col, t, rhs)
         full = np.zeros((n + 1, n + 1))
         full[:n, :n] = J.dense()
         full[:n, n] = b_col
@@ -190,7 +190,7 @@ def test_bordered_solve_regularizes_singular_block():
     mode = np.sin(np.pi * k / (n + 1))
     t = Tangent(mode / np.linalg.norm(mode), 0.5).normalized()
     rhs = rng.normal(size=n + 1)
-    x = bordered_solve(J, mode, t, rhs)
+    x = bordered_solve(_lu(J), mode, t, rhs)
     res = np.concatenate([J.matvec(x[:-1]) + mode * x[-1],
                           [t.du @ x[:-1] + t.dlam * x[-1]]]) - rhs
     assert np.linalg.norm(res) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
@@ -210,10 +210,10 @@ def test_bordered_solve_and_tangent_at_isola_fold(resolved_flips,
     a, b = fold_bisect(d, pts[i], pts[i + 1], 1e-4)
     assert a.tangent.dlam * b.tangent.dlam < 0  # a fold
     p = AugmentedState(a.lam, a.u)
-    t, _ = update_tangent(d, p, Tangent(np.zeros_like(p.u), -1.0))
+    J = jacobian(d, p.lam, p.u)
+    t, _ = update_tangent(p, Tangent(np.zeros_like(p.u), -1.0), _lu(J))
     assert abs(p.lam + 41.546) < 0.05
     assert abs(_hermite_fold(a, b)[1] + 41.546) < 0.05
-    J = jacobian(d, p.lam, p.u)
     n = J.n
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=n + 1)
@@ -227,11 +227,11 @@ def test_bordered_solve_and_tangent_at_isola_fold(resolved_flips,
         full[n, :n] = t.du
         full[n, n] = t.dlam
         ref = np.linalg.solve(full, rhs)
-        x = bordered_solve(Jk, -p.u, t, rhs)
+        x = bordered_solve(_lu(Jk), -p.u, t, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    tan, _ = update_tangent(d, AugmentedState(p.lam, p.u),
-                            Tangent(np.zeros_like(p.u), -1.0))
+    tan, _ = update_tangent(AugmentedState(p.lam, p.u),
+                            Tangent(np.zeros_like(p.u), -1.0), _lu(J))
     _, _, vt = np.linalg.svd(np.column_stack([J.dense(), -p.u]))
     assert abs(abs(vt[-1] @ np.append(tan.du, tan.dlam)) - 1.0) < 1e-10
 
@@ -257,10 +257,10 @@ def test_one_column_tangent_is_the_bordered_solve(isola_bundle,
     rhs[-1] = 1.0
     for p, ref in states:
         lu = _lu(jacobian(d, p.lam, p.u))
-        full = bordered_solve(None, -p.u, ref, rhs, lu=lu)
-        one = bordered_solve(None, -p.u, ref, 1.0, lu=lu)
+        full = bordered_solve(lu, -p.u, ref, rhs)
+        one = bordered_solve(lu, -p.u, ref, 1.0)
         assert np.linalg.norm(one - full) <= 1e-12 * np.linalg.norm(full)
-        t, _ = update_tangent(d, AugmentedState(p.lam, p.u), ref, lu)
+        t, _ = update_tangent(AugmentedState(p.lam, p.u), ref, lu)
         want = Tangent(full[:-1], full[-1]).normalized()
         assert np.linalg.norm(np.append(t.du - want.du, t.dlam - want.dlam)) \
             <= 1e-12
@@ -273,7 +273,7 @@ def test_bordered_solve_zero_pivot_raises():
                        sup=np.zeros(n - 1))
     e0 = np.eye(n)[0]
     with pytest.raises(SingularSystemError):
-        bordered_solve(J, e0, Tangent(e0, 0.0), np.ones(n + 1))
+        bordered_solve(_lu(J), e0, Tangent(e0, 0.0), np.ones(n + 1))
 
 
 def test_lu_and_lu_solve_are_scipy_lapack_bit_for_bit():
@@ -380,8 +380,8 @@ def test_carried_free_mode_drops_the_same_mode():
         ref = drop_free_mode(_advanced(lu, n, 2), u, x, tol=1e-4)
         mode = SoftMode.cold(n)
         for step in range(4):
-            sol = bordered_solve(None, -u, t, rhs, lu=lu, mode=mode)
-            assert np.array_equal(sol, bordered_solve(None, -u, t, rhs, lu=lu))
+            sol = bordered_solve(lu, -u, t, rhs, mode)
+            assert np.array_equal(sol, bordered_solve(lu, -u, t, rhs))
             y = drop_free_mode(mode, u, x, tol=1e-4)
             if not free or step == 0:  # no mu before the second step
                 assert y is x
@@ -399,9 +399,9 @@ def test_tangent_solve_advances_a_mode_as_advance_does():
     ref = Tangent(np.zeros(n), -1.0)
     lu = _lu(J)
     carried, stepped = SoftMode.cold(n), SoftMode.cold(n)
-    t0, sign0 = update_tangent(None, y, ref, lu)
+    t0, sign0 = update_tangent(y, ref, lu)
     for _ in range(3):
-        t, sign = update_tangent(None, y, ref, lu, carried)
+        t, sign = update_tangent(y, ref, lu, carried)
         stepped.advance(lu)
         assert np.array_equal(carried.right, stepped.right)
         assert np.array_equal(carried.left, stepped.left)
@@ -442,7 +442,8 @@ def test_newton_augmented_free_modes_idle_without_soft_mode():
     lam = -20.0
     u = newton_fixed_lambda(d, lam, sine_seed(m, 6.0), tol=1e-8)
     y_prev = AugmentedState(lam, u)
-    t, _ = update_tangent(d, y_prev, Tangent(np.zeros_like(u), -1.0))
+    t, _ = update_tangent(y_prev, Tangent(np.zeros_like(u), -1.0),
+                          _lu(jacobian(d, lam, u)))
     y_pred = AugmentedState(lam + 2.0 * t.dlam, u + 2.0 * t.du)
     a, ia = newton_augmented(d, y_pred, y_prev, t, 2.0)
     b, ib = newton_augmented(d, y_pred, y_prev, t, 2.0,

@@ -509,16 +509,21 @@ def test_cli_refuses_a_bad_argument_in_one_error_line(run_python, argv):
     '{"kappa": 2.0, "h": 0.25, "mesh_n": 100, "lambda_min": -60}',
     '{"kappa": true}',
     '{"mesh_n": 100.5}',
+    '{"h": "0.1", "mesh_n": 100, "lambda_min": -50}',
+    '{"eps": true, "mesh_n": 100, "lambda_min": -50}',
+    '{"newton_tol": true, "mesh_n": 100, "lambda_min": -50}',
 ], ids=["ds_nan", "lambda_min_nan", "ds_0", "newton_tol_0", "norm_max_neg",
         "ds_min_above_ds", "max_steps_0", "max_steps_2.5",
         "max_newton_iters_0", "profile_stride_neg", "kappa_float",
-        "kappa_bool", "mesh_n_float"])
+        "kappa_bool", "mesh_n_float", "h_str", "eps_bool", "newton_tol_bool"])
 def test_cli_diagram_refuses_a_bad_setting_in_one_error_line(run_python,
                                                              tmp_path, config):
     # a nan step never falls below the step floor: refused before any work,
     # in a subprocess with a timeout so that a hang fails instead of
     # stalling.  A nested section and the settings ds_min, norm_max,
-    # max_newton_iters and profile_stride are refused as unknown keys
+    # max_newton_iters and profile_stride are refused as unknown keys; a
+    # string or a bool for a float setting is no number (true would run
+    # eps = 1 or a tolerance of 1)
     path = tmp_path / "bad.json"
     path.write_text(config)
     out = run_python("-m", "bvpcont.cli", "diagram", "--config", str(path),
@@ -528,6 +533,37 @@ def test_cli_diagram_refuses_a_bad_setting_in_one_error_line(run_python,
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, error", [
+    ("5", "error: config must be a JSON object, got 5"),
+    ("[1, 2]", "error: config must be a JSON object, got [1, 2]"),
+    (None, "error: cannot read config "),
+], ids=["number", "list", "missing"])
+@pytest.mark.parametrize("command", [
+    ["diagram"],
+    ["sweep-eps", "--eps-values", "0"],
+], ids=["diagram", "sweep_eps"])
+def test_cli_refuses_a_config_that_is_no_settings_object(run_python, tmp_path,
+                                                         command, config,
+                                                         error):
+    # a JSON value that is not an object, or a path with no file, is one
+    # error line and exit 2, not a traceback or an "unknown config key"
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config)
+    out = run_python("-m", "bvpcont.cli", *command, "--config", str(path),
+                     "--out", str(tmp_path / "out"), timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith(error)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_takes_an_int_for_a_float_setting():
+    cfg = RunConfig.from_dict({"h": 1, "lambda_min": -50, "newton_tol": 1})
+    assert (cfg.h, cfg.lambda_min, cfg.newton_tol) == (1, -50, 1)
 
 
 @pytest.mark.parametrize("argv", [

@@ -64,16 +64,16 @@ def test_refined_fine_zone_spacing():
 
 def test_refined_degenerates_to_uniform():
     w = build_weight(1, 0.5, 0.0)
-    m = build_refined_mesh(w, 1.0 / 501.0, 1.0 / 501.0, pad=0.0)
+    m = build_refined_mesh(w, 1.0 / 501.0, 1.0 / 501.0)
     mu = build_uniform_mesh(500)
     assert np.array_equal(m.nodes, mu.nodes)
 
 
 def test_refined_tiny_well_node_budget():
-    # a 1e-5 wide well refined at 1e-6 with a small pad: about 1.2k interior
-    # nodes, with several strictly inside the well
+    # a 1e-5 wide well refined at 1e-6 with its pad of 1e-5: about 1k
+    # interior nodes, with several strictly inside the well
     w = build_weight(1, 1e-5, 0.0)
-    m = build_refined_mesh(w, 1e-3, 1e-6, pad=1e-4)
+    m = build_refined_mesh(w, 1e-3, 1e-6)
     assert 900 <= m.n_interior <= 1500
     a, b = w.intervals[0]
     inside = (m.nodes > a) & (m.nodes < b)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bvpcont.weight import (Weight, WeightError, build_weight, default_centers,
-                            eval_weight)
+from bvpcont.weight import WeightError, build_weight, eval_weight
 
 
 def test_default_single_interval():
@@ -30,11 +29,6 @@ def test_interval_exits_domain():
 def test_overlap_rejected():
     with pytest.raises(WeightError):
         build_weight(2, 0.5, 0.0)  # (0.0,0.5) and (0.5,1.0) touch and exit
-
-
-def test_asymmetric_centers_rejected():
-    with pytest.raises(WeightError):
-        build_weight(2, 0.1, 0.0, centers=(0.2, 0.6))
 
 
 def test_eps_out_of_range():
@@ -96,9 +90,12 @@ def test_vanishing_measure():
 
 
 def test_default_centers_formula():
-    assert list(default_centers(1)) == [0.5]
-    assert list(default_centers(2)) == [0.25, 0.75]
-    assert list(default_centers(3)) == [1.0 / 6.0, 0.5, 5.0 / 6.0]
+    # the interval midpoints are (2i-1)/(2*kappa), up to the edge snapping
+    for kappa, centers in ((1, [0.5]), (2, [0.25, 0.75]),
+                           (3, [1.0 / 6.0, 0.5, 5.0 / 6.0])):
+        w = build_weight(kappa, 0.1, 0.0)
+        mids = [(a + b) / 2 for a, b in w.intervals]
+        assert mids == pytest.approx(centers, rel=0, abs=1e-15)
 
 
 def test_weight_is_immutable():
