@@ -169,8 +169,11 @@ def _cmd_sweep_eps(args) -> int:
         return _error(exc)
     if args.out:
         for eps, bundle in zip(eps_values, bundles):
+            # the short name where it reads back as this eps, else the exact
+            # one, so that two eps never share a bundle directory
+            name = f"{eps:g}" if float(f"{eps:g}") == eps else repr(eps)
             if bundle is not None:
-                write_bundle(bundle, f"{args.out}/eps_{eps:g}")
+                write_bundle(bundle, f"{args.out}/eps_{name}")
     print(json.dumps(report, indent=2))
     return 0
 

@@ -21,9 +21,9 @@ A shot stops on the step where u leaves the positive cone, and the crossing
 is located on that step by the cubic Hermite interpolant of u (its slopes
 are v, so no extra right-hand-side calls are made).  ``shoot_count`` scans
 the slopes in one batch, narrows all sign-change brackets together (one
-batch per round) and accepts every root in one more batch.  A round shoots
-each bracket at uniform sections and, where M is finite at both ends, also
-around its secant (regula falsi) estimate: the sections narrow a bracket
+batch per round) and decides each root by its final bracket's ends.  A round
+shoots each bracket at uniform sections and, where M is finite at both ends,
+also around its secant (regula falsi) estimate: the sections narrow a bracket
 at least as fast as plain multisection, and the interpolation closes it in
 fewer rounds where M is smooth near the root (Dowell & Jarratt, BIT 11
 (1971) 168-174; Brent, Algorithms for Minimization without Derivatives,
@@ -409,10 +409,11 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
     to a few times the estimate's last move (the bracket/32 in its first
     round).  A bracket with a blown end keeps plain multisection.  The new
     bracket is the first section, among all slopes shot, where the miss
-    changes sign.  The bracket midpoints are shot once more, as one batch,
-    and a root is kept when its shot stays positive up to x = 1 - 1e-4;
-    roots closer than 1e-8 relative are merged.  Returns (count, sorted v0
-    roots).
+    changes sign.  Each root is its final bracket's midpoint, kept when the
+    shot of the end with the negative miss, which a round or the scan took,
+    never left the cone or left it after x = 1 - 1e-4; where it left
+    earlier, the midpoint is shot and decides by the same rule.  Roots
+    closer than 1e-8 relative are merged.  Returns (count, sorted v0 roots).
 
     Raises ValueError below the validity floor lam < -(ln(1/eps_mach))^2,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
@@ -433,59 +434,57 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
     # exterior trajectories that boundary shots ride on.
     v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, grid_size)
-    miss, cross = _batch_miss(w, lam, grid, step_tol)
-
-    sign = np.sign(miss)
+    # the bracket ends as columns (slope, miss, crossing)
+    shots = np.stack([grid, *_batch_miss(w, lam, grid, step_tol)])
+    sign = np.sign(shots[1])
     cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    lo, hi = grid[cells], grid[cells + 1]
-    f_lo, f_hi = miss[cells], miss[cells + 1]
+    lo, hi = shots[:, cells], shots[:, cells + 1]
     est = np.full(cells.size, np.nan)  # each bracket's last secant estimate
     frac = np.arange(1, _SECTIONS) / _SECTIONS
-    open_ = hi - lo > refine_tol * np.maximum(1.0, hi)
-    while open_.any():
-        i = np.flatnonzero(open_)
-        a, b, fa, fb = lo[i, None], hi[i, None], f_lo[i, None], f_hi[i, None]
+    while (i := np.flatnonzero(
+            hi[0] - lo[0] > refine_tol * np.maximum(1.0, hi[0]))).size:
+        ends_a, ends_b = lo[:, i, None], hi[:, i, None]
+        (a, fa, _), (b, fb, _) = ends_a, ends_b
         # guided where both ends have a finite miss; elsewhere copies of b
         # pad the row and plain multisection remains
-        g = np.isfinite(f_lo[i]) & np.isfinite(f_hi[i])
+        g = np.isfinite(fa[:, 0]) & np.isfinite(fb[:, 0])
         near = np.repeat(b, 2 * _LADDER.size, axis=1)
         est[i[g]], near[g] = _near_root(a[g], b[g], fa[g], fb[g],
                                         est[i[g], None], refine_tol)
         pts = np.sort(np.clip(np.hstack([a + (b - a) * frac, near]), a, b),
                       axis=1)
-        # only slopes strictly inside a bracket are shot
-        vals = np.where(pts == a, fa, fb)
+        # only slopes strictly inside are shot; the others copy their end
+        row = np.stack([pts, *np.where(pts == a, ends_a[1:], ends_b[1:])])
         inner = (pts > a) & (pts < b)
-        vals[inner], _ = _batch_miss(w, lam, pts[inner], step_tol)
+        row[1:, inner] = _batch_miss(w, lam, pts[inner], step_tol)
         # the first slope whose sign leaves that of lo, else b (a padded
         # row always has one)
-        flip = np.sign(vals) * np.sign(fa) <= 0.0
+        flip = np.sign(row[1]) * np.sign(fa) <= 0.0
         k = np.where(flip.any(axis=1), flip.argmax(axis=1), pts.shape[1])
-        ends, vals = np.hstack([a, pts, b]), np.hstack([fa, vals, fb])
+        row = np.concatenate([ends_a, row, ends_b], axis=2)
         rows = np.arange(i.size)
-        lo[i], hi[i] = ends[rows, k], ends[rows, k + 1]
-        f_lo[i], f_hi[i] = vals[rows, k], vals[rows, k + 1]
-        open_[i] = hi[i] - lo[i] > refine_tol * np.maximum(1.0, hi[i])
+        lo[:, i], hi[:, i] = row[:, rows, k], row[:, rows, k + 1]
 
     # ascending: each bracket stays inside its grid cell
-    mids = 0.5 * (lo + hi)
-    _, cross = _batch_miss(w, lam, mids, step_tol)
-    # a bracket that pairs a zero crossing with a blow-up leaves its root
-    # undecided, wherever its acceptance shot lands
-    undecided = np.isinf(f_lo) | np.isinf(f_hi) | np.isinf(cross)
+    mids = 0.5 * (lo[0] + hi[0])
+    # the negative end decides (the positive one stayed positive up to
+    # x = 1) unless it left the cone before 1 - 1e-4; then the midpoint
+    # does, shot with all others: a lane's bits depend on its batch-mates
+    cross = np.where(lo[1] < 0.0, lo[2], hi[2])
+    early = cross <= 1.0 - 1e-4
+    if early.any():
+        cross[early] = _batch_miss(w, lam, mids, step_tol)[1][early]
+    # a blown end or midpoint leaves its bracket's root undecided
+    undecided = np.isinf(lo[1]) | np.isinf(hi[1]) | np.isinf(cross)
     if undecided.any():
         raise ValueError(
             f"single shooting cannot resolve the root near v0 ="
             f" {mids[undecided][0]:.6g} at lam = {lam:g}: a shot of its"
             f" bracket blew up (|u| exceeded {_BLOWUP:g} before x = 1)")
     roots = mids[np.isnan(cross) | (cross > 1.0 - 1e-4)]
-
-    merged = []
-    for r in roots.tolist():
-        if merged and abs(r - merged[-1]) < 1e-8 * max(1.0, r):
-            continue  # two roots shared a grid cell: grid too coarse
-        merged.append(r)
-    return len(merged), merged
+    # the roots of two cells that share a grid point may be one
+    apart = np.diff(roots, prepend=-np.inf) >= 1e-8 * np.maximum(1.0, roots)
+    return int(apart.sum()), roots[apart].tolist()
 
 
 def time_map(u0: float, lam: float) -> float:
@@ -496,9 +495,9 @@ def time_map(u0: float, lam: float) -> float:
     u0^2 > -2*lam, i.e. A > 0.  By Gauss's formula for the complete elliptic
     integral, T = pi / (2*AGM(sqrt(A + B), sqrt(A))).
     """
-    if lam >= 0:
-        raise ValueError("time map defined for lam < 0")
-    if u0**2 <= -2.0 * lam:
+    if not lam < 0:  # nan too
+        raise ValueError(f"time map defined for lam < 0, got {lam}")
+    if not -2.0 * lam < u0**2 < np.inf:  # a nan or infinite u0 too
         raise ValueError(f"u0 = {u0} not an exterior amplitude for lam = {lam}")
     a, b = np.sqrt(lam + u0**2), np.sqrt(lam + 0.5 * u0**2)
     while a - b > 4.0 * np.finfo(float).eps * a:  # a >= b: AM >= GM

@@ -401,7 +401,7 @@ def test_cli_shoot_no_solutions(capsys):
 @pytest.mark.parametrize("argv", [
     ["--h", "0.1", "--lambda", "-100", "--grid-size", "50"],
     ["--h", "0.1", "--lambda", "-3000"],
-    ["--h", "0.5", "--eps", "0", "--lambda", "-1000"],  # acceptance blow-up
+    ["--h", "0.5", "--eps", "0", "--lambda", "-1000"],  # a blown bracket end
 ])
 def test_cli_shoot_refuses_with_one_line_error(capsys, argv):
     assert main(["shoot", "--kappa", "1", *argv]) == 2
@@ -660,6 +660,23 @@ def test_cli_sweep_eps(tmp_path, capsys):
     assert [entry["eps"] for entry in report] == [0.0, 0.5]
     for sub in ("eps_0", "eps_0.5"):
         assert (out / sub / "bundle.json").is_file()
+
+
+def test_cli_sweep_eps_keeps_close_eps_apart(tmp_path, capsys):
+    # 1e-7 and 1.00000001e-7 print alike with :g; the second bundle
+    # overwrote the first.  A name that does not read back as its eps is
+    # the exact repr instead
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kappa": 1, "h": 0.1, "mesh_n": 100,
+                                    "lambda_min": -30.0}))
+    out = tmp_path / "out"
+    assert main(["sweep-eps", "--config", str(cfg_path), "--eps-values",
+                 "1e-7,1.00000001e-7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["eps_1.00000001e-07",
+                                                      "eps_1e-07"]
+    for sub in out.iterdir():
+        assert (sub / "bundle.json").is_file()
 
 
 def test_cli_diagram_and_config(tmp_path, capsys):

@@ -77,8 +77,8 @@ def test_shoot_count_refuses_an_undecided_root(monkeypatch, lam, sections):
     # in the a = 0 interval (0.25, 0.75) shots grow like exp(sqrt(-lam)*x);
     # a bracket pairs a zero crossing with a blow-up: refuse instead of
     # counting or dropping its root, wherever the multisection puts the
-    # acceptance shot (with 32 sections at -1290 it crosses at x = 0.75
-    # instead of blowing up)
+    # bracket's midpoint (with 32 sections at -1290 a shot there crosses at
+    # x = 0.75 instead of blowing up)
     monkeypatch.setattr(shooting, "_SECTIONS", sections)
     with pytest.raises(ValueError, match="cannot resolve"):
         shoot_count(build_weight(1, 0.5, 0.0), lam)
@@ -163,25 +163,48 @@ def test_batch_miss_refuses_a_step_below_the_float_spacing(run_python):
     assert out.stdout == "refused: step size underflow at lam = -100\n"
 
 
-@pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
-def test_guided_refinement_brackets_every_root(monkeypatch, kappa, h):
-    # the counting ops of the oracle benchmark take the scan, at most four
-    # guided rounds (eight of plain multisection) and the acceptance batch.
-    # Each root is the midpoint of a final bracket, the nearest slopes shot
-    # on either side of it, that is at most refine_tol*max(1, hi) wide and
-    # whose ends, shot again one lane at a time, have opposite miss signs
-    w, lam, tol = build_weight(kappa, h, 0.0), -100.0, 1e-10
+def _spied_count(monkeypatch, w, lam, **kwargs):
+    """shoot_count(w, lam, **kwargs) and every batch it shot, as
+    (count, roots, [(v0, miss, cross), ...])."""
     batches = []
 
     def spy(w, lam, v0, step_tol, path=None):
-        batches.append(np.array(v0))
-        return _batch_miss(w, lam, v0, step_tol, path)
+        miss, cross = _batch_miss(w, lam, v0, step_tol, path)
+        batches.append((np.array(v0), miss, cross))
+        return miss, cross
 
     monkeypatch.setattr(shooting, "_batch_miss", spy)
-    count, roots = shoot_count(w, lam, refine_tol=tol)
+    return (*shoot_count(w, lam, **kwargs), batches)
+
+
+def _final_brackets(batches, refine_tol=1e-10):
+    """(midpoint, negative end, its crossing) of every final bracket of a
+    count: neighbouring slopes among all it shot whose misses have opposite
+    signs and that lie at most refine_tol*max(1, hi) apart."""
+    v0, miss, cross = (np.concatenate(col) for col in zip(*batches))
+    order = np.argsort(v0)
+    v0, miss, cross = v0[order], miss[order], cross[order]
+    sign = np.sign(miss)
+    j = np.flatnonzero((sign[:-1] * sign[1:] < 0.0)
+                       & (np.diff(v0) <= refine_tol * np.maximum(1.0, v0[1:])))
+    neg = np.where(miss[j] < 0.0, j, j + 1)
+    return 0.5 * (v0[j] + v0[j + 1]), v0[neg], cross[neg]
+
+
+@pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
+def test_guided_refinement_brackets_every_root(monkeypatch, kappa, h):
+    # the counting ops of the oracle benchmark take the scan and at most
+    # four guided rounds (eight of plain multisection), and every batch is
+    # made of shots that narrow a bracket: the roots are decided by shots
+    # already taken.  Each root is the midpoint of a final bracket, the
+    # nearest slopes shot on either side of it, that is at most
+    # refine_tol*max(1, hi) wide and whose ends, shot again one lane at a
+    # time, have opposite miss signs
+    w, lam, tol = build_weight(kappa, h, 0.0), -100.0, 1e-10
+    count, roots, batches = _spied_count(monkeypatch, w, lam, refine_tol=tol)
     assert count == 3
-    assert len(batches) <= 6
-    shot = np.sort(np.concatenate(batches[:-1]))
+    assert len(batches) <= 5
+    shot = np.sort(np.concatenate([v0 for v0, _, _ in batches]))
     for r in roots:
         lo, hi = shot[shot < r][-1], shot[shot > r][0]
         assert r == 0.5 * (lo + hi)
@@ -298,13 +321,16 @@ def test_batch_lanes_are_independent():
                            equal_nan=True)
 
 
-def test_empty_batch():
-    # shoot_count's acceptance batch is empty where the scan brackets no
-    # root (kappa = 1, h = 0.1, eps = 1 at lam = 15)
+def test_empty_batch(monkeypatch):
+    # a batch of no slopes returns empty arrays; shoot_count shoots none:
+    # where the scan brackets no root (kappa = 1, h = 0.1, eps = 1 at
+    # lam = 15) the scan is its only batch
     w = build_weight(1, 0.1, 1.0)
     miss, cross = _batch_miss(w, 15.0, np.array([]), 1e-8)
     assert miss.shape == cross.shape == (0,)
-    assert shoot_count(w, 15.0) == (0, [])
+    count, roots, batches = _spied_count(monkeypatch, w, 15.0)
+    assert (count, roots) == (0, [])
+    assert len(batches) == 1
 
 
 @pytest.mark.parametrize("kappa,h,eps,lam,v0", [
@@ -373,32 +399,65 @@ def _reference_crossing(w, lam, v0):
 
 @pytest.mark.parametrize("kappa,h", [(1, 0.1), (2, 0.25)])
 def test_acceptance_crossings_match_event_shots(monkeypatch, kappa, h):
-    # the in-batch acceptance (Hermite-located crossing) against one scipy
-    # shot per slope with a terminal event: at every bracket midpoint that
-    # shoot_count accepts or rejects, and at every fifth slope of its scan
+    # a root is decided by the in-batch (Hermite-located) crossing of its
+    # final bracket's negative end: against one scipy shot per slope with a
+    # terminal event, at that end of every final bracket, whose decision
+    # must be shoot_count's, and at every fifth slope of its scan
     w, lam = build_weight(kappa, h, 0.0), -100.0
-    batches = []
-
-    def spy(w, lam, v0, step_tol, path=None):
-        miss, cross = _batch_miss(w, lam, v0, step_tol, path)
-        batches.append((np.array(v0), cross))
-        return miss, cross
-
-    monkeypatch.setattr(shooting, "_batch_miss", spy)
-    count, roots = shoot_count(w, lam)
+    count, roots, batches = _spied_count(monkeypatch, w, lam)
     assert count == 3
-    (grid, grid_cross), (mids, mid_cross) = batches[0], batches[-1]
+    mids, neg, neg_cross = _final_brackets(batches)
     assert set(roots) <= set(mids)
-    slopes = np.concatenate([mids, grid[::5]])
-    crosses = np.concatenate([mid_cross, grid_cross[::5]])
+    grid, _, grid_cross = batches[0]
+    slopes = np.concatenate([neg, grid[::5]])
+    crosses = np.concatenate([neg_cross, grid_cross[::5]])
+    decided = [mid in roots for mid in mids] + [None] * grid[::5].size
     assert np.isfinite(crosses).sum() >= 10  # crossings inside (0, 1)
-    for v0, cross in zip(slopes, crosses):
+    for v0, cross, root in zip(slopes, crosses, decided):
         ref = _reference_crossing(w, lam, float(v0))
         # a shot that never left the cone counts as leaving it at x = 1; the
         # Hermite locations agree to about 3e-9, a secant's to about 2e-6
         assert abs(np.nan_to_num(cross, nan=1.0) - (ref or 1.0)) <= 1e-7
         kept = np.isnan(cross) or cross > 1.0 - 1e-4
         assert kept == (ref is None or ref > 1.0 - 1e-4)
+        if root is not None:
+            assert root == kept
+
+
+@pytest.mark.parametrize("kappa,h,eps,lam", [
+    (1, 0.1, 0.0, -100.0),
+    (2, 0.25, 0.0, -100.0),
+    (2, 0.25, 0.3, -300.0),
+])
+def test_end_rule_agrees_with_a_midpoint_shot(monkeypatch, kappa, h, eps,
+                                              lam):
+    # a root is decided by its final bracket's end shots; the midpoint,
+    # shot again as a one-lane batch, gives the same decision under the
+    # rule of a shot of its own: kept where that shot leaves the cone after
+    # x = 1 - 1e-4 or never leaves it
+    w = build_weight(kappa, h, eps)
+    count, roots, batches = _spied_count(monkeypatch, w, lam)
+    mids, _, neg_cross = _final_brackets(batches)
+    assert count == len(roots) >= 3 and set(roots) <= set(mids)
+    assert not np.any(neg_cross <= 1.0 - 1e-4)  # no midpoint was shot
+    for mid in mids:
+        cross = _batch_miss(w, lam, np.array([mid]), 1e-8)[1][0]
+        assert (mid in roots) == (np.isnan(cross) or cross > 1.0 - 1e-4)
+
+
+def test_an_early_end_leaves_the_root_to_its_midpoint(monkeypatch):
+    # kappa=2, h=0.15, eps=0.5 at lam=-200: near v0 = 158 the miss changes
+    # by about 1e-4 over 1e-10 relative, so the negative end of that root's
+    # final bracket leaves the cone at x = 0.9986.  One more batch shoots
+    # every midpoint; that root's leaves the cone after 1 - 1e-4 and keeps it
+    w, lam = build_weight(2, 0.15, 0.5), -200.0
+    count, roots, batches = _spied_count(monkeypatch, w, lam)
+    mids, _, neg_cross = _final_brackets(batches[:-1])
+    early = neg_cross <= 1.0 - 1e-4
+    assert count == 4 and early.sum() == 1
+    last, _, cross = batches[-1]
+    assert np.array_equal(last, mids)
+    assert 1.0 - 1e-4 < cross[early][0] < 1.0 and mids[early][0] in roots
 
 
 def test_no_deferred_scipy_integrate_import(run_python):
@@ -459,6 +518,12 @@ def test_time_map_domain_errors():
         time_map(1.0, 2.0)  # lam must be negative
     with pytest.raises(ValueError):
         time_map(0.5, -1.0)  # u0 below the exterior amplitude
+    # neither may be nan (the result was nan) nor infinite (inf - inf in
+    # the mean's loop warned and returned 0)
+    for u0, lam in [(np.nan, -10.0), (10.0, np.nan), (np.inf, -10.0),
+                    (-np.inf, -10.0), (10.0, -np.inf)]:
+        with pytest.raises(ValueError):
+            time_map(u0, lam)
 
 
 def test_time_map_large_amplitude_short():
