@@ -38,11 +38,16 @@ class BifurcationEvent:
 
 def null_vector(J: BandedJacobian) -> np.ndarray:
     """Unit approximate null vector of a (near-)singular J: 12 steps of a
-    cold SoftMode on the LU of J shifted by 1e-12 of its largest diagonal."""
+    cold SoftMode on the LU of J shifted by 1e-12 of its largest diagonal.
+
+    Its sign makes positive the first component within 1e-8 of max|v|: an
+    odd v has two mirror components of largest size that tie to rounding,
+    so the larger of the two would pick the sign by rounding."""
     shift = 1e-12 * float(np.abs(J.diag).max() + 1.0)
     lu = _lu(BandedJacobian(J.sub, J.diag + shift, J.sup))
     v = SoftMode.settled(lu, J.n, 12).right
-    if v[np.argmax(np.abs(v))] < 0:
+    size = np.abs(v)
+    if v[np.argmax(size >= (1.0 - 1e-8) * size.max())] < 0:
         v = -v
     return v
 

@@ -24,14 +24,16 @@ point is continued in the symmetric subspace, so every point it adds is
 exactly symmetric.  On other branches the corrector updates and the
 predictor's higher-order terms leave out a mode that the Newton tolerance
 leaves free, such as the translation of a lone peak deep in lam
-(``corrector.drop_free_mode``); the estimate of that mode starts cold at
-the first point and is carried from step to step, advanced in every
-tangent solve and corrector update.  Every point of a branch carries its
-unit tangent and the sign of det J there, both from one LU of J, which
-also serves the next step's sheet test.  Folds are read off the tangents
-(``fold_points``).  A branch ends on a parameter or norm bound,
-step-count or step underflow, departure from the positive cone, or on
-closing back onto its own start.
+(``corrector.drop_free_mode``); the right estimate of that mode starts
+cold at the first point and is carried from step to step, advanced in every
+tangent solve and corrector update.  Its left vector is the dual-cell
+widths times the right one, since J is self-adjoint in their inner
+product.  A tangent takes one solve with J and no transpose solve.  Every
+point of a branch carries its unit tangent and the sign of det J there,
+both from one LU of J, which also serves the next step's sheet test.
+Folds are read off the tangents (``fold_points``).  A branch ends on a
+parameter or norm bound, step-count or step underflow, departure from the
+positive cone, or on closing back onto its own start.
 """
 
 import math
@@ -128,13 +130,14 @@ def update_tangent(y: AugmentedState, ref: Tangent, lu,
     det J at y, both from lu, the LU factors of J at y (corrector._lu).
 
     Solves [J | -u] t = 0 (-u = dF/dlam) bordered by the row ref . t = 1 and
-    normalizes; with its right-hand side (0, 1) the bordered solve takes
-    one transpose solve and one single-column solve.  Only an exactly zero
-    pivot of J raises SingularSystemError.
+    normalizes; for its right-hand side (0, 1) the bordered solve is
+    (-w, 1) / (ref.dlam - ref.du . w) with w = J^-1 (-u), one
+    single-column solve.  Only an exactly zero pivot of J, or a zero
+    denominator, raises SingularSystemError.
     ref = (0, +-1) gives the tangent whose dlam has that sign; near a fold
     du grows along the null vector of J, so it tends to the fold tangent.
     A SoftMode passed as mode is advanced in place by one step on J at y,
-    in the same two solves.
+    as the second column of the same solve.
     """
     sol = bordered_solve(lu, -y.u, ref, 1.0, mode)
     return Tangent(sol[:-1], sol[-1]).normalized(), _lu_sign(lu)
@@ -207,7 +210,7 @@ def _step(d: Discretization, p: SolutionPoint, ds: float, symmetric: bool,
     symmetric branch carries None."""
     y, t = AugmentedState(p.lam, p.u), p.tangent
     if not symmetric:
-        mode = SoftMode.cold(len(p.u)) if mode is None else mode.copy()
+        mode = SoftMode.cold(d.h_dual) if mode is None else mode.copy()
     y_pred = _predict(p, ds, prev, mode, tol)
     try:
         y_new, iters = newton_augmented(
@@ -307,7 +310,7 @@ def continue_branch(d: Discretization, start: SolutionPoint, ref: Tangent,
     branch = Branch(symmetry=_classify_symmetry(start.u))
     symmetric = branch.symmetry == "symmetric"
     lu = _lu(jacobian(d, start.lam, start.u))
-    mode = None if symmetric else SoftMode.cold(len(start.u))
+    mode = None if symmetric else SoftMode.cold(d.h_dual)
     t, sign = update_tangent(AugmentedState(start.lam, start.u), ref, lu, mode)
     t = _symmetrized(t) if symmetric else t
     first = replace(start, tag="branch_start", tangent=t, det_sign=sign)

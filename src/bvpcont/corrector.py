@@ -17,17 +17,20 @@ so neither importing this module nor factorizing loads scipy.linalg.  The
 bordered system is solved by mixed block elimination (BEMW: Govaerts &
 Pryce, IMA J. Numer. Anal. 13 (1993) 161-180), which stays stable when J is
 singular to rounding, so folds in lam are regular points of the corrector.
-It takes a transpose solve and a two-column solve, or a single-column one
-for a right-hand side (0, ..., 0, g) such as a tangent's.  Only an exactly
-zero pivot is reported as singular.
+It takes a one-column transpose solve and a two-column solve.  For a
+right-hand side (0, ..., 0, g), such as a tangent's, it reduces to
+(-J^-1 b, 1) g / delta, one single-column solve.  Only an exactly zero
+pivot is reported as singular.
 
 A mode of J whose eigenvalue is so small that the residual tolerance cannot
 pin it down is free: an update along it amplifies residual noise by
 1/|eigenvalue|.  On request the corrector leaves it out (``drop_free_mode``).
-Its right and left estimates (``SoftMode``) are carried along a branch and
-advanced by one step of inverse iteration per bordered solve (each Newton
-update and each tangent), as one extra column of each of its two
-tridiagonal solves, so a mode far from free costs no solve of its own.
+J is self-adjoint in the inner product weighted by the dual-cell widths W
+(J^T W = W J), so the left vector of a mode is W times its right one.  The
+right estimate (``SoftMode``) is carried along a branch and advanced by one
+step of inverse iteration per bordered solve (each Newton update and each
+tangent), as one extra column of its untransposed solve, so a mode far from
+free costs no solve of its own.
 """
 
 import math
@@ -147,54 +150,52 @@ def _is_free(mu: float, u: np.ndarray, tol: float) -> bool:
 
 @dataclass
 class SoftMode:
-    """Unit right and left estimates of the softest mode of J, carried along
-    a branch from one Jacobian to the next.
+    """Unit right estimate of the softest mode of J, carried along a branch
+    from one Jacobian to the next, with the weight W of the inner product in
+    which J is self-adjoint (J^T W = W J): the left vector is W * right.
 
-    advance takes one step of inverse iteration with J and J^T; mu is
+    advance takes one step of inverse iteration with J; mu is
     1/||J^-1 right|| of the last step, an estimate of the smallest
     |eigenvalue| of the J it was taken on (from above of its smallest
     singular value).  It stays inf until the second step: the first one,
     from the start vector, can read a mode of 1e-2 of a non-normal J as
-    6e-5.  bordered_solve advances a mode in the same solves as its own
-    columns.  The vectors are replaced, never
-    written in place, so copies may share them.
+    6e-5.  bordered_solve advances a mode in the same solve as its own
+    columns.  right is replaced, never written in place, so copies may
+    share it.
     """
 
     right: np.ndarray
-    left: np.ndarray
+    weight: np.ndarray
     mu: float = math.inf
     steps: int = 0
 
     @classmethod
-    def cold(cls, n: int) -> "SoftMode":
+    def cold(cls, weight: np.ndarray) -> "SoftMode":
         """The estimate at the first point of a branch: the start vector."""
-        v = np.ones(n)
+        v = np.ones(len(weight))
         v[::2] += 0.5  # break accidental orthogonality to the target mode
         v /= np.linalg.norm(v)
-        return cls(v, v)
+        return cls(v, weight)
 
     @classmethod
     def settled(cls, lu, n: int, steps: int) -> "SoftMode":
-        """A cold estimate after steps steps with the J whose LU factors lu
-        holds, taken on the right vector only: left stays the start vector."""
-        mode = cls.cold(n)
+        """A cold estimate after steps steps with the J of order n whose LU
+        factors lu holds; its weight, read only by drop_free_mode, is 1."""
+        mode = cls.cold(np.ones(n))
         for _ in range(steps):
-            mode._take(_lu_solve(lu, mode.right))
+            mode.advance(lu)
         return mode
 
     def copy(self) -> "SoftMode":
-        return SoftMode(self.right, self.left, self.mu, self.steps)
+        return SoftMode(self.right, self.weight, self.mu, self.steps)
 
     def advance(self, lu) -> None:
         """One step with the J whose LU factors lu holds."""
-        self._take(_lu_solve(lu, self.right), _lu_solve(lu, self.left, "T"))
+        self._take(_lu_solve(lu, self.right))
 
-    def _take(self, x_right: np.ndarray,
-              x_left: np.ndarray | None = None) -> None:
-        growth = math.sqrt(x_right.dot(x_right))
-        self.right = x_right / growth
-        if x_left is not None:
-            self.left = x_left / math.sqrt(x_left.dot(x_left))
+    def _take(self, x: np.ndarray) -> None:
+        growth = math.sqrt(x.dot(x))
+        self.right = x / growth
         self.steps += 1
         if self.steps > 1:
             self.mu = 1.0 / growth
@@ -204,17 +205,17 @@ def drop_free_mode(mode: SoftMode, u: np.ndarray, x: np.ndarray,
                    tol: float) -> np.ndarray:
     """x without its component along the softest mode of J if tol leaves it free.
 
-    mode holds the estimates of that mode, advanced on J at u; the mode is
+    mode holds the estimate of that mode, advanced on J at u; the mode is
     free when mode.mu * _FREE_FRACTION * ||u|| <= tol, and x is then
-    projected along mode.right onto the complement of mode.left.  Deep on a
-    single-peak branch it is the translation of the peak (kappa=1, h=0.1,
-    N=500: mu = 2e-7 at lam=-1950 against a diagonal of 5e5).  Started
-    cold, two advances give the mode of test matrices to 1e-10; along a
-    branch each Newton update advances it once more.
+    projected W-orthogonally off r = mode.right: x - r <r, x>_W / <r, r>_W.
+    Deep on a single-peak branch it is the translation of the peak
+    (kappa=1, h=0.1, N=500: mu = 2e-7 at lam=-1950 against a diagonal of
+    5e5).  Started cold, two advances give the mode of test matrices to
+    1e-10; along a branch each Newton update advances it once more.
     """
     if not _is_free(mode.mu, u, tol):
         return x
-    right, left = mode.right, mode.left
+    right, left = mode.right, mode.weight * mode.right
     return x - right * (left.dot(x) / left.dot(right))
 
 
@@ -259,54 +260,50 @@ def augmented_residual(d: Discretization, y: AugmentedState,
 
 def bordered_solve(lu, b_col: np.ndarray, t: Tangent, rhs,
                    mode: SoftMode | None = None) -> np.ndarray:
-    """Solve [[J, b_col], [t.du, t.dlam]] x = rhs by mixed block elimination,
-    with lu the LU factors of J (_lu).
+    """Solve [[J, b_col], [t.du, t.dlam]] x = rhs, with lu the LU factors
+    of J (_lu).
 
-    The LU serves a transpose solve for the left vector and one
-    two-column solve; the scalar unknown is split into a part fixed by the
+    rhs is the vector of length N+1, or a number g for (0, ..., 0, g), as
+    for a tangent: x is then (-w, 1) g / delta, with w = J^-1 b_col and
+    delta = t.dlam - t.du . w, from one single-column solve.  This is what
+    mixed block elimination gives for that vector; its transpose solve
+    cancels out.  A vector rhs is solved by mixed block elimination (BEMW,
+    Govaerts & Pryce 1993): a transpose solve for the left vector and one
+    two-column solve.  The scalar unknown is split into a part fixed by the
     left vector and a correction from the right one, which keeps the result
-    accurate when J is singular to rounding (BEMW, Govaerts & Pryce 1993).
-    rhs is the vector of length N+1, or a number g for (0, ..., 0, g): the
-    second column, J^-1 (0 - b_col xi1), is then -xi1 times the first and
-    is not solved for, as for a tangent.  A SoftMode passed as mode is
-    advanced by one step on J in place: its right and left vectors ride
-    along as one more column of each solve.
+    accurate when J is singular to rounding.  A zero delta raises
+    SingularSystemError.  A SoftMode passed as mode is advanced by one step
+    on J in place: its right vector rides along as one more column of the
+    untransposed solve.
     """
     n = len(b_col)
     one_column = isinstance(rhs, (int, float))
     if (not one_column and len(rhs) != n + 1) or len(t.du) != n:
         raise ValueError("dimension mismatch in bordered solve")
     g = float(rhs) if one_column else rhs[n]
-    if mode is None:
-        v = _lu_solve(lu, t.du, trans="T")
-    else:
-        cols = np.empty((n, 2), order="F")
-        cols[:, 0], cols[:, 1] = t.du, mode.left
-        vl = _lu_solve(lu, cols, trans="T")
-        v = vl[:, 0]
-    delta_left = t.dlam - b_col.dot(v)
-    if delta_left == 0.0:
-        raise SingularSystemError("singular bordered matrix")
-    if one_column:
-        xi1 = g / delta_left
-    else:
-        f = rhs[:n]
-        xi1 = (g - v.dot(f)) / delta_left
     cols = np.empty((n, 1 + (not one_column) + (mode is not None)), order="F")
     cols[:, 0] = b_col
     if not one_column:
+        v = _lu_solve(lu, t.du, trans="T")
+        delta_left = t.dlam - b_col.dot(v)
+        if delta_left == 0.0:
+            raise SingularSystemError("singular bordered matrix")
+        f = rhs[:n]
+        xi1 = (g - v.dot(f)) / delta_left
         np.subtract(f, b_col * xi1, out=cols[:, 1])
     if mode is not None:
         cols[:, -1] = mode.right
     wz = _lu_solve(lu, cols)
     w = wz[:, 0]
-    z = w * -xi1 if one_column else wz[:, 1]
     if mode is not None:
-        mode._take(wz[:, -1], vl[:, 1])
-    delta_right = t.dlam - t.du.dot(w)
-    if delta_right == 0.0:
+        mode._take(wz[:, -1])
+    delta = t.dlam - t.du.dot(w)
+    if delta == 0.0:
         raise SingularSystemError("singular bordered matrix")
-    xi2 = (g - t.dlam * xi1 - t.du.dot(z)) / delta_right
+    if one_column:
+        return np.append(w, -1.0) * (-g / delta)
+    z = wz[:, 1]
+    xi2 = (g - t.dlam * xi1 - t.du.dot(z)) / delta
     x = np.empty(n + 1)
     np.subtract(z, w * xi2, out=x[:n])
     x[n] = xi1 + xi2

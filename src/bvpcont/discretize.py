@@ -120,10 +120,11 @@ class Discretization:
     """Weight and mesh of a run with the node arrays derived from them.
 
     -L is tridiag(sub, center, sup): the constant part of every Jacobian.
-    a holds a(x_i) and h_left the left cell widths x_i - x_{i-1} at the
-    interior nodes.  a and the stencil are invariant under the reflection
-    x -> 1-x (see ``mirrors``); an asymmetric weight or mesh raises
-    ValueError.
+    a holds a(x_i), h_left the left cell widths x_i - x_{i-1} and h_dual the
+    dual-cell widths (x_{i+1} - x_{i-1})/2 at the interior nodes; every
+    Jacobian J has J^T diag(h_dual) = diag(h_dual) J to rounding.  a and
+    the stencil are invariant under the reflection x -> 1-x (see
+    ``mirrors``); an asymmetric weight or mesh raises ValueError.
     """
 
     w: Weight
@@ -133,6 +134,7 @@ class Discretization:
     sub: np.ndarray = field(init=False, repr=False)
     sup: np.ndarray = field(init=False, repr=False)
     h_left: np.ndarray = field(init=False, repr=False)
+    h_dual: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = mesh_spacings(self.m)
@@ -143,6 +145,7 @@ class Discretization:
             "sub": -(2.0 / (hl * (hl + hr)))[1:],
             "sup": -(2.0 / (hr * (hl + hr)))[:-1],
             "h_left": hl,
+            "h_dual": 0.5 * (hl + hr),
         }
         for name, arr in arrays.items():
             arr.setflags(write=False)

@@ -91,6 +91,21 @@ def test_null_vector_of_singular_laplacian():
     assert abs(abs(np.dot(v, mode)) - 1.0) < 1e-6
 
 
+def test_null_vector_orientation_survives_rounding():
+    # the odd null vector sin(2 pi x) has two mirror components of largest
+    # size that tie to rounding; J's diagonal moved by a few ulps must not
+    # flip its sign, as the larger of the two picks it by rounding
+    n = 200
+    d = Discretization(build_weight(1, 0.1, 1.0), build_uniform_mesh(n))
+    J = jacobian(d, toeplitz_eigenvalue(n, 2), np.zeros(n))
+    v = null_vector(J)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        ulps = rng.integers(-4, 5, n) * np.finfo(float).eps
+        vp = null_vector(BandedJacobian(J.sub, J.diag * (1.0 + ulps), J.sup))
+        assert np.dot(v, vp) > 0.99
+
+
 def test_bracket_error_on_same_sign():
     # the sheet test leaves a step without a det-sign change alone: no
     # bisection, so no BracketError

@@ -328,18 +328,21 @@ def test_newton_augmented_follows_constraint():
 
 def _soft_mode_matrix():
     # nonsymmetric tridiagonal J with one eigenvalue of 1e-9 and the rest
-    # near 2, and that eigenvalue's unit right vector
+    # near 2, that eigenvalue's unit right vector, and the weight W in which
+    # J is self-adjoint, J^T W = W J: W_{i+1} / W_i = sup_i / sub_i, as for
+    # the dual-cell widths of an operator
     n = 40
     J = BandedJacobian(np.full(n - 1, -0.3), np.full(n, 2.0),
                        np.full(n - 1, -0.6))
     evals, vecs = np.linalg.eig(J.dense())
     k = np.argmin(np.abs(evals))
     J = BandedJacobian(J.sub, J.diag - evals[k].real + 1e-9, J.sup)
-    return J, vecs[:, k].real / np.linalg.norm(vecs[:, k].real)
+    weight = np.cumprod(np.r_[1.0, J.sup / J.sub])
+    return J, vecs[:, k].real / np.linalg.norm(vecs[:, k].real), weight
 
 
-def _advanced(lu, n, steps):
-    mode = SoftMode.cold(n)
+def _advanced(lu, weight, steps):
+    mode = SoftMode.cold(weight)
     for _ in range(steps):
         mode.advance(lu)
     return mode
@@ -348,11 +351,11 @@ def _advanced(lu, n, steps):
 def test_free_mode_dropped():
     # the dropped vector loses exactly the mode of 1e-9, estimated by two
     # cold steps of inverse iteration
-    J, right = _soft_mode_matrix()
+    J, right, weight = _soft_mode_matrix()
     n = J.n
     u = np.ones(n)
     x = np.linspace(1.0, 2.0, n)
-    y = drop_free_mode(_advanced(_lu(J), n, 2), u, x, tol=1e-4)
+    y = drop_free_mode(_advanced(_lu(J), weight, 2), u, x, tol=1e-4)
     removed = x - y
     assert np.linalg.norm(removed) > 0.1
     assert abs(abs(np.dot(right, removed)) - np.linalg.norm(removed)) \
@@ -360,14 +363,14 @@ def test_free_mode_dropped():
     assert np.linalg.norm(solve_tridiag(J, y)) < 1e3 * np.linalg.norm(y)
     # a mode of 1e-2 is pinned down by the tolerance: nothing is dropped
     J2 = BandedJacobian(J.sub, J.diag + 1e-2, J.sup)
-    assert drop_free_mode(_advanced(_lu(J2), n, 2), u, x, tol=1e-4) is x
+    assert drop_free_mode(_advanced(_lu(J2), weight, 2), u, x, tol=1e-4) is x
 
 
 def test_carried_free_mode_drops_the_same_mode():
     # the estimate carried through the bordered solve's extra columns, as
     # newton_augmented carries it, drops what two cold steps drop once it
     # has taken two steps itself, and leaves the bordered solution as it is
-    J, _ = _soft_mode_matrix()
+    J, _, weight = _soft_mode_matrix()
     n = J.n
     u = np.ones(n)
     x = np.linspace(1.0, 2.0, n)
@@ -377,8 +380,8 @@ def test_carried_free_mode_drops_the_same_mode():
     for Jk, free in ((J, True),
                      (BandedJacobian(J.sub, J.diag + 1e-2, J.sup), False)):
         lu = _lu(Jk)
-        ref = drop_free_mode(_advanced(lu, n, 2), u, x, tol=1e-4)
-        mode = SoftMode.cold(n)
+        ref = drop_free_mode(_advanced(lu, weight, 2), u, x, tol=1e-4)
+        mode = SoftMode.cold(weight)
         for step in range(4):
             sol = bordered_solve(lu, -u, t, rhs, mode)
             assert np.array_equal(sol, bordered_solve(lu, -u, t, rhs))
@@ -390,21 +393,20 @@ def test_carried_free_mode_drops_the_same_mode():
 
 
 def test_tangent_solve_advances_a_mode_as_advance_does():
-    # the mode rides along as one more column of each of the tangent's two
-    # solves: bit for bit the step SoftMode.advance takes on the same LU,
-    # and the tangent and det sign are those of a solve without it
-    J, _ = _soft_mode_matrix()
+    # the mode rides along as one more column of the tangent's solve: bit
+    # for bit the step SoftMode.advance takes on the same LU, and the
+    # tangent and det sign are those of a solve without it
+    J, _, weight = _soft_mode_matrix()
     n = J.n
     y = AugmentedState(0.0, np.linspace(1.0, 2.0, n))
     ref = Tangent(np.zeros(n), -1.0)
     lu = _lu(J)
-    carried, stepped = SoftMode.cold(n), SoftMode.cold(n)
+    carried, stepped = SoftMode.cold(weight), SoftMode.cold(weight)
     t0, sign0 = update_tangent(y, ref, lu)
     for _ in range(3):
         t, sign = update_tangent(y, ref, lu, carried)
         stepped.advance(lu)
         assert np.array_equal(carried.right, stepped.right)
-        assert np.array_equal(carried.left, stepped.left)
         assert (carried.mu, carried.steps) == (stepped.mu, stepped.steps)
         assert np.array_equal(t.du, t0.du) and t.dlam == t0.dlam
         assert sign == sign0
@@ -413,14 +415,14 @@ def test_tangent_solve_advances_a_mode_as_advance_does():
 
 def test_settled_mode_steps_only_the_right_vector(monkeypatch):
     # null_vector and the sheet test read only the right vector and mu of a
-    # cold mode: settled takes them bit for bit as advance does, without
-    # advance's transpose solves for the left vector
-    J, _ = _soft_mode_matrix()
+    # cold mode: settled takes them bit for bit as advance does, with no
+    # transpose solve
+    J, _, weight = _soft_mode_matrix()
     n = J.n
     lu = _lu(J)
     for steps in (1, 4, 12):
         settled = SoftMode.settled(lu, n, steps)
-        stepped = _advanced(lu, n, steps)
+        stepped = _advanced(lu, weight, steps)
         assert np.array_equal(settled.right, stepped.right)
         assert (settled.mu, settled.steps) == (stepped.mu, stepped.steps)
     calls = []
@@ -432,6 +434,33 @@ def test_settled_mode_steps_only_the_right_vector(monkeypatch):
     monkeypatch.setattr(corrector, "_lu_solve", counted)
     null_vector(J)
     assert calls == ["N"] * 12
+
+
+def test_solve_inventory(monkeypatch):
+    # a tangent takes one solve with J, of its column and the mode's, and
+    # no transpose solve; a corrector update with a mode takes BEMW's
+    # one-column transpose solve and one three-column solve
+    J, _, weight = _soft_mode_matrix()
+    n = J.n
+    lu = _lu(J)
+    y = AugmentedState(0.0, np.linspace(1.0, 2.0, n))
+    ref = Tangent(np.zeros(n), -1.0)
+    calls = []
+
+    def counted(lu, b, trans="N"):
+        calls.append((trans, 1 if b.ndim == 1 else b.shape[1]))
+        return _lu_solve(lu, b, trans)
+
+    monkeypatch.setattr(corrector, "_lu_solve", counted)
+    for mode, want in ((SoftMode.cold(weight), [("N", 2)]),
+                       (None, [("N", 1)])):
+        calls.clear()
+        update_tangent(y, ref, lu, mode)
+        assert calls == want
+    calls.clear()
+    rhs = np.random.default_rng(9).normal(size=n + 1)
+    bordered_solve(lu, -y.u, ref, rhs, SoftMode.cold(weight))
+    assert calls == [("T", 1), ("N", 3)]
 
 
 def test_newton_augmented_free_modes_idle_without_soft_mode():
@@ -447,5 +476,5 @@ def test_newton_augmented_free_modes_idle_without_soft_mode():
     y_pred = AugmentedState(lam + 2.0 * t.dlam, u + 2.0 * t.du)
     a, ia = newton_augmented(d, y_pred, y_prev, t, 2.0)
     b, ib = newton_augmented(d, y_pred, y_prev, t, 2.0,
-                             mode=SoftMode.cold(len(u)))
+                             mode=SoftMode.cold(d.h_dual))
     assert ia == ib and a.lam == b.lam and np.array_equal(a.u, b.u)

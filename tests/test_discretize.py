@@ -215,6 +215,27 @@ def test_principal_eigenvalue_is_eigh_tridiagonal_bit_for_bit(m, n):
     assert principal_eigenvalue(m) == ref
 
 
+@pytest.mark.parametrize("kappa, h, m", [
+    (1, 0.1, build_uniform_mesh(500)),
+    (2, 0.25, build_refined_mesh(build_weight(2, 0.25, 0.0), 0.002, 0.0005)),
+])
+def test_jacobian_is_self_adjoint_in_the_dual_cell_weight(kappa, h, m):
+    # J^T W = W J with W = diag(h_dual), to rounding, on a uniform mesh
+    # (whose h_dual is constant only to rounding) and on a refined one: the
+    # left vector of a soft mode is W times its right one
+    d = Discretization(build_weight(kappa, h, 0.0), m)
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.5, 2.0, m.n_interior)
+    for lam in (-50.0, 20.0):
+        J = jacobian(d, lam, u)
+        Jt = BandedJacobian(sub=J.sup, diag=J.diag, sup=J.sub)
+        for _ in range(3):
+            x = rng.normal(size=m.n_interior)
+            wjx = d.h_dual * J.matvec(x)
+            assert np.linalg.norm(Jt.matvec(d.h_dual * x) - wjx) \
+                <= 1e-13 * np.linalg.norm(wjx)
+
+
 def test_banded_jacobian_matvec_vs_dense():
     rng = np.random.default_rng(0)
     J = BandedJacobian(sub=rng.normal(size=9), diag=rng.normal(size=10),
