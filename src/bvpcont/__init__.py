@@ -20,10 +20,9 @@ from .discretize import (BandedJacobian, Discretization, MeshMismatchError,
                          residual, toeplitz_eigenvalue)
 from .mesh import (Mesh, MeshError, build_refined_mesh, build_uniform_mesh,
                    mesh_spacings)
-from .seeding import (PeakMask, enumerate_peak_masks, find_new_solution,
-                      matches_branch, peak_indices, peak_pattern,
-                      peak_pattern_seed, peak_seed, sine_seed,
-                      support_intervals)
+from .seeding import (find_new_solution, isola_seeds, matches_branch,
+                      patterns, peak_indices, peak_pattern, peak_seed,
+                      sine_seed, support_intervals)
 from .shooting import (BlowUpError, Trajectory, check_decay_identity,
                        integrate_ivp, potential_energy, shoot_count, time_map)
 from .weight import Weight, WeightError, build_weight, eval_weight

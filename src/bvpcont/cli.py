@@ -23,7 +23,7 @@ from .diagram import (RunConfig, _fmt, run_diagram, run_epsilon_sweep,
                       trace_main_branch, write_bundle)
 from .discretize import (Discretization, principal_eigenvalue,
                          toeplitz_eigenvalue)
-from .seeding import PeakMask, peak_pattern_seed, peak_seed, sine_seed
+from .seeding import isola_seeds, patterns, peak_seed, sine_seed
 from .shooting import shoot_count
 from .weight import build_weight
 
@@ -122,12 +122,12 @@ def _cmd_solve(args) -> int:
         d = Discretization(*RunConfig(kappa=args.kappa, h=args.h, eps=args.eps,
                                       mesh_n=args.n).build())
         u0 = sine_seed(d.m, args.amplitude)  # refuses a bad one for any seed
-        if args.seed == "wells":  # a peak in the middle of every well
-            u0 = peak_seed(d, args.lam, [0.5 * (lo + hi)
-                                         for lo, hi in d.w.intervals], args.eps)
-        elif args.seed != "sine":
-            bits = tuple(c == "1" for c in args.seed)
-            u0 = peak_pattern_seed(d, PeakMask(bits), args.lam)
+        if args.seed != "sine":  # wells: the entry with a peak in every well
+            label = ("wells " + "1" * args.kappa if args.seed == "wells"
+                     else f"mask {args.seed}")
+            centers, a = next((c, a) for s, _, c, a in isola_seeds(d)
+                              if s == label)
+            u0 = peak_seed(d, args.lam, centers, a)
     except ValueError as exc:
         return _error(exc)
     try:
@@ -204,16 +204,13 @@ def _cmd_sweep_h(args) -> int:
     return 0 if all(e["lambda_b"] is not None for e in out) else 1
 
 
-def _is_mask(seed: str, kappa: int) -> bool:
-    """Whether seed is a peak mask: kappa+1 of 0/1 with at least one 1."""
-    return len(seed) == kappa + 1 and set(seed) <= {"0", "1"} and "1" in seed
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if (args.command == "solve" and args.seed not in ("sine", "wells")
-            and not _is_mask(args.seed, args.kappa)):
+            # the length first: patterns(n) lists 2^n - 1 strings
+            and not (len(args.seed) == args.kappa + 1
+                     and args.seed in patterns(args.kappa + 1))):
         ap.error(f"argument --seed: expected sine, wells or a mask of "
                  f"kappa+1 = {args.kappa + 1} bits 0/1 with at least one 1, "
                  f"got {args.seed!r}")

@@ -1,21 +1,20 @@
 """Run orchestration: configs, the full diagram pipeline, and artifact output.
 
 A run builds the weight and mesh, follows the main branch from where it
-bifurcates from u = 0 at the first discrete eigenvalue, sweeps peak masks
-for isolas, and packages everything as a DiagramBundle that can be written
-out as JSON/CSV/SVG.  Each branch is read for located changes as it is
-added, and its pitchforks are switched, before the next seed is tried; a
-switched branch records the event it starts at as its parent.  Of each
-mirror pair of branches one is traced and the other is its reflection.
-Everything is deterministic: fixed seeds, fixed sweep order, stable sort
-keys before emission.
+bifurcates from u = 0 at the first discrete eigenvalue, sweeps the seeds of
+``seeding.isola_seeds`` for isolas, and packages everything as a
+DiagramBundle that can be written out as JSON/CSV/SVG.  Each branch is read
+for located changes as it is added, and its pitchforks are switched, before
+the next seed is tried; a switched branch records the event it starts at
+as its parent.  Of each mirror pair of branches one is traced and the other
+is its reflection.  Everything is deterministic: fixed seeds, fixed sweep
+order, stable sort keys before emission.
 """
 
 import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import compress, product
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,8 @@ from .corrector import (AugmentedState, NewtonError, SingularSystemError,
 from .discretize import (Discretization, discrete_l2_norm, jacobian,
                          principal_eigenvalue, residual)
 from .mesh import Mesh, build_refined_mesh, build_uniform_mesh
-from .seeding import (enumerate_peak_masks, find_new_solution,
-                      matches_branch, peak_indices, peak_pattern, peak_seed,
-                      support_intervals)
+from .seeding import (find_new_solution, isola_seeds, matches_branch,
+                      peak_indices, peak_pattern, peak_seed)
 from .weight import Weight, build_weight
 
 __all__ = [
@@ -191,7 +189,7 @@ def _event_dict(branch_id: str, index: int, kind: str, lam: float,
             "lambda": float(lam), "norm": float(norm)}
 
 
-def _end_patterns(d: Discretization, b: Branch) -> set[tuple[bool, ...]]:
+def _end_patterns(d: Discretization, b: Branch) -> set[str]:
     """The nonzero peak patterns at both ends of b and at its lowest lam."""
     pts = b.points
     if not pts:
@@ -200,7 +198,7 @@ def _end_patterns(d: Discretization, b: Branch) -> set[tuple[bool, ...]]:
     # different peak patterns; register them all.
     patterns = (peak_pattern(d, p.u)
                 for p in (pts[0], pts[-1], min(pts, key=lambda q: q.lam)))
-    return {bits for bits in patterns if any(bits)}
+    return {p for p in patterns if "1" in p}
 
 
 def run_diagram(cfg: RunConfig) -> DiagramBundle:
@@ -272,23 +270,10 @@ def run_diagram(cfg: RunConfig) -> DiagramBundle:
     else:
         add("main", main)
 
-    # Isola sweep over one seed list in a fixed order: (failure label,
-    # pattern whose representation skips the seed, peak centres, weight a
-    # there) for each mask, then for eps > 0 each well pattern's well
-    # midpoints and then its well edges.  An asymmetric isola is followed by
-    # its mirror image unless it contains it.
-    mids = [0.5 * (lo + hi) for lo, hi in support_intervals(d.w)]
-    seeds = [(f"mask {m}", m.bits, list(compress(mids, m.bits)), 1.0)
-             for m in enumerate_peak_masks(cfg.kappa)]
-    wells = [(bits, list(compress(d.w.intervals, bits)))
-             for bits in product((False, True), repeat=cfg.kappa)
-             if any(bits) and cfg.eps > 0]
-    seeds += [(f"wells {bits}", None, [0.5 * (lo + hi) for lo, hi in ivs],
-               cfg.eps) for bits, ivs in wells]
-    seeds += [(f"well edges {bits}", None, [c for iv in ivs for c in iv], 1.0)
-              for bits, ivs in wells]
-
-    for label, pattern, centers, a in seeds:
+    # Isola sweep over the seed table in its fixed order; a seed whose
+    # pattern is already represented is skipped.  An asymmetric isola is
+    # followed by its mirror image unless it contains it.
+    for label, pattern, centers, a in isola_seeds(d):
         if pattern in represented:
             continue
         known = [r.branch for r in records]
@@ -370,7 +355,7 @@ def deep_census(config) -> dict[str, tuple[float, np.ndarray, str]]:
         for p in pts[:1] + pts[-1:]:
             if p.lam >= cfg.lambda_min * 0.997:
                 continue
-            pat = "".join("1" if b else "0" for b in peak_pattern(d, p.u))
+            pat = peak_pattern(d, p.u)
             if "1" in pat and pat not in out:
                 out[pat] = (p.lam, p.u, rec.branch_id)
     return out

@@ -4,21 +4,19 @@ Initial Newton iterates are sine seeds and peak seeds.  For strongly
 negative lam a positive solution concentrates as homoclinic peaks
 sqrt(-2*lam/a) / cosh(sqrt(-lam) * (x - c)) of -u'' = lam*u + a*u^3, the true
 far-field shape of a peak, wherever the weight a is positive.  ``peak_seed``
-sums such peaks at given centres.  Where the coefficient equals 1 the
-candidate solutions are enumerated by boolean peak masks over the kappa+1
-maximal intervals (2^(kappa+1)-1 nonzero patterns); ``peak_pattern_seed``
-puts one peak at the midpoint of each masked interval.  For eps > 0 a run
-also seeds peaks at the midpoints of the wells (a = eps) and at their edges
-(a = 1).  ``find_new_solution`` converges a seed at fixed lam and keeps it
-only if ``matches_branch`` finds it on no known branch (one secant guess per
-sheet through lam, re-converged there); ``peak_pattern`` reads which support
-intervals a solution occupies.  Moving a solution to another lam is the job
-of ``continuation.continue_branch``.
+sums such peaks at given centres.  A peak pattern is a 0/1 string with one
+character per maximal interval where a = 1, left to right; ``patterns``
+lists the 2^(kappa+1)-1 nonzero ones.  ``isola_seeds`` is the one table of
+centres that a run tries: a peak at the midpoint of each interval of a
+pattern, and for eps > 0 peaks at the midpoints of a pattern of wells
+(a = eps) and at their edges (a = 1).  ``find_new_solution`` converges a
+seed at fixed lam and keeps it only if ``matches_branch`` finds it on no
+known branch (one secant guess per sheet through lam, re-converged there);
+``peak_pattern`` reads which support intervals a solution occupies.  Moving
+a solution to another lam is the job of ``continuation.continue_branch``.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -30,12 +28,11 @@ from .mesh import Mesh
 from .weight import Weight
 
 __all__ = [
-    "PeakMask",
-    "enumerate_peak_masks",
+    "patterns",
     "sine_seed",
     "support_intervals",
     "peak_seed",
-    "peak_pattern_seed",
+    "isola_seeds",
     "find_new_solution",
     "matches_branch",
     "peak_indices",
@@ -43,24 +40,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeakMask:
-    """One boolean per maximal interval where a = 1, ordered left to right."""
-
-    bits: tuple[bool, ...]
-
-    def __post_init__(self):
-        if not any(self.bits):
-            raise ValueError("the all-zero mask is the trivial solution")
-
-    def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
-
-
-def enumerate_peak_masks(kappa: int) -> list[PeakMask]:
-    """All 2^(kappa+1) - 1 nonzero masks, in fixed binary order."""
-    return [PeakMask(bits) for bits in product((False, True), repeat=kappa + 1)
-            if any(bits)]
+def patterns(n: int) -> list[str]:
+    """The 2^n - 1 nonzero 0/1 strings of length n, in binary order."""
+    return [format(k, f"0{n}b") for k in range(1, 2 ** n)]
 
 
 def sine_seed(m: Mesh, amplitude: float) -> np.ndarray:
@@ -94,15 +76,21 @@ def peak_seed(d: Discretization, lam: float, centers, a: float = 1.0) -> np.ndar
     return u
 
 
-def peak_pattern_seed(d: Discretization, mask: PeakMask, lam: float) -> np.ndarray:
-    """peak_seed at the midpoints of the masked support intervals (a = 1)."""
-    intervals = support_intervals(d.w)
-    if len(mask.bits) != len(intervals):
-        raise ValueError(
-            f"mask has {len(mask.bits)} bits for {len(intervals)} support intervals"
-        )
-    return peak_seed(d, lam, [0.5 * (lo + hi) for bit, (lo, hi)
-                              in zip(mask.bits, intervals) if bit])
+def isola_seeds(d: Discretization) -> list[tuple]:
+    """The isola sweep's seeds in a fixed order, as (label, pattern or None,
+    peak centres, weight a there): each pattern's support midpoints (a = 1),
+    then for eps > 0 the midpoints (a = eps) and then the edges (a = 1) of
+    each pattern of wells."""
+    w = d.w
+    mids = [0.5 * (lo + hi) for lo, hi in support_intervals(w)]
+    seeds = [(f"mask {p}", p, [c for c, b in zip(mids, p) if b == "1"], 1.0)
+             for p in patterns(w.kappa + 1)]
+    wells = [(p, [iv for iv, b in zip(w.intervals, p) if b == "1"])
+             for p in patterns(w.kappa) if w.eps > 0]
+    seeds += [(f"wells {p}", None, [0.5 * (lo + hi) for lo, hi in ivs], w.eps)
+              for p, ivs in wells]
+    return seeds + [(f"well edges {p}", None, [c for iv in ivs for c in iv],
+                     1.0) for p, ivs in wells]
 
 
 def matches_branch(d: Discretization, lam: float, u: np.ndarray,
@@ -170,14 +158,14 @@ def peak_indices(u: np.ndarray) -> list[int]:
     return out
 
 
-def peak_pattern(d: Discretization, u: np.ndarray) -> tuple[bool, ...]:
-    """Support-interval occupancy of the peaks of u (wells ignored)."""
+def peak_pattern(d: Discretization, u: np.ndarray) -> str:
+    """The 0/1 string of the support intervals holding a peak of u."""
     intervals = support_intervals(d.w)
-    bits = [False] * len(intervals)
+    bits = ["0"] * len(intervals)
     x = d.m.interior
     for i in peak_indices(u):
         for j, (lo, hi) in enumerate(intervals):
             if lo <= x[i] <= hi:
-                bits[j] = True
+                bits[j] = "1"
                 break
-    return tuple(bits)
+    return "".join(bits)

@@ -31,7 +31,8 @@ fewer rounds where M is smooth near the root (Dowell & Jarratt, BIT 11
 ends.  The time map is closed form, an arithmetic-geometric mean.  Single
 shooting amplifies error by about exp(sqrt(-lam)), so counts are refused
 below lam = -(ln(1/eps_mach))^2, about -1299, where that factor exceeds
-1/eps_mach.
+1/eps_mach.  Shots are refused above +1299 as well: no positive solution
+has lam >= pi^2, and there a shot may oscillate sqrt(lam)/pi times.
 """
 
 from dataclasses import dataclass
@@ -55,6 +56,10 @@ _BLOWUP = 1e8
 # Single shooting amplifies error by about exp(sqrt(-lam)); below this floor
 # that exceeds 1/eps_mach (about -1299.1).
 _LAM_FLOOR = -np.log(1.0 / np.finfo(float).eps) ** 2
+# Above its mirror a shot of amplitude v0/sqrt(lam) may stay inside the
+# cone test's 1e-14 slack for sqrt(lam)/pi turns.  A positive solution needs
+# lam < pi^2: (pi^2 - lam) * int u sin(pi*x) = int a u^3 sin(pi*x) > 0.
+_LAM_CEIL = -_LAM_FLOOR
 # Each refinement round splits every bracket into this many equal sections,
 # i.e. evaluates _SECTIONS - 1 interior slopes, so that it shrinks by at
 # least this factor even where interpolation does not help.
@@ -117,14 +122,18 @@ def _pieces(w: Weight) -> list[tuple[float, float, float]]:
 
 
 def _check_inputs(lam, **positive):
-    """Refuse a lam that is not finite and each named value that is not a
-    positive finite number: on nan no shot ever ends.  A refine_tol below
-    the float resolution is refused too: a bracket one ulp wide never meets
-    it.  So is a step_tol below 100*eps_mach, the floor to which scipy's
-    RK45 raises its rtol: below it the steps shrink until the shot stalls,
-    underflows or overflows."""
+    """Refuse a lam that is not finite or lies above _LAM_CEIL and each
+    named value that is not a positive finite number: on nan no shot ever
+    ends.  A refine_tol below the float resolution is refused too: a
+    bracket one ulp wide never meets it.  So is a step_tol below
+    100*eps_mach, the floor to which scipy's RK45 raises its rtol: below it
+    the steps shrink until the shot stalls, underflows or overflows."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
+    if lam > _LAM_CEIL:
+        raise ValueError(
+            f"lam = {lam:g} is above the shooting oracle's ceiling "
+            f"{_LAM_CEIL:.1f}; a positive solution needs lam < pi^2")
     for name, value in positive.items():
         if not 0.0 < value < np.inf:
             raise ValueError(
@@ -144,8 +153,8 @@ def integrate_ivp(w: Weight, lam: float, v0: float,
     The shot stops at the end of the step where u crosses zero from above
     (it left the positive cone) and records the crossing location as
     first_zero; |u| > 1e8 raises BlowUpError.  Raises ValueError unless
-    lam is finite, v0 is positive and finite and step_tol is finite and at
-    least 100*eps_mach.
+    lam is finite and at most (ln(1/eps_mach))^2, v0 is positive and finite
+    and step_tol is finite and at least 100*eps_mach.
     """
     _check_inputs(lam, v0=v0, step_tol=step_tol)
     path = [(0.0, 0.0, float(v0))]
@@ -419,8 +428,9 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
     1/eps_mach and the count means nothing, when a shot at an end of a
     final bracket or at its midpoint blows up, which leaves that root
-    undecided, when lam is not finite or a tolerance is not positive and
-    finite, and when step_tol is below 100*eps_mach.
+    undecided, when lam is not finite or lies above the ceiling
+    +(ln(1/eps_mach))^2, when a tolerance is not positive and finite, and
+    when step_tol is below 100*eps_mach.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")

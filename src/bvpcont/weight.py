@@ -50,22 +50,15 @@ def build_weight(kappa, h, eps):
     if not 0.0 <= eps <= 1.0:
         raise WeightError(f"depth eps must lie in [0, 1], got {eps}")
 
-    centers = [(2 * i - 1) / (2 * kappa) for i in range(1, kappa + 1)]
-    intervals = [(c - h / 2.0, c + h / 2.0) for c in centers]
     # Make the interval set reflection-invariant in floating point, not
-    # just to rounding error: snap each left edge e so that 1 - e is
-    # exactly representable (x -> 1 - x is then an exact two-cycle on
-    # edge pairs), and mirror the right half bit-exactly.
-    for i in range(kappa // 2):
-        a, b = intervals[i]
-        a, b = 1.0 - (1.0 - a), 1.0 - (1.0 - b)
-        intervals[i] = (a, b)
-        intervals[kappa - 1 - i] = (1.0 - b, 1.0 - a)
-    if kappa % 2 == 1:
-        a, _ = intervals[kappa // 2]
-        a = 1.0 - (1.0 - a)
-        intervals[kappa // 2] = (a, 1.0 - a)
-    intervals = tuple(intervals)
+    # just to rounding error: snap each edge e of the left half so that
+    # 1 - e is exactly representable (x -> 1 - x is then an exact two-cycle
+    # on edge pairs), and mirror it bit-exactly into the right half.
+    centers = [(2 * i - 1) / (2 * kappa) for i in range(1, kappa + 1)]
+    left = [1.0 - (1.0 - e) for c in centers
+            for e in (c - h / 2.0, c + h / 2.0)][:kappa]
+    edges = left + [1.0 - e for e in reversed(left)]
+    intervals = tuple(zip(edges[::2], edges[1::2]))
     for a, b in intervals:
         if a <= 0.0 or b >= 1.0:
             raise WeightError(f"interval ({a}, {b}) leaves (0, 1)")

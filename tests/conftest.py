@@ -13,6 +13,7 @@ from bvpcont.continuation import (BracketError, ContinuationConfig,
 from bvpcont.corrector import Tangent, _lu, _lu_det_sign, newton_fixed_lambda
 from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import Discretization, jacobian, mirrors
+from bvpcont.seeding import isola_seeds, peak_seed
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,17 @@ def isola_bundle():
     # kappa=2, h=0.25, eps=0: main component plus three isolas
     cfg = RunConfig(kappa=2, h=0.25, eps=0.0, mesh_n=500, lambda_min=-100.0)
     return run_diagram(cfg)
+
+
+@pytest.fixture(scope="session")
+def mask_seed():
+    """mask_seed(d, pattern, lam): the peak seed at lam of the entry of
+    seeding.isola_seeds for the 0/1 pattern of support intervals."""
+    def seed(d, pattern, lam):
+        centers, a = next((c, a) for _, p, c, a in isola_seeds(d)
+                          if p == pattern)
+        return peak_seed(d, lam, centers, a)
+    return seed
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 principal_eigenvalue, residual,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
-from bvpcont.seeding import PeakMask, peak_pattern, peak_pattern_seed, peak_seed
+from bvpcont.seeding import peak_pattern, peak_seed
 from bvpcont.shooting import (check_decay_identity, integrate_ivp,
                               shoot_count, time_map)
 from bvpcont.weight import build_weight
@@ -306,8 +306,7 @@ def test_criterion_6_decay_and_identity(census_k2, descend):
         ratios[0] = max(ratios[0], _well_ratio(d, u, lam))
         deeper = descend(d, lam, u, DECAY_DEPTHS)
         for k, (lam_to, u_to) in enumerate(zip(DECAY_DEPTHS, deeper), 1):
-            bits = "".join("1" if b else "0" for b in peak_pattern(d, u_to))
-            kept &= bits == pattern
+            kept &= peak_pattern(d, u_to) == pattern
             ratios[k] = max(ratios[k], _well_ratio(d, u_to, lam_to))
     falling = all(a > b for a, b in zip(ratios, ratios[1:]))
     decay_ok = kept and falling and ratios[-1] <= 0.05
@@ -322,7 +321,7 @@ def test_criterion_6_decay_and_identity(census_k2, descend):
     assert decay_ok
 
 
-def test_criterion_7_property_suite(tmp_path, descend):
+def test_criterion_7_property_suite(tmp_path, descend, mask_seed):
     checks = {}
 
     # Jacobian vs central finite differences on 100 random samples
@@ -363,8 +362,8 @@ def test_criterion_7_property_suite(tmp_path, descend):
     # from the bump seed diverges at -100 here, so the solutions are
     # converged at -50 and continued down
     sols = []
-    for mk in (PeakMask((True, False)), PeakMask((False, True))):
-        u = newton_fixed_lambda(d1, -50.0, peak_pattern_seed(d1, mk, -50.0))
+    for mk in ("10", "01"):
+        u = newton_fixed_lambda(d1, -50.0, mask_seed(d1, mk, -50.0))
         sols += descend(d1, -50.0, u, (-100.0,))
     u10, u01 = sols
     checks["seed_reflection"] = (

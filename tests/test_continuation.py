@@ -154,15 +154,14 @@ def test_runtime_h_half_to_minus_100():
     assert b.points[-1].lam < -100.0
 
 
-def test_single_peak_descent_work_count():
+def test_single_peak_descent_work_count(mask_seed):
     # kappa=1, h=0.1, N=200: a lone peak continued from lam=-50 to -3000.
     # Deep in lam the peak's translation is a free mode of J, which the
     # Hermite predictor leaves out; with it left in, this descent stalls on
     # step underflow near lam=-2140.  At most 72 points, the count of the
     # Euler predictor.
-    from bvpcont.seeding import PeakMask, peak_pattern_seed
     d = Discretization(build_weight(1, 0.1, 0.0), build_uniform_mesh(200))
-    seed = peak_pattern_seed(d, PeakMask((True, False)), -50.0)
+    seed = mask_seed(d, "10", -50.0)
     u = newton_fixed_lambda(d, -50.0, seed)
     b = continue_branch(d, make_point(d, -50.0, u), down(u),
                         ContinuationConfig(lambda_min=-3000.0))
@@ -191,15 +190,14 @@ def test_isola_top_fold_matches():
     assert b.lambdas().max() < -1000.0
 
 
-def test_reflection_equivariance_of_continuation():
+def test_reflection_equivariance_of_continuation(mask_seed):
     # start from an asymmetric solution; the mirrored start must produce the
     # mirrored branch point for point
-    from bvpcont.seeding import PeakMask, peak_pattern_seed
     w = build_weight(1, 0.1, 0.0)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
     lam0 = -50.0
-    seed = peak_pattern_seed(d, PeakMask((True, False)), lam0)
+    seed = mask_seed(d, "10", lam0)
     u = newton_fixed_lambda(d, lam0, seed)
     cfg = ContinuationConfig(lambda_min=-110.0, max_steps=30)
     b1 = continue_branch(d, make_point(d, lam0, u), down(u), cfg)
@@ -228,15 +226,13 @@ def test_update_tangent_orientation():
     assert up.dlam > 0
 
 
-def test_predict_leaves_the_mode_unchanged():
+def test_predict_leaves_the_mode_unchanged(mask_seed):
     # the loop advances the soft mode in its tangent solves; the Hermite
     # predictor on a lone-peak branch only reads it
     from bvpcont.continuation import _predict
     from bvpcont.corrector import SoftMode
-    from bvpcont.seeding import PeakMask, peak_pattern_seed
     d = Discretization(build_weight(1, 0.1, 0.0), build_uniform_mesh(200))
-    u = newton_fixed_lambda(d, -50.0, peak_pattern_seed(
-        d, PeakMask((True, False)), -50.0))
+    u = newton_fixed_lambda(d, -50.0, mask_seed(d, "10", -50.0))
     b = continue_branch(d, make_point(d, -50.0, u), down(u),
                         ContinuationConfig(lambda_min=-1000.0))
     prev, p = b.points[-3:-1]

@@ -8,21 +8,23 @@ from bvpcont.diagram import trace_main_branch
 from bvpcont.discretize import (Discretization, principal_eigenvalue,
                                 residual)
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import (PeakMask, enumerate_peak_masks,
-                             find_new_solution, matches_branch,
-                             peak_indices, peak_pattern,
-                             peak_pattern_seed, peak_seed, sine_seed,
+from bvpcont.seeding import (find_new_solution, isola_seeds,
+                             matches_branch, patterns, peak_indices,
+                             peak_pattern, peak_seed, sine_seed,
                              support_intervals)
 from bvpcont.weight import build_weight
 
 
 def test_mask_enumeration_counts():
     for kappa in (1, 2, 3):
-        masks = enumerate_peak_masks(kappa)
+        masks = patterns(kappa + 1)
         assert len(masks) == 2 ** (kappa + 1) - 1
-        assert len({str(mk) for mk in masks}) == len(masks)
-    with pytest.raises(ValueError):
-        PeakMask((False, False))
+        assert len(set(masks)) == len(masks)
+        # in binary order, each kappa+1 characters 0/1, none all zero
+        assert masks == sorted(masks)
+        assert all(len(mk) == kappa + 1 and set(mk) <= {"0", "1"}
+                   for mk in masks)
+        assert "0" * (kappa + 1) not in masks
 
 
 def _peak_indices_by_loop(u):
@@ -57,15 +59,14 @@ def test_peak_indices_matches_the_node_loop():
         assert all(type(i) is int for i in got)
 
 
-def test_mask_reflection():
+def test_mask_reflection(mask_seed):
     # reversing a mask's bits mirrors its seed about x = 1/2
-    mk = PeakMask((True, False, False))
-    assert str(mk) == "100"
+    mk = "100"
     d = Discretization(build_weight(2, 0.25, 0.3), build_uniform_mesh(200))
-    seed = peak_pattern_seed(d, mk, -50.0)
-    mirrored = peak_pattern_seed(d, PeakMask(mk.bits[::-1]), -50.0)
+    seed = mask_seed(d, mk, -50.0)
+    mirrored = mask_seed(d, mk[::-1], -50.0)
     assert np.max(np.abs(mirrored - seed[::-1])) <= 1e-12 * seed.max()
-    assert peak_pattern(d, seed) == mk.bits
+    assert peak_pattern(d, seed) == mk
 
 
 def test_sine_seed_small_mesh():
@@ -87,14 +88,15 @@ def test_support_intervals():
         (0.0, 0.125), (0.375, 0.625), (0.875, 1.0)]
 
 
-def test_pattern_seed_rejects_bad_input():
+def test_pattern_seed_rejects_bad_input(mask_seed):
+    # the table holds no mask of the wrong length, and a mask's seed
+    # refuses a lam >= 0 like every peak seed
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(100)
     d = Discretization(w, m)
+    assert "101" not in {p for _, p, _, _ in isola_seeds(d)}
     with pytest.raises(ValueError):
-        peak_pattern_seed(d, PeakMask((True, False, True)), -50.0)
-    with pytest.raises(ValueError):
-        peak_pattern_seed(d, PeakMask((True, False)), 5.0)
+        mask_seed(d, "10", 5.0)
 
 
 def test_peak_seed_is_the_homoclinic_peak():
@@ -125,39 +127,67 @@ def test_peak_seed_refuses_lam_and_weight(lam, a):
         peak_seed(d, lam, [0.25], a)
 
 
-def test_pattern_seed_is_the_peak_seed_at_masked_midpoints():
+def test_pattern_seed_is_the_peak_seed_at_masked_midpoints(mask_seed):
     d = Discretization(build_weight(2, 0.25, 0.3), build_uniform_mesh(200))
     mids = [0.5 * (lo + hi) for lo, hi in support_intervals(d.w)]
-    for mask in enumerate_peak_masks(2):
-        centers = [c for bit, c in zip(mask.bits, mids) if bit]
-        assert np.array_equal(peak_pattern_seed(d, mask, -50.0),
+    for mask in patterns(3):
+        centers = [c for bit, c in zip(mask, mids) if bit == "1"]
+        assert np.array_equal(mask_seed(d, mask, -50.0),
                               peak_seed(d, -50.0, centers))
 
 
-def _single_peaks(d, levels, descend):
+def test_isola_seed_table():
+    # kappa=2, h=0.25: support midpoints 1/16, 1/2, 15/16, wells
+    # (1/8, 3/8) and (5/8, 7/8), all exact in binary; the 7 masks in binary
+    # order, then for eps > 0 the 3 well patterns' midpoints (a = eps) and
+    # their edges (a = 1)
+    d = Discretization(build_weight(2, 0.25, 0.3), build_uniform_mesh(200))
+    masks = [
+        ("mask 001", "001", [0.9375], 1.0),
+        ("mask 010", "010", [0.5], 1.0),
+        ("mask 011", "011", [0.5, 0.9375], 1.0),
+        ("mask 100", "100", [0.0625], 1.0),
+        ("mask 101", "101", [0.0625, 0.9375], 1.0),
+        ("mask 110", "110", [0.0625, 0.5], 1.0),
+        ("mask 111", "111", [0.0625, 0.5, 0.9375], 1.0),
+    ]
+    assert isola_seeds(d) == masks + [
+        ("wells 01", None, [0.75], 0.3),
+        ("wells 10", None, [0.25], 0.3),
+        ("wells 11", None, [0.25, 0.75], 0.3),
+        ("well edges 01", None, [0.625, 0.875], 1.0),
+        ("well edges 10", None, [0.125, 0.375], 1.0),
+        ("well edges 11", None, [0.125, 0.375, 0.625, 0.875], 1.0),
+    ]
+    # no well entries without wells to seed
+    d0 = Discretization(build_weight(2, 0.25, 0.0), build_uniform_mesh(200))
+    assert isola_seeds(d0) == masks
+
+
+def _single_peaks(d, levels, descend, mask_seed):
     """{mask: solutions at levels} for the one-peak masks of a kappa=1 weight.
 
     Newton from the bump seed diverges at lam = -100 on these weights, so
     each solution is converged at -50 and continued down.
     """
     out = {}
-    for mask in (PeakMask((True, False)), PeakMask((False, True))):
-        u = newton_fixed_lambda(d, -50.0, peak_pattern_seed(d, mask, -50.0))
+    for mask in ("10", "01"):
+        u = newton_fixed_lambda(d, -50.0, mask_seed(d, mask, -50.0))
         out[mask] = descend(d, -50.0, u, levels)
     return out
 
 
-def test_reflected_masks_give_reflected_solutions(descend):
+def test_reflected_masks_give_reflected_solutions(descend, mask_seed):
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
-    found = _single_peaks(d, (-100.0,), descend)
+    found = _single_peaks(d, (-100.0,), descend, mask_seed)
     (u10,), (u01,) = found.values()
     scale = 1.0 + np.abs(u10).max()
     assert np.max(np.abs(u10[::-1] - u01)) < 1e-6 * scale
     for mk, (u,) in found.items():
         assert u.min() > -1e-8
-        assert peak_pattern(d, u) == mk.bits
+        assert peak_pattern(d, u) == mk
         assert np.linalg.norm(residual(d, -100.0, u)) < 1e-4
 
 
@@ -171,7 +201,7 @@ def test_newton_near_onset_small_symmetric():
     assert np.max(np.abs(u - u[::-1])) < 1e-8
 
 
-def test_amplitude_bound(descend):
+def test_amplitude_bound(descend, mask_seed):
     # sup u <= sqrt(-2*lam + c) with c = 2*(pi / min interval length)^2
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
@@ -179,34 +209,33 @@ def test_amplitude_bound(descend):
     min_len = min(b - a for a, b in support_intervals(w))
     c = 2.0 * (np.pi / min_len) ** 2
     levels = (-100.0, -300.0)
-    found = _single_peaks(d, levels, descend)
+    found = _single_peaks(d, levels, descend, mask_seed)
     for k, lam in enumerate(levels):
         sols = [us[k] for us in found.values()]
-        assert {peak_pattern(d, u) for u in sols} == {(True, False),
-                                                      (False, True)}
+        assert {peak_pattern(d, u) for u in sols} == {"10", "01"}
         for u in sols:
             assert np.linalg.norm(residual(d, lam, u)) < 1e-4
             assert np.abs(u).max() <= np.sqrt(-2.0 * lam + c)
 
 
-def test_off_peak_interval_decay(descend):
+def test_off_peak_interval_decay(descend, mask_seed):
     # on an a = 1 interval without a peak the solution decays as lam drops
     w = build_weight(1, 0.1, 0.0)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
     levels = (-300.0, -1000.0, -3000.0)
-    sols = _single_peaks(d, levels, descend)[PeakMask((True, False))]
+    sols = _single_peaks(d, levels, descend, mask_seed)["10"]
     right = m.interior > 0.55
     vals = []
     for lam, u in zip(levels, sols):
         assert np.linalg.norm(residual(d, lam, u)) < 1e-4
-        assert peak_pattern(d, u) == (True, False)
+        assert peak_pattern(d, u) == "10"
         vals.append(np.abs(u[right]).max())
     assert vals[0] > vals[1] > vals[2]
     assert vals[-1] <= 0.05 * np.sqrt(-2.0 * levels[-1])
 
 
-def test_find_new_solution_deduplicates_against_known():
+def test_find_new_solution_deduplicates_against_known(mask_seed):
     # at lam = -100 the all-peaks pattern lives on the main branch; with the
     # main branch known there is no new component to report
     w = build_weight(1, 0.1, 0.3)
@@ -214,8 +243,7 @@ def test_find_new_solution_deduplicates_against_known():
     d = Discretization(w, m)
     main = trace_main_branch(d, principal_eigenvalue(m),
                              ContinuationConfig(lambda_min=-150.0))
-    mask = PeakMask((True, True))
-    assert find_new_solution(d, -100.0, peak_pattern_seed(d, mask, -100.0),
+    assert find_new_solution(d, -100.0, mask_seed(d, "11", -100.0),
                              [main]) is None
 
 

@@ -6,7 +6,7 @@ from bvpcont import shooting
 from bvpcont.corrector import newton_fixed_lambda
 from bvpcont.discretize import Discretization
 from bvpcont.mesh import build_uniform_mesh
-from bvpcont.seeding import PeakMask, peak_pattern, peak_pattern_seed
+from bvpcont.seeding import peak_pattern
 from bvpcont.shooting import (_batch_miss, check_decay_identity,
                               integrate_ivp, potential_energy, shoot_count,
                               time_map)
@@ -111,12 +111,16 @@ def test_shoot_count_argument_checks(bad):
     "integrate_ivp(w, -100.0, 10.0, step_tol=nan)",
     "shoot_count(w, -100.0, step_tol=1e-30)",
     "integrate_ivp(w, -100.0, 10.0, step_tol=1e-30)",
+    "shoot_count(w, 1e20)",
+    "integrate_ivp(w, 1e18, 1e-6)",
 ])
 def test_oracle_refuses_a_non_finite_argument(run_python, call):
     # no shot ends on nan: refuse it instead of running forever (in a
     # subprocess with a timeout, so that a hang fails instead of stalling).
     # A step_tol below 100*eps_mach, the floor to which scipy's RK45 raises
-    # its rtol, is refused too: at 1e-30 a count ran past 20 s
+    # its rtol, is refused too: at 1e-30 a count ran past 20 s.  So is a lam
+    # above the ceiling (ln(1/eps_mach))^2: at 1e20 a shot stays inside the
+    # cone test's slack and a count ran past 30 s
     code = ("from math import inf, nan\n"
             "from bvpcont import build_weight, integrate_ivp, shoot_count\n"
             "w = build_weight(1, 0.1, 0.0)\n"
@@ -555,27 +559,26 @@ def test_decay_identity_zero_solution():
     assert check_decay_identity(w, m, np.zeros(400), -100.0, 0) == 0.0
 
 
-def _left_peak(d):
+def _left_peak(d, mask_seed):
     """The solution with one peak on the left support interval at lam=-100."""
-    mask = PeakMask((True, False))
-    u = newton_fixed_lambda(d, -100.0, peak_pattern_seed(d, mask, -100.0))
-    assert peak_pattern(d, u) == mask.bits
+    u = newton_fixed_lambda(d, -100.0, mask_seed(d, "10", -100.0))
+    assert peak_pattern(d, u) == "10"
     return u
 
 
-def test_decay_identity_on_solution():
+def test_decay_identity_on_solution(mask_seed):
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(400)
     d = Discretization(w, m)
-    u = _left_peak(d)
+    u = _left_peak(d, mask_seed)
     assert check_decay_identity(w, m, u, -100.0, 0) <= 2e-2
 
 
-def test_decay_integral_decreasing_in_depth(descend):
+def test_decay_integral_decreasing_in_depth(descend, mask_seed):
     w = build_weight(1, 0.5, 0.0)
     m = build_uniform_mesh(400)
     d = Discretization(w, m)
-    u = _left_peak(d)
+    u = _left_peak(d, mask_seed)
     alpha, beta = w.intervals[0]
     x = m.interior
     sel = (x > alpha) & (x < beta)
