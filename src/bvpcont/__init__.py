@@ -22,9 +22,8 @@ from .mesh import (Mesh, MeshError, build_refined_mesh, build_uniform_mesh,
                    mesh_spacings)
 from .seeding import (find_new_solution, isola_seeds, matches_branch,
                       patterns, peak_indices, peak_pattern, peak_seed,
-                      sine_seed, support_intervals)
-from .shooting import (BlowUpError, Trajectory, check_decay_identity,
-                       integrate_ivp, potential_energy, shoot_count, time_map)
+                      seed_centers, sine_seed, support_intervals)
+from .shooting import shoot_count
 from .weight import Weight, WeightError, build_weight, eval_weight
 
 __version__ = "0.1.0"

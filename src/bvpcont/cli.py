@@ -23,7 +23,7 @@ from .diagram import (RunConfig, _fmt, run_diagram, run_epsilon_sweep,
                       trace_main_branch, write_bundle)
 from .discretize import (Discretization, principal_eigenvalue,
                          toeplitz_eigenvalue)
-from .seeding import isola_seeds, patterns, peak_seed, sine_seed
+from .seeding import peak_seed, seed_centers, sine_seed
 from .shooting import shoot_count
 from .weight import build_weight
 
@@ -122,12 +122,10 @@ def _cmd_solve(args) -> int:
         d = Discretization(*RunConfig(kappa=args.kappa, h=args.h, eps=args.eps,
                                       mesh_n=args.n).build())
         u0 = sine_seed(d.m, args.amplitude)  # refuses a bad one for any seed
-        if args.seed != "sine":  # wells: the entry with a peak in every well
-            label = ("wells " + "1" * args.kappa if args.seed == "wells"
-                     else f"mask {args.seed}")
-            centers, a = next((c, a) for s, _, c, a in isola_seeds(d)
-                              if s == label)
-            u0 = peak_seed(d, args.lam, centers, a)
+        if args.seed != "sine":  # wells: a peak at every well's midpoint
+            kind, p = (("wells", "1" * args.kappa) if args.seed == "wells"
+                       else ("mask", args.seed))
+            u0 = peak_seed(d, args.lam, *seed_centers(d.w, kind, p))
     except ValueError as exc:
         return _error(exc)
     try:
@@ -191,7 +189,7 @@ def _cmd_sweep_h(args) -> int:
         return _error(exc)
     out = []
     for cfg, d in runs:
-        branch = trace_main_branch(d, principal_eigenvalue(d.m), cfg)
+        branch = trace_main_branch(d, principal_eigenvalue(d), cfg)
         lam_b = None
         for i in sorted(branch.located):
             ev = classify(d, *branch.located[i])
@@ -208,9 +206,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if (args.command == "solve" and args.seed not in ("sine", "wells")
-            # the length first: patterns(n) lists 2^n - 1 strings
             and not (len(args.seed) == args.kappa + 1
-                     and args.seed in patterns(args.kappa + 1))):
+                     and set(args.seed) <= {"0", "1"} and "1" in args.seed)):
         ap.error(f"argument --seed: expected sine, wells or a mask of "
                  f"kappa+1 = {args.kappa + 1} bits 0/1 with at least one 1, "
                  f"got {args.seed!r}")

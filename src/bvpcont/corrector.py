@@ -116,11 +116,6 @@ def _lu_sign(lu) -> int:
     return -1 if parity % 2 else 1
 
 
-def _lu_det_sign(lu) -> tuple[int, float]:
-    """Sign and log-magnitude of det(J) from the LU factors lu of J."""
-    return _lu_sign(lu), float(np.log(np.abs(lu[1])).sum())
-
-
 def _lu_solve(lu, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """Solve J x = b (trans "N") or J^T x = b (trans "T"); b may hold columns.
 

@@ -141,7 +141,7 @@ def trace_main_branch(d: Discretization, lam1: float,
                       cfg: ContinuationConfig) -> Branch:
     """Main branch, switched from the trivial branch u = 0 at lam1.
 
-    lam1 is the first discrete eigenvalue, principal_eigenvalue(d.m), a
+    lam1 is the first discrete eigenvalue, principal_eigenvalue(d), a
     simple eigenvalue of J(lam1, 0) (Crandall & Rabinowitz, J. Funct. Anal.
     8 (1971) 321-340).  The start point is one arclength step of length
     cfg.ds along its positive null vector v, with lam free, as in
@@ -215,7 +215,7 @@ def run_diagram(cfg: RunConfig) -> DiagramBundle:
     records = bundle.branches
     represented = set()  # the _end_patterns of every record
 
-    lam1 = principal_eigenvalue(d.m)
+    lam1 = principal_eigenvalue(d)
 
     def add(role, branch, mirror=False):
         # Record and read the branch and each child it spawns; a pitchfork is

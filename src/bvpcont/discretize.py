@@ -102,12 +102,6 @@ class BandedJacobian:
     def n(self) -> int:
         return len(self.diag)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.sup * v[1:]
-        out[1:] += self.sub * v[:-1]
-        return out
-
     def dense(self) -> np.ndarray:
         a = np.diag(self.diag)
         a += np.diag(self.sub, -1)
@@ -207,21 +201,18 @@ def toeplitz_eigenvalue(n: int, k: int) -> float:
     return 2.0 * (n + 1) ** 2 * (1.0 + np.cos((n + 1 - k) * np.pi / (n + 1)))
 
 
-def principal_eigenvalue(m: Mesh) -> float:
-    """Smallest eigenvalue of the discrete -d^2/dx^2 on an arbitrary mesh.
+def principal_eigenvalue(d: Discretization) -> float:
+    """Smallest eigenvalue of the discrete -d^2/dx^2 of d on its mesh.
 
-    The operator is similar to a symmetric tridiagonal matrix via the
-    diagonal scaling with cell-average weights, so a symmetric eigensolver
-    applies.
+    The operator tridiag(sub, center, sup) is similar to a symmetric
+    tridiagonal matrix via the diagonal scaling with the dual-cell widths,
+    so a symmetric eigensolver applies.
     """
-    h = mesh_spacings(m)
-    hl, hr = h[:-1], h[1:]
-    diag = 2.0 / (hl * hr)
-    wcell = 0.5 * (hl + hr)
-    off = -1.0 / (hr[:-1] * np.sqrt(wcell[:-1] * wcell[1:]))
+    off = -1.0 / (d.h_left[1:] * np.sqrt(d.h_dual[:-1] * d.h_dual[1:]))
     # the call of eigh_tridiagonal(select="i", select_range=(0, 0),
     # eigvals_only=True): eigenvalue 1 of 1..1 by bisection, tolerance 0
-    m, w, _, _, info = _lapack().dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    m, w, _, _, info = _lapack().dstebz(d.center, off, 2, 0.0, 1.0, 1, 1,
+                                        0.0, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
     return float(w[:m][0])

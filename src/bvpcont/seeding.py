@@ -6,14 +6,15 @@ sqrt(-2*lam/a) / cosh(sqrt(-lam) * (x - c)) of -u'' = lam*u + a*u^3, the true
 far-field shape of a peak, wherever the weight a is positive.  ``peak_seed``
 sums such peaks at given centres.  A peak pattern is a 0/1 string with one
 character per maximal interval where a = 1, left to right; ``patterns``
-lists the 2^(kappa+1)-1 nonzero ones.  ``isola_seeds`` is the one table of
-centres that a run tries: a peak at the midpoint of each interval of a
-pattern, and for eps > 0 peaks at the midpoints of a pattern of wells
-(a = eps) and at their edges (a = 1).  ``find_new_solution`` converges a
-seed at fixed lam and keeps it only if ``matches_branch`` finds it on no
-known branch (one secant guess per sheet through lam, re-converged there);
-``peak_pattern`` reads which support intervals a solution occupies.  Moving
-a solution to another lam is the job of ``continuation.continue_branch``.
+lists the 2^(kappa+1)-1 nonzero ones.  ``seed_centers`` is the one rule
+that places a pattern's peaks: at the midpoint of each interval of a
+pattern, or for eps > 0 at the midpoints of a pattern of wells (a = eps)
+or at their edges (a = 1).  ``isola_seeds`` is the table of these seeds
+that a run tries.  ``find_new_solution`` converges a seed at fixed lam and
+keeps it only if ``matches_branch`` finds it on no known branch (one secant
+guess per sheet through lam, re-converged there); ``peak_pattern`` reads
+which support intervals a solution occupies.  Moving a solution to another
+lam is the job of ``continuation.continue_branch``.
 """
 
 import math
@@ -32,6 +33,7 @@ __all__ = [
     "sine_seed",
     "support_intervals",
     "peak_seed",
+    "seed_centers",
     "isola_seeds",
     "find_new_solution",
     "matches_branch",
@@ -76,21 +78,32 @@ def peak_seed(d: Discretization, lam: float, centers, a: float = 1.0) -> np.ndar
     return u
 
 
+def seed_centers(w: Weight, kind: str, p: str) -> tuple[list[float], float]:
+    """Peak centres of the seed of kind "mask", "wells" or "well edges" for
+    the 0/1 pattern p, with the weight a there: the midpoints (a = 1) of the
+    support intervals that p marks, or the midpoints (a = eps) or the edges
+    (a = 1) of the wells that it marks."""
+    if kind == "mask":
+        return [0.5 * (lo + hi) for (lo, hi), b in zip(support_intervals(w), p)
+                if b == "1"], 1.0
+    wells = [iv for iv, b in zip(w.intervals, p) if b == "1"]
+    if kind == "wells":
+        return [0.5 * (lo + hi) for lo, hi in wells], w.eps
+    return [c for iv in wells for c in iv], 1.0
+
+
 def isola_seeds(d: Discretization) -> list[tuple]:
     """The isola sweep's seeds in a fixed order, as (label, pattern or None,
-    peak centres, weight a there): each pattern's support midpoints (a = 1),
-    then for eps > 0 the midpoints (a = eps) and then the edges (a = 1) of
-    each pattern of wells."""
+    peak centres, weight a there), from ``seed_centers``: the mask seed of
+    each pattern, then for eps > 0 the wells seed and then the well edges
+    seed of each pattern of wells."""
     w = d.w
-    mids = [0.5 * (lo + hi) for lo, hi in support_intervals(w)]
-    seeds = [(f"mask {p}", p, [c for c, b in zip(mids, p) if b == "1"], 1.0)
-             for p in patterns(w.kappa + 1)]
-    wells = [(p, [iv for iv, b in zip(w.intervals, p) if b == "1"])
-             for p in patterns(w.kappa) if w.eps > 0]
-    seeds += [(f"wells {p}", None, [0.5 * (lo + hi) for lo, hi in ivs], w.eps)
-              for p, ivs in wells]
-    return seeds + [(f"well edges {p}", None, [c for iv in ivs for c in iv],
-                     1.0) for p, ivs in wells]
+    kinds = [("mask", p) for p in patterns(w.kappa + 1)]
+    if w.eps > 0:
+        kinds += [(kind, p) for kind in ("wells", "well edges")
+                  for p in patterns(w.kappa)]
+    return [(f"{kind} {p}", p if kind == "mask" else None,
+             *seed_centers(w, kind, p)) for kind, p in kinds]
 
 
 def matches_branch(d: Discretization, lam: float, u: np.ndarray,

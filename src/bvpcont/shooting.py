@@ -6,10 +6,7 @@ solutions are counted as roots of the boundary miss function M(v0) = u(1; v0),
 accepted only when the shot stayed positive on (0, 1).  A shot that leaves
 the positive cone at x_c < 1 misses by (x_c - 1)*|u'(x_c)|, the first-order
 guess at u(1), so that M is continuous where a root's shot leaves the cone
-at x = 1; a shot that blows up misses by +inf.  On every subinterval
-where a is constant the flow is Hamiltonian with energy
-v^2/2 + lam*u^2/2 + a*u^4/4, which gives a per-piece conservation check on
-the integrator.
+at x = 1; a shot that blows up misses by +inf.
 
 Every shot runs through one integrator: a vectorized Dormand-Prince 5(4)
 batch with one adaptive step per slope and scipy RK45's step rules,
@@ -27,31 +24,23 @@ also around its secant (regula falsi) estimate: the sections narrow a bracket
 at least as fast as plain multisection, and the interpolation closes it in
 fewer rounds where M is smooth near the root (Dowell & Jarratt, BIT 11
 (1971) 168-174; Brent, Algorithms for Minimization without Derivatives,
-1973, ch. 4).  ``integrate_ivp`` is a one-lane batch that records its step
-ends.  The time map is closed form, an arithmetic-geometric mean.  Single
-shooting amplifies error by about exp(sqrt(-lam)), so counts are refused
-below lam = -(ln(1/eps_mach))^2, about -1299, where that factor exceeds
-1/eps_mach.  Shots are refused above +1299 as well: no positive solution
-has lam >= pi^2, and there a shot may oscillate sqrt(lam)/pi times.
+1973, ch. 4).  Single shooting amplifies error by about exp(sqrt(-lam)),
+so counts are refused below lam = -(ln(1/eps_mach))^2, about -1299, where
+that factor exceeds 1/eps_mach.  Counts are refused above +1299 as well: no
+positive solution has lam >= pi^2, and there a shot may oscillate
+sqrt(lam)/pi times.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
 from .weight import Weight, eval_weight
 
-__all__ = [
-    "Trajectory",
-    "BlowUpError",
-    "potential_energy",
-    "integrate_ivp",
-    "shoot_count",
-    "time_map",
-    "check_decay_identity",
-]
+__all__ = ["shoot_count"]
 
+# rtol of every shot of a count, and the relative width to which a count
+# narrows each bracket
+_STEP_TOL = 1e-8
+_REFINE_TOL = 1e-10
 _BLOWUP = 1e8
 # Single shooting amplifies error by about exp(sqrt(-lam)); below this floor
 # that exceeds 1/eps_mach (about -1299.1).
@@ -66,7 +55,7 @@ _LAM_CEIL = -_LAM_FLOOR
 _SECTIONS = 16
 # Where the miss is finite at both ends, the round also shoots a ladder of
 # slopes on either side of the secant estimate: offsets from about
-# refine_tol out to _SPREAD times the estimate's last move, in geometric
+# _REFINE_TOL out to _SPREAD times the estimate's last move, in geometric
 # steps (exponents _LADDER), so that the new bracket is a small multiple of
 # the estimate's error, however small that error is.
 _SPREAD = 4.0
@@ -92,87 +81,11 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _FLOOR_MAX = 10.0 * np.spacing(1.0)
 
 
-class BlowUpError(RuntimeError):
-    """Trajectory exceeded the blow-up guard before reaching x = 1."""
-
-
-@dataclass
-class Trajectory:
-    """Samples of one shot, with piecewise-constant-coefficient breakpoints."""
-
-    x: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    v0: float
-    lam: float
-    first_zero: float | None  # x of the first descending zero crossing of u
-    piece_energy_drift: list[float]  # relative drift per constant-a piece
-
-
-def potential_energy(lam: float, a_val: float, u: float) -> float:
-    """lam*u^2/2 + a_val*u^4/4."""
-    return lam * u**2 / 2.0 + a_val * u**4 / 4.0
-
-
 def _pieces(w: Weight) -> list[tuple[float, float, float]]:
     """(x_lo, x_hi, a) for each maximal constant-coefficient piece."""
     edges = [0.0] + list(w.edges) + [1.0]
     return [(lo, hi, eval_weight(w, 0.5 * (lo + hi)))
             for lo, hi in zip(edges, edges[1:])]
-
-
-def _check_inputs(lam, **positive):
-    """Refuse a lam that is not finite or lies above _LAM_CEIL and each
-    named value that is not a positive finite number: on nan no shot ever
-    ends.  A refine_tol below the float resolution is refused too: a
-    bracket one ulp wide never meets it.  So is a step_tol below
-    100*eps_mach, the floor to which scipy's RK45 raises its rtol: below it
-    the steps shrink until the shot stalls, underflows or overflows."""
-    if not np.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    if lam > _LAM_CEIL:
-        raise ValueError(
-            f"lam = {lam:g} is above the shooting oracle's ceiling "
-            f"{_LAM_CEIL:.1f}; a positive solution needs lam < pi^2")
-    for name, value in positive.items():
-        if not 0.0 < value < np.inf:
-            raise ValueError(
-                f"{name} must be positive and finite, got {value}")
-    if positive.get("refine_tol", 1.0) < np.finfo(float).eps:
-        raise ValueError(f"refine_tol below the float resolution, got "
-                         f"{positive['refine_tol']}")
-    if (v := positive["step_tol"]) < 100.0 * np.finfo(float).eps:
-        raise ValueError(f"step_tol below 100*eps_mach, got {v}")
-
-
-def integrate_ivp(w: Weight, lam: float, v0: float,
-                  step_tol: float = 1e-10) -> Trajectory:
-    """Adaptive RK45 shot from (0, v0); steps never straddle a coefficient jump.
-
-    A one-lane batch of the oracle's integrator, sampled at its step ends.
-    The shot stops at the end of the step where u crosses zero from above
-    (it left the positive cone) and records the crossing location as
-    first_zero; |u| > 1e8 raises BlowUpError.  Raises ValueError unless
-    lam is finite and at most (ln(1/eps_mach))^2, v0 is positive and finite
-    and step_tol is finite and at least 100*eps_mach.
-    """
-    _check_inputs(lam, v0=v0, step_tol=step_tol)
-    path = [(0.0, 0.0, float(v0))]
-    _, cross = _batch_miss(w, lam, np.array([float(v0)]), step_tol, path)
-    x, u, v = np.array(path).T
-    if np.isinf(cross[0]):
-        raise BlowUpError(f"|u| exceeded {_BLOWUP:g} by x = {x[-1]:.6g}")
-    drift = []
-    for lo, hi, a in _pieces(w):
-        if lo >= x[-1]:
-            break
-        # pieces end exactly at their edge, so x holds lo and hi as is
-        ends = [np.searchsorted(x, lo), np.searchsorted(x, hi, "right") - 1]
-        e0, e1 = v[ends] ** 2 / 2.0 + potential_energy(lam, a, u[ends])
-        drift.append(float(abs(e1 - e0) / max(abs(e0), abs(e1), 1.0)))
-    first_zero = None if np.isnan(cross[0]) else float(cross[0])
-    return Trajectory(x=x, u=u, v=v, v0=float(v0), lam=float(lam),
-                      first_zero=first_zero, piece_energy_drift=drift)
 
 
 def _rms(z: np.ndarray) -> np.ndarray:
@@ -387,33 +300,32 @@ def _batch_miss(w: Weight, lam: float, v0: np.ndarray, step_tol: float,
     return miss, cross
 
 
-def _near_root(a, b, fa, fb, last, refine_tol):
+def _near_root(a, b, fa, fb, last):
     """Secant estimate s of each bracket [a, b] and the slopes to shoot
     around it; every argument is a column, one row per bracket.
 
     The slopes are s -/+ d for d on a geometric ladder from
-    0.45*refine_tol*max(1, b), a pair that closes the bracket once s is
+    0.45*_REFINE_TOL*max(1, b), a pair that closes the bracket once s is
     good, out to _SPREAD times the estimate's move since last, or to
     (b - a)/32 where last is nan (the bracket's first guided round).
     """
     s = a - fa * (b - a) / (fb - fa)
     reach = np.where(np.isnan(last), (b - a) / 32.0,
                      _SPREAD * np.abs(s - last))
-    pair = 0.45 * refine_tol * np.maximum(1.0, b)
+    pair = 0.45 * _REFINE_TOL * np.maximum(1.0, b)
     ladder = pair * (reach / pair) ** _LADDER
     return s[:, 0], s + np.hstack([-ladder, ladder])
 
 
-def shoot_count(w: Weight, lam: float, grid_size: int = 200,
-                step_tol: float = 1e-8, refine_tol: float = 1e-10):
+def shoot_count(w: Weight, lam: float, grid_size: int = 200):
     """Count positive solutions by scanning the initial slope.
 
     Scans v0 over a log-spaced grid in (0, 2*max(-2*lam, pi^2)^(3/2)] in
     one batch, brackets sign changes of the boundary miss, and narrows all
-    brackets together until hi - lo <= refine_tol*max(1, hi), one batch per
+    brackets together until hi - lo <= _REFINE_TOL*max(1, hi), one batch per
     round.  Each round splits every bracket into _SECTIONS equal sections;
     where the miss is finite at both ends it also shoots a pair at
-    0.45*refine_tol*max(1, hi) on either side of the secant estimate, which
+    0.45*_REFINE_TOL*max(1, hi) on either side of the secant estimate, which
     closes the bracket once the estimate is good, and a geometric ladder out
     to a few times the estimate's last move (the bracket/32 in its first
     round).  A bracket with a blown end keeps plain multisection.  The new
@@ -428,13 +340,18 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
     where the exp(sqrt(-lam)) error growth of single shooting exceeds
     1/eps_mach and the count means nothing, when a shot at an end of a
     final bracket or at its midpoint blows up, which leaves that root
-    undecided, when lam is not finite or lies above the ceiling
-    +(ln(1/eps_mach))^2, when a tolerance is not positive and finite, and
-    when step_tol is below 100*eps_mach.
+    undecided, and when lam is not finite, on which no shot ever ends, or
+    lies above the ceiling +(ln(1/eps_mach))^2.  Every shot has rtol
+    _STEP_TOL.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    _check_inputs(lam, step_tol=step_tol, refine_tol=refine_tol)
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    if lam > _LAM_CEIL:
+        raise ValueError(
+            f"lam = {lam:g} is above the shooting oracle's ceiling "
+            f"{_LAM_CEIL:.1f}; a positive solution needs lam < pi^2")
     if lam < _LAM_FLOOR:
         raise ValueError(
             f"lam = {lam:g} is below the shooting oracle's validity floor "
@@ -445,14 +362,14 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
     v0_max = 2.0 * max(-2.0 * lam, np.pi**2) ** 1.5
     grid = np.geomspace(v0_max * 1e-6, v0_max, grid_size)
     # the bracket ends as columns (slope, miss, crossing)
-    shots = np.stack([grid, *_batch_miss(w, lam, grid, step_tol)])
+    shots = np.stack([grid, *_batch_miss(w, lam, grid, _STEP_TOL)])
     sign = np.sign(shots[1])
     cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     lo, hi = shots[:, cells], shots[:, cells + 1]
     est = np.full(cells.size, np.nan)  # each bracket's last secant estimate
     frac = np.arange(1, _SECTIONS) / _SECTIONS
     while (i := np.flatnonzero(
-            hi[0] - lo[0] > refine_tol * np.maximum(1.0, hi[0]))).size:
+            hi[0] - lo[0] > _REFINE_TOL * np.maximum(1.0, hi[0]))).size:
         ends_a, ends_b = lo[:, i, None], hi[:, i, None]
         (a, fa, _), (b, fb, _) = ends_a, ends_b
         # guided where both ends have a finite miss; elsewhere copies of b
@@ -460,13 +377,13 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
         g = np.isfinite(fa[:, 0]) & np.isfinite(fb[:, 0])
         near = np.repeat(b, 2 * _LADDER.size, axis=1)
         est[i[g]], near[g] = _near_root(a[g], b[g], fa[g], fb[g],
-                                        est[i[g], None], refine_tol)
+                                        est[i[g], None])
         pts = np.sort(np.clip(np.hstack([a + (b - a) * frac, near]), a, b),
                       axis=1)
         # only slopes strictly inside are shot; the others copy their end
         row = np.stack([pts, *np.where(pts == a, ends_a[1:], ends_b[1:])])
         inner = (pts > a) & (pts < b)
-        row[1:, inner] = _batch_miss(w, lam, pts[inner], step_tol)
+        row[1:, inner] = _batch_miss(w, lam, pts[inner], _STEP_TOL)
         # the first slope whose sign leaves that of lo, else b (a padded
         # row always has one)
         flip = np.sign(row[1]) * np.sign(fa) <= 0.0
@@ -483,7 +400,7 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
     cross = np.where(lo[1] < 0.0, lo[2], hi[2])
     early = cross <= 1.0 - 1e-4
     if early.any():
-        cross[early] = _batch_miss(w, lam, mids, step_tol)[1][early]
+        cross[early] = _batch_miss(w, lam, mids, _STEP_TOL)[1][early]
     # a blown end or midpoint leaves its bracket's root undecided
     undecided = np.isinf(lo[1]) | np.isinf(hi[1]) | np.isinf(cross)
     if undecided.any():
@@ -495,53 +412,3 @@ def shoot_count(w: Weight, lam: float, grid_size: int = 200,
     # the roots of two cells that share a grid point may be one
     apart = np.diff(roots, prepend=-np.inf) >= 1e-8 * np.maximum(1.0, roots)
     return int(apart.sum()), roots[apart].tolist()
-
-
-def time_map(u0: float, lam: float) -> float:
-    """Travel time from (0, v0) to the maximal amplitude (u0, 0).
-
-    T = integral_0^{pi/2} dphi / sqrt(A + B*sin(phi)^2) after theta = sin(phi),
-    with A = lam + u0^2/2 and B = u0^2/2; requires the exterior condition
-    u0^2 > -2*lam, i.e. A > 0.  By Gauss's formula for the complete elliptic
-    integral, T = pi / (2*AGM(sqrt(A + B), sqrt(A))).
-    """
-    if not lam < 0:  # nan too
-        raise ValueError(f"time map defined for lam < 0, got {lam}")
-    if not -2.0 * lam < u0**2 < np.inf:  # a nan or infinite u0 too
-        raise ValueError(f"u0 = {u0} not an exterior amplitude for lam = {lam}")
-    a, b = np.sqrt(lam + u0**2), np.sqrt(lam + 0.5 * u0**2)
-    while a - b > 4.0 * np.finfo(float).eps * a:  # a >= b: AM >= GM
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return float(np.pi / (a + b))
-
-
-def check_decay_identity(w: Weight, m: Mesh, u: np.ndarray, lam: float,
-                         interval_index: int) -> float:
-    """Relative mismatch of the weighted-average identity on one vanishing interval.
-
-    With phi(x) = sin(pi*(x - alpha)/h) on (alpha, beta) where the weight
-    vanishes, any solution satisfies
-
-        int_alpha^beta u*phi = (u(beta)*phi'(beta) - u(alpha)*phi'(alpha))
-                               / (lam - (pi/h)^2),
-
-    so the mismatch measures trapezoid-rule plus discretization error only.
-    """
-    if w.eps != 0.0:
-        raise ValueError("identity check requires a vanishing (eps = 0) weight")
-    alpha, beta = w.intervals[interval_index]
-    h = beta - alpha
-    x_full = m.nodes
-    u_full = np.concatenate([[0.0], np.asarray(u, dtype=float), [0.0]])
-
-    inner = (x_full > alpha) & (x_full < beta)
-    xq = np.concatenate([[alpha], x_full[inner], [beta]])
-    uq = np.interp(xq, x_full, u_full)
-    phi = np.sin(np.pi * (xq - alpha) / h)
-    lhs = np.trapezoid(uq * phi, xq)
-
-    dphi = np.pi / h
-    u_a = float(np.interp(alpha, x_full, u_full))
-    u_b = float(np.interp(beta, x_full, u_full))
-    rhs = (u_b * (-dphi) - u_a * dphi) / (lam - (np.pi / h) ** 2)
-    return abs(lhs - rhs) / (abs(rhs) + 1e-12)

@@ -10,10 +10,11 @@ import bvpcont
 from bvpcont.continuation import (BracketError, ContinuationConfig,
                                   SolutionPoint, _lu_sign_resolved, _step,
                                   continue_branch, make_point)
-from bvpcont.corrector import Tangent, _lu, _lu_det_sign, newton_fixed_lambda
+from bvpcont.corrector import Tangent, _lu, newton_fixed_lambda
 from bvpcont.diagram import RunConfig, run_diagram
 from bvpcont.discretize import Discretization, jacobian, mirrors
 from bvpcont.seeding import isola_seeds, peak_seed
+from references import lu_det_sign
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +66,7 @@ def resolved_flips():
     def run(d, branch):
         pts = branch.points
         lus = [_lu(jacobian(d, p.lam, p.u)) for p in pts]
-        signs = [_lu_det_sign(lu)[0] for lu in lus]
+        signs = [lu_det_sign(lu)[0] for lu in lus]
         resolved = [_lu_sign_resolved(lu, p.u, 1e-4)
                     for lu, p in zip(lus, pts)]
         return [i for i in range(len(pts) - 1)

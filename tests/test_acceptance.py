@@ -16,8 +16,7 @@ import pytest
 from bvpcont.bifurcation import classify
 from bvpcont.continuation import (ContinuationConfig, Tangent,
                                   continue_branch, fold_points, make_point)
-from bvpcont.corrector import (_lu, _lu_det_sign, bordered_solve,
-                               newton_fixed_lambda)
+from bvpcont.corrector import _lu, bordered_solve, newton_fixed_lambda
 from bvpcont.diagram import (RunConfig, deep_census, run_diagram,
                              trace_main_branch, write_bundle)
 from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
@@ -25,9 +24,10 @@ from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_refined_mesh, build_uniform_mesh
 from bvpcont.seeding import peak_pattern, peak_seed
-from bvpcont.shooting import (check_decay_identity, integrate_ivp,
-                              shoot_count, time_map)
+from bvpcont.shooting import shoot_count
 from bvpcont.weight import build_weight
+from references import (check_decay_identity, integrate_ivp, lu_det_sign,
+                        time_map)
 
 # Smallest eigenvalue of (N+1)^2 * tridiag(-1, 2, -1), N = 100 ... 2000, from
 # Sturm-sequence bisection on the matrix at 40 digits (mpmath and the decimal
@@ -74,7 +74,7 @@ def census_k2(diagram_k2):
 
 
 def _main_branch_lambda_b(d):
-    b = trace_main_branch(d, principal_eigenvalue(d.m),
+    b = trace_main_branch(d, principal_eigenvalue(d),
                           ContinuationConfig(lambda_min=-20.0))
     for i in sorted(b.located):
         ev = classify(d, *b.located[i])
@@ -394,7 +394,7 @@ def test_criterion_7_property_suite(tmp_path, descend, mask_seed):
     z = np.zeros(nn)
 
     def sign(lam):
-        return _lu_det_sign(_lu(jacobian(du, lam, z)))[0]
+        return lu_det_sign(_lu(jacobian(du, lam, z)))[0]
     checks["det_sign"] = all(
         sign(toeplitz_eigenvalue(nn, k) - 0.5)
         != sign(toeplitz_eigenvalue(nn, k) + 0.5) for k in range(1, 6))
@@ -439,8 +439,7 @@ def test_criterion_7_property_suite(tmp_path, descend, mask_seed):
 
 
 def test_criterion_8_nonexistence_bound(isola_bundle, census_k1, census_k2):
-    m = build_uniform_mesh(500)
-    lam1 = principal_eigenvalue(m)
+    lam1 = principal_eigenvalue(isola_bundle.operator)
     stored_ok = all(p.lam < lam1
                     for rec in isola_bundle.branches
                     for p in rec.branch.points)

@@ -9,7 +9,7 @@ from bvpcont.continuation import (BracketError, ContinuationConfig,
                                   _lu_sign_resolved, fold_points, make_point,
                                   update_tangent)
 from bvpcont.corrector import (AugmentedState, NewtonError, Tangent, _lu,
-                               _lu_det_sign, newton_fixed_lambda)
+                               newton_fixed_lambda)
 from bvpcont.diagram import RunConfig, run_diagram, trace_main_branch
 from bvpcont.discretize import (BandedJacobian, Discretization,
                                 discrete_l2_norm, jacobian,
@@ -17,13 +17,14 @@ from bvpcont.discretize import (BandedJacobian, Discretization,
                                 toeplitz_eigenvalue)
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.weight import build_weight
+from references import lu_det_sign, matvec
 
 
 def main_branch(h, n=500, lambda_min=-20.0):
     w = build_weight(1, h, 0.0)
     m = build_uniform_mesh(n)
     d = Discretization(w, m)
-    b = trace_main_branch(d, principal_eigenvalue(m),
+    b = trace_main_branch(d, principal_eigenvalue(d),
                           ContinuationConfig(lambda_min=lambda_min))
     return d, b
 
@@ -45,7 +46,7 @@ def test_det_sign_positive_definite():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(10)
     d = Discretization(w, m)
-    sign, logmag = _lu_det_sign(_lu(jacobian(d, 0.0, np.zeros(10))))
+    sign, logmag = lu_det_sign(_lu(jacobian(d, 0.0, np.zeros(10))))
     assert sign == 1
     assert np.isfinite(logmag)
 
@@ -59,7 +60,7 @@ def test_det_sign_matches_slogdet():
     d, b = main_branch(0.05, lambda_min=-100.0)
     mats += [jacobian(d, p.lam, p.u) for p in b.points]
     for J in mats:
-        sign, logmag = _lu_det_sign(_lu(J))
+        sign, logmag = lu_det_sign(_lu(J))
         ref_sign, ref_logmag = np.linalg.slogdet(J.dense())
         assert sign == ref_sign
         assert abs(logmag - ref_logmag) <= 1e-10 * max(abs(ref_logmag), 1.0)
@@ -73,8 +74,8 @@ def test_det_sign_flips_at_discrete_eigenvalues():
     u = np.zeros(n)
     for k in range(1, 6):
         lam_k = toeplitz_eigenvalue(n, k)
-        below, _ = _lu_det_sign(_lu(jacobian(d, lam_k - 0.5, u)))
-        above, _ = _lu_det_sign(_lu(jacobian(d, lam_k + 0.5, u)))
+        below, _ = lu_det_sign(_lu(jacobian(d, lam_k - 0.5, u)))
+        above, _ = lu_det_sign(_lu(jacobian(d, lam_k + 0.5, u)))
         assert below != above
         assert below != 0 and above != 0
 
@@ -215,7 +216,7 @@ def test_locate_keeps_a_symmetric_host_exactly_symmetric():
     w = build_weight(1, 0.6, 0.2)
     m = build_uniform_mesh(500)
     d = Discretization(w, m)
-    b = trace_main_branch(d, principal_eigenvalue(m),
+    b = trace_main_branch(d, principal_eigenvalue(d),
                           ContinuationConfig(lambda_min=-300.0))
     events = located_events(d, b)
     assert len(events) == 2
@@ -354,9 +355,9 @@ def test_every_branch_records_the_det_sign_of_each_point(diagram):
         for p in pts:
             J = jacobian(d, p.lam, p.u)
             t = p.tangent
-            assert p.det_sign == _lu_det_sign(_lu(J))[0], rec.branch_id
+            assert p.det_sign == lu_det_sign(_lu(J))[0], rec.branch_id
             assert abs(t.norm() - 1.0) < 1e-12, rec.branch_id
-            null = np.linalg.norm(J.matvec(t.du) - p.u * t.dlam)
+            null = np.linalg.norm(matvec(J, t.du) - p.u * t.dlam)
             assert null <= 1e-9 * (1.0 + np.linalg.norm(p.u)), rec.branch_id
         for p, q in zip(pts, pts[1:]):
             dy = Tangent(q.u - p.u, q.lam - p.lam)
@@ -373,7 +374,7 @@ def test_located_record_matches_a_fresh_scan(diagram):
     for rec in diagram.branches:
         pts = rec.branch.points
         lus = [_lu(jacobian(d, p.lam, p.u)) for p in pts]
-        orient = [_lu_det_sign(lu)[0] * np.sign(p.tangent.dlam)
+        orient = [lu_det_sign(lu)[0] * np.sign(p.tangent.dlam)
                   for lu, p in zip(lus, pts)]
         resolved = [_lu_sign_resolved(lu, p.u, 1e-4)
                     for lu, p in zip(lus, pts)]
@@ -401,7 +402,7 @@ def test_a_free_mode_leaves_the_det_sign_unresolved(resolved_flips):
     # (near -1527), so neither end of any flip may count as resolved.  The
     # ends of the genuine kappa=1 bracket stay resolved.
     d = Discretization(build_weight(2, 0.15, 0.0), build_uniform_mesh(500))
-    b = trace_main_branch(d, principal_eigenvalue(d.m), ContinuationConfig())
+    b = trace_main_branch(d, principal_eigenvalue(d), ContinuationConfig())
     ends = _flip_ends(b)
     assert ends and max(p.lam for p in ends) < -1000.0
     for p in ends:

@@ -14,6 +14,7 @@ from bvpcont.discretize import (Discretization, jacobian, mirrors,
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import peak_seed
 from bvpcont.weight import build_weight
+from references import matvec
 
 
 def down(u):
@@ -22,7 +23,7 @@ def down(u):
 
 def onset_solution(d):
     # the first point of the main branch, just below the first eigenvalue
-    p = trace_main_branch(d, principal_eigenvalue(d.m),
+    p = trace_main_branch(d, principal_eigenvalue(d),
                           ContinuationConfig(max_steps=1)).points[0]
     return p.lam, p.u
 
@@ -36,7 +37,7 @@ def test_main_branch_starts_below_the_first_eigenvalue(config):
     # one arclength step from u = 0 at lam1 along the null vector lands on
     # the positive symmetric branch, strictly below lam1, heading down
     d = Discretization(*config.build())
-    lam1 = principal_eigenvalue(d.m)
+    lam1 = principal_eigenvalue(d)
     p = trace_main_branch(d, lam1, ContinuationConfig(max_steps=1)).points[0]
     assert p.lam < lam1
     assert p.u.min() > 0.0 and mirrors(p.u, p.u)
@@ -99,7 +100,7 @@ def test_tangent_is_nullvector_of_extended_jacobian():
     lam, u = onset_solution(d)
     J = jacobian(d, lam, u)
     t, _ = update_tangent(AugmentedState(lam, u), down(u), _lu(J))
-    image = J.matvec(t.du) + (-u) * t.dlam
+    image = matvec(J, t.du) + (-u) * t.dlam
     assert np.linalg.norm(image) < 1e-8 * (1 + np.abs(J.diag).max())
 
 
@@ -108,7 +109,7 @@ def test_main_branch_square_root_onset():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(300)
     d = Discretization(w, m)
-    lam1 = principal_eigenvalue(m)
+    lam1 = principal_eigenvalue(d)
     lam, u = onset_solution(d)
     cfg = ContinuationConfig(lambda_min=-100.0)
     b = continue_branch(d, make_point(d, lam, u), down(u), cfg)

@@ -16,6 +16,7 @@ from bvpcont.discretize import (BandedJacobian, Discretization, jacobian,
 from bvpcont.mesh import build_uniform_mesh
 from bvpcont.seeding import peak_seed, sine_seed
 from bvpcont.weight import build_weight
+from references import matvec
 
 
 def test_trivial_root_in_one_step():
@@ -191,7 +192,7 @@ def test_bordered_solve_regularizes_singular_block():
     t = Tangent(mode / np.linalg.norm(mode), 0.5).normalized()
     rhs = rng.normal(size=n + 1)
     x = bordered_solve(_lu(J), mode, t, rhs)
-    res = np.concatenate([J.matvec(x[:-1]) + mode * x[-1],
+    res = np.concatenate([matvec(J, x[:-1]) + mode * x[-1],
                           [t.du @ x[:-1] + t.dlam * x[-1]]]) - rhs
     assert np.linalg.norm(res) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bvpcont import diagram
+from bvpcont import diagram, seeding
 from bvpcont.cli import main
 from bvpcont.diagram import (DiagramBundle, RunConfig, deep_census, emit_svg,
                              run_diagram, run_epsilon_sweep, write_bundle)
@@ -62,9 +62,9 @@ def test_run_builds_the_operator_once(monkeypatch):
     run_diagram(RunConfig(kappa=1, h=0.05, eps=0.0, mesh_n=500,
                           lambda_min=-100.0))
     assert residual_calls[0] >= 100
-    # one Discretization; the second spacing call is principal_eigenvalue's
+    # one Discretization, which principal_eigenvalue reads too
     assert weight_calls[0] == 1
-    assert spacing_calls[0] == 2
+    assert spacing_calls[0] == 1
 
 
 def test_run_diagram_pitchfork_pipeline(pitchfork_bundle):
@@ -433,6 +433,20 @@ def test_cli_solve_reads_only_a_well_formed_seed(capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "argument --seed" in err
+
+
+@pytest.mark.parametrize("seed, eps", [("1" + "0" * 20, "0"), ("wells", "0.3")],
+                         ids=["mask", "wells"])
+def test_cli_solve_builds_no_pattern_table(monkeypatch, capsys, seed, eps):
+    # one seed is looked up by its own pattern: at kappa=20 the table holds
+    # 2^21 - 1 masks, and building it to serve one took 9.9 s and 986 MB
+    # of peak RSS on a 2-vCPU host
+    def refuse(n):
+        raise AssertionError(f"patterns({n}) was built")
+    monkeypatch.setattr(seeding, "patterns", refuse)
+    assert main(["solve", "--kappa", "20", "--h", "0.01", "--eps", eps,
+                 "--n", "1000", "--lambda", "-50", "--seed", seed]) in (0, 1)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -195,7 +195,7 @@ def test_newton_near_onset_small_symmetric():
     w = build_weight(1, 0.1, 1.0)
     m = build_uniform_mesh(300)
     d = Discretization(w, m)
-    lam = principal_eigenvalue(m) - 0.1
+    lam = principal_eigenvalue(d) - 0.1
     u = newton_fixed_lambda(d, lam, sine_seed(m, 0.37))
     assert 0 < np.abs(u).max() < 1.0
     assert np.max(np.abs(u - u[::-1])) < 1e-8
@@ -241,7 +241,7 @@ def test_find_new_solution_deduplicates_against_known(mask_seed):
     w = build_weight(1, 0.1, 0.3)
     m = build_uniform_mesh(200)
     d = Discretization(w, m)
-    main = trace_main_branch(d, principal_eigenvalue(m),
+    main = trace_main_branch(d, principal_eigenvalue(d),
                              ContinuationConfig(lambda_min=-150.0))
     assert find_new_solution(d, -100.0, mask_seed(d, "11", -100.0),
                              [main]) is None
@@ -254,7 +254,7 @@ def test_find_new_solution_deduplicates_across_a_long_step():
     # -200 the secant between the points on either side must still
     # recognize it
     d = Discretization(build_weight(1, 0.5, 0.5), build_uniform_mesh(500))
-    main = trace_main_branch(d, principal_eigenvalue(d.m),
+    main = trace_main_branch(d, principal_eigenvalue(d),
                              ContinuationConfig(lambda_min=-600.0))
     gap = Branch(points=[p for p in main.points if abs(p.lam + 200.0) > 10.0])
     (lo, hi), = d.w.intervals
